@@ -288,21 +288,27 @@ class TypeDistribution:
 
     # -- CDF / survival ----------------------------------------------------
 
-    def _cdf_sf_raw(self, omega: int, ya: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _tails(self, ya: np.ndarray, upper: bool, omega: int | None = None):
+        """Survival (upper) or CDF at ya, which lies in the support.
+
+        Returns world omega's values, or the pair (world 0, world 1) when
+        omega is None.  One segment lookup serves both worlds, and only the
+        part of the segment integral on the requested side of ya is
+        evaluated.
+        """
         b, c0, c1 = self._breaks, self._c0, self._c1
-        idx = np.clip(np.searchsorted(b, ya, side="right") - 1, 0, len(c0) - 1)
-        a, e = b[idx], b[idx + 1]
-        part1_left = _seg_int_f1(a, ya, c0[idx], c1[idx])
-        part1_right = _seg_int_f1(ya, e, c0[idx], c1[idx])
-        if omega == 1:
-            cdf = self._cum1[idx] + part1_left
-            sf = self._tail1[idx + 1] + part1_right
+        # Segment index: interior breakpoints at or below ya.
+        idx = np.searchsorted(b[1:-1], ya, side="right")
+        k0, k1 = c0[idx], c1[idx]
+        if upper:
+            a, e, at, acc0, acc1 = ya, b[idx + 1], idx + 1, self._tail0, self._tail1
         else:
-            partg_left = _seg_int_g(a, ya, c0[idx], c1[idx])
-            partg_right = _seg_int_g(ya, e, c0[idx], c1[idx])
-            cdf = self._cum0[idx] + (partg_left - part1_left)
-            sf = self._tail0[idx + 1] + (partg_right - part1_right)
-        return cdf, sf
+            a, e, at, acc0, acc1 = b[idx], ya, idx, self._cum0, self._cum1
+        f1 = _seg_int_f1(a, e, k0, k1)
+        if omega == 1:
+            return acc1[at] + f1
+        w0 = acc0[at] + (_seg_int_g(a, e, k0, k1) - f1)
+        return w0 if omega == 0 else (w0, acc1[at] + f1)
 
     def cdf(self, omega: int, y):
         """F_omega(y); queries outside the support clamp to {0, 1} with a warning."""
@@ -316,8 +322,7 @@ class TypeDistribution:
                 stacklevel=2,
             )
         yc = np.clip(ya, self.lo, self.hi)
-        cdf, _ = self._cdf_sf_raw(omega, yc)
-        out = np.clip(cdf, 0.0, 1.0)
+        out = np.clip(self._tails(yc, False, omega), 0.0, 1.0)
         # Exact by definition at the support edges, immune to the last ulp
         # of normalization rounding.
         out = np.where(ya <= self.lo, 0.0, np.where(ya >= self.hi, 1.0, out))
@@ -328,8 +333,7 @@ class TypeDistribution:
         self._check_world(omega)
         ya, scalar = _as_float_array(y)
         yc = np.clip(ya, self.lo, self.hi)
-        _, sf = self._cdf_sf_raw(omega, yc)
-        out = np.clip(sf, 0.0, 1.0)
+        out = np.clip(self._tails(yc, True, omega), 0.0, 1.0)
         out = np.where(ya <= self.lo, 1.0, np.where(ya >= self.hi, 0.0, out))
         return float(out) if scalar else out
 
@@ -344,8 +348,7 @@ class TypeDistribution:
         """
         xa, scalar = _as_float_array(x)
         xc = np.clip(xa, self.lo, self.hi)
-        _, sf1 = self._cdf_sf_raw(1, xc)
-        _, sf0 = self._cdf_sf_raw(0, xc)
+        sf0, sf1 = self._tails(xc, True)
         at_top = xa >= self.Q - BOUNDARY_BAND
         safe0 = np.where(sf0 > 0.0, sf0, 1.0)
         out = np.where(at_top, self.Q / (1.0 - self.Q), sf1 / safe0)
@@ -360,8 +363,7 @@ class TypeDistribution:
         """
         xa, scalar = _as_float_array(x)
         xc = np.clip(xa, self.lo, self.hi)
-        cdf1, _ = self._cdf_sf_raw(1, xc)
-        cdf0, _ = self._cdf_sf_raw(0, xc)
+        cdf0, cdf1 = self._tails(xc, False)
         at_bottom = xa <= self.lo + BOUNDARY_BAND
         safe0 = np.where(cdf0 > 0.0, cdf0, 1.0)
         out = np.where(at_bottom, (1.0 - self.Q) / self.Q, cdf1 / safe0)

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +43,12 @@ from cascadefund.engine import (
     backward_induction,
     pi_ordering_scan,
 )
-from cascadefund.simulate import end_likelihood_stats, estimate_completion, simulate_runs
+from cascadefund.simulate import (
+    BLOCK_RUNS,
+    completion_from_batch,
+    end_likelihood_stats,
+    simulate_runs,
+)
 from cascadefund.unanimity import delegation_analysis, sweep_profiles
 
 DEFAULTS = {
@@ -103,12 +109,36 @@ def _csv_header(fh, config: dict) -> None:
     fh.write(f"# version: {__version__}\n")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.9g}"
+def _columns(parts) -> list[np.ndarray]:
+    """Split equal-length arrays into columns: a 2-D array gives one per column."""
+    cols = []
+    for part in parts:
+        part = np.asarray(part)
+        cols.extend(part.T if part.ndim == 2 else [part])
+    return cols
+
+
+def _records(cols):
+    """Rows of Python scalars from equal-length columns."""
+    return zip(*(c.tolist() for c in cols))
+
+
+def _write_csv(path: str, config: dict, names: list[str], parts) -> None:
+    """Write the comment header, the column names, then one row per index.
+
+    Integer and boolean columns print with %d, float columns with %.9g.
+    One format string covers a block of BLOCK_RUNS rows, so memory stays
+    flat however many rows there are.
+    """
+    cols = _columns(parts)
+    row = ",".join("%.9g" if c.dtype.kind == "f" else "%d" for c in cols) + "\n"
+    _ensure_dir(path)
+    with open(path, "w") as fh:
+        _csv_header(fh, config)
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(cols[0]), BLOCK_RUNS):
+            rows = list(_records(c[start : start + BLOCK_RUNS] for c in cols))
+            fh.write((row * len(rows)) % tuple(chain.from_iterable(rows)))
 
 
 class RunConfig(dict):
@@ -221,30 +251,25 @@ def cmd_solve(cfg: RunConfig) -> int:
     prefix = _out_prefix(cfg, "solve")
     config = _public_config(cfg)
 
-    rows_meta = []
-    table = []
-    for B, n, row in policy.iter_rows():
-        rows_meta.append(
-            {
-                "B": B,
-                "n": n,
-                "points": int(row.L.size),
-                "irregular_fraction": float(np.mean(row.irregular)),
-            }
-        )
-        for i in range(row.L.size):
-            table.append(
-                (B, n, row.L[i], row.sigma[i], row.pi0[i], row.pi1[i], bool(row.irregular[i]))
-            )
+    rows = list(policy.iter_rows())
+    rows_meta = [
+        {
+            "B": B,
+            "n": n,
+            "points": int(row.L.size),
+            "irregular_fraction": float(np.mean(row.irregular)),
+        }
+        for B, n, row in rows
+    ]
+    names = ["B", "n", "L", "sigma", "pi0", "pi1", "irregular"]
+    cols = [
+        np.concatenate([np.full(row.L.size, B) for B, _, row in rows]),
+        np.concatenate([np.full(row.L.size, n) for _, n, row in rows]),
+        *(np.concatenate([getattr(row, key) for _, _, row in rows]) for key in names[2:]),
+    ]
 
     if cfg["format"] == "csv":
-        path = prefix + ".csv"
-        _ensure_dir(path)
-        with open(path, "w") as fh:
-            _csv_header(fh, config)
-            fh.write("B,n,L,sigma,pi0,pi1,irregular\n")
-            for rec in table:
-                fh.write(",".join(_fmt(v) for v in rec) + "\n")
+        _write_csv(prefix + ".csv", config, names, cols)
 
     x0 = policy.sigma(cfg["L0"], cfg["B"], cfg["n"])
     p0, p1 = policy.pi(cfg["L0"], cfg["B"], cfg["n"])
@@ -257,18 +282,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "ordering_scan": pi_ordering_scan(policy),
     }
     if cfg["format"] == "json":
-        summary["table"] = [
-            {
-                "B": b,
-                "n": n,
-                "L": L,
-                "sigma": s,
-                "pi0": q0,
-                "pi1": q1,
-                "irregular": irr,
-            }
-            for b, n, L, s, q0, q1, irr in table
-        ]
+        summary["table"] = [dict(zip(names, rec)) for rec in _records(cols)]
     _dump_json(prefix + ".json", summary)
     return 0
 
@@ -293,24 +307,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
         + [f"delegate_{i}" for i in range(1, n + 1)]
         + ["irregular"]
     )
-    rows = []
-    for i in range(len(Ls)):
-        rows.append(
-            [sweep["L"][i]]
-            + list(sweep["x"][i])
-            + [sweep["pi0"][i], sweep["pi1"][i], sweep["utility"][i]]
-            + [bool(v) for v in sweep["delegate"][i]]
-            + [bool(sweep["irregular"][i])]
-        )
+    parts = [sweep[k] for k in ("L", "x", "pi0", "pi1", "utility", "delegate", "irregular")]
 
     if cfg["format"] == "csv":
-        path = prefix + ".csv"
-        _ensure_dir(path)
-        with open(path, "w") as fh:
-            _csv_header(fh, config)
-            fh.write(",".join(cols) + "\n")
-            for rec in rows:
-                fh.write(",".join(_fmt(v) for v in rec) + "\n")
+        _write_csv(prefix + ".csv", config, cols, parts)
     else:
         _dump_json(
             prefix + ".json",
@@ -319,7 +319,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 "config": config,
                 "version": __version__,
                 "columns": cols,
-                "rows": [[_nine(float(v)) if not isinstance(v, bool) else v for v in rec] for rec in rows],
+                "rows": [list(rec) for rec in _records(_columns(parts))],
             },
         )
     return 0
@@ -332,29 +332,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
     state = GameState(cfg["L0"], cfg["B"], cfg["n"])
     batch = simulate_runs(policy, state, cfg["runs"], cfg["seed"])
-    est = estimate_completion(policy, state, cfg["runs"], cfg["seed"])
+    est = completion_from_batch(batch)
     prefix = _out_prefix(cfg, "simulate")
     config = _public_config(cfg)
     n = cfg["n"]
 
     if cfg["format"] == "csv":
-        path = prefix + ".csv"
-        _ensure_dir(path)
-        with open(path, "w") as fh:
-            _csv_header(fh, config)
-            cols = (
-                ["run", "world", "completed", "L_end"]
-                + [f"a_{i}" for i in range(1, n + 1)]
-                + [f"t_{i}" for i in range(1, n + 1)]
-            )
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(batch)):
-                rec = (
-                    [i, int(batch.world[i]), bool(batch.completed[i]), batch.L_end[i]]
-                    + [bool(a) for a in batch.actions[i]]
-                    + list(batch.types[i])
-                )
-                fh.write(",".join(_fmt(v) for v in rec) + "\n")
+        cols = (
+            ["run", "world", "completed", "L_end"]
+            + [f"a_{i}" for i in range(1, n + 1)]
+            + [f"t_{i}" for i in range(1, n + 1)]
+        )
+        parts = [
+            np.arange(len(batch)),
+            batch.world,
+            batch.completed,
+            batch.L_end,
+            batch.actions,
+            batch.types,
+        ]
+        _write_csv(prefix + ".csv", config, cols, parts)
 
     p0_grid, p1_grid = policy.pi(cfg["L0"], cfg["B"], cfg["n"])
     summary = {

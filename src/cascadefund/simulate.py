@@ -32,6 +32,7 @@ __all__ = [
     "BatchRuns",
     "CompletionEstimate",
     "RunRecord",
+    "completion_from_batch",
     "end_likelihood_stats",
     "estimate_completion",
     "pi_ordering_scan",
@@ -119,11 +120,11 @@ def _simulate_block(policy: PolicyTable, state: GameState, count: int, seed_seq)
             m = need == b
             sigma[m] = policy.sigma(L[m], int(b), left)
         act = types[:, k] >= sigma
-        L = np.where(
-            act,
-            L * dist.lr_upper_tail(sigma),
-            L * dist.lr_lower_tail(sigma),
-        )
+        # Each run needs only the odds factor of the action it took.
+        ratio = np.empty(count)
+        ratio[act] = dist.lr_upper_tail(sigma[act])
+        ratio[~act] = dist.lr_lower_tail(sigma[~act])
+        L = L * ratio
         need -= act
         actions[:, k] = act
         paths[:, k + 1] = L
@@ -182,14 +183,8 @@ class CompletionEstimate:
         return self.count0 > 0, self.count1 > 0
 
 
-def estimate_completion(
-    policy: PolicyTable, state: GameState, runs: int, seed: int
-) -> CompletionEstimate:
-    if state.B <= 0:
-        return CompletionEstimate(1.0, 1.0, 0.0, 0.0, runs, runs)
-    if state.B > state.n:
-        return CompletionEstimate(0.0, 0.0, 0.0, 0.0, runs, runs)
-    batch = simulate_runs(policy, state, runs, seed)
+def completion_from_batch(batch: BatchRuns) -> CompletionEstimate:
+    """Completion frequencies by world over the runs of one batch."""
     out = []
     for w in (0, 1):
         m = batch.world == w
@@ -207,6 +202,16 @@ def estimate_completion(
         count0=out[0][2],
         count1=out[1][2],
     )
+
+
+def estimate_completion(
+    policy: PolicyTable, state: GameState, runs: int, seed: int
+) -> CompletionEstimate:
+    if state.B <= 0:
+        return CompletionEstimate(1.0, 1.0, 0.0, 0.0, runs, runs)
+    if state.B > state.n:
+        return CompletionEstimate(0.0, 0.0, 0.0, 0.0, runs, runs)
+    return completion_from_batch(simulate_runs(policy, state, runs, seed))
 
 
 def end_likelihood_stats(batch: BatchRuns, dist: TypeDistribution) -> dict:

@@ -10,11 +10,14 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from cascadefund.beliefs import (
+    BOUNDARY_BAND,
     ConfigError,
     DomainError,
     OutOfSupportWarning,
     QualitySpec,
     TypeDistribution,
+    _seg_int_f1,
+    _seg_int_g,
     private_likelihood,
     update_on_decline,
     update_on_invest,
@@ -54,6 +57,18 @@ def quad_cdf(dist: TypeDistribution, omega: int, y: float) -> float:
         val, _ = quad(lambda t: dist.pdf(omega, t), a, b, limit=200)
         segs.append(val)
     return float(sum(segs))
+
+
+def reference_tail(dist: TypeDistribution, omega: int, y, upper: bool):
+    """Survival (upper) or CDF of one world on the support, segment by segment."""
+    b, c0, c1 = dist._breaks, dist._c0, dist._c1
+    idx = np.clip(np.searchsorted(b, y, side="right") - 1, 0, len(c0) - 1)
+    a, e = (y, b[idx + 1]) if upper else (b[idx], y)
+    f1 = _seg_int_f1(a, e, c0[idx], c1[idx])
+    if omega == 1:
+        return (dist._tail1[idx + 1] if upper else dist._cum1[idx]) + f1
+    g = _seg_int_g(a, e, c0[idx], c1[idx])
+    return (dist._tail0[idx + 1] if upper else dist._cum0[idx]) + (g - f1)
 
 
 class TestQualitySpec:
@@ -228,6 +243,37 @@ class TestLikelihoodRatios:
         assert np.all(np.diff(dist_u658.lr_upper_tail(xs)) > 0)
         xs = np.linspace(0.66, 0.79, 50)
         assert np.all(np.diff(dist_u658.lr_lower_tail(xs)) > 0)
+
+    @pytest.mark.filterwarnings("ignore::cascadefund.beliefs.OutOfSupportWarning")
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: QualitySpec.uniform(0.5, 0.8),
+            lambda: QualitySpec.uniform(0.65, 0.8),
+            lambda: QualitySpec.tabulated(
+                0.6, 0.85, [(0.6, 1.0), (0.7, 0.0), (0.75, 2.0), (0.85, 2.0)], normalize=True
+            ),
+        ],
+        ids=["uniform-R0.5", "uniform-R0.65-gap", "tabulated-interior-zero"],
+    )
+    def test_ratios_equal_tail_quotients_exactly(self, make):
+        # Both ratios share one tail kernel with sf and cdf, so away from
+        # their limit bands they are the tail quotients bit for bit.
+        dist = TypeDistribution(make())
+        rng = np.random.default_rng(7)
+        xs = np.concatenate(
+            (dist._breaks, [dist.lo, dist.hi], rng.uniform(dist.lo, dist.hi, 2000))
+        )
+        up = xs[xs < dist.Q - BOUNDARY_BAND]
+        assert np.array_equal(dist.lr_upper_tail(up), dist.sf(1, up) / dist.sf(0, up))
+        low = xs[xs > dist.lo + BOUNDARY_BAND]
+        assert np.array_equal(dist.lr_lower_tail(low), dist.cdf(1, low) / dist.cdf(0, low))
+        # The kernel keeps the per-world segment arithmetic, in both modes.
+        for upper in (True, False):
+            pair = dist._tails(xs, upper)
+            for omega in (0, 1):
+                assert np.array_equal(pair[omega], dist._tails(xs, upper, omega))
+                assert np.array_equal(pair[omega], reference_tail(dist, omega, xs, upper))
 
 
 class TestDistributionLaws:

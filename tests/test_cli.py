@@ -1,10 +1,20 @@
 """Command line behavior: files written, exit codes, determinism."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from cascadefund import cli
+from cascadefund.beliefs import QualitySpec
+from cascadefund.engine import GameState
+from cascadefund.simulate import (
+    BLOCK_RUNS,
+    completion_from_batch,
+    estimate_completion,
+    simulate_runs,
+)
 
 
 def run(tmp_path, *argv):
@@ -202,3 +212,88 @@ class TestNumericFailure:
         monkeypatch.setattr(cli, "backward_induction", boom)
         assert run(workdir, "solve") == 3
         assert "numeric failure (RuntimeError)" in capsys.readouterr().err
+
+
+def _cell(v) -> str:
+    """The per-cell CSV rule: bools as 0/1, integers as is, floats to 9 digits."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.9g}"
+
+
+class TestCsvWriter:
+    def test_block_format_matches_per_cell_rule(self, workdir):
+        floats = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300,
+                  123456789.5, 0.1, -2.5e-7, 1.0 / 3.0]
+        rows = BLOCK_RUNS + 3  # crosses a block boundary
+        ints = np.arange(rows, dtype=np.int64) * 7919 - 10**12
+        small = (np.arange(rows) % 2).astype(np.int8)
+        py_bools = [i % 3 == 0 for i in range(rows)]
+        np_bools = np.arange(rows) % 5 == 0
+        fl = np.resize(np.array(floats), rows)
+        grid = np.stack([fl[::-1], fl * 3.0], axis=1)
+        cli._write_csv("w.csv", {"k": 1}, ["i", "s", "p", "b", "f", "g1", "g2"],
+                       [ints, small, py_bools, np_bools, fl, grid])
+        lines = (workdir / "w.csv").read_text().split("\n")
+        assert lines[:3] == ['# config: {"k": 1}', f"# version: {cli.__version__}",
+                             "i,s,p,b,f,g1,g2"]
+        want = [
+            ",".join(_cell(v) for v in (ints[i], small[i], py_bools[i], np_bools[i],
+                                        fl[i], grid[i, 0], grid[i, 1]))
+            for i in range(rows)
+        ]
+        assert lines[3:] == want + [""]
+
+
+TABULATED = {
+    "kind": "tabulated",
+    "R": 0.6,
+    "Q": 0.85,
+    "knots": [[q, d / 0.3] for q, d in ((0.6, 1.0), (0.7, 0.0), (0.75, 2.0), (0.85, 2.0))],
+}
+
+# Output digests of small runs, recorded before the block CSV writer, the
+# fused tail kernel and the single simulation per simulate call; those
+# changes keep every output byte-identical.
+GOLDEN = [
+    (["solve", "--B", "2", "--n", "3", "--grid-size", "129", "--out", "solve"], {
+        "solve.csv": "578c251bf4fc4950f41812ef3e8b101cb1b46b5a4c0467e125b6a2a840fdcd65",
+        "solve.json": "8eb854e24df8fd936c8395cda5b83def381d084cae3c415edd7003e004f7235a",
+    }),
+    (["solve", "--grid-size", "129", "--format", "json", "--out", "solvej"], {
+        "solvej.json": "e3350895c0381d71aeeb9e401a2cac8b049fc2f460c53a7195afb5beb92f2ef0",
+    }),
+    (["sweep", "--config", "sweep.config.json", "--out", "sweep"], {
+        "sweep.csv": "dc1cfb9f2ad055efce54b896b5025c2ee37ff968ed71f5f759b7d3652664ece9",
+    }),
+    (["sweep", "--config", "sweep.config.json", "--format", "json", "--out", "sweepj"], {
+        "sweepj.json": "722e2e318d96e0edd82004704a174f7058f4e5c108f7e2145d4019b0a2006472",
+    }),
+    (["simulate", "--B", "2", "--n", "3", "--grid-size", "129", "--runs", "5000",
+      "--seed", "7", "--out", "simulate"], {
+        "simulate.csv": "6450aefee730e0f0f5cface1a934f131ae9df9ad3b96d7519d34fa0bb64d306b",
+        "simulate.json": "a165185bb714a5de288263112a512e3d304cecfa6ad667696e622ec20df4f6c9",
+    }),
+]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.filterwarnings("ignore::cascadefund.beliefs.OutOfSupportWarning")
+    @pytest.mark.parametrize("argv,digests", GOLDEN, ids=[g[0][-1] for g in GOLDEN])
+    def test_output_digests(self, workdir, argv, digests):
+        (workdir / "sweep.config.json").write_text(
+            json.dumps({"quality": TABULATED, "B": 2, "n": 2, "L_points": 21})
+        )
+        assert run(workdir, *argv) == 0
+        got = {
+            name: hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in digests
+        }
+        assert got == digests
+
+    def test_estimate_from_batch_matches_resimulation(self, solved):
+        policy = solved(QualitySpec.uniform(0.5, 0.8), 2, 3, grid_size=129)
+        state = GameState(L=1.0, B=2, n=3)
+        batch = simulate_runs(policy, state, 5000, seed=7)
+        assert completion_from_batch(batch) == estimate_completion(policy, state, 5000, seed=7)
