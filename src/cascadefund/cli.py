@@ -296,7 +296,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     dist = TypeDistribution(cfg.spec)
     n = cfg["n"]
     Ls = _L_grid(cfg)
-    sweep = sweep_profiles(dist, n, Ls)
+    # Larger games walk the diagonal of an engine table at the run's grid.
+    policy = (
+        backward_induction(dist, n, n, settings=SolverSettings(grid_size=cfg["grid_size"]))
+        if n >= 3
+        else None
+    )
+    sweep = sweep_profiles(dist, n, Ls, policy=policy)
     prefix = _out_prefix(cfg, "sweep")
     config = _public_config(cfg)
 

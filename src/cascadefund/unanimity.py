@@ -229,9 +229,11 @@ def _ladder_solve(dist, Ls, m, settings, depth=0):
         r = child_ratio(Lv * dist.lr_upper_tail(xv))
         return np.where(np.isfinite(r), Lv * xv / (1.0 - xv) - r, np.nan)
 
-    # Bracket sign flips chunk by chunk; the child solve recursion makes
-    # the full (states x scan) matrix too large for deep games.
-    chunk = max(1, 2_000_000 // scan)
+    # Bracket sign flips a block of states at a time.  The block holds a
+    # fixed number of (state, scan point) elements, so the temporaries of
+    # the scan and of the child solves stay small however many odds points
+    # one call serves.
+    chunk = max(1, 6_144 // scan)
     ci_parts, j_parts, sign_parts = [], [], []
     for s0 in range(0, len(Ls), chunk):
         Lblock = Ls[s0 : s0 + chunk]
@@ -292,7 +294,7 @@ def _ladder_solve(dist, Ls, m, settings, depth=0):
             cand_kind.append(kind)
 
     cx = np.array(cand_x)
-    cL = Ls[np.array(cand_state)]
+    cL = Ls[np.array(cand_state, dtype=int)]
     T1 = dist.sf(1, cx)
     T0 = dist.sf(0, cx)
     Lp = cL * dist.lr_upper_tail(cx)
@@ -379,20 +381,30 @@ def _pick_candidate(U, xs, L, T1, T0, p0c, p1c, tie_rel):
     return top, tie
 
 
+def _ladder_walk(dist, Ls, n, settings):
+    """Thresholds along the all-invest path from each starting odds point.
+
+    Row i holds the playing-order profile that starts at Ls[i]: mover j
+    faces the (n-j)-player must-fill game at the odds the investments
+    before it left.  One _ladder_solve call per mover serves every row.
+    """
+    if n < 1:
+        raise DomainError("need at least one player")
+    settings = settings or UnanimitySettings()
+    Lc = np.asarray(Ls, dtype=float)
+    xs = np.empty((len(Lc), n))
+    for j, m in enumerate(range(n, 0, -1)):
+        xs[:, j], _, _ = _ladder_solve(dist, Lc, m, settings)
+        Lc = Lc * dist.lr_upper_tail(xs[:, j])
+    return xs
+
+
 def solve_unanimity(
     L: float, dist: TypeDistribution, n: int, settings: UnanimitySettings | None = None
 ) -> ThresholdProfile:
     """Exact equilibrium of the n-player must-fill game, in playing order."""
-    if n < 1:
-        raise DomainError("need at least one player")
     settings = settings or UnanimitySettings()
-    thresholds: list[float] = []
-    Lc = float(L)
-    for m in range(n, 0, -1):
-        x, _, _ = _ladder_solve(dist, np.array([Lc]), m, settings)
-        xi = float(x[0])
-        thresholds.append(xi)
-        Lc = Lc * float(dist.lr_upper_tail(xi))
+    thresholds = _ladder_walk(dist, [float(L)], n, settings)[0]
     return _finish_profile(dist, float(L), thresholds, settings)
 
 
@@ -715,12 +727,10 @@ def delegation_pattern(
     dist: TypeDistribution, n: int, Ls, settings: UnanimitySettings | None = None
 ):
     """Delegation flags (x_i at the bottom edge) along solved profiles."""
-    out = []
-    for L in np.atleast_1d(np.asarray(Ls, dtype=float)):
-        prof = solve_unanimity(float(L), dist, n, settings)
-        flags = tuple(bool(x <= dist.lo + 1e-9) for x in prof.thresholds)
-        out.append((float(L), flags))
-    return tuple(out)
+    Ls = np.atleast_1d(np.asarray(Ls, dtype=float))
+    xs = _ladder_walk(dist, Ls, n, settings)
+    flags = xs <= dist.lo + 1e-9
+    return tuple((L, tuple(row)) for L, row in zip(Ls.tolist(), flags.tolist()))
 
 
 def social_insurance_check(
@@ -765,29 +775,26 @@ def sweep_profiles(
 ):
     """Solved profiles across an odds range, as columnar arrays.
 
-    Two-player games run through the exact solver; larger games walk the
-    diagonal of a grid-engine table (built on demand when not supplied).
+    Games of up to two players run one exact ladder walk over all odds
+    points; larger games walk the diagonal of a grid-engine table, one
+    array query per mover (the table is built at the default grid when
+    not supplied).
     """
-    settings = settings or UnanimitySettings()
     Ls = np.asarray(Ls, dtype=float)
-    xcols = np.empty((len(Ls), n))
     irregular = np.zeros(len(Ls), dtype=bool)
     if n <= 2:
-        for i, L in enumerate(Ls):
-            prof = solve_unanimity(float(L), dist, n, settings)
-            xcols[i] = prof.thresholds
+        xcols = _ladder_walk(dist, Ls, n, settings)
     else:
         if policy is None:
             from cascadefund.engine import backward_induction
 
             policy = backward_induction(dist, n, n)
-        for i, L in enumerate(Ls):
-            Lc = float(L)
-            for j, m in enumerate(range(n, 0, -1)):
-                x = float(policy.sigma(Lc, m, m))
-                xcols[i, j] = x
-                irregular[i] |= bool(policy.irregular_at(Lc, m, m))
-                Lc *= float(dist.lr_upper_tail(x))
+        xcols = np.empty((len(Ls), n))
+        Lc = Ls
+        for j, m in enumerate(range(n, 0, -1)):
+            xcols[:, j] = policy.sigma(Lc, m, m)
+            irregular |= policy.irregular_at(Lc, m, m)
+            Lc = Lc * dist.lr_upper_tail(xcols[:, j])
     T0 = dist.sf(0, xcols)
     T1 = dist.sf(1, xcols)
     pi0 = np.prod(T0, axis=1)

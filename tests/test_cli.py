@@ -75,6 +75,14 @@ class TestSweep:
         assert lines[2] == "L,x_1,x_2,pi0,pi1,utility,delegate_1,delegate_2,irregular"
         assert len(lines) == 3 + 7
 
+    def test_engine_diagonal_uses_grid_size(self, workdir):
+        # Three or more players read an engine table solved at --grid-size.
+        base = ("sweep", "--B", "3", "--n", "3", "--L-points", "9")
+        assert run(workdir, *base, "--grid-size", "129", "--out", "g129") == 0
+        assert run(workdir, *base, "--grid-size", "257", "--out", "g257") == 0
+        bodies = [(workdir / f).read_text().split("\n", 1)[1] for f in ("g129.csv", "g257.csv")]
+        assert bodies[0] != bodies[1]
+
     def test_partial_requirement_rejected(self, workdir, capsys):
         assert run(workdir, "sweep", "--B", "2", "--n", "3") == 2
         assert "must-fill" in capsys.readouterr().err
@@ -256,7 +264,9 @@ TABULATED = {
 
 # Output digests of small runs, recorded before the block CSV writer, the
 # fused tail kernel and the single simulation per simulate call; those
-# changes keep every output byte-identical.
+# changes keep every output byte-identical.  The three-player sweep digest
+# was recorded before sweeps solved all odds points in one ladder walk and
+# one vectorised walk down the engine diagonal.
 GOLDEN = [
     (["solve", "--B", "2", "--n", "3", "--grid-size", "129", "--out", "solve"], {
         "solve.csv": "578c251bf4fc4950f41812ef3e8b101cb1b46b5a4c0467e125b6a2a840fdcd65",
@@ -270,6 +280,9 @@ GOLDEN = [
     }),
     (["sweep", "--config", "sweep.config.json", "--format", "json", "--out", "sweepj"], {
         "sweepj.json": "722e2e318d96e0edd82004704a174f7058f4e5c108f7e2145d4019b0a2006472",
+    }),
+    (["sweep", "--B", "3", "--n", "3", "--L-points", "21", "--out", "sweep3"], {
+        "sweep3.csv": "8aadd1df2b88726df89320e6d35c11057116da1297318fcebe524666263816f6",
     }),
     (["simulate", "--B", "2", "--n", "3", "--grid-size", "129", "--runs", "5000",
       "--seed", "7", "--out", "simulate"], {

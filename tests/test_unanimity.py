@@ -6,6 +6,8 @@ both thresholds 0.4, completion probabilities 64/225 and 0.64, utility
 which is allowed to fall back to it for three or more players.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,3 +285,38 @@ class TestSweep:
         sw = sweep_profiles(dist_u658, 2, np.geomspace(0.5, 3.5, 11))
         assert np.all(np.diff(sw["pi1"]) > -1e-9)
         assert np.all(sw["pi1"] + 1e-12 >= sw["pi0"])
+
+    @pytest.mark.parametrize("name", ["dist_u658", "dist_triangular", "dist_bimodal"])
+    def test_one_walk_equals_per_point_solves(self, name, request):
+        # The sweep and the delegation pattern solve every odds point in
+        # one ladder walk; each row must equal the profile solved alone.
+        dist = request.getfixturevalue(name)
+        Ls = np.concatenate([np.geomspace(0.2, 5.0, 17), [1.6]])
+        per_L = np.array([solve_unanimity(float(L), dist, 2).thresholds for L in Ls])
+        assert np.array_equal(sweep_profiles(dist, 2, Ls)["x"], per_L)
+        flags = per_L <= dist.lo + 1e-9
+        want = tuple((float(L), tuple(map(bool, row))) for L, row in zip(Ls, flags))
+        assert delegation_pattern(dist, 2, Ls) == want
+        if name == "dist_u658":
+            assert flags.any()  # the delegation band is on the path
+
+    def test_three_player_walk_equals_per_point_solves(self, dist_u658):
+        Ls = [0.8, 1.6, 3.0]
+        per_L = [solve_unanimity(L, dist_u658, 3).thresholds for L in Ls]
+        want = tuple(
+            (L, tuple(x <= dist_u658.lo + 1e-9 for x in xs)) for L, xs in zip(Ls, per_L)
+        )
+        assert delegation_pattern(dist_u658, 3, Ls) == want
+
+    def test_sweep_memory_stays_flat(self, dist_bimodal):
+        # One ladder walk serves all 321 points; the scan works through a
+        # fixed-size block of states, so its peak does not grow with them.
+        Ls = np.geomspace(0.05, 5.0, 321)
+        sweep_profiles(dist_bimodal, 2, Ls[:2])
+        tracemalloc.start()
+        try:
+            sweep_profiles(dist_bimodal, 2, Ls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
