@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cascadefund.beliefs import DomainError, TypeDistribution
+from cascadefund.roots import bisect
 
 __all__ = [
     "CascadeReport",
@@ -108,15 +109,13 @@ def cascade_startable(
     i = int(hits[0])
     if i == 0:
         return True, float(xs[0])
-    a, b = float(xs[i - 1]), float(xs[i])
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        if cascade_trigger(dist, m) - bound >= 0.0:
-            b = m
-        else:
-            a = m
-        if b - a <= 1e-13:
-            break
+    _, b = bisect(
+        lambda m: not cascade_trigger(dist, m) - bound >= 0.0,
+        float(xs[i - 1]),
+        float(xs[i]),
+        1e-13,
+        80,
+    )
     return True, b
 
 

@@ -15,7 +15,8 @@ recurrence
 with pi_w = 1 once B <= 0 and pi_w = 0 when B > n.  Multiple candidate
 thresholds are ranked by the mover's expected utility; exact ties go to
 the candidate a vanishing tremble favors (the discriminator), and a tie
-there too marks the state irregular.
+there too marks the state irregular.  Root finding and selection live in
+cascadefund.roots; this module supplies the child rows they evaluate.
 
 Tables are solved bottom-up in n on a log-odds grid wide enough to hold
 every reachable state, with extra grid points pinned at the analytic
@@ -28,14 +29,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from cascadefund import roots
 from cascadefund.beliefs import (
     DomainError,
     OutOfSupportWarning,
     TypeDistribution,
 )
+from cascadefund.roots import KIND_INTERIOR, ModelViolationError
 
 __all__ = [
     "Candidate",
@@ -57,16 +61,7 @@ __all__ = [
     "select_equilibrium",
 ]
 
-KIND_INTERIOR = "interior"
-KIND_HERD_INVEST = "herd_invest"
-KIND_HERD_DECLINE = "herd_decline"
-
 MAX_PLAYERS = 50
-
-
-class ModelViolationError(RuntimeError):
-    """The solver produced or met a state violating a structural contract."""
-
 
 @dataclass(frozen=True)
 class GameState:
@@ -94,7 +89,6 @@ class SolverSettings:
     # Candidates whose continuation multisets agree within this absolute
     # spread are treated as the same equilibrium outcome (B = n rows).
     multiset_tol: float = 1e-5
-    chunk: int = 512
 
     def __post_init__(self) -> None:
         if self.grid_size < 16 or self.scan_points < 16:
@@ -240,27 +234,39 @@ class PolicyRow:
         return bool(out) if out.ndim == 0 else out
 
 
-class _ChildView:
-    """Uniform query surface over solved rows and terminal cases.
+class _StateView:
+    """Uniform query surface over a solved row or a terminal convention.
 
-    A sole remaining pivotal mover ("last") is evaluated in closed form
-    rather than from a stored row: the threshold is 1/(1+L) clipped to the
-    support and completion is the tail mass above it, so parents of that
-    state carry no interpolation error.
+    "won" (B <= 0): the drive has filled, movers bet on private beliefs
+    alone and completion is certain.  "dead" (B > n): the drive cannot
+    fill, nobody invests and completion is impossible.  "last" (B = n = 1):
+    a sole remaining pivotal mover, evaluated in closed form rather than
+    from a stored row, so parents of that state carry no interpolation
+    error.  "row": a solved table row.
     """
 
-    def __init__(self, kind: str, row: PolicyRow | None = None, dist=None):
+    def __init__(self, kind: str, dist, row: PolicyRow | None = None):
         if kind not in ("row", "won", "dead", "last"):
             raise ValueError(kind)
         self.kind = kind
-        self.row = row
         self.dist = dist
+        self.row = row
 
     def _last_pi(self, La):
-        s = np.clip(1.0 / (1.0 + La), self.dist.lo, self.dist.hi)
+        s = roots.pivotal_threshold(self.dist, La)
         return np.asarray(self.dist.sf(0, s), dtype=float), np.asarray(
             self.dist.sf(1, s), dtype=float
         )
+
+    def sigma(self, L):
+        La = np.asarray(L, dtype=float)
+        if self.kind in ("won", "last"):
+            out = roots.pivotal_threshold(self.dist, La)
+        elif self.kind == "dead":
+            out = np.full_like(La, self.dist.Q)
+        else:
+            out = self.row.sigma_at(La)
+        return float(out) if np.ndim(out) == 0 else out
 
     def ratio(self, L):
         La = np.asarray(L, dtype=float)
@@ -300,151 +306,6 @@ class _ChildView:
         return self.row.irregular_at(L)
 
 
-def _g_raw(dist: TypeDistribution, inv_view: _ChildView, L, x):
-    """Indifference gap at threshold x; NaN where the invest child is dead."""
-    La = np.asarray(L, dtype=float)
-    xa = np.asarray(x, dtype=float)
-    r = inv_view.ratio(La * dist.lr_upper_tail(xa))
-    ra = np.asarray(r, dtype=float)
-    out = np.where(np.isfinite(ra), La * xa / (1.0 - xa) - ra, np.nan)
-    return out
-
-
-def _bisect_roots(dist, inv_view, bL, lo, hi, glo_pos, xtol):
-    """Vectorized bisection on pre-found sign-change brackets."""
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(80):
-        if np.max(hi - lo) <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = _g_raw(dist, inv_view, bL, mid)
-        if np.any(np.isnan(gm)):
-            raise ModelViolationError("indifference gap undefined inside a bracket")
-        go_right = (gm > 0.0) == glo_pos
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _scan_candidates(dist, inv_view, Lpts, settings):
-    """Interior roots plus playable herd thresholds for each odds point."""
-    Q = dist.Q
-    up = Q / (1.0 - Q)
-    xs = np.linspace(1.0 - Q, Q, settings.scan_points)
-    uxs = dist.lr_upper_tail(xs)
-    lhs = xs / (1.0 - xs)
-
-    M = len(Lpts)
-    roots: list[list[float]] = [[] for _ in range(M)]
-    all_bL, all_lo, all_hi, all_state, all_glo_pos = [], [], [], [], []
-    for start in range(0, M, settings.chunk):
-        Lc = Lpts[start : start + settings.chunk]
-        r = inv_view.ratio(Lc[:, None] * uxs[None, :])
-        G = np.where(np.isfinite(r), Lc[:, None] * lhs[None, :] - r, np.nan)
-        a, b = G[:, :-1], G[:, 1:]
-        flip = (a * b < 0.0) & np.isfinite(a) & np.isfinite(b)
-        ci, j = np.nonzero(flip)
-        all_bL.append(Lc[ci])
-        all_lo.append(xs[j])
-        all_hi.append(xs[j + 1])
-        all_state.append(ci + start)
-        all_glo_pos.append(a[ci, j] > 0.0)
-        zi, zj = np.nonzero(a == 0.0)
-        for s, jj in zip(zi, zj):
-            if jj > 0:  # x = 1-Q is handled as a herd candidate, not a root
-                roots[s + start].append(float(xs[jj]))
-
-    if all_bL and sum(len(v) for v in all_bL):
-        bL = np.concatenate(all_bL)
-        xr = _bisect_roots(
-            dist,
-            inv_view,
-            bL,
-            np.concatenate(all_lo),
-            np.concatenate(all_hi),
-            np.concatenate(all_glo_pos),
-            settings.root_xtol,
-        )
-        for s, x in zip(np.concatenate(all_state), xr):
-            roots[int(s)].append(float(x))
-
-    # Herd thresholds.  Investing for every type keeps odds at L, so it is
-    # playable when the worst type still clears the child ratio; declining
-    # for every type is playable when the best type cannot clear it (or the
-    # invest child is dead outright).
-    # One-ulp slack keeps states exactly at a cascade bound on the herd side.
-    r_at_L = np.asarray(inv_view.ratio(Lpts), dtype=float)
-    herd_inv = np.isfinite(r_at_L) & (Lpts * (1.0 - Q) / Q >= r_at_L * (1.0 - 1e-15))
-    r_at_up = np.asarray(inv_view.ratio(Lpts * up), dtype=float)
-    herd_dec = ~np.isfinite(r_at_up) | (Lpts * up <= r_at_up * (1.0 + 1e-15))
-
-    cands: list[list[tuple[float, str]]] = []
-    for s in range(M):
-        got: list[tuple[float, str]] = []
-        if herd_inv[s]:
-            got.append((1.0 - Q, KIND_HERD_INVEST))
-        for x in sorted(roots[s]):
-            if got and abs(x - got[-1][0]) <= 1e-9:
-                continue
-            if herd_dec[s] and abs(x - Q) <= 1e-9:
-                continue
-            got.append((x, KIND_INTERIOR))
-        if herd_dec[s]:
-            got.append((Q, KIND_HERD_DECLINE))
-        if not got:
-            x = _rescue_root(dist, inv_view, float(Lpts[s]), settings)
-            got.append((x, KIND_INTERIOR))
-        cands.append(got)
-    return cands
-
-
-def _rescue_root(dist, inv_view, L, settings):
-    """Locate the root when the playable-invest window is sub-scan-width.
-
-    Just above a dead frontier only thresholds within a vanishing band
-    below Q keep the invest child alive, so the coarse scan sees at most
-    one finite G value and finds no bracket even though a root exists.
-    """
-    Q = dist.Q
-    lo, hi = 1.0 - Q, Q
-    g_lo = _g_raw(dist, inv_view, L, lo)
-    if math.isnan(float(np.asarray(g_lo))):
-        # Bisect for the lowest threshold whose invest child is alive.
-        a, b = lo, hi
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if math.isnan(float(np.asarray(_g_raw(dist, inv_view, L, m)))):
-                a = m
-            else:
-                b = m
-            if b - a <= settings.root_xtol / 4:
-                break
-        lo = b
-        g_lo = _g_raw(dist, inv_view, L, lo)
-    g_lo = float(np.asarray(g_lo))
-    g_hi = float(np.asarray(_g_raw(dist, inv_view, L, hi)))
-    if math.isnan(g_lo) or math.isnan(g_hi):
-        raise ModelViolationError(f"no playable threshold window at L={L!r}")
-    if g_lo >= 0.0:
-        # Every playable type prefers investing: the window edge is the reply.
-        return lo
-    if g_hi <= 0.0:
-        raise ModelViolationError(
-            f"herd-decline condition missed by the scan at L={L!r}"
-        )
-    root = _bisect_roots(
-        dist,
-        inv_view,
-        np.array([L]),
-        np.array([lo]),
-        np.array([hi]),
-        np.array([g_lo > 0.0]),
-        settings.root_xtol,
-    )
-    return float(root[0])
-
-
 def _trace_signatures(rows, dist, xflat, Lp_flat, n):
     """Continuation multiset for each candidate of a B = n row."""
     F = len(xflat)
@@ -458,121 +319,45 @@ def _trace_signatures(rows, dist, xflat, Lp_flat, n):
     return np.sort(sig, axis=1)
 
 
-def _select_one(xs, kinds, U, L, T1, T0, p0c, p1c, sigs, settings):
-    """Pick the equilibrium index among one state's candidates.
-
-    Returns (index, tie_irregular).  Candidates with matching continuation
-    multisets (sigs rows) are one outcome: their utilities agree by theory,
-    so the comparison across groups uses the group max, and the trembling
-    discriminator ranks candidates inside the surviving pool.
-    """
-    k = len(xs)
-    if k == 1:
-        return 0, False
-    idx = list(range(k))
-    groups: list[list[int]] = []
-    if sigs is not None:
-        for i in idx:
-            for g in groups:
-                if np.max(np.abs(sigs[i] - sigs[g[0]])) <= settings.multiset_tol:
-                    g.append(i)
-                    break
-            else:
-                groups.append([i])
-    else:
-        groups = [[i] for i in idx]
-
-    gU = [max(U[i] for i in g) for g in groups]
-    best = max(gU)
-    tie_tol = settings.tie_rel_tol * max(1.0, abs(best))
-    pool: list[int] = []
-    for g, u in zip(groups, gU):
-        if best - u <= tie_tol:
-            pool.extend(g)
-    if len(pool) == 1:
-        return pool[0], False
-
-    # Discriminator: payoff of candidate i's continuation against the
-    # toughest rival threshold among the tied pool.
-    D = np.full(k, -np.inf)
-    for i in pool:
-        vals = [
-            L * p1c[i] * T1[j] - p0c[i] * T0[j] for j in pool if j != i
-        ]
-        D[i] = max(vals)
-    order = sorted(pool, key=lambda i: (-D[i], xs[i]))
-    top = order[0]
-    tie_irregular = False
-    if len(order) > 1:
-        second = order[1]
-        d_tol = settings.tie_rel_tol * max(1.0, abs(D[top]))
-        if D[top] - D[second] <= d_tol and abs(xs[top] - xs[second]) > 1e-9:
-            tie_irregular = True
-    return top, tie_irregular
+def _candidates(dist, inv_view, Lpts, settings):
+    # A scan block of 512 states at the configured scan width.
+    return roots.candidates(
+        dist,
+        inv_view.ratio,
+        Lpts,
+        settings.scan_points,
+        settings.root_xtol,
+        512 * settings.scan_points,
+    )
 
 
 def _solve_row(dist, B, n, Lpts, inv_view, dec_view, settings, rows):
-    Q = dist.Q
-    cands = _scan_candidates(dist, inv_view, Lpts, settings)
-
-    counts = np.array([len(c) for c in cands])
-    state_ix = np.repeat(np.arange(len(Lpts)), counts)
-    xflat = np.array([x for per in cands for x, _ in per])
-    kflat = [kind for per in cands for _, kind in per]
-    Lflat = Lpts[state_ix]
-
-    T1 = dist.sf(1, xflat)
-    T0 = dist.sf(0, xflat)
-    F1 = dist.cdf(1, xflat)
-    F0 = dist.cdf(0, xflat)
-    Lp = Lflat * dist.lr_upper_tail(xflat)
-    p0c, p1c = inv_view.pi(Lp)
-    lam = Lflat / (1.0 + Lflat)
-    U = lam * T1 * p1c - (1.0 - lam) * T0 * p0c
-
-    sigs = None
-    if B == n and n >= 2:
-        sigs = _trace_signatures(rows, dist, xflat, Lp, n)
-
-    M = len(Lpts)
-    sigma = np.empty(M)
-    pi0 = np.empty(M)
-    pi1 = np.empty(M)
-    irregular = np.zeros(M, dtype=bool)
-    sel_flat = np.empty(M, dtype=int)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    for s in range(M):
-        lo, hi = offsets[s], offsets[s + 1]
-        local, tie_irr = _select_one(
-            xflat[lo:hi],
-            kflat[lo:hi],
-            U[lo:hi],
-            Lpts[s],
-            T1[lo:hi],
-            T0[lo:hi],
-            p0c[lo:hi],
-            p1c[lo:hi],
-            None if sigs is None else sigs[lo:hi],
-            settings,
-        )
-        sel_flat[s] = lo + local
-        irregular[s] = tie_irr
-
-    sel = sel_flat
-    sigma[:] = xflat[sel]
+    signatures = partial(_trace_signatures, rows, dist, n=n) if B == n and n >= 2 else None
+    ch = roots.choose(
+        dist,
+        Lpts,
+        _candidates(dist, inv_view, Lpts, settings),
+        inv_view.pi,
+        settings.tie_rel_tol,
+        signatures,
+        settings.multiset_tol,
+    )
+    sel = ch.sel
+    sigma = ch.x[sel]
+    T0, T1 = ch.T0[sel], ch.T1[sel]
+    F0, F1 = dist.cdf(0, sigma), dist.cdf(1, sigma)
     Lm = Lpts * dist.lr_lower_tail(sigma)
     p0m, p1m = dec_view.pi(Lm)
-    pi0[:] = T0[sel] * p0c[sel] + F0[sel] * p0m
-    pi1[:] = T1[sel] * p1c[sel] + F1[sel] * p1m
+    pi0 = T0 * ch.p0c[sel] + F0 * p0m
+    pi1 = T1 * ch.p1c[sel] + F1 * p1m
 
-    reaches_child = (T0[sel] + T1[sel]) > 0.0
-    reaches_decline = (F0[sel] + F1[sel]) > 0.0
-    irregular |= reaches_child & np.asarray(inv_view.irregular(Lp[sel]))
-    irregular |= reaches_decline & np.asarray(dec_view.irregular(Lm))
+    irregular = ch.tie.copy()
+    irregular |= ((T0 + T1) > 0.0) & np.asarray(inv_view.irregular(ch.Lp[sel]))
+    irregular |= ((F0 + F1) > 0.0) & np.asarray(dec_view.irregular(Lm))
 
-    interior = np.array([k == KIND_INTERIOR for k in np.asarray(kflat, dtype=object)[sel]])
+    interior = np.array([ch.kinds[i] == KIND_INTERIOR for i in sel])
     if np.any(interior):
-        res = _g_raw(dist, inv_view, Lpts[interior], sigma[interior])
+        res = roots.gap(dist, inv_view.ratio, Lpts[interior], sigma[interior])
         scale = np.maximum(1.0, Lpts[interior])
         if np.any(~(np.abs(res) <= settings.residual_tol * scale)):
             worst = float(np.nanmax(np.abs(res) / scale))
@@ -581,7 +366,7 @@ def _solve_row(dist, B, n, Lpts, inv_view, dec_view, settings, rows):
                 f"(B={B}, n={n})"
             )
 
-    return PolicyRow(B, n, Lpts, sigma, pi0, pi1, irregular, Q)
+    return PolicyRow(B, n, Lpts, sigma, pi0, pi1, irregular, dist.Q)
 
 
 class PolicyTable:
@@ -611,85 +396,40 @@ class PolicyTable:
         except KeyError:
             raise ModelViolationError(f"row (B={B}, n={n}) is not in the table") from None
 
-    def _dispatch(self, L, B, n, on_won, on_dead, on_row):
+    def _view(self, B: int, n: int) -> _StateView:
         if B <= 0:
-            return on_won(L)
+            return _StateView("won", self.dist)
         if B > n:
-            return on_dead(L)
-        return on_row(self.row(B, n), L)
+            return _StateView("dead", self.dist)
+        return _StateView("row", self.dist, self.row(B, n))
 
     def sigma(self, L, B: int, n: int):
-        La = np.asarray(L, dtype=float)
-        if B <= 0 or (B == 1 and n >= 1):
-            # Needing at most one more investment decouples the player from
-            # the future: declining pays zero regardless, so invest iff the
-            # full posterior favors the good world.  Exact, no grid error.
-            out = np.clip(1.0 / (1.0 + La), self.dist.lo, self.dist.hi)
-            return float(out) if np.ndim(out) == 0 else out
-        out = self._dispatch(
-            La,
-            B,
-            n,
-            lambda v: np.clip(1.0 / (1.0 + v), self.dist.lo, self.dist.hi),
-            lambda v: np.full_like(v, self.Q),
-            lambda row, v: np.asarray(row.sigma_at(v)),
-        )
-        return float(out) if np.ndim(out) == 0 else out
+        if B == 1 and n >= 1:
+            # Needing one more investment decouples the mover from the
+            # future, as for a sole pivotal mover.  Exact, no grid error.
+            return _StateView("last", self.dist).sigma(L)
+        return self._view(B, n).sigma(L)
 
     def pi(self, L, B: int, n: int):
-        La = np.asarray(L, dtype=float)
-        scalar = La.ndim == 0
-
-        def won(v):
-            z = np.ones_like(v)
-            return z, z.copy()
-
-        def dead(v):
-            z = np.zeros_like(v)
-            return z, z.copy()
-
-        p0, p1 = self._dispatch(
-            La, B, n, won, dead, lambda row, v: row.pi_at(v)
-        )
-        if scalar:
-            return float(np.asarray(p0)), float(np.asarray(p1))
-        return np.asarray(p0), np.asarray(p1)
+        return self._view(B, n).pi(L)
 
     def ratio(self, L, B: int, n: int):
-        La = np.asarray(L, dtype=float)
-        out = self._dispatch(
-            La,
-            B,
-            n,
-            lambda v: np.ones_like(v),
-            lambda v: np.full_like(v, np.inf),
-            lambda row, v: np.asarray(row.ratio_at(v)),
-        )
-        return float(out) if np.ndim(out) == 0 else out
+        return self._view(B, n).ratio(L)
 
     def irregular_at(self, L, B: int, n: int):
-        La = np.asarray(L, dtype=float)
-        out = self._dispatch(
-            La,
-            B,
-            n,
-            lambda v: np.zeros(v.shape, dtype=bool),
-            lambda v: np.zeros(v.shape, dtype=bool),
-            lambda row, v: np.asarray(row.irregular_at(v)),
-        )
-        return bool(out) if np.ndim(out) == 0 else out
+        return self._view(B, n).irregular(L)
 
-    def child_views(self, B: int, n: int) -> tuple[_ChildView, _ChildView]:
-        """Invest child (B-1, n-1) and decline child (B, n-1) query views."""
+    def child_views(self, B: int, n: int) -> tuple[_StateView, _StateView]:
+        """Invest child (B-1, n-1) and decline child (B, n-1) query views.
 
-        def view(Bc: int, nc: int) -> _ChildView:
-            if Bc <= 0:
-                return _ChildView("won")
-            if Bc > nc:
-                return _ChildView("dead")
-            if Bc == 1 and nc == 1:
-                return _ChildView("last", dist=self.dist)
-            return _ChildView("row", self.row(Bc, nc))
+        A (1, 1) child is the closed-form last mover; table queries at
+        (1, 1) still read the stored row.
+        """
+
+        def view(Bc: int, nc: int) -> _StateView:
+            if (Bc, nc) == (1, 1):
+                return _StateView("last", self.dist)
+            return self._view(Bc, nc)
 
         return view(B - 1, n - 1), view(B, n - 1)
 
@@ -748,7 +488,7 @@ def backward_induction(
 def indifference_residual(x: float, state: GameState, policy: PolicyTable) -> float:
     """G(x) at the state; +inf when the invest child cannot complete."""
     inv_view, _ = policy.child_views(state.B, state.n)
-    g = _g_raw(policy.dist, inv_view, state.L, float(x))
+    g = roots.gap(policy.dist, inv_view.ratio, state.L, float(x))
     val = float(np.asarray(g))
     return math.inf if math.isnan(val) else val
 
@@ -771,9 +511,7 @@ def find_roots(state: GameState, policy: PolicyTable) -> RootSet:
         raise DomainError("find_roots needs a live state with 1 <= B <= n")
     dist = policy.dist
     inv_view, _ = policy.child_views(state.B, state.n)
-    cands = _scan_candidates(
-        dist, inv_view, np.array([state.L]), policy.settings
-    )[0]
+    cands = _candidates(dist, inv_view, np.array([state.L]), policy.settings)[0]
     out = []
     for x, kind in cands:
         res = indifference_residual(x, state, policy)
@@ -833,7 +571,6 @@ def select_equilibrium(
     inv_view, _ = policy.child_views(state.B, state.n)
     cands = root_set.candidates
     xs = np.array([c.x for c in cands])
-    kinds = [c.kind for c in cands]
     U = np.array([c.utility for c in cands])
     T1 = dist.sf(1, xs)
     T0 = dist.sf(0, xs)
@@ -844,8 +581,9 @@ def select_equilibrium(
     sigs = None
     if state.B == state.n and state.n >= 2:
         sigs = _trace_signatures(policy.rows, dist, xs, np.atleast_1d(Lp), state.n)
-    idx, tie_irr = _select_one(
-        xs, kinds, U, state.L, T1, T0, p0c, p1c, sigs, policy.settings
+    settings = policy.settings
+    idx, tie_irr = roots.select(
+        xs, U, state.L, T1, T0, p0c, p1c, settings.tie_rel_tol, sigs, settings.multiset_tol
     )
     return float(xs[idx]), bool(tie_irr)
 
@@ -857,10 +595,8 @@ def completion_prob(
 
     Solves the state's threshold on the fly unless x is supplied.
     """
-    if state.B <= 0:
-        return 1.0, 1.0
-    if state.B > state.n:
-        return 0.0, 0.0
+    if state.B <= 0 or state.B > state.n:
+        return policy.pi(state.L, state.B, state.n)
     if x is None:
         x, _ = select_equilibrium(find_roots(state, policy), state, policy)
     dist = policy.dist

@@ -1,0 +1,331 @@
+"""Best-reply thresholds and equilibrium selection at a set of game states.
+
+Both solvers apply one rule at every state.  The mover's indifference gap
+
+    G(x) = L * x/(1-x) - pi_0/pi_1(L * (1-F_1(x))/(1-F_0(x)))
+
+is scanned on the support for sign changes, each bracket is bisected to a
+root, and the playable herd thresholds join the candidates: investing for
+every type (x = 1-Q, which keeps the odds at L) and declining for every
+type (x = Q).  The candidate with the highest expected utility wins;
+utility ties go to the candidate a vanishing tremble favors (the
+discriminator), and a tie there too marks the state irregular.
+
+What a solver supplies is how the invest child is evaluated: a
+child-ratio callable giving pi_0/pi_1 at child odds (+inf where the child
+cannot complete) and a child-pi callable giving (pi_0, pi_1).  The grid
+engine passes interpolated table rows, the must-fill ladder exact
+recursive solves.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = [
+    "Choice",
+    "KIND_HERD_DECLINE",
+    "KIND_HERD_INVEST",
+    "KIND_INTERIOR",
+    "ModelViolationError",
+    "bisect",
+    "candidates",
+    "choose",
+    "gap",
+    "pivotal_threshold",
+    "rescue_root",
+    "scan_roots",
+    "select",
+]
+
+KIND_INTERIOR = "interior"
+KIND_HERD_INVEST = "herd_invest"
+KIND_HERD_DECLINE = "herd_decline"
+
+
+class ModelViolationError(RuntimeError):
+    """The solver produced or met a state violating a structural contract."""
+
+
+def bisect(left, a, b, tol=0.0, max_iter=None):
+    """Halve [a, b] towards the point where the predicate `left` switches.
+
+    `left(m)` true moves a up to m, false moves b down to it.  Halving
+    stops once b - a <= tol (checked before each step) or after max_iter
+    steps (None: no cap).  Works on scalars and elementwise on arrays; an
+    array stops when its widest bracket is within tol.  Returns (a, b), so
+    each caller picks its own answer: the midpoint or an end.
+    """
+    vector = np.ndim(a) > 0
+    for _ in itertools.count() if max_iter is None else range(max_iter):
+        if (np.max(b - a) if vector else b - a) <= tol:
+            break
+        m = 0.5 * (a + b)
+        go = left(m)
+        if vector:
+            a, b = np.where(go, m, a), np.where(go, b, m)
+        elif go:
+            a = m
+        else:
+            b = m
+    return a, b
+
+
+def pivotal_threshold(dist, L):
+    """Threshold of a mover for whom investing is a bet on the world alone.
+
+    That holds once the drive has filled and for a mover whose investment
+    fills it.  Declining pays zero whatever follows, so she invests iff
+    her full posterior favors the good world: 1/(1+L), clipped to the
+    support.
+    """
+    return np.clip(1.0 / (1.0 + np.asarray(L, dtype=float)), dist.lo, dist.hi)
+
+
+def gap(dist, child_ratio, L, x):
+    """Indifference gap G at threshold x; NaN where the invest child is dead."""
+    La = np.asarray(L, dtype=float)
+    xa = np.asarray(x, dtype=float)
+    r = np.asarray(child_ratio(La * dist.lr_upper_tail(xa)), dtype=float)
+    return np.where(np.isfinite(r), La * xa / (1.0 - xa) - r, np.nan)
+
+
+def _bisect_brackets(g, lo, hi, glo_pos, xtol):
+    """Vectorised bisection of g on sign-change brackets [lo, hi]."""
+
+    def left(mid):
+        gm = g(mid)
+        if np.any(np.isnan(gm)):
+            raise ModelViolationError("indifference gap undefined inside a bracket")
+        return (gm > 0.0) == glo_pos
+
+    lo, hi = bisect(left, lo, hi, xtol, 80)
+    return 0.5 * (lo + hi)
+
+
+def scan_roots(dist, child_ratio, Ls, scan, xtol, budget):
+    """Interior roots of G at each odds point, from a scan of `scan` points.
+
+    Scan points where G is exactly zero count as roots, except x = 1-Q,
+    which is the herd-invest candidate.  States are scanned a block at a
+    time; a block holds about `budget` (state, scan point) elements, so
+    the temporaries of the scan and of the child evaluations stay small
+    however many odds points one call serves.
+    """
+    xs = np.linspace(dist.lo, dist.hi, scan)
+    uxs = dist.lr_upper_tail(xs)
+    lhs = xs / (1.0 - xs)
+    M = len(Ls)
+    chunk = max(1, budget // scan)
+    roots: list[list[float]] = [[] for _ in range(M)]
+    states, js, glo_pos = [], [], []
+    for start in range(0, M, chunk):
+        Lc = Ls[start : start + chunk]
+        r = child_ratio(Lc[:, None] * uxs[None, :])
+        G = np.where(np.isfinite(r), Lc[:, None] * lhs[None, :] - r, np.nan)
+        a, b = G[:, :-1], G[:, 1:]
+        flip = (a * b < 0.0) & np.isfinite(a) & np.isfinite(b)
+        ci, j = np.nonzero(flip)
+        states.append(ci + start)
+        js.append(j)
+        glo_pos.append(a[ci, j] > 0.0)
+        zero = G[:, 1:-1] == 0.0
+        if zero.any():
+            for s, jj in zip(*np.nonzero(zero)):
+                roots[s + start].append(float(xs[jj + 1]))
+        # Only one block's arrays are alive while the next block's child
+        # evaluation allocates its own.
+        del r, G, a, b, flip, zero
+
+    state = np.concatenate(states) if states else np.empty(0, dtype=int)
+    if state.size:
+        j = np.concatenate(js)
+        bL = Ls[state]
+        xr = _bisect_brackets(
+            lambda x: gap(dist, child_ratio, bL, x),
+            xs[j],
+            xs[j + 1],
+            np.concatenate(glo_pos),
+            xtol,
+        )
+        for s, x in zip(state, xr):
+            roots[int(s)].append(float(x))
+    return roots
+
+
+def rescue_root(dist, child_ratio, L, xtol):
+    """Locate the root when the playable-invest window is sub-scan-width.
+
+    Just above a dead frontier only thresholds within a vanishing band
+    below Q keep the invest child alive, so the coarse scan sees at most
+    one finite G value and finds no bracket even though a root exists.
+    """
+
+    def g(x):
+        return float(np.asarray(gap(dist, child_ratio, L, x)))
+
+    lo, hi = dist.lo, dist.hi
+    g_lo = g(lo)
+    if math.isnan(g_lo):
+        # Bisect for the lowest threshold whose invest child is alive.
+        _, lo = bisect(lambda m: math.isnan(g(m)), lo, hi, xtol / 4, 200)
+        g_lo = g(lo)
+    g_hi = g(hi)
+    if math.isnan(g_lo) or math.isnan(g_hi):
+        raise ModelViolationError(f"no playable threshold window at L={L!r}")
+    if g_lo >= 0.0:
+        # Every playable type prefers investing: the window edge is the reply.
+        return lo
+    if g_hi <= 0.0:
+        raise ModelViolationError(f"herd-decline condition missed by the scan at L={L!r}")
+    root = _bisect_brackets(
+        lambda x: gap(dist, child_ratio, np.array([L]), x),
+        np.array([lo]),
+        np.array([hi]),
+        np.array([g_lo > 0.0]),
+        xtol,
+    )
+    return float(root[0])
+
+
+def candidates(dist, child_ratio, Ls, scan, xtol, budget):
+    """Interior roots plus playable herd thresholds, as (x, kind) per state."""
+    Q = dist.Q
+    up = Q / (1.0 - Q)
+    roots = scan_roots(dist, child_ratio, Ls, scan, xtol, budget)
+
+    # Investing for every type keeps odds at L, so it is playable when the
+    # worst type still clears the child ratio; declining for every type is
+    # playable when the best type cannot clear it (or the invest child is
+    # dead outright).  One-ulp slack keeps states exactly at a cascade
+    # bound on the herd side.
+    r_at_L = np.asarray(child_ratio(Ls), dtype=float)
+    herd_inv = np.isfinite(r_at_L) & (Ls * (1.0 - Q) / Q >= r_at_L * (1.0 - 1e-15))
+    r_at_up = np.asarray(child_ratio(Ls * up), dtype=float)
+    herd_dec = ~np.isfinite(r_at_up) | (Ls * up <= r_at_up * (1.0 + 1e-15))
+
+    cands: list[list[tuple[float, str]]] = []
+    for s in range(len(Ls)):
+        got: list[tuple[float, str]] = []
+        if herd_inv[s]:
+            got.append((1.0 - Q, KIND_HERD_INVEST))
+        for x in sorted(roots[s]):
+            if got and abs(x - got[-1][0]) <= 1e-9:
+                continue
+            if herd_dec[s] and abs(x - Q) <= 1e-9:
+                continue
+            got.append((x, KIND_INTERIOR))
+        if herd_dec[s]:
+            got.append((Q, KIND_HERD_DECLINE))
+        if not got:
+            got.append((rescue_root(dist, child_ratio, float(Ls[s]), xtol), KIND_INTERIOR))
+        cands.append(got)
+    return cands
+
+
+def select(xs, U, L, T1, T0, p0c, p1c, tie_rel_tol, sigs=None, multiset_tol=0.0):
+    """Pick the equilibrium index among one state's candidates.
+
+    Returns (index, tie_irregular).  When sigs is given, candidates whose
+    continuation multisets (rows of sigs) agree within multiset_tol are one
+    outcome: their utilities agree by theory, so the comparison across
+    groups uses the group max.  The trembling discriminator ranks the
+    candidates inside the surviving pool.
+    """
+    k = len(xs)
+    if k == 1:
+        return 0, False
+    groups: list[list[int]] = []
+    if sigs is not None:
+        for i in range(k):
+            for g in groups:
+                if np.max(np.abs(sigs[i] - sigs[g[0]])) <= multiset_tol:
+                    g.append(i)
+                    break
+            else:
+                groups.append([i])
+    else:
+        groups = [[i] for i in range(k)]
+
+    gU = [max(U[i] for i in g) for g in groups]
+    best = max(gU)
+    tie_tol = tie_rel_tol * max(1.0, abs(best))
+    pool: list[int] = []
+    for g, u in zip(groups, gU):
+        if best - u <= tie_tol:
+            pool.extend(g)
+    if len(pool) == 1:
+        return pool[0], False
+
+    # Discriminator: payoff of candidate i's continuation against the
+    # toughest rival threshold among the tied pool.
+    D = {i: max(L * p1c[i] * T1[j] - p0c[i] * T0[j] for j in pool if j != i) for i in pool}
+    order = sorted(pool, key=lambda i: (-D[i], xs[i]))
+    top, second = order[0], order[1]
+    d_tol = tie_rel_tol * max(1.0, abs(D[top]))
+    tie = D[top] - D[second] <= d_tol and abs(xs[top] - xs[second]) > 1e-9
+    return top, bool(tie)
+
+
+@dataclass(frozen=True)
+class Choice:
+    """Every candidate of a set of states, with the one selected per state.
+
+    Candidate arrays are flat in state order; sel[s] indexes the candidate
+    chosen at state s and tie[s] flags a discriminator tie there.
+    """
+
+    x: np.ndarray
+    kinds: list[str]
+    T0: np.ndarray
+    T1: np.ndarray
+    Lp: np.ndarray
+    p0c: np.ndarray
+    p1c: np.ndarray
+    sel: np.ndarray
+    tie: np.ndarray
+
+
+def choose(dist, Ls, cands, child_pi, tie_rel_tol, signatures=None, multiset_tol=0.0):
+    """Score every candidate by expected utility and select one per state.
+
+    child_pi maps invest-child odds to (pi_0, pi_1); signatures, when
+    given, maps (x, child odds) to the continuation multisets `select`
+    groups by.
+    """
+    counts = np.array([len(c) for c in cands], dtype=int)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    x = np.array([x for per in cands for x, _ in per])
+    kinds = [kind for per in cands for _, kind in per]
+    Lflat = np.repeat(Ls, counts)
+    T1 = dist.sf(1, x)
+    T0 = dist.sf(0, x)
+    Lp = Lflat * dist.lr_upper_tail(x)
+    p0c, p1c = child_pi(Lp)
+    lam = Lflat / (1.0 + Lflat)
+    U = lam * T1 * p1c - (1.0 - lam) * T0 * p0c
+    sigs = None if signatures is None else signatures(x, Lp)
+
+    # A lone candidate is the selection; only contested states need select.
+    sel = offsets[:-1].copy()
+    tie = np.zeros(len(Ls), dtype=bool)
+    for s in np.flatnonzero(counts > 1):
+        lo, hi = offsets[s], offsets[s + 1]
+        local, tie[s] = select(
+            x[lo:hi],
+            U[lo:hi],
+            Ls[s],
+            T1[lo:hi],
+            T0[lo:hi],
+            p0c[lo:hi],
+            p1c[lo:hi],
+            tie_rel_tol,
+            None if sigs is None else sigs[lo:hi],
+            multiset_tol,
+        )
+        sel[s] = lo + local
+    return Choice(x, kinds, T0, T1, Lp, p0c, p1c, sel, tie)

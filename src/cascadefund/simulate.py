@@ -1,10 +1,9 @@
 """Forward simulation of funding drives under a solved policy table.
 
 Worlds, qualities, and signals are drawn with a counter-based Philox
-generator so runs are reproducible from the seed alone, independent of
-worker count: work is split into fixed blocks of BLOCK_RUNS runs, each
-block gets its own child seed, and results are reassembled in block
-order.  `CASCADEFUND_THREADS` caps the worker pool.
+generator so runs are reproducible from the seed alone: work is split
+into fixed blocks of BLOCK_RUNS runs, each block gets its own child seed,
+and results are concatenated in block order.
 
 The simulated protocol follows the solved policy exactly: each player
 invests iff her type reaches the threshold for the current public state
@@ -17,15 +16,13 @@ later actions still carry information.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from cascadefund.beliefs import DomainError, TypeDistribution
-from cascadefund.engine import GameState, PolicyTable, pi_ordering_scan
+from cascadefund.engine import GameState, PolicyTable
 
 __all__ = [
     "BLOCK_RUNS",
@@ -35,24 +32,11 @@ __all__ = [
     "completion_from_batch",
     "end_likelihood_stats",
     "estimate_completion",
-    "pi_ordering_scan",
     "simulate_run",
     "simulate_runs",
 ]
 
 BLOCK_RUNS = 4096
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CASCADEFUND_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            warnings.warn(
-                f"ignoring non-integer CASCADEFUND_THREADS={raw!r}", RuntimeWarning
-            )
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -141,17 +125,7 @@ def simulate_runs(
     if runs % BLOCK_RUNS:
         sizes.append(runs % BLOCK_RUNS)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    workers = min(_worker_count(), len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda args: _simulate_block(policy, state, *args),
-                    zip(sizes, seeds),
-                )
-            )
-    else:
-        parts = [_simulate_block(policy, state, c, s) for c, s in zip(sizes, seeds)]
+    parts = [_simulate_block(policy, state, c, s) for c, s in zip(sizes, seeds)]
     world, types, actions, paths, completed = (
         np.concatenate(cols) for cols in zip(*parts)
     )
@@ -207,10 +181,9 @@ def completion_from_batch(batch: BatchRuns) -> CompletionEstimate:
 def estimate_completion(
     policy: PolicyTable, state: GameState, runs: int, seed: int
 ) -> CompletionEstimate:
-    if state.B <= 0:
-        return CompletionEstimate(1.0, 1.0, 0.0, 0.0, runs, runs)
-    if state.B > state.n:
-        return CompletionEstimate(0.0, 0.0, 0.0, 0.0, runs, runs)
+    if state.B <= 0 or state.B > state.n:
+        p0, p1 = policy.pi(state.L, state.B, state.n)
+        return CompletionEstimate(p0, p1, 0.0, 0.0, runs, runs)
     return completion_from_batch(simulate_runs(policy, state, runs, seed))
 
 

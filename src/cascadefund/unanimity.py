@@ -13,8 +13,14 @@ vanishing tremble favors).  This module solves that system exactly by
 nested bisection, with no likelihood grid, and owns the delegation
 analysis: profiles where some player invests for every type.
 
-It is deliberately independent of the grid engine so the two can serve as
-cross-checks; only the sweep helper may build an engine table for n >= 3.
+The exact ladder shares its per-state rule with the grid engine: the
+candidate scan, root bisection, herd candidates, rescue and the
+utility-then-discriminator selection all come from cascadefund.roots, so
+that code is not cross-checked by comparing the two solvers.  What stays
+independent is how a child state is evaluated: exact recursion here,
+interpolation in solved table rows there, and that is what the
+grid-versus-exact comparison checks.  Only the sweep helper may build an
+engine table, for n >= 3.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cascadefund import roots
 from cascadefund.beliefs import DomainError, TypeDistribution
 from cascadefund.cascades import cascade_trigger, in_down_cascade, in_up_cascade, up_cascade_bound
+from cascadefund.roots import KIND_HERD_DECLINE, KIND_HERD_INVEST, KIND_INTERIOR
 
 __all__ = [
     "DelegationReport",
@@ -45,11 +53,6 @@ __all__ = [
     "sweep_profiles",
 ]
 
-KIND_INTERIOR = "interior"
-KIND_HERD_INVEST = "herd_invest"
-KIND_HERD_DECLINE = "herd_decline"
-
-
 @dataclass(frozen=True)
 class UnanimitySettings:
     # Scan densities only bracket roots; precision comes from bisection.
@@ -68,10 +71,6 @@ class UnanimitySettings:
 def _psi(dist: TypeDistribution, x):
     """Decline-odds factor (1-F_0)/(1-F_1), the reciprocal invest update."""
     return 1.0 / dist.lr_upper_tail(x)
-
-
-def _clip_threshold(dist: TypeDistribution, x):
-    return np.clip(x, dist.lo, dist.hi)
 
 
 @dataclass(frozen=True)
@@ -173,13 +172,7 @@ def symmetric_threshold(L: float, dist: TypeDistribution, n: int, xtol: float = 
         return lo
     if g(hi) <= 0.0:
         return hi
-    a, b = lo, hi
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        if g(m) <= 0.0:
-            a = m
-        else:
-            b = m
+    a, b = roots.bisect(lambda m: g(m) <= 0.0, lo, hi, xtol)
     return 0.5 * (a + b)
 
 
@@ -189,15 +182,15 @@ def symmetric_threshold(L: float, dist: TypeDistribution, n: int, xtol: float = 
 def _ladder_solve(dist, Ls, m, settings, depth=0):
     """Solve the m-player must-fill game exactly at each odds point.
 
-    Returns (x_first, pi0, pi1).  Child states are solved recursively by
-    the same routine, so no interpolation enters anywhere; costs grow
+    Returns (x_first, pi0, pi1, tie), where tie flags a discriminator tie
+    in the first mover's selection.  Child states are solved recursively
+    by the same routine, so no interpolation enters anywhere; costs grow
     geometrically in m and stay practical for m <= 4.
     """
     Ls = np.asarray(Ls, dtype=float)
-    lo, hi = dist.lo, dist.hi
     if m == 1:
-        x = _clip_threshold(dist, 1.0 / (1.0 + Ls))
-        return x, dist.sf(0, x), dist.sf(1, x)
+        x = roots.pivotal_threshold(dist, Ls)
+        return x, dist.sf(0, x), dist.sf(1, x), np.zeros(np.shape(x), dtype=bool)
 
     if depth == 0:
         scan = settings.scan_top
@@ -205,13 +198,13 @@ def _ladder_solve(dist, Ls, m, settings, depth=0):
         scan = settings.scan_rec
     else:
         scan = settings.scan_deep
-    xs = np.linspace(lo, hi, scan)
-    uxs = dist.lr_upper_tail(xs)
-    lhs = xs / (1.0 - xs)
     # Below this the child subgame declines for every type, with certainty;
     # shrink the analytic bound a hair so boundary queries still get the
     # exact recursive answer.
-    dead_child = (lo / hi) ** (m - 1) * (1.0 - 1e-12)
+    dead_child = (dist.lo / dist.hi) ** (m - 1) * (1.0 - 1e-12)
+
+    def child_pi(Lq):
+        return _ladder_solve(dist, Lq, m - 1, settings, depth + 1)[1:3]
 
     def child_ratio(Lq):
         shape = np.shape(Lq)
@@ -219,184 +212,43 @@ def _ladder_solve(dist, Ls, m, settings, depth=0):
         out = np.full(flat.shape, np.inf)
         live = flat > dead_child
         if live.any():
-            _, p0, p1 = _ladder_solve(dist, flat[live], m - 1, settings, depth + 1)
+            p0, p1 = child_pi(flat[live])
             out[live] = np.where(p1 > 0.0, p0 / np.where(p1 > 0.0, p1, 1.0), np.inf)
         return out.reshape(shape)
 
-    def g_at(Lv, xv):
-        Lv = np.asarray(Lv, dtype=float)
-        xv = np.asarray(xv, dtype=float)
-        r = child_ratio(Lv * dist.lr_upper_tail(xv))
-        return np.where(np.isfinite(r), Lv * xv / (1.0 - xv) - r, np.nan)
-
-    # Bracket sign flips a block of states at a time.  The block holds a
-    # fixed number of (state, scan point) elements, so the temporaries of
-    # the scan and of the child solves stay small however many odds points
-    # one call serves.
-    chunk = max(1, 6_144 // scan)
-    ci_parts, j_parts, sign_parts = [], [], []
-    for s0 in range(0, len(Ls), chunk):
-        Lblock = Ls[s0 : s0 + chunk]
-        r = child_ratio(Lblock[:, None] * uxs[None, :])
-        G = np.where(np.isfinite(r), Lblock[:, None] * lhs[None, :] - r, np.nan)
-        a, b = G[:, :-1], G[:, 1:]
-        flip = (a * b < 0.0) & np.isfinite(a) & np.isfinite(b)
-        ci_b, j_b = np.nonzero(flip)
-        ci_parts.append(ci_b + s0)
-        j_parts.append(j_b)
-        sign_parts.append(a[ci_b, j_b] > 0.0)
-    ci = np.concatenate(ci_parts) if ci_parts else np.empty(0, dtype=int)
-    j = np.concatenate(j_parts) if j_parts else np.empty(0, dtype=int)
-    glo_pos = np.concatenate(sign_parts) if sign_parts else np.empty(0, dtype=bool)
-
-    blo, bhi = xs[j].copy(), xs[j + 1].copy()
-    bL = Ls[ci]
-    for _ in range(80):
-        if blo.size == 0 or np.max(bhi - blo) <= settings.root_xtol:
-            break
-        mid = 0.5 * (blo + bhi)
-        gm = g_at(bL, mid)
-        go_right = (gm > 0.0) == glo_pos
-        blo = np.where(go_right, mid, blo)
-        bhi = np.where(go_right, bhi, mid)
-    broots = 0.5 * (blo + bhi)
-
-    r_at_L = child_ratio(Ls)
-    herd_inv = np.isfinite(r_at_L) & (Ls * lo / hi >= r_at_L * (1.0 - 1e-15))
-    r_at_up = child_ratio(Ls * hi / lo)
-    herd_dec = ~np.isfinite(r_at_up) | (Ls * hi / lo <= r_at_up * (1.0 + 1e-15))
-
-    cand_x: list[float] = []
-    cand_state: list[int] = []
-    cand_kind: list[str] = []
-    per_state: list[list[int]] = [[] for _ in range(len(Ls))]
-    by_state_roots: list[list[float]] = [[] for _ in range(len(Ls))]
-    for s, x in zip(ci, broots):
-        by_state_roots[int(s)].append(float(x))
-    for s in range(len(Ls)):
-        entries: list[tuple[float, str]] = []
-        if herd_inv[s]:
-            entries.append((lo, KIND_HERD_INVEST))
-        for x in sorted(by_state_roots[s]):
-            if entries and abs(x - entries[-1][0]) <= 1e-9:
-                continue
-            if herd_dec[s] and abs(x - hi) <= 1e-9:
-                continue
-            entries.append((x, KIND_INTERIOR))
-        if herd_dec[s]:
-            entries.append((hi, KIND_HERD_DECLINE))
-        if not entries:
-            entries.append((_ladder_rescue(dist, float(Ls[s]), g_at, settings), KIND_INTERIOR))
-        for x, kind in entries:
-            per_state[s].append(len(cand_x))
-            cand_x.append(x)
-            cand_state.append(s)
-            cand_kind.append(kind)
-
-    cx = np.array(cand_x)
-    cL = Ls[np.array(cand_state, dtype=int)]
-    T1 = dist.sf(1, cx)
-    T0 = dist.sf(0, cx)
-    Lp = cL * dist.lr_upper_tail(cx)
-    _, p0c, p1c = _ladder_solve(dist, Lp, m - 1, settings, depth + 1)
-    lam = cL / (1.0 + cL)
-    U = lam * T1 * p1c - (1.0 - lam) * T0 * p0c
-
-    x_sel = np.empty(len(Ls))
-    pi0 = np.empty(len(Ls))
-    pi1 = np.empty(len(Ls))
-    for s in range(len(Ls)):
-        ids = per_state[s]
-        k = _pick_candidate(
-            [float(U[i]) for i in ids],
-            [float(cx[i]) for i in ids],
-            float(Ls[s]),
-            [float(T1[i]) for i in ids],
-            [float(T0[i]) for i in ids],
-            [float(p0c[i]) for i in ids],
-            [float(p1c[i]) for i in ids],
-            settings.tie_rel_tol,
-        )[0]
-        i = ids[k]
-        x_sel[s] = cx[i]
-        pi0[s] = T0[i] * p0c[i]
-        pi1[s] = T1[i] * p1c[i]
-    return x_sel, pi0, pi1
-
-
-def _ladder_rescue(dist, L, g_at, settings):
-    """Root search when the playable window is narrower than the scan."""
-    lo, hi = dist.lo, dist.hi
-    g_lo = float(np.asarray(g_at(L, lo)))
-    if math.isnan(g_lo):
-        a, b = lo, hi
-        for _ in range(200):
-            mmid = 0.5 * (a + b)
-            if math.isnan(float(np.asarray(g_at(L, mmid)))):
-                a = mmid
-            else:
-                b = mmid
-            if b - a <= settings.root_xtol / 4:
-                break
-        lo = b
-        g_lo = float(np.asarray(g_at(L, lo)))
-    g_hi = float(np.asarray(g_at(L, hi)))
-    if math.isnan(g_lo) or math.isnan(g_hi) or (g_lo < 0.0 and g_hi <= 0.0):
-        raise DomainError(f"no playable threshold window at L={L!r}")
-    if g_lo >= 0.0:
-        return lo
-    a, b = lo, hi
-    for _ in range(100):
-        mmid = 0.5 * (a + b)
-        gm = float(np.asarray(g_at(L, mmid)))
-        if (gm > 0.0) == (g_lo > 0.0):
-            a = mmid
-        else:
-            b = mmid
-        if b - a <= settings.root_xtol:
-            break
-    return 0.5 * (a + b)
-
-
-def _pick_candidate(U, xs, L, T1, T0, p0c, p1c, tie_rel):
-    """Utility-then-discriminator selection; returns (index, tie_irregular)."""
-    k = len(U)
-    if k == 1:
-        return 0, False
-    best = max(U)
-    tol = tie_rel * max(1.0, abs(best))
-    pool = [i for i in range(k) if best - U[i] <= tol]
-    if len(pool) == 1:
-        return pool[0], False
-    D = {}
-    for i in pool:
-        D[i] = max(
-            L * p1c[i] * T1[j] - p0c[i] * T0[j] for j in pool if j != i
-        )
-    order = sorted(pool, key=lambda i: (-D[i], xs[i]))
-    top, second = order[0], order[1]
-    tie = D[top] - D[second] <= tie_rel * max(1.0, abs(D[top])) and abs(
-        xs[top] - xs[second]
-    ) > 1e-9
-    return top, tie
+    # A block of 5,120 (state, scan point) elements, four states at the top
+    # scan, keeps the temporaries of the scan and of the child solves small.
+    # At five states they sit at glibc's heap-trim threshold, and in some
+    # heap layouts every block returns its pages and faults them back in.
+    cands = roots.candidates(dist, child_ratio, Ls, scan, settings.root_xtol, 5_120)
+    ch = roots.choose(dist, Ls, cands, child_pi, settings.tie_rel_tol)
+    sel = ch.sel
+    # One decline kills a must-fill drive: completion runs through the
+    # invest child alone.
+    return ch.x[sel], ch.T0[sel] * ch.p0c[sel], ch.T1[sel] * ch.p1c[sel], ch.tie
 
 
 def _ladder_walk(dist, Ls, n, settings):
     """Thresholds along the all-invest path from each starting odds point.
 
-    Row i holds the playing-order profile that starts at Ls[i]: mover j
-    faces the (n-j)-player must-fill game at the odds the investments
-    before it left.  One _ladder_solve call per mover serves every row.
+    Returns (xs, irregular).  Row i of xs holds the playing-order profile
+    that starts at Ls[i]: mover j faces the (n-j)-player must-fill game at
+    the odds the investments before it left.  irregular[i] flags a
+    discriminator tie at some mover of that path; the decline child of a
+    must-fill state is dead, so the path is the whole live continuation.
+    One _ladder_solve call per mover serves every row.
     """
     if n < 1:
         raise DomainError("need at least one player")
     settings = settings or UnanimitySettings()
     Lc = np.asarray(Ls, dtype=float)
     xs = np.empty((len(Lc), n))
+    irregular = np.zeros(len(Lc), dtype=bool)
     for j, m in enumerate(range(n, 0, -1)):
-        xs[:, j], _, _ = _ladder_solve(dist, Lc, m, settings)
+        xs[:, j], _, _, tie = _ladder_solve(dist, Lc, m, settings)
+        irregular |= tie
         Lc = Lc * dist.lr_upper_tail(xs[:, j])
-    return xs
+    return xs, irregular
 
 
 def solve_unanimity(
@@ -404,7 +256,7 @@ def solve_unanimity(
 ) -> ThresholdProfile:
     """Exact equilibrium of the n-player must-fill game, in playing order."""
     settings = settings or UnanimitySettings()
-    thresholds = _ladder_walk(dist, [float(L)], n, settings)[0]
+    thresholds = _ladder_walk(dist, [float(L)], n, settings)[0][0]
     return _finish_profile(dist, float(L), thresholds, settings)
 
 
@@ -470,13 +322,9 @@ def _solve_inner(dist, L, rhs_fixed, m2):
 
     pin_lo = g(np.full(rhs.shape, lo)) >= 0.0
     pin_hi = g(np.full(rhs.shape, hi)) <= 0.0
-    a = np.full(rhs.shape, lo)
-    b = np.full(rhs.shape, hi)
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        neg = g(mid) <= 0.0
-        a = np.where(neg, mid, a)
-        b = np.where(neg, b, mid)
+    a, b = roots.bisect(
+        lambda m: g(m) <= 0.0, np.full(rhs.shape, lo), np.full(rhs.shape, hi), 0.0, 60
+    )
     out = np.where(pin_lo, lo, np.where(pin_hi, hi, 0.5 * (a + b)))
     return float(out) if out.ndim == 0 else out
 
@@ -496,7 +344,7 @@ def asymmetric_profiles(
     if n < 1:
         raise DomainError("need at least one player")
     if n == 1:
-        return [_finish_profile(dist, L, [_clip_threshold(dist, 1.0 / (1.0 + L))], settings)]
+        return [_finish_profile(dist, L, [roots.pivotal_threshold(dist, L)], settings)]
 
     lo, hi = dist.lo, dist.hi
     found: list[list[float]] = []
@@ -531,17 +379,14 @@ def asymmetric_profiles(
             push([lo] * m1 + [float(outer(lo)[1])] * m2)
         sign = np.sign(vals)
         for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            a_lo, a_hi = float(grid[j]), float(grid[j + 1])
             f_lo = float(vals[j])
-            for _ in range(100):
-                mid = 0.5 * (a_lo + a_hi)
-                fm = float(outer(mid)[0])
-                if (fm > 0.0) == (f_lo > 0.0):
-                    a_lo = mid
-                else:
-                    a_hi = mid
-                if a_hi - a_lo <= settings.root_xtol:
-                    break
+            a_lo, a_hi = roots.bisect(
+                lambda m: (float(outer(m)[0]) > 0.0) == (f_lo > 0.0),
+                float(grid[j]),
+                float(grid[j + 1]),
+                settings.root_xtol,
+                100,
+            )
             a_star = 0.5 * (a_lo + a_hi)
             push([a_star] * m1 + [float(outer(a_star)[1])] * m2)
 
@@ -567,13 +412,9 @@ def asymmetric_profiles(
                     elif gi(hi) <= 0.0:
                         new = hi
                     else:
-                        a, b = lo, hi
-                        while b - a > settings.root_xtol:
-                            mid = 0.5 * (a + b)
-                            if gi(mid) <= 0.0:
-                                a = mid
-                            else:
-                                b = mid
+                        a, b = roots.bisect(
+                            lambda v: gi(v) <= 0.0, lo, hi, settings.root_xtol
+                        )
                         new = 0.5 * (a + b)
                     moved = max(moved, abs(new - xs[i]))
                     xs[i] = new
@@ -651,15 +492,9 @@ class DelegationReport:
 
 
 def _refine_crossing(dist, bound, a, b, rising):
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        above = cascade_trigger(dist, m) - bound >= 0.0
-        if above == rising:
-            b = m
-        else:
-            a = m
-        if b - a <= 1e-13:
-            break
+    a, b = roots.bisect(
+        lambda m: (cascade_trigger(dist, m) - bound >= 0.0) != rising, a, b, 1e-13, 80
+    )
     return 0.5 * (a + b)
 
 
@@ -728,7 +563,7 @@ def delegation_pattern(
 ):
     """Delegation flags (x_i at the bottom edge) along solved profiles."""
     Ls = np.atleast_1d(np.asarray(Ls, dtype=float))
-    xs = _ladder_walk(dist, Ls, n, settings)
+    xs, _ = _ladder_walk(dist, Ls, n, settings)
     flags = xs <= dist.lo + 1e-9
     return tuple((L, tuple(row)) for L, row in zip(Ls.tolist(), flags.tolist()))
 
@@ -781,10 +616,10 @@ def sweep_profiles(
     not supplied).
     """
     Ls = np.asarray(Ls, dtype=float)
-    irregular = np.zeros(len(Ls), dtype=bool)
     if n <= 2:
-        xcols = _ladder_walk(dist, Ls, n, settings)
+        xcols, irregular = _ladder_walk(dist, Ls, n, settings)
     else:
+        irregular = np.zeros(len(Ls), dtype=bool)
         if policy is None:
             from cascadefund.engine import backward_induction
 

@@ -266,7 +266,9 @@ TABULATED = {
 # fused tail kernel and the single simulation per simulate call; those
 # changes keep every output byte-identical.  The three-player sweep digest
 # was recorded before sweeps solved all odds points in one ladder walk and
-# one vectorised walk down the engine diagonal.
+# one vectorised walk down the engine diagonal.  The analyze digests (both
+# configs have startable cascades, so the witness bisection runs) were
+# recorded before the root-finding loops moved onto one bisection helper.
 GOLDEN = [
     (["solve", "--B", "2", "--n", "3", "--grid-size", "129", "--out", "solve"], {
         "solve.csv": "578c251bf4fc4950f41812ef3e8b101cb1b46b5a4c0467e125b6a2a840fdcd65",
@@ -289,6 +291,12 @@ GOLDEN = [
         "simulate.csv": "6450aefee730e0f0f5cface1a934f131ae9df9ad3b96d7519d34fa0bb64d306b",
         "simulate.json": "a165185bb714a5de288263112a512e3d304cecfa6ad667696e622ec20df4f6c9",
     }),
+    (["analyze", "--config", "analyze.config.json", "--out", "analyze_u"], {
+        "analyze_u.json": "d75e31eeec3e826c006b7936b1b651b2e8b77afbbe79915e3ed5235c5a864b93",
+    }),
+    (["analyze", "--config", "sweep.config.json", "--out", "analyze_t"], {
+        "analyze_t.json": "048d5d1b21d4256c76998bdb78d782dc8123abb3986461592f6c476e1cfc32b4",
+    }),
 ]
 
 
@@ -298,6 +306,9 @@ class TestGoldenOutputs:
     def test_output_digests(self, workdir, argv, digests):
         (workdir / "sweep.config.json").write_text(
             json.dumps({"quality": TABULATED, "B": 2, "n": 2, "L_points": 21})
+        )
+        (workdir / "analyze.config.json").write_text(
+            json.dumps({"quality": {"kind": "uniform", "R": 0.65, "Q": 0.8}})
         )
         assert run(workdir, *argv) == 0
         got = {

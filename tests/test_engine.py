@@ -24,7 +24,6 @@ from cascadefund.engine import (
     ModelViolationError,
     PolicyTable,
     SolverSettings,
-    _select_one,
     backward_induction,
     completion_prob,
     discriminator,
@@ -35,6 +34,7 @@ from cascadefund.engine import (
     pi_ordering_scan,
     select_equilibrium,
 )
+from cascadefund.roots import select
 
 U58 = (64.0 / 225.0, 0.64)  # (pi0, pi1) at L = 1 for uniform [0.5, 0.8]
 U58_UTIL = 16.0 / 90.0
@@ -184,50 +184,44 @@ class TestSelection:
 
     def test_distinct_thresholds_with_tied_scores_flag_irregular(self):
         xs = np.array([0.3, 0.5])
-        idx, irr = _select_one(
+        idx, irr = select(
             xs,
-            ["interior", "interior"],
             np.array([0.2, 0.2]),
             1.0,
             self._flat(0.8),
             self._flat(0.5),
             self._flat(0.3),
             self._flat(0.6),
-            None,
-            SolverSettings(),
+            SolverSettings().tie_rel_tol,
         )
         assert irr
         assert idx == 0
 
     def test_clear_utility_winner_is_regular(self):
-        idx, irr = _select_one(
+        idx, irr = select(
             np.array([0.3, 0.5]),
-            ["interior", "interior"],
             np.array([0.2, 0.1]),
             1.0,
             self._flat(0.8),
             self._flat(0.5),
             self._flat(0.3),
             self._flat(0.6),
-            None,
-            SolverSettings(),
+            SolverSettings().tie_rel_tol,
         )
         assert (idx, irr) == (0, False)
 
     def test_discriminator_breaks_utility_tie(self):
         # Candidate 1's continuation completes more often in the good
         # world, so the tremble ranks it first despite the utility tie.
-        idx, irr = _select_one(
+        idx, irr = select(
             np.array([0.3, 0.5]),
-            ["interior", "interior"],
             np.array([0.2, 0.2]),
             1.0,
             self._flat(0.8),
             self._flat(0.5),
             np.array([0.3, 0.3]),
             np.array([0.5, 0.9]),
-            None,
-            SolverSettings(),
+            SolverSettings().tie_rel_tol,
         )
         assert (idx, irr) == (1, False)
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadefund import roots
 from cascadefund.beliefs import QualitySpec, TypeDistribution
 from cascadefund.unanimity import (
     DelegationReport,
@@ -281,6 +282,11 @@ class TestSweep:
         assert by_L[1.607] == (True, True, True, False)
         assert by_L[3.5] == (False, False, False, False)
 
+    def test_empty_sweep(self, dist_u658):
+        sw = sweep_profiles(dist_u658, 2, np.array([]))
+        assert sw["x"].shape == (0, 2)
+        assert sw["irregular"].shape == (0,)
+
     def test_sweep_monotone_completion(self, dist_u658):
         sw = sweep_profiles(dist_u658, 2, np.geomspace(0.5, 3.5, 11))
         assert np.all(np.diff(sw["pi1"]) > -1e-9)
@@ -320,3 +326,22 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_two_player_sweep_reports_selection_ties(self, dist_u658, monkeypatch):
+        # The exact ladder carries the first mover's discriminator tie into
+        # the sweep's irregular column.  Report a tie at odds above 1.2
+        # only; the second mover is pivotal and selects nothing.
+        Ls = np.geomspace(0.5, 3.5, 11)
+        assert not sweep_profiles(dist_u658, 2, Ls)["irregular"].any()
+        real = roots.select
+        tied = []
+
+        def tie_above(xs, U, L, *rest):
+            if L > 1.2:
+                tied.append(L)
+            return real(xs, U, L, *rest)[0], bool(L > 1.2)
+
+        monkeypatch.setattr(roots, "select", tie_above)
+        sw = sweep_profiles(dist_u658, 2, Ls)
+        assert tied
+        assert np.array_equal(sw["irregular"], np.isin(Ls, tied))
