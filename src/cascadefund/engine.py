@@ -179,16 +179,21 @@ class PolicyRow:
         self._live_logratio = np.log(np.maximum(pi0[live], 1e-300) / pi1[live])
         self._live_pi0 = pi0[live]
         self._live_pi1 = pi1[live]
+        self._logratio_lo, self._logratio_hi = _range_tables(self._live_logratio)
 
-    def _warn_if_outside(self, La) -> None:
+    def _outside(self, lo, hi):
+        """Where odds intervals [lo, hi] reach live odds outside the stored span."""
         # Clamping is exact inside the plateaus (at or above the up-cascade
         # bound, at or below the dead frontier); only a live query outside
         # the stored span can be distorted, so only that warns.
-        above = (La > self.L[-1] * (1 + 1e-12)) & (La < self.up_bound)
-        below = La < self.L[0] * (1 - 1e-12)
+        above = (hi > self.L[-1] * (1 + 1e-12)) & (lo < self.up_bound)
+        below = lo < self.L[0] * (1 - 1e-12)
         if self.dead_frontier is not None:
-            below &= La > self.dead_frontier
-        if np.any(above) or np.any(below):
+            below &= hi > self.dead_frontier
+        return above | below
+
+    def _warn_if_outside(self, La) -> None:
+        if np.any(self._outside(La, La)):
             warnings.warn(
                 f"live odds query outside the solved grid for row (B={self.B}, "
                 f"n={self.n}) was clamped",
@@ -225,6 +230,39 @@ class PolicyRow:
             out = np.where(La <= self.dead_frontier, np.inf, out)
         return float(out) if out.ndim == 0 else out
 
+    def ratio_bounds(self, lo, hi):
+        """Elementwise (rmin, rmax) of what `ratio_at` returns at live queries in [lo, hi].
+
+        The interpolated log ratio at a query lies between the knot values
+        that enclose it, so a range min/max over the enclosing knots, widened
+        by one knot each side against rounding in the log and the search,
+        bounds it; 1.0 joins where the interval reaches the up-cascade bound.
+        An interval at or below the dead frontier holds no live query and
+        gives (inf, inf).  An interval that reaches odds where `ratio_at`
+        would warn gives (nan, nan): no bound, so the caller evaluates it.
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        K = self._live_logL.size
+        if K == 0:
+            return np.full(lo.shape, np.nan), np.full(hi.shape, np.nan)
+        i0 = np.clip(np.searchsorted(self._live_logL, np.log(lo), side="right") - 2, 0, K - 1)
+        i1 = np.clip(np.searchsorted(self._live_logL, np.log(hi), side="left") + 1, 0, K - 1)
+        # Sparse-table query: two overlapping power-of-two spans cover [i0, i1].
+        t = np.frexp(i1 - i0 + 1)[1] - 1
+        i2 = i1 - (1 << t) + 1
+        rmin = np.exp(np.minimum(self._logratio_lo[t, i0], self._logratio_lo[t, i2]))
+        rmax = np.exp(np.maximum(self._logratio_hi[t, i0], self._logratio_hi[t, i2]))
+        up = hi >= self.up_bound
+        rmin = np.where(up, np.minimum(rmin, 1.0), rmin)
+        rmax = np.where(up, np.maximum(rmax, 1.0), rmax)
+        if self.dead_frontier is not None:
+            dead = hi <= self.dead_frontier
+            rmin = np.where(dead, np.inf, rmin)
+            rmax = np.where(dead, np.inf, rmax)
+        warns = self._outside(lo, hi)
+        return np.where(warns, np.nan, rmin), np.where(warns, np.nan, rmax)
+
     def irregular_at(self, L):
         La = np.asarray(L, dtype=float)
         idx = np.clip(
@@ -232,6 +270,21 @@ class PolicyRow:
         )
         out = self.irregular[idx]
         return bool(out) if out.ndim == 0 else out
+
+
+def _range_tables(v):
+    """Sparse tables of running minima and maxima of v over power-of-two spans.
+
+    Row t holds the min (max) of v[i : i + 2**t]; entries whose span runs
+    past the end are padding that no query reads.
+    """
+    lo, hi = [v], [v]
+    w = 1
+    while 2 * w <= v.size:
+        lo.append(np.concatenate((np.minimum(lo[-1][:-w], lo[-1][w:]), v[-w:])))
+        hi.append(np.concatenate((np.maximum(hi[-1][:-w], hi[-1][w:]), v[-w:])))
+        w *= 2
+    return np.array(lo), np.array(hi)
 
 
 class _StateView:
@@ -283,6 +336,19 @@ class _StateView:
             out = self.row.ratio_at(La)
         return float(out) if np.ndim(out) == 0 else out
 
+    @property
+    def ratio_bounds(self):
+        """Callable bounding `ratio` over odds intervals, or None without one.
+
+        The closed-form last mover and the dead convention offer none, so
+        their parents keep the dense scan.
+        """
+        if self.kind == "row":
+            return self.row.ratio_bounds
+        if self.kind == "won":
+            return lambda lo, hi: (np.ones_like(lo), np.ones_like(hi))
+        return None
+
     def pi(self, L):
         La = np.asarray(L, dtype=float)
         if self.kind == "won":
@@ -320,14 +386,19 @@ def _trace_signatures(rows, dist, xflat, Lp_flat, n):
 
 
 def _candidates(dist, inv_view, Lpts, settings):
-    # A scan block of 512 states at the configured scan width.
+    # Scan blocks of 8,192 elements (two states at the default 4,001 scan
+    # points) keep every scan temporary under glibc's 128 KiB mmap
+    # threshold, so the blocks reuse heap memory instead of mapping fresh
+    # pages: 512-state blocks took ~60k minor page faults and 240 MB on a
+    # (3, 8) grid-513 build, 64-state blocks ~108k faults.
     return roots.candidates(
         dist,
         inv_view.ratio,
         Lpts,
         settings.scan_points,
         settings.root_xtol,
-        512 * settings.scan_points,
+        8_192,
+        inv_view.ratio_bounds,
     )
 
 

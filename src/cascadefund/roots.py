@@ -16,12 +16,26 @@ child-ratio callable giving pi_0/pi_1 at child odds (+inf where the child
 cannot complete) and a child-pi callable giving (pi_0, pi_1).  The grid
 engine passes interpolated table rows, the must-fill ladder exact
 recursive solves.
+
+A solver may also supply bounds on its child ratio: a callable mapping
+arrays of child-odds intervals [lo, hi] to (rmin, rmax), bounds on every
+finite value the child ratio takes at odds in the interval ((inf, inf)
+where it takes none, NaN where there is no bound).  The scan then splits
+its points into cells of CELL_POINTS points, neighbouring cells sharing
+an end point.  Since x/(1-x) increases along the scan, a cell is certified
+positive when L * x_first/(1-x_first) > rmax * (1 + CELL_MARGIN) and
+negative when L * x_last/(1-x_last) < rmin * (1 - CELL_MARGIN): G then has
+one sign (or is undefined) at each of its points, so the cell holds no
+sign change and no exact zero.  Only the other cells are evaluated, with
+the same expression at the same points as the full scan, so every
+bracket, and hence every root, is the same bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +55,25 @@ __all__ = [
     "scan_roots",
     "select",
 ]
+
+# Scan points per certified cell (neighbouring cells share an end point),
+# and the relative margin a bound must clear to certify a cell; the margin
+# covers rounding in the interpolation and exp behind a child ratio.
+CELL_POINTS = 40
+CELL_MARGIN = 1e-9
+
+
+def _debug(msg, *args):
+    """Log on the "cascadefund" logger at DEBUG level.
+
+    Importing logging would add about 10 ms to every start-up.  Until
+    some other code imports it, no handler or level can have been set, so
+    a DEBUG record would be dropped anyway and nothing is lost by skipping.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("cascadefund").debug(msg, *args)
+
 
 KIND_INTERIOR = "interior"
 KIND_HERD_INVEST = "herd_invest"
@@ -107,7 +140,7 @@ def _bisect_brackets(g, lo, hi, glo_pos, xtol):
     return 0.5 * (lo + hi)
 
 
-def scan_roots(dist, child_ratio, Ls, scan, xtol, budget):
+def scan_roots(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
     """Interior roots of G at each odds point, from a scan of `scan` points.
 
     Scan points where G is exactly zero count as roots, except x = 1-Q,
@@ -115,33 +148,75 @@ def scan_roots(dist, child_ratio, Ls, scan, xtol, budget):
     time; a block holds about `budget` (state, scan point) elements, so
     the temporaries of the scan and of the child evaluations stay small
     however many odds points one call serves.
+
+    With `bounds` (see the module docstring) only the cells the bounds
+    cannot certify are evaluated; the roots are the same as without.
     """
     xs = np.linspace(dist.lo, dist.hi, scan)
     uxs = dist.lr_upper_tail(xs)
     lhs = xs / (1.0 - xs)
     M = len(Ls)
-    chunk = max(1, budget // scan)
+    cells = np.arange(0, scan - 1, CELL_POINTS - 1)
+    if bounds is None:
+        # Every cell is evaluated, as one span of the whole scan per state.
+        first = np.zeros(1, dtype=int)
+        chunk = max(1, budget // scan)
+        evaluated = M * cells.size
+    else:
+        # Certify a block of states cell by cell, then evaluate its open
+        # cells a budget's worth at a time.
+        first = cells
+        chunk = max(1, budget // cells.size)
+        step = max(1, budget // CELL_POINTS)
+        evaluated = 0
+        pts = np.minimum(first[:, None] + np.arange(CELL_POINTS), scan - 1)
+        ucell = uxs[pts]
+        umin, umax = ucell.min(axis=1), ucell.max(axis=1)
+        lhs_first, lhs_last = lhs[first], lhs[pts[:, -1]]
     roots: list[list[float]] = [[] for _ in range(M)]
     states, js, glo_pos = [], [], []
     for start in range(0, M, chunk):
         Lc = Ls[start : start + chunk]
-        r = child_ratio(Lc[:, None] * uxs[None, :])
-        G = np.where(np.isfinite(r), Lc[:, None] * lhs[None, :] - r, np.nan)
-        a, b = G[:, :-1], G[:, 1:]
-        flip = (a * b < 0.0) & np.isfinite(a) & np.isfinite(b)
-        ci, j = np.nonzero(flip)
-        states.append(ci + start)
-        js.append(j)
-        glo_pos.append(a[ci, j] > 0.0)
-        zero = G[:, 1:-1] == 0.0
-        if zero.any():
-            for s, jj in zip(*np.nonzero(zero)):
-                roots[s + start].append(float(xs[jj + 1]))
-        # Only one block's arrays are alive while the next block's child
-        # evaluation allocates its own.
-        del r, G, a, b, flip, zero
+        if bounds is None:
+            units = [(np.arange(len(Lc)), np.zeros(len(Lc), dtype=int))]
+        else:
+            Lb = Lc[:, None]
+            rmin, rmax = bounds(Lb * umin, Lb * umax)
+            certified = (Lb * lhs_first > rmax * (1.0 + CELL_MARGIN)) | (
+                Lb * lhs_last < rmin * (1.0 - CELL_MARGIN)
+            )
+            s, c = np.nonzero(~certified)
+            evaluated += s.size
+            units = [(s[i : i + step], c[i : i + step]) for i in range(0, s.size, step)]
+        for s, c in units:
+            if bounds is None:
+                ux, lh = uxs[None, :], lhs[None, :]
+            else:
+                ux, lh = uxs[pts[c]], lhs[pts[c]]
+            Lu = Lc[s][:, None]
+            r = child_ratio(Lu * ux)
+            G = np.where(np.isfinite(r), Lu * lh - r, np.nan)
+            a, b = G[:, :-1], G[:, 1:]
+            flip = (a * b < 0.0) & np.isfinite(a) & np.isfinite(b)
+            u, k = np.nonzero(flip)
+            states.append(s[u] + start)
+            js.append(first[c[u]] + k)
+            glo_pos.append(a[u, k] > 0.0)
+            # A zero at a cell's first point is the previous cell's last
+            # point (or x = 1-Q), so a cell reports zeros from its second.
+            u, k = np.nonzero(b == 0.0)
+            for st, j in zip(s[u] + start, first[c[u]] + k + 1):
+                if j < scan - 1:
+                    roots[st].append(float(xs[j]))
+            # Only one block's arrays are alive while the next block's
+            # child evaluation allocates its own.
+            del r, G, a, b, flip, ux, lh
 
     state = np.concatenate(states) if states else np.empty(0, dtype=int)
+    _debug(
+        "root scan of %d states: %d cells certified, %d evaluated, %d brackets",
+        M, M * cells.size - evaluated, evaluated, state.size,
+    )
     if state.size:
         j = np.concatenate(js)
         bL = Ls[state]
@@ -192,11 +267,11 @@ def rescue_root(dist, child_ratio, L, xtol):
     return float(root[0])
 
 
-def candidates(dist, child_ratio, Ls, scan, xtol, budget):
+def candidates(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
     """Interior roots plus playable herd thresholds, as (x, kind) per state."""
     Q = dist.Q
     up = Q / (1.0 - Q)
-    roots = scan_roots(dist, child_ratio, Ls, scan, xtol, budget)
+    roots = scan_roots(dist, child_ratio, Ls, scan, xtol, budget, bounds)
 
     # Investing for every type keeps odds at L, so it is playable when the
     # worst type still clears the child ratio; declining for every type is
