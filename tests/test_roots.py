@@ -133,10 +133,6 @@ def test_scan_evaluates_cells_where_the_child_row_warns():
     assert cert[0] == [pytest.approx(0.5, abs=1e-9)]
 
 
-def _dense_views(monkeypatch):
-    monkeypatch.setattr(_StateView, "ratio_bounds", property(lambda self: None))
-
-
 def test_narrow_grid_still_warns_and_matches_dense(monkeypatch):
     # The grid tops out at odds 2, below the up-cascade bound Q/(1-Q) = 4,
     # so child queries past the top are clamped and must keep warning.
@@ -145,10 +141,10 @@ def test_narrow_grid_still_warns_and_matches_dense(monkeypatch):
     s = SolverSettings(grid_size=120)
     with pytest.warns(OutOfSupportWarning):
         cert = backward_induction(dist, 2, 3, grid=grid, settings=s)
-    with monkeypatch.context() as m:
-        _dense_views(m)
-        with pytest.warns(OutOfSupportWarning):
-            dense = backward_induction(dist, 2, 3, grid=grid, settings=s)
+    # Without bounds every row takes the dense scan.
+    monkeypatch.setattr(_StateView, "ratio_bounds", property(lambda self: None))
+    with pytest.warns(OutOfSupportWarning):
+        dense = backward_induction(dist, 2, 3, grid=grid, settings=s)
     assert sorted(cert.rows) == sorted(dense.rows)
     for key, row in cert.rows.items():
         other = dense.rows[key]
