@@ -274,6 +274,10 @@ class TypeDistribution:
         self._cum0 = np.concatenate(([0.0], np.cumsum(seg0)))
         self._tail1 = np.concatenate((np.cumsum(seg1[::-1])[::-1], [0.0]))
         self._tail0 = np.concatenate((np.cumsum(seg0[::-1])[::-1], [0.0]))
+        # Integral of |c0| + |c1|*y from each left breakpoint to Q: the
+        # scale of the rounding error in a tail (sf_error).
+        seg_abs = _seg_int_g(a, y, np.abs(c0), np.abs(c1))
+        self._tail_abs = np.concatenate((np.cumsum(seg_abs[::-1])[::-1], [0.0]))
 
     # -- density -----------------------------------------------------------
 
@@ -328,14 +332,52 @@ class TypeDistribution:
         out = np.where(ya <= self.lo, 0.0, np.where(ya >= self.hi, 1.0, out))
         return float(out) if scalar else out
 
+    def _sf_at(self, ya, tail):
+        # Exact by definition at the support edges.
+        out = np.clip(tail, 0.0, 1.0)
+        return np.where(ya <= self.lo, 1.0, np.where(ya >= self.hi, 0.0, out))
+
     def sf(self, omega: int, y):
         """Survival 1 - F_omega(y), computed from the right for precision."""
         self._check_world(omega)
         ya, scalar = _as_float_array(y)
-        yc = np.clip(ya, self.lo, self.hi)
-        out = np.clip(self._tails(yc, True, omega), 0.0, 1.0)
-        out = np.where(ya <= self.lo, 1.0, np.where(ya >= self.hi, 0.0, out))
+        out = self._sf_at(ya, self._tails(np.clip(ya, self.lo, self.hi), True, omega))
         return float(out) if scalar else out
+
+    def sf_pair(self, y):
+        """(sf(0, y), sf(1, y)) as arrays, from one segment lookup.
+
+        Bit for bit the values of the two `sf` calls.
+        """
+        ya = np.asarray(y, dtype=float)
+        t0, t1 = self._tails(np.clip(ya, self.lo, self.hi), True)
+        return self._sf_at(ya, t0), self._sf_at(ya, t1)
+
+    def sf_error(self, y):
+        """Bound on the absolute rounding error of sf(0, y) and sf(1, y).
+
+        The reference is the exact tail integral of the stored piecewise-
+        linear quality factor c0 + c1*y, with u = 2**-53.  A segment integral
+        `_seg_int_f1` or `_seg_int_g` is a product of at most 8 rounded
+        operations on terms that sum, in absolute value, to at most
+        A_j = integral of |c0| + |c1|*t over the piece (types lie in (0, 1),
+        so t*t <= t), so it is off by at most 9u*A_j, and world 0's
+        difference of the two by 19u*A_j.  The tail adds at most S of these
+        (S segments) by a running sum, which adds at most S*u times their
+        absolute sum, and the partial segment and the last addition add one
+        more term each.  Clipping to [0, 1] and the edge values move a tail
+        by no more than the error in the total mass, which is of the same
+        form over the whole support.  So both worlds are off by at most
+
+            (S + 24) * u * (integral of |c0| + |c1|*t from y to Q),
+
+        summed here from the right as `_tail_abs`.  The bound falls as y
+        rises (up to its own rounding, which the constant covers).
+        """
+        yc = np.clip(np.asarray(y, dtype=float), self.lo, self.hi)
+        idx = np.searchsorted(self._breaks[1:-1], yc, side="right")
+        part = _seg_int_g(yc, self._breaks[idx + 1], np.abs(self._c0[idx]), np.abs(self._c1[idx]))
+        return (self._c0.size + 24) * 2.0**-53 * (self._tail_abs[idx + 1] + part)
 
     # -- tail likelihood ratios ---------------------------------------------
 

@@ -287,6 +287,17 @@ def _range_tables(v):
     return np.array(lo), np.array(hi)
 
 
+# Largest relative rounding error bound on the last mover's two tails at
+# which `_StateView` still bounds that mover's ratio; the ratio then errs by
+# at most twice this, far inside the scan's roots.CELL_MARGIN.
+LAST_TAIL_GUARD = roots.CELL_MARGIN / 16
+
+
+def _odds(p0, p1):
+    """pi0/pi1, +inf where completion is impossible."""
+    return np.divide(p0, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
+
+
 class _StateView:
     """Uniform query surface over a solved row or a terminal convention.
 
@@ -295,7 +306,9 @@ class _StateView:
     fill, nobody invests and completion is impossible.  "last" (B = n = 1):
     a sole remaining pivotal mover, evaluated in closed form rather than
     from a stored row, so parents of that state carry no interpolation
-    error.  "row": a solved table row.
+    error.  "row": a solved table row.  Every kind bounds its ratio over
+    odds intervals (`ratio_bounds`), so every engine row takes the
+    certified root scan.
     """
 
     def __init__(self, kind: str, dist, row: PolicyRow | None = None):
@@ -306,10 +319,34 @@ class _StateView:
         self.row = row
 
     def _last_pi(self, La):
-        s = roots.pivotal_threshold(self.dist, La)
-        return np.asarray(self.dist.sf(0, s), dtype=float), np.asarray(
-            self.dist.sf(1, s), dtype=float
-        )
+        return self.dist.sf_pair(roots.pivotal_threshold(self.dist, La))
+
+    def _last_bounds(self, lo, hi):
+        """(rmin, rmax) of the last mover's ratio over odds intervals [lo, hi].
+
+        The ratio is h(s) = sf_0(s)/sf_1(s) at s = clip(1/(1+L), lo, hi).
+        Exactly, h is nonincreasing in s below Q: f_1/f_0 = y/(1-y)
+        increases, so the upper-tail ratio sf_1/sf_0 does too.  The
+        computed map from L to s is nonincreasing, since IEEE +, / and clip
+        are monotone, so over [lo, hi] the exact h lies between h(s(lo))
+        and h(s(hi)).  The computed tails are off by at most
+        TypeDistribution.sf_error, which falls in s, while the tails fall
+        too, so at every s of the interval both are off relatively by at
+        most e = sf_error(s(hi)) / min(sf_0(s(lo)), sf_1(s(lo))), and the
+        computed ratio by about 2e.  Where e is within LAST_TAIL_GUARD the
+        computed end values bound the computed ratio to within 4e, well
+        inside roots.CELL_MARGIN; elsewhere (near a tail that rounding
+        swamps) the bound is NaN, as it is where only part of the interval
+        is dead.  An interval whose top is dead, s(hi) = Q, is dead
+        throughout: (inf, inf).
+        """
+        dist = self.dist
+        s = roots.pivotal_threshold(dist, np.stack((lo, hi)))
+        p0, p1 = dist.sf_pair(s)
+        r = _odds(p0, p1)
+        err = dist.sf_error(s[1])
+        keep = (err <= LAST_TAIL_GUARD * np.minimum(p0[0], p1[0])) | (s[1] >= dist.hi)
+        return np.where(keep, r[0], np.nan), np.where(keep, r[1], np.nan)
 
     def sigma(self, L):
         La = np.asarray(L, dtype=float)
@@ -328,26 +365,20 @@ class _StateView:
         elif self.kind == "dead":
             out = np.full_like(La, np.inf)
         elif self.kind == "last":
-            p0, p1 = self._last_pi(La)
-            out = np.divide(
-                p0, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0
-            )
+            out = _odds(*self._last_pi(La))
         else:
             out = self.row.ratio_at(La)
         return float(out) if np.ndim(out) == 0 else out
 
     @property
     def ratio_bounds(self):
-        """Callable bounding `ratio` over odds intervals, or None without one.
-
-        The closed-form last mover and the dead convention offer none, so
-        their parents keep the dense scan.
-        """
+        """Callable bounding `ratio` over odds intervals (roots.scan_roots)."""
         if self.kind == "row":
             return self.row.ratio_bounds
-        if self.kind == "won":
-            return lambda lo, hi: (np.ones_like(lo), np.ones_like(hi))
-        return None
+        if self.kind == "last":
+            return self._last_bounds
+        fill = 1.0 if self.kind == "won" else np.inf
+        return lambda lo, hi: (np.full_like(lo, fill), np.full_like(hi, fill))
 
     def pi(self, L):
         La = np.asarray(L, dtype=float)
@@ -386,11 +417,12 @@ def _trace_signatures(rows, dist, xflat, Lp_flat, n):
 
 
 def _candidates(dist, inv_view, Lpts, settings):
-    # Scan blocks of 8,192 elements (two states at the default 4,001 scan
-    # points) keep every scan temporary under glibc's 128 KiB mmap
-    # threshold, so the blocks reuse heap memory instead of mapping fresh
-    # pages: 512-state blocks took ~60k minor page faults and 240 MB on a
-    # (3, 8) grid-513 build, 64-state blocks ~108k faults.
+    # A scan budget of 8,192 elements keeps every scan temporary under
+    # glibc's 128 KiB mmap threshold, so the blocks reuse heap memory
+    # instead of mapping fresh pages: at the default 4,001 scan points a
+    # block certifies 79 states and evaluates open cells 204 at a time.
+    # Dense 512-state blocks took ~60k minor page faults and 240 MB on a
+    # (3, 8) grid-513 build.
     return roots.candidates(
         dist,
         inv_view.ratio,

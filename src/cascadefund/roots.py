@@ -28,7 +28,10 @@ negative when L * x_last/(1-x_last) < rmin * (1 - CELL_MARGIN): G then has
 one sign (or is undefined) at each of its points, so the cell holds no
 sign change and no exact zero.  Only the other cells are evaluated, with
 the same expression at the same points as the full scan, so every
-bracket, and hence every root, is the same bit for bit.
+bracket, and hence every root, is the same bit for bit.  The engine's
+bounds come from child rows' range tables and from the closed-form last
+mover's monotone tails (engine._StateView); the exact must-fill ladder
+scans densely.
 """
 
 from __future__ import annotations
@@ -58,7 +61,9 @@ __all__ = [
 
 # Scan points per certified cell (neighbouring cells share an end point),
 # and the relative margin a bound must clear to certify a cell; the margin
-# covers rounding in the interpolation and exp behind a child ratio.
+# covers rounding in the interpolation and exp behind a row's child ratio
+# and in the closed-form tails behind the last mover's, whose bounds go
+# NaN where a written bound on that rounding is not far below the margin.
 CELL_POINTS = 40
 CELL_MARGIN = 1e-9
 
@@ -161,14 +166,14 @@ def scan_roots(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
         # Every cell is evaluated, as one span of the whole scan per state.
         first = np.zeros(1, dtype=int)
         chunk = max(1, budget // scan)
-        evaluated = M * cells.size
+        evaluated = unbounded = M * cells.size
     else:
         # Certify a block of states cell by cell, then evaluate its open
         # cells a budget's worth at a time.
         first = cells
         chunk = max(1, budget // cells.size)
         step = max(1, budget // CELL_POINTS)
-        evaluated = 0
+        evaluated = unbounded = 0
         pts = np.minimum(first[:, None] + np.arange(CELL_POINTS), scan - 1)
         ucell = uxs[pts]
         umin, umax = ucell.min(axis=1), ucell.max(axis=1)
@@ -182,6 +187,7 @@ def scan_roots(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
         else:
             Lb = Lc[:, None]
             rmin, rmax = bounds(Lb * umin, Lb * umax)
+            unbounded += np.count_nonzero(np.isnan(rmin) | np.isnan(rmax))
             certified = (Lb * lhs_first > rmax * (1.0 + CELL_MARGIN)) | (
                 Lb * lhs_last < rmin * (1.0 - CELL_MARGIN)
             )
@@ -214,8 +220,9 @@ def scan_roots(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
 
     state = np.concatenate(states) if states else np.empty(0, dtype=int)
     _debug(
-        "root scan of %d states: %d cells certified, %d evaluated, %d brackets",
-        M, M * cells.size - evaluated, evaluated, state.size,
+        "root scan of %d states: %d cells certified, %d evaluated "
+        "(%d without a bound), %d brackets",
+        M, M * cells.size - evaluated, evaluated, unbounded, state.size,
     )
     if state.size:
         j = np.concatenate(js)
@@ -377,8 +384,7 @@ def choose(dist, Ls, cands, child_pi, tie_rel_tol, signatures=None, multiset_tol
     x = np.array([x for per in cands for x, _ in per])
     kinds = [kind for per in cands for _, kind in per]
     Lflat = np.repeat(Ls, counts)
-    T1 = dist.sf(1, x)
-    T0 = dist.sf(0, x)
+    T0, T1 = dist.sf_pair(x)
     Lp = Lflat * dist.lr_upper_tail(x)
     p0c, p1c = child_pi(Lp)
     lam = Lflat / (1.0 + Lflat)

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,6 +275,70 @@ class TestLikelihoodRatios:
             for omega in (0, 1):
                 assert np.array_equal(pair[omega], dist._tails(xs, upper, omega))
                 assert np.array_equal(pair[omega], reference_tail(dist, omega, xs, upper))
+
+
+def exact_upper_tails(dist: TypeDistribution, y: float):
+    """Exact rational tails at y of the stored piecewise-linear quality factor."""
+    yq, T0, T1 = Fraction(y), Fraction(0), Fraction(0)
+    for a, e, k0, k1 in zip(dist._breaks[:-1], dist._breaks[1:], dist._c0, dist._c1):
+        a, e = max(Fraction(a), yq), Fraction(e)
+        if e > a:
+            k0, k1 = Fraction(k0), Fraction(k1)
+            g = k0 * (e - a) + k1 * (e * e - a * a) / 2
+            f1 = k0 * (e * e - a * a) / 2 + k1 * (e**3 - a**3) / 3
+            T0, T1 = T0 + g - f1, T1 + f1
+    return T0, T1
+
+
+TAIL_SPECS = [
+    lambda: QualitySpec.uniform(0.5, 0.8),
+    lambda: QualitySpec.uniform(0.55, 0.999),
+    bimodal_spec,
+    lambda: QualitySpec.tabulated(
+        0.6, 0.85, [(0.6, 1.0), (0.7, 0.0), (0.75, 2.0), (0.85, 2.0)], normalize=True
+    ),
+    lambda: QualitySpec.tabulated(0.5, 0.75, [(0.5, 8.0), (0.75, 9.4e-38)], normalize=True),
+]
+TAIL_IDS = ["uniform-R0.5", "uniform-Q0.999", "bimodal", "interior-zero", "vanishing-end"]
+
+
+@pytest.mark.filterwarnings("ignore::cascadefund.beliefs.OutOfSupportWarning")
+@pytest.mark.parametrize("make", TAIL_SPECS, ids=TAIL_IDS)
+class TestUpperTailPair:
+    def test_sf_pair_is_two_sf_calls_bit_for_bit(self, make):
+        dist = TypeDistribution(make())
+        rng = np.random.default_rng(11)
+        edges = np.array([dist.lo, dist.hi])
+        ys = np.concatenate(
+            (
+                dist._breaks,
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, 1.0),
+                [0.0, 1.0, dist.lo - 0.1, dist.hi + 0.1],
+                rng.uniform(dist.lo, dist.hi, 2000),
+            )
+        )
+        p0, p1 = dist.sf_pair(ys)
+        assert np.array_equal(p0, dist.sf(0, ys))
+        assert np.array_equal(p1, dist.sf(1, ys))
+
+    def test_sf_error_bounds_the_rounding(self, make):
+        dist = TypeDistribution(make())
+        rng = np.random.default_rng(12)
+        ys = np.concatenate(
+            (
+                dist.hi - np.geomspace(1e-12, 0.2, 30),
+                rng.uniform(dist.lo, dist.hi, 30),
+                [dist.lo, dist.hi],
+            )
+        )
+        p0, p1 = dist.sf_pair(ys)
+        err = dist.sf_error(ys)
+        assert np.all(np.diff(dist.sf_error(np.sort(ys))) <= 0.0)
+        for y, a0, a1, e in zip(ys, p0, p1, err):
+            T0, T1 = exact_upper_tails(dist, float(y))
+            assert abs(Fraction(float(a0)) - T0) <= Fraction(float(e)), y
+            assert abs(Fraction(float(a1)) - T1) <= Fraction(float(e)), y
 
 
 class TestDistributionLaws:

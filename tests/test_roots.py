@@ -43,19 +43,21 @@ SPECS = {
 }
 
 
+def vanishing_end_spec():
+    # Density falling to 1e-6 at Q: both last-mover tails vanish there like
+    # (Q - x)**2, and rounding swamps them just above the dead frontier.
+    return QualitySpec.tabulated(0.5, 0.75, [(0.5, 8.0), (0.75, 1e-6)], normalize=True)
+
+
 def assert_rows_scan_alike(table):
-    """Every bounded row of the table scans to the same roots either way."""
+    """Every row of the table scans to the same roots either way."""
     s = table.settings
-    compared = 0
     for (B, n), row in sorted(table.rows.items()):
         inv_view, _ = table.child_views(B, n)
-        if inv_view.ratio_bounds is None:
-            continue
         args = (table.dist, inv_view.ratio, row.L, s.scan_points, s.root_xtol, 8_192)
         dense = roots.scan_roots(*args)
         assert roots.scan_roots(*args, inv_view.ratio_bounds) == dense, (B, n)
-        compared += 1
-    return compared
+    return len(table.rows)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -65,7 +67,81 @@ def test_certified_scan_equals_dense_scan(name, solved):
         assert_rows_scan_alike(solved(spec, B, n, grid_size=257))
         for B, n in [(2, 3), (3, 5), (4, 6)]
     )
-    assert compared >= 15
+    assert compared >= 18
+
+
+@pytest.mark.parametrize("name", sorted(SPECS) + ["vanishing-end"])
+def test_last_mover_bounds_hold_the_ratio(name):
+    spec = vanishing_end_spec() if name == "vanishing-end" else SPECS[name]()
+    view = _StateView("last", TypeDistribution(spec))
+    frontier = (1.0 - spec.Q) / spec.Q
+    rng = np.random.default_rng(5)
+    # Intervals anywhere on the child odds a scan reaches, and intervals
+    # starting just above the dead frontier, where the tails vanish.
+    lo = np.concatenate(
+        (
+            frontier * np.exp(rng.uniform(-1.0, 2.0 * np.log(1.0 / frontier) + 1.0, 200)),
+            frontier * (1.0 + np.geomspace(1e-12, 1e-1, 200)),
+        )
+    )
+    hi = lo * np.exp(rng.uniform(0.0, 1.0, lo.size) ** 4)
+    rmin, rmax = view.ratio_bounds(lo, hi)
+    bounded = ~np.isnan(rmin)
+    assert np.array_equal(bounded, ~np.isnan(rmax))
+    assert np.count_nonzero(bounded) >= 200
+    for a, b, r0, r1 in zip(lo[bounded], hi[bounded], rmin[bounded], rmax[bounded]):
+        r = view.ratio(np.linspace(a, b, 257).clip(a, b))
+        if np.isinf(r0):
+            assert np.isinf(r1) and np.all(np.isinf(r)), (a, b)
+        live = r[np.isfinite(r)]
+        assert np.all(live >= r0 * (1.0 - roots.CELL_MARGIN)), (a, b)
+        assert np.all(live <= r1 * (1.0 + roots.CELL_MARGIN)), (a, b)
+
+
+def test_last_mover_bound_gives_way_where_rounding_swamps_the_tails():
+    dist = TypeDistribution(vanishing_end_spec())
+    view = _StateView("last", dist)
+    frontier = (1.0 - dist.Q) / dist.Q
+    lo = frontier * (1.0 + np.geomspace(1e-9, 1e-6, 10))
+    rmin, rmax = view.ratio_bounds(lo, 1.01 * lo)
+    assert np.all(np.isnan(rmin)) and np.all(np.isnan(rmax))
+    # The dead side of the frontier is dead throughout; far above it the
+    # tails are well conditioned and bounded.
+    rmin, rmax = view.ratio_bounds(np.array([0.5, 2.0]) * frontier, np.array([0.9, 3.0]) * frontier)
+    assert np.isinf(rmin[0]) and np.isinf(rmax[0])
+    assert 0.0 < rmin[1] <= rmax[1] < 1.0
+    # The (2, 2) row, whose invest child is the last mover, scans alike.
+    table = backward_induction(dist, 2, 2, settings=SolverSettings(grid_size=129))
+    assert assert_rows_scan_alike(table) == 2
+
+
+def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
+    seen = []
+    scan_roots = roots.scan_roots
+
+    def recording(*args, **kwargs):
+        seen.append(args[6] if len(args) > 6 else kwargs.get("bounds"))
+        return scan_roots(*args, **kwargs)
+
+    monkeypatch.setattr(roots, "scan_roots", recording)
+    s = SolverSettings(grid_size=129)
+    for name in sorted(SPECS):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OutOfSupportWarning)
+            table = backward_induction(TypeDistribution(SPECS[name]()), 3, 5, settings=s)
+        assert len(seen) == len(table.rows), name
+        assert all(b is not None for b in seen), name
+        seen.clear()
+    # Deterministic counts: no row of a well-conditioned table evaluates as
+    # much as 5% of its cells, which a dense row (all of them) would.
+    dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
+    with caplog.at_level(logging.DEBUG, logger="cascadefund"):
+        table = backward_induction(dist, 3, 5, settings=SolverSettings(grid_size=257))
+    records = [r for r in caplog.records if r.name == "cascadefund"]
+    assert len(records) == len(table.rows) == 9
+    for rec in records:
+        states, certified, evaluated, unbounded, brackets = rec.args
+        assert evaluated < 0.05 * (certified + evaluated)
 
 
 @st.composite
@@ -175,12 +251,16 @@ def test_each_row_logs_its_scan(caplog):
     assert len(records) == len(table.rows)
     cells = len(range(0, table.settings.scan_points - 1, roots.CELL_POINTS - 1))
     for ((B, n), row), rec in zip(sorted(table.rows.items(), key=lambda kv: kv[0][::-1]), records):
-        states, certified, evaluated, brackets = rec.args
+        states, certified, evaluated, unbounded, brackets = rec.args
         assert rec.levelno == logging.DEBUG
         assert states == row.L.size
         assert certified + evaluated == states * cells
+        assert 0 <= unbounded <= evaluated
         assert brackets >= 0
-        if table.child_views(B, n)[0].ratio_bounds is None:
-            assert certified == 0
-        else:
-            assert certified > evaluated
+        assert certified > evaluated
+    # A scan without bounds evaluates every cell, and none has a bound.
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cascadefund"):
+        roots.scan_roots(dist, _StateView("last", dist).ratio, row.L, 4001, 1e-12, 8_192)
+    states, certified, evaluated, unbounded, brackets = caplog.records[-1].args
+    assert certified == 0 and evaluated == unbounded == states * cells
