@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from cascadefund.engine import (
     backward_induction,
     pi_ordering_scan,
 )
+from cascadefund.roots import _debug
 from cascadefund.simulate import (
     BLOCK_RUNS,
     completion_from_batch,
@@ -104,9 +104,11 @@ def _ensure_dir(path: str) -> None:
         os.makedirs(parent, exist_ok=True)
 
 
-def _csv_header(fh, config: dict) -> None:
-    fh.write("# config: " + json.dumps(_clean(config), sort_keys=True) + "\n")
-    fh.write(f"# version: {__version__}\n")
+def _csv_header(config: dict, names: list[str]) -> str:
+    return (
+        "# config: " + json.dumps(_clean(config), sort_keys=True) + "\n"
+        f"# version: {__version__}\n" + ",".join(names) + "\n"
+    )
 
 
 def _columns(parts) -> list[np.ndarray]:
@@ -123,22 +125,183 @@ def _records(cols):
     return zip(*(c.tolist() for c in cols))
 
 
+# Powers of ten: exact doubles up to 1e12 (every 10**k with k <= 22 is)
+# and every uint64 place value.
+_POW10 = np.array([float(10**k) for k in range(13)])
+_PLACES = np.array([10**k for k in range(20)], dtype=np.uint64)
+
+
+def _float_tables():
+    """Byte tables of the float cell layout.
+
+    A float cell is 32 bytes, read as four uint64 words: (character,
+    point) byte pairs holding the sign and then the 13-character text
+    "0000" + the 9 mantissa digits, with two empty pairs so that each
+    3-digit group of the mantissa fills one table word:
+
+        word 0: sign '0' '0' '0'    word 1: '0' d0 d1 d2
+        word 2: d3 d4 d5 --         word 3: d6 d7 d8 --
+
+    Text character 4 + e is the ones digit; its point byte takes '.' when
+    a later character prints.  Returns the words of every 3-digit group
+    (in word 1 and in words 2-3), the last nonzero digit of each group
+    (-10 for none), and an AND and an OR mask per (sign, e, last) key,
+    where `last` is the text index of the last nonzero digit; the extra
+    final mask row blanks a cell.
+    """
+    v = np.arange(1000.0)
+    tens, hundreds = np.floor(v / 10), np.floor(v / 100)
+    digits = np.stack([hundreds, tens - 10 * hundreds, v - 10 * tens], axis=1)
+    lead, rest = np.zeros((2, 1000, 8), np.uint8)
+    lead[:, 0] = 48
+    lead[:, 2::2] = digits + 48
+    rest[:, 0:6:2] = digits + 48
+    nonzero = digits != 0
+    last_digit = np.where(nonzero[:, 2], 2, np.where(nonzero[:, 1], 1, np.where(v != 0, 0, -10)))
+
+    sign, e, last = (k.ravel() for k in np.meshgrid(
+        [0, 1], np.arange(-4, 9), np.arange(4, 13), indexing="ij"))
+    text = np.arange(13)
+    point = 4 + e
+    keep = (text >= 4 + np.minimum(e, 0)[:, None]) & (text <= np.maximum(last, point)[:, None])
+    dot = (text == point[:, None]) & (last > point)[:, None]
+    char_at = np.array([2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 24, 26, 28])
+    and_mask, or_mask = np.zeros((2, sign.size + 1, 32), np.uint8)
+    and_mask[:-1, 0] = 255 * sign
+    and_mask[:-1, char_at] = 255 * keep
+    or_mask[:-1, char_at + 1] = 46 * dot
+    words = [t.view(np.uint64) for t in (lead, rest, and_mask, or_mask)]
+    return words[0].ravel(), words[1].ravel(), last_digit, words[2], words[3]
+
+
+_LEAD_WORD, _REST_WORD, _LAST_DIGIT, _FLOAT_AND, _FLOAT_OR = _float_tables()
+_SIGN_WORD = np.array([45, 0, 48, 0, 48, 0, 48, 0], np.uint8).view(np.uint64)[0]
+
+
+def _int_cells(col: np.ndarray) -> np.ndarray:
+    """The %d text of an integer or boolean column: one NUL-padded row per cell."""
+    if col.dtype.kind == "b":
+        return (col.astype(np.uint8) + 48)[:, None]
+    neg = col < 0
+    mag = col.astype(np.uint64)
+    # Negating in uint64 gives |v| exactly, even for the most negative int64.
+    mag = np.where(neg, -mag, mag)
+    width = len(str(int(mag.max())))
+    cells = np.zeros((col.size, width + 1), np.uint8)
+    cells[:, 0] = 45 * neg
+    for j in range(width):
+        place = _PLACES[width - 1 - j]
+        digit = (mag // place % 10).astype(np.uint8) + 48
+        cells[:, j + 1] = digit if place == 1 else digit * (mag >= place)
+    return cells
+
+
+def _float_cells(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """The %.9g text of a float column: one NUL-padded row per cell.
+
+    Returns the cells and how many of them were formatted by Python's `%`.
+
+    A finite nonzero x with e = floor(log10|x|) in [-4, 8] prints in fixed
+    notation as the 9-digit mantissa m = round(S), S = |x|·10^(8-e), with
+    8-e fraction digits, trailing zeros and a bare point stripped.  The
+    vector path computes s = |x|·10^(8-e) in doubles: 10^k is exact for
+    k <= 12, so s is S correctly rounded and |s - S| <= ulp(s)/2 < 1.2e-7
+    for s < 1e9.  A cell keeps the vector path only when s lies in
+    [1e8, 1e9), m = rint(s) < 1e9 and |frac(s) - 1/2| > 1e-6.  Then:
+
+    - m is the correctly rounded mantissa: |s - m| < 1/2 - 1e-6, so
+      |S - m| < 1/2 and m is the unique integer nearest S (no tie, so the
+      half-even rule never decides);
+    - e is the exponent %.9g uses.  If log10 misjudged e, S is outside
+      [1e8, 1e9) while s is inside, so S is within 1.2e-7 of an end.  At
+      the top end rint(s) = 1e9 and the cell falls back.  At the bottom
+      end S·10 rounds up to 1e9, which %.9g prints as m = 1e8 at exponent
+      e, the vector path's text.
+
+    Every other cell (NaN, inf, a value needing scientific notation, a
+    near tie, a carry, or a misjudged e) is formatted by `'%.9g' % v`.
+    Exact zeros stay on the vector path as "0" and "-0".
+    """
+    x = col.astype(np.float64)
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.floor(np.log10(a))
+        fixed = (e >= -4) & (e <= 8)  # False for 0, NaN and inf
+        e[~fixed] = 0.0
+        s = a * _POW10[(8 - e).astype(np.intp)]
+        m = np.rint(s)
+        fixed &= (s >= 1e8) & (m < 1e9) & (np.abs(s - np.floor(s) - 0.5) > 1e-6)
+    ok = fixed | (a == 0.0)
+    m[~fixed] = 0.0
+    # The three 3-digit groups of m; float arithmetic on integers below
+    # 2**53 is exact, and a quotient floors right since m is an integer.
+    g0 = np.floor(m / 1e6)
+    g1 = np.floor(m / 1e3) - 1e3 * g0
+    g2 = m - 1e3 * np.floor(m / 1e3)
+    g0, g1, g2 = g0.astype(np.intp), g1.astype(np.intp), g2.astype(np.intp)
+    # Text index of the last nonzero digit; a zero prints its ones digit.
+    last = np.maximum(np.maximum(_LAST_DIGIT.take(g0), 0), _LAST_DIGIT.take(g1) + 3)
+    last = np.maximum(last, _LAST_DIGIT.take(g2) + 6) + 4
+    key = (13 * np.signbit(x) + e.astype(np.intp) + 4) * 9 + last - 4
+    key[~ok] = len(_FLOAT_AND) - 1
+    words = np.empty((x.size, 4), np.uint64)
+    words[:, 0] = _SIGN_WORD
+    words[:, 1] = _LEAD_WORD.take(g0)
+    words[:, 2] = _REST_WORD.take(g1)
+    words[:, 3] = _REST_WORD.take(g2)
+    words &= _FLOAT_AND.take(key, axis=0)
+    words |= _FLOAT_OR.take(key, axis=0)
+    cells = words.view(np.uint8)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        strs = np.array(["%.9g" % v for v in x[slow].tolist()], dtype="S")
+        tail = np.zeros((x.size, strs.itemsize), np.uint8)
+        tail[slow] = strs.view(np.uint8).reshape(slow.size, strs.itemsize)
+        cells = np.concatenate([cells, tail], axis=1)
+    return cells, slow.size
+
+
+def _block_text(cols: list[np.ndarray]) -> tuple[bytes, int]:
+    """The CSV text of one block of rows, and its count of cells formatted by `%`."""
+    cells, slow = [], 0
+    for c in cols:
+        if c.dtype.kind == "f":
+            text, k = _float_cells(c)
+            slow += k
+        else:
+            text = _int_cells(c)
+        cells += [text, np.full((c.size, 1), 44, np.uint8)]
+    cells[-1][:] = 10
+    mat = np.concatenate(cells, axis=1)
+    del cells  # only the matrix and its text are alive from here
+    return mat.tobytes().translate(None, b"\0"), slow
+
+
 def _write_csv(path: str, config: dict, names: list[str], parts) -> None:
     """Write the comment header, the column names, then one row per index.
 
-    Integer and boolean columns print with %d, float columns with %.9g.
-    One format string covers a block of BLOCK_RUNS rows, so memory stays
-    flat however many rows there are.
+    Integer and boolean columns print as %d would, float columns as %.9g
+    would, byte for byte.  Each block of at most BLOCK_RUNS rows becomes
+    one uint8 matrix: every cell a fixed-width field padded with NUL
+    bytes, then a ',' or '\\n' column; dropping the NULs gives the block's
+    text.  Integers are exact in uint64.  Floats take the vector path of
+    `_float_cells`, whose docstring proves it exact, and fall back to `%`
+    cell by cell where that proof does not hold.  Only one block's arrays
+    are alive at a time, so memory stays flat however many rows there are.
+    One DEBUG record on the "cascadefund" logger gives the rows, the cells
+    and the cells formatted by `%`.
     """
     cols = _columns(parts)
-    row = ",".join("%.9g" if c.dtype.kind == "f" else "%d" for c in cols) + "\n"
+    rows = len(cols[0])
+    slow = 0
     _ensure_dir(path)
-    with open(path, "w") as fh:
-        _csv_header(fh, config)
-        fh.write(",".join(names) + "\n")
-        for start in range(0, len(cols[0]), BLOCK_RUNS):
-            rows = list(_records(c[start : start + BLOCK_RUNS] for c in cols))
-            fh.write((row * len(rows)) % tuple(chain.from_iterable(rows)))
+    with open(path, "wb") as fh:
+        fh.write(_csv_header(config, names).encode())
+        for start in range(0, rows, BLOCK_RUNS):
+            text, k = _block_text([c[start : start + BLOCK_RUNS] for c in cols])
+            fh.write(text)
+            slow += k
+    _debug("csv %s: %d rows, %d cells, %d formatted by %%", path, rows, rows * len(cols), slow)
 
 
 class RunConfig(dict):

@@ -100,9 +100,11 @@ def _simulate_block(policy: PolicyTable, state: GameState, count: int, seed_seq)
     for k in range(n):
         left = n - k
         sigma = np.empty(count)
-        for b in np.unique(need):
+        # After k movers a run still needs between B - k and B investments.
+        for b in range(state.B - k, state.B + 1):
             m = need == b
-            sigma[m] = policy.sigma(L[m], int(b), left)
+            if m.any():
+                sigma[m] = policy.sigma(L[m], b, left)
         act = types[:, k] >= sigma
         # Each run needs only the odds factor of the action it took.
         ratio = np.empty(count)

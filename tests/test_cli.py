@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cascadefund import cli
 from cascadefund.beliefs import QualitySpec
@@ -231,6 +234,37 @@ def _cell(v) -> str:
     return f"{float(v):.9g}"
 
 
+def _with_neighbours(values):
+    """Each value with the doubles one ulp below and above it."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+_SPECIAL = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+            1e-320, 2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308]
+_TEN_POWERS = np.concatenate([(s * _with_neighbours(10.0 ** np.arange(-6, 11))) for s in (1, -1)])
+# Ten-digit decimals ending in 5: exact ties for 9 digits, if representable.
+_HALF_WAYS = _with_neighbours([float(f"{m}5e{k}")
+                               for m in (100000000, 123456789, 314159265, 500000000, 999999999)
+                               for k in range(-16, 3)])
+# Values whose 9-digit mantissa rounds up to 1e9, moving the exponent.
+_CARRIES = _with_neighbours([999999999.5, 999999999.6, 99999999.95, 9.9999999995e-5,
+                             9.99999999949e-5, 0.99999999995, 0.0001, 1e9])
+
+
+def _render(path, cols) -> list[str]:
+    """The body lines `_write_csv` writes for these columns."""
+    cli._write_csv(path, {}, [f"c{i}" for i in range(len(cols))], cols)
+    with open(path) as fh:
+        return fh.read().split("\n")[3:-1]
+
+
+def _oracle(cols) -> list[str]:
+    """The per-cell writer: `'%.9g' % v` for float columns, `'%d' % v` otherwise."""
+    fmts = ["%.9g" if c.dtype.kind == "f" else "%d" for c in cols]
+    return [",".join(f % v for f, v in zip(fmts, row)) for row in zip(*(c.tolist() for c in cols))]
+
+
 class TestCsvWriter:
     def test_block_format_matches_per_cell_rule(self, workdir):
         floats = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300,
@@ -253,6 +287,70 @@ class TestCsvWriter:
             for i in range(rows)
         ]
         assert lines[3:] == want + [""]
+
+    def test_zero_row_table_writes_header_and_names(self, workdir):
+        cli._write_csv("z.csv", {"k": 1}, ["a", "b"], [np.empty(0), np.empty(0, dtype=int)])
+        assert (workdir / "z.csv").read_text().split("\n") == [
+            '# config: {"k": 1}', f"# version: {cli.__version__}", "a,b", ""]
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(_SPECIAL, id="special"),
+        pytest.param(_TEN_POWERS, id="powers-of-ten"),
+        pytest.param(_HALF_WAYS, id="half-ways"),
+        pytest.param(_CARRIES, id="carries"),
+        pytest.param(np.random.default_rng(11).integers(0, 2**64, 5000, dtype=np.uint64)
+                     .view(np.float64), id="random-bits"),
+        pytest.param(np.random.default_rng(12).choice([-1.0, 1.0], 5000)
+                     * 10.0 ** np.random.default_rng(13).uniform(-6, 11, 5000), id="log-uniform"),
+    ])
+    def test_float_cells_match_per_cell_rule(self, workdir, values):
+        values = np.asarray(values, dtype=np.float64)
+        assert _render("f.csv", [values, values[::-1]]) == _oracle([values, values[::-1]])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    def test_any_floats_match_per_cell_rule(self, workdir, values):
+        col = np.array(values, dtype=np.float64)
+        assert _render("h.csv", [col]) == _oracle([col])
+
+    def test_integer_and_bool_cells_match_per_cell_rule(self, workdir):
+        info = np.iinfo(np.int64)
+        big = np.array([info.min, info.min + 1, -(10**18), -1, 0, 1, 9, 10, 10**18, info.max])
+        wide = np.random.default_rng(14).integers(info.min, info.max, 256, endpoint=True)
+        cols = [
+            np.arange(-128, 128, dtype=np.int8),
+            np.resize(big, 256),
+            wide,
+            np.arange(256, dtype=np.uint8),
+            np.arange(256) % 3 == 0,
+            np.asarray([i % 2 == 0 for i in range(256)]),
+        ]
+        assert _render("i.csv", cols) == _oracle(cols)
+
+    def test_exact_zeros_stay_on_the_vector_path(self, workdir, caplog):
+        # Like a policy table's pi columns: mostly exact zeros, a few cells
+        # that need scientific notation, and multiples of 1/256, which print
+        # in at most 8 digits, so that no cell is a near tie.
+        pi = np.zeros(3000)
+        pi[::7] = np.arange(1, pi[::7].size + 1) % 256 / 256
+        pi[1::50] = -0.0
+        pi[[5, 6]] = 1e-9, -3e-7
+        with caplog.at_level(logging.DEBUG, logger="cascadefund"):
+            assert _render("p.csv", [pi, pi[::-1]]) == _oracle([pi, pi[::-1]])
+        (record,) = [r for r in caplog.records if r.name == "cascadefund"]
+        assert record.levelno == logging.DEBUG
+        assert record.args[1:] == (3000, 6000, 4)
+
+    def test_simulate_csv_stays_on_the_vector_path(self, workdir, caplog):
+        # A later edit that sends a whole column through % fails here.
+        with caplog.at_level(logging.DEBUG, logger="cascadefund"):
+            assert run(workdir, "simulate", "--B", "2", "--n", "3", "--grid-size", "129",
+                       "--runs", "20000", "--seed", "3", "--out", "fast") == 0
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("csv ")]
+        path, rows, cells, slow = record.args
+        assert (path, rows, cells) == ("fast.csv", 20000, 20000 * 10)
+        assert slow <= cells // 1000
 
 
 TABULATED = {
