@@ -29,7 +29,7 @@ def trace_path(policy, L0: float) -> None:
     step = 1
     while b > 0 and n > 0:
         x = float(policy.sigma(L, b, n))
-        p0, p1 = completion_prob(GameState(L, b, n), policy, x=x)
+        p0, p1 = completion_prob(GameState(L, b, n), policy)
         print(
             f"    mover {step}: needs {b} of {n}, odds {L:8.4f}, "
             f"cut {x:.6f}, completion ({p0:.4f}, {p1:.4f})"

@@ -22,13 +22,18 @@ Tables are solved bottom-up in n on a log-odds grid wide enough to hold
 every reachable state, with extra grid points pinned at the analytic
 cascade bounds so the all-invest and all-decline plateaus are resolved
 sharply.  Row queries interpolate linearly in log odds.
+
+One path solves live states, `_solve_states`: candidates and selection
+from cascadefund.roots, then the completion recurrence and the irregular
+flags, for a whole table row or for one state.  `find_roots`,
+`select_equilibrium` and `completion_prob` are that solve at one state.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -52,16 +57,22 @@ __all__ = [
     "SolverSettings",
     "backward_induction",
     "completion_prob",
-    "discriminator",
-    "expected_utility",
     "find_roots",
-    "indifference_residual",
-    "last_mover_threshold",
     "pi_ordering_scan",
     "select_equilibrium",
 ]
 
 MAX_PLAYERS = 50
+
+SCAN_POINTS = 4001  # candidate scan points over the support per state
+ROOT_XTOL = 1e-12  # bisection tolerance on a root
+RESIDUAL_TOL = 1e-9  # bound on an interior root's |G| / max(1, L)
+TIE_REL_TOL = 1e-9  # relative tolerance of utility and discriminator ties
+GRID_PAD = 10.0  # factor by which the spanning grid overhangs the cascade bounds
+# Candidates whose continuation multisets agree within this absolute
+# spread are treated as the same equilibrium outcome (B = n rows).
+MULTISET_TOL = 1e-5
+
 
 @dataclass(frozen=True)
 class GameState:
@@ -81,20 +92,10 @@ class GameState:
 @dataclass(frozen=True)
 class SolverSettings:
     grid_size: int = 2001
-    scan_points: int = 4001
-    root_xtol: float = 1e-12
-    residual_tol: float = 1e-9
-    tie_rel_tol: float = 1e-9
-    grid_pad: float = 10.0
-    # Candidates whose continuation multisets agree within this absolute
-    # spread are treated as the same equilibrium outcome (B = n rows).
-    multiset_tol: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.grid_size < 16 or self.scan_points < 16:
-            raise DomainError("grid_size and scan_points must be at least 16")
-        if self.grid_pad <= 1.0:
-            raise DomainError("grid_pad must exceed 1")
+        if self.grid_size < 16:
+            raise DomainError("grid_size must be at least 16")
 
 
 class LikelihoodGrid:
@@ -110,10 +111,10 @@ class LikelihoodGrid:
         self.log_points = np.log(pts)
 
     @classmethod
-    def spanning(cls, Q: float, B0: int, size: int = 2001, pad: float = 10.0):
+    def spanning(cls, Q: float, B0: int, size: int):
         """Grid covering every state reachable from odds inside the bounds."""
-        lo = ((1.0 - Q) / Q) ** B0 / pad
-        hi = pad * Q / (1.0 - Q)
+        lo = ((1.0 - Q) / Q) ** B0 / GRID_PAD
+        hi = GRID_PAD * Q / (1.0 - Q)
         return cls(np.exp(np.linspace(math.log(lo), math.log(hi), size)))
 
     @property
@@ -133,26 +134,22 @@ class Candidate:
     kind: str
     utility: float
     residual: float
-    discriminator: float = math.nan
 
 
 @dataclass(frozen=True)
 class RootSet:
+    """Every candidate at a state, with the equilibrium the engine selects.
+
+    candidates[selected] is the equilibrium threshold; tie flags a
+    discriminator tie between distinct thresholds there; pi is the state's
+    completion probability (pi_0, pi_1) under that selection.
+    """
+
     state: GameState
     candidates: tuple[Candidate, ...]
-
-    def __post_init__(self) -> None:
-        if not self.candidates:
-            raise ModelViolationError(f"no candidate thresholds at {self.state}")
-
-
-def last_mover_threshold(L):
-    """Threshold of a pivotal last mover: invest iff private odds favor good."""
-    La = np.asarray(L, dtype=float)
-    if np.any(~np.isfinite(La)) or np.any(La <= 0):
-        raise DomainError("likelihood must be finite and positive")
-    out = 1.0 / (1.0 + La)
-    return float(out) if out.ndim == 0 else out
+    selected: int
+    tie: bool
+    pi: tuple[float, float]
 
 
 class PolicyRow:
@@ -389,10 +386,7 @@ class _StateView:
             z = np.zeros_like(La)
             return (z, z.copy()) if La.ndim else (0.0, 0.0)
         if self.kind == "last":
-            p0, p1 = self._last_pi(La)
-            if La.ndim == 0:
-                return float(p0), float(p1)
-            return p0, p1
+            return self._last_pi(La)
         return self.row.pi_at(La)
 
     def irregular(self, L):
@@ -416,40 +410,32 @@ def _trace_signatures(rows, dist, xflat, Lp_flat, n):
     return np.sort(sig, axis=1)
 
 
-def _candidates(dist, inv_view, Lpts, settings):
+def _solve_states(table, B, n, Ls):
+    """Solve live state (B, n) at each odds point of Ls.
+
+    Candidates and selection come from roots.candidates and roots.choose,
+    with B = n candidates grouped by their continuation multisets; then
+    the completion recurrence and the irregular flags.  Returns
+    (choice, pi0, pi1, irregular), the choice as roots.choose gives it.
+    """
+    dist = table.dist
+    inv_view, dec_view = table.child_views(B, n)
     # A scan budget of 8,192 elements keeps every scan temporary under
     # glibc's 128 KiB mmap threshold, so the blocks reuse heap memory
-    # instead of mapping fresh pages: at the default 4,001 scan points a
-    # block certifies 79 states and evaluates open cells 204 at a time.
-    # Dense 512-state blocks took ~60k minor page faults and 240 MB on a
-    # (3, 8) grid-513 build.
-    return roots.candidates(
-        dist,
-        inv_view.ratio,
-        Lpts,
-        settings.scan_points,
-        settings.root_xtol,
-        8_192,
-        inv_view.ratio_bounds,
+    # instead of mapping fresh pages: at SCAN_POINTS = 4,001 a block
+    # certifies 79 states and evaluates open cells 204 at a time.  Dense
+    # 512-state blocks took ~60k minor page faults and 240 MB on a (3, 8)
+    # grid-513 build.
+    cands = roots.candidates(
+        dist, inv_view.ratio, Ls, SCAN_POINTS, ROOT_XTOL, 8_192, inv_view.ratio_bounds
     )
-
-
-def _solve_row(dist, B, n, Lpts, inv_view, dec_view, settings, rows):
-    signatures = partial(_trace_signatures, rows, dist, n=n) if B == n and n >= 2 else None
-    ch = roots.choose(
-        dist,
-        Lpts,
-        _candidates(dist, inv_view, Lpts, settings),
-        inv_view.pi,
-        settings.tie_rel_tol,
-        signatures,
-        settings.multiset_tol,
-    )
+    signatures = partial(_trace_signatures, table.rows, dist, n=n) if B == n and n >= 2 else None
+    ch = roots.choose(dist, Ls, cands, inv_view.pi, TIE_REL_TOL, signatures, MULTISET_TOL)
     sel = ch.sel
     sigma = ch.x[sel]
     T0, T1 = ch.T0[sel], ch.T1[sel]
     F0, F1 = dist.cdf(0, sigma), dist.cdf(1, sigma)
-    Lm = Lpts * dist.lr_lower_tail(sigma)
+    Lm = Ls * dist.lr_lower_tail(sigma)
     p0m, p1m = dec_view.pi(Lm)
     pi0 = T0 * ch.p0c[sel] + F0 * p0m
     pi1 = T1 * ch.p1c[sel] + F1 * p1m
@@ -457,19 +443,25 @@ def _solve_row(dist, B, n, Lpts, inv_view, dec_view, settings, rows):
     irregular = ch.tie.copy()
     irregular |= ((T0 + T1) > 0.0) & np.asarray(inv_view.irregular(ch.Lp[sel]))
     irregular |= ((F0 + F1) > 0.0) & np.asarray(dec_view.irregular(Lm))
+    return ch, pi0, pi1, irregular
 
-    interior = np.array([ch.kinds[i] == KIND_INTERIOR for i in sel])
+
+def _solve_row(table, B, n, Lpts):
+    ch, pi0, pi1, irregular = _solve_states(table, B, n, Lpts)
+    sigma = ch.x[ch.sel]
+    interior = np.array([ch.kinds[i] == KIND_INTERIOR for i in ch.sel])
     if np.any(interior):
-        res = roots.gap(dist, inv_view.ratio, Lpts[interior], sigma[interior])
+        inv_view, _ = table.child_views(B, n)
+        res = roots.gap(table.dist, inv_view.ratio, Lpts[interior], sigma[interior])
         scale = np.maximum(1.0, Lpts[interior])
-        if np.any(~(np.abs(res) <= settings.residual_tol * scale)):
+        if np.any(~(np.abs(res) <= RESIDUAL_TOL * scale)):
             worst = float(np.nanmax(np.abs(res) / scale))
             raise ModelViolationError(
                 f"interior root residual {worst:.3e} exceeds tolerance on row "
                 f"(B={B}, n={n})"
             )
 
-    return PolicyRow(B, n, Lpts, sigma, pi0, pi1, irregular, dist.Q)
+    return PolicyRow(B, n, Lpts, sigma, pi0, pi1, irregular, table.Q)
 
 
 class PolicyTable:
@@ -481,10 +473,9 @@ class PolicyTable:
     invests (sigma = Q, pi = 0).
     """
 
-    def __init__(self, dist, grid, settings, rows, B0, n0):
+    def __init__(self, dist, grid, rows, B0, n0):
         self.dist = dist
         self.grid = grid
-        self.settings = settings
         self.rows = rows
         self.B0 = B0
         self.n0 = n0
@@ -570,149 +561,54 @@ def backward_induction(
     if not (1 <= B0 <= n0 <= MAX_PLAYERS):
         raise DomainError(f"need 1 <= B0 <= n0 <= {MAX_PLAYERS}")
     settings = settings or SolverSettings()
-    grid = grid or LikelihoodGrid.spanning(dist.Q, B0, settings.grid_size, settings.grid_pad)
+    grid = grid or LikelihoodGrid.spanning(dist.Q, B0, settings.grid_size)
 
     rows: dict[tuple[int, int], PolicyRow] = {}
-    table = PolicyTable(dist, grid, settings, rows, B0, n0)
+    table = PolicyTable(dist, grid, rows, B0, n0)
     for n in range(1, n0 + 1):
         b_lo = max(1, B0 - (n0 - n))
         for B in range(b_lo, min(B0, n) + 1):
-            inv_view, dec_view = table.child_views(B, n)
-            Lpts = _row_points(grid, dist.Q, B)
-            rows[(B, n)] = _solve_row(
-                dist, B, n, Lpts, inv_view, dec_view, settings, rows
-            )
+            rows[(B, n)] = _solve_row(table, B, n, _row_points(grid, dist.Q, B))
     return table
 
 
 # -- state-level operations -------------------------------------------------
 
 
-def indifference_residual(x: float, state: GameState, policy: PolicyTable) -> float:
-    """G(x) at the state; +inf when the invest child cannot complete."""
-    inv_view, _ = policy.child_views(state.B, state.n)
-    g = roots.gap(policy.dist, inv_view.ratio, state.L, float(x))
-    val = float(np.asarray(g))
-    return math.inf if math.isnan(val) else val
-
-
-def expected_utility(x: float, state: GameState, policy: PolicyTable) -> float:
-    """Mover's ex-ante utility of playing threshold x at the state."""
-    dist = policy.dist
-    inv_view, _ = policy.child_views(state.B, state.n)
-    T1 = dist.sf(1, float(x))
-    T0 = dist.sf(0, float(x))
-    Lp = state.L * dist.lr_upper_tail(float(x))
-    p0c, p1c = inv_view.pi(Lp)
-    lam = state.L / (1.0 + state.L)
-    return float(lam * T1 * p1c - (1.0 - lam) * T0 * p0c)
-
-
 def find_roots(state: GameState, policy: PolicyTable) -> RootSet:
-    """All candidate thresholds at the state, with utilities attached."""
+    """All candidate thresholds at the state, with the engine's selection.
+
+    Each candidate carries its expected utility and its residual G(x),
+    +inf where its invest child cannot complete.
+    """
     if not (1 <= state.B <= state.n):
         raise DomainError("find_roots needs a live state with 1 <= B <= n")
-    dist = policy.dist
+    ch, pi0, pi1, _ = _solve_states(policy, state.B, state.n, np.array([state.L]))
     inv_view, _ = policy.child_views(state.B, state.n)
-    cands = _candidates(dist, inv_view, np.array([state.L]), policy.settings)[0]
-    out = []
-    for x, kind in cands:
-        res = indifference_residual(x, state, policy)
-        out.append(
-            Candidate(
-                x=x,
-                kind=kind,
-                utility=expected_utility(x, state, policy),
-                residual=res,
-            )
-        )
-    rs = RootSet(state=state, candidates=tuple(out))
-    if len(out) >= 2:
-        enriched = tuple(
-            replace(c, discriminator=discriminator(i, rs, state, policy))
-            for i, c in enumerate(out)
-        )
-        rs = RootSet(state=state, candidates=enriched)
-    return rs
+    g = roots.gap(policy.dist, inv_view.ratio, state.L, ch.x)
+    res = np.where(np.isnan(g), np.inf, g)
+    cands = tuple(
+        Candidate(x=float(x), kind=kind, utility=float(u), residual=float(r))
+        for x, kind, u, r in zip(ch.x, ch.kinds, ch.U, res)
+    )
+    return RootSet(state, cands, int(ch.sel[0]), bool(ch.tie[0]), (float(pi0[0]), float(pi1[0])))
 
 
-def discriminator(i: int, root_set: RootSet, state: GameState, policy: PolicyTable) -> float:
-    """Tie-break score of candidate i against the other candidates.
-
-    A vanishing tremble by the next movers makes the mover strictly prefer
-    the candidate whose continuation performs best against the toughest
-    rival threshold; equal thresholds give equal scores by construction.
-    """
-    cands = root_set.candidates
-    if len(cands) < 2:
-        raise DomainError("discriminator needs at least two candidates")
-    dist = policy.dist
-    inv_view, _ = policy.child_views(state.B, state.n)
-    xi = cands[i].x
-    Lp = state.L * dist.lr_upper_tail(xi)
-    p0c, p1c = inv_view.pi(Lp)
-    vals = []
-    for j, cj in enumerate(cands):
-        if j == i:
-            continue
-        vals.append(
-            state.L * p1c * dist.sf(1, cj.x) - p0c * dist.sf(0, cj.x)
-        )
-    return float(max(vals))
-
-
-def select_equilibrium(
-    root_set: RootSet, state: GameState, policy: PolicyTable
-) -> tuple[float, bool]:
-    """Equilibrium threshold at the state plus an irregularity flag.
+def select_equilibrium(root_set: RootSet) -> tuple[float, bool]:
+    """Equilibrium threshold of a root set plus its irregularity flag.
 
     Highest expected utility wins; within tolerance ties the discriminator
     decides, and a discriminator tie between distinct thresholds marks the
     state irregular (the tie-break refinement has no unique selection).
     """
-    dist = policy.dist
-    inv_view, _ = policy.child_views(state.B, state.n)
-    cands = root_set.candidates
-    xs = np.array([c.x for c in cands])
-    U = np.array([c.utility for c in cands])
-    T1 = dist.sf(1, xs)
-    T0 = dist.sf(0, xs)
-    Lp = state.L * dist.lr_upper_tail(xs)
-    p0c, p1c = inv_view.pi(Lp)
-    p0c = np.atleast_1d(p0c)
-    p1c = np.atleast_1d(p1c)
-    sigs = None
-    if state.B == state.n and state.n >= 2:
-        sigs = _trace_signatures(policy.rows, dist, xs, np.atleast_1d(Lp), state.n)
-    settings = policy.settings
-    idx, tie_irr = roots.select(
-        xs, U, state.L, T1, T0, p0c, p1c, settings.tie_rel_tol, sigs, settings.multiset_tol
-    )
-    return float(xs[idx]), bool(tie_irr)
+    return root_set.candidates[root_set.selected].x, root_set.tie
 
 
-def completion_prob(
-    state: GameState, policy: PolicyTable, x: float | None = None
-) -> tuple[float, float]:
-    """Completion probability by world state under equilibrium play.
-
-    Solves the state's threshold on the fly unless x is supplied.
-    """
+def completion_prob(state: GameState, policy: PolicyTable) -> tuple[float, float]:
+    """Completion probability by world state under equilibrium play."""
     if state.B <= 0 or state.B > state.n:
         return policy.pi(state.L, state.B, state.n)
-    if x is None:
-        x, _ = select_equilibrium(find_roots(state, policy), state, policy)
-    dist = policy.dist
-    inv_view, dec_view = policy.child_views(state.B, state.n)
-    T1 = dist.sf(1, x)
-    T0 = dist.sf(0, x)
-    Lp = state.L * dist.lr_upper_tail(x)
-    p0c, p1c = inv_view.pi(Lp)
-    Lm = state.L * dist.lr_lower_tail(x)
-    p0m, p1m = dec_view.pi(Lm)
-    pi0 = T0 * p0c + dist.cdf(0, x) * p0m
-    pi1 = T1 * p1c + dist.cdf(1, x) * p1m
-    return float(pi0), float(pi1)
+    return find_roots(state, policy).pi
 
 
 def pi_ordering_scan(policy: PolicyTable, tol: float = 1e-9) -> dict:

@@ -52,6 +52,7 @@ __all__ = [
     "bisect",
     "candidates",
     "choose",
+    "discriminator",
     "gap",
     "pivotal_threshold",
     "rescue_root",
@@ -309,6 +310,18 @@ def candidates(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
     return cands
 
 
+def discriminator(L, p0c, p1c, T0_rivals, T1_rivals):
+    """Tie-break score of a candidate against its rival thresholds.
+
+    A vanishing tremble by the next movers makes the mover strictly prefer
+    the candidate whose continuation, completing with (p0c, p1c) by world,
+    pays best against the toughest rival threshold, one investing with
+    tails (T0_rivals, T1_rivals).  Equal thresholds give equal scores by
+    construction.
+    """
+    return np.max(L * p1c * T1_rivals - p0c * T0_rivals)
+
+
 def select(xs, U, L, T1, T0, p0c, p1c, tie_rel_tol, sigs=None, multiset_tol=0.0):
     """Pick the equilibrium index among one state's candidates.
 
@@ -343,9 +356,8 @@ def select(xs, U, L, T1, T0, p0c, p1c, tie_rel_tol, sigs=None, multiset_tol=0.0)
     if len(pool) == 1:
         return pool[0], False
 
-    # Discriminator: payoff of candidate i's continuation against the
-    # toughest rival threshold among the tied pool.
-    D = {i: max(L * p1c[i] * T1[j] - p0c[i] * T0[j] for j in pool if j != i) for i in pool}
+    rivals = {i: [j for j in pool if j != i] for i in pool}
+    D = {i: discriminator(L, p0c[i], p1c[i], T0[r], T1[r]) for i, r in rivals.items()}
     order = sorted(pool, key=lambda i: (-D[i], xs[i]))
     top, second = order[0], order[1]
     d_tol = tie_rel_tol * max(1.0, abs(D[top]))
@@ -357,8 +369,9 @@ def select(xs, U, L, T1, T0, p0c, p1c, tie_rel_tol, sigs=None, multiset_tol=0.0)
 class Choice:
     """Every candidate of a set of states, with the one selected per state.
 
-    Candidate arrays are flat in state order; sel[s] indexes the candidate
-    chosen at state s and tie[s] flags a discriminator tie there.
+    Candidate arrays are flat in state order; U holds each candidate's
+    expected utility, sel[s] indexes the candidate chosen at state s and
+    tie[s] flags a discriminator tie there.
     """
 
     x: np.ndarray
@@ -368,6 +381,7 @@ class Choice:
     Lp: np.ndarray
     p0c: np.ndarray
     p1c: np.ndarray
+    U: np.ndarray
     sel: np.ndarray
     tie: np.ndarray
 
@@ -409,4 +423,4 @@ def choose(dist, Ls, cands, child_pi, tie_rel_tol, signatures=None, multiset_tol
             multiset_tol,
         )
         sel[s] = lo + local
-    return Choice(x, kinds, T0, T1, Lp, p0c, p1c, sel, tie)
+    return Choice(x, kinds, T0, T1, Lp, p0c, p1c, U, sel, tie)

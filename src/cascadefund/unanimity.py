@@ -126,23 +126,17 @@ def profile_utility(dist: TypeDistribution, L: float, thresholds) -> float:
 def profile_discriminator(dist: TypeDistribution, L: float, thresholds, i: int) -> float:
     """Tie-break score of member i: best tremble payoff against a rival.
 
-    Written in the cancellation-free form L*T1(x_j)*prod_{k!=i}T1 -
-    T0(x_j)*prod_{k!=i}T0 so members at the support edge stay finite.
+    roots.discriminator with member i's continuation completing by the
+    invest tails of the other members, who are also its rivals.  The
+    product form keeps members at the support edge finite.
     """
     xs = np.asarray(thresholds, dtype=float)
     if len(xs) < 2:
         raise DomainError("discriminator needs at least two members")
-    T1 = dist.sf(1, xs)
-    T0 = dist.sf(0, xs)
+    T0, T1 = dist.sf_pair(xs)
     others = np.arange(len(xs)) != i
-    p1 = float(np.prod(T1[others]))
-    p0 = float(np.prod(T0[others]))
-    vals = [
-        L * float(T1[j]) * p1 - float(T0[j]) * p0
-        for j in range(len(xs))
-        if j != i
-    ]
-    return float(max(vals))
+    T0o, T1o = T0[others], T1[others]
+    return float(roots.discriminator(L, np.prod(T0o), np.prod(T1o), T0o, T1o))
 
 
 def _member_residual(dist, L, xs, i):

@@ -181,7 +181,7 @@ def test_04_screening_never_exceeds_stand_alone_cut():
             Lc = float(L)
             for m in range(4, 0, -1):
                 st = GameState(Lc, m, m)
-                x, _ = select_equilibrium(find_roots(st, pol), st, pol)
+                x, _ = select_equilibrium(find_roots(st, pol))
                 xs.append(x)
                 Lc *= float(d.lr_upper_tail(x))
             shim = types.SimpleNamespace(thresholds=np.asarray(xs), L=float(L))

@@ -19,6 +19,7 @@ from cascadefund.beliefs import (
     TypeDistribution,
 )
 from cascadefund.engine import (
+    TIE_REL_TOL,
     GameState,
     LikelihoodGrid,
     ModelViolationError,
@@ -26,11 +27,7 @@ from cascadefund.engine import (
     SolverSettings,
     backward_induction,
     completion_prob,
-    discriminator,
-    expected_utility,
     find_roots,
-    indifference_residual,
-    last_mover_threshold,
     pi_ordering_scan,
     select_equilibrium,
 )
@@ -46,18 +43,8 @@ def pol58(solved):
 
 
 class TestLastMover:
-    def test_even_odds_is_half(self):
-        assert last_mover_threshold(1.0) == 0.5
-
-    def test_vectorized(self):
-        L = np.array([0.5, 1.0, 3.0])
-        out = last_mover_threshold(L)
-        assert np.array_equal(out, 1.0 / (1.0 + L))
-
-    def test_rejects_bad_odds(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                last_mover_threshold(bad)
+    def test_even_odds_is_half(self, pol58):
+        assert pol58.sigma(1.0, 1, 1) == 0.5
 
     def test_sigma_closed_form_is_exact(self, pol58, rng):
         # B <= 1 decouples from the future, so the stored policy must
@@ -77,7 +64,7 @@ class TestLastMover:
 class TestTwoPlayerAnchors:
     def test_threshold_at_even_odds(self, pol58):
         st = GameState(L=1.0, B=2, n=2)
-        x, irregular = select_equilibrium(find_roots(st, pol58), st, pol58)
+        x, irregular = select_equilibrium(find_roots(st, pol58))
         assert x == pytest.approx(0.4, abs=1e-6)
         assert not irregular
 
@@ -86,26 +73,35 @@ class TestTwoPlayerAnchors:
         assert p0 == pytest.approx(U58[0], abs=1e-6)
         assert p1 == pytest.approx(U58[1], abs=1e-6)
 
-    def test_completion_matches_stored_row(self, pol58):
+    def test_completion_matches_stored_row(self, pol58, solved):
         p0, p1 = completion_prob(GameState(L=1.0, B=2, n=2), pol58)
         s0, s1 = pol58.row(2, 2).pi_at(1.0)
         assert p0 == pytest.approx(s0, abs=1e-5)
         assert p1 == pytest.approx(s1, abs=1e-5)
+        # A single-state query takes the same solve as a table row, so at
+        # stored points it reproduces the row bit for bit.
+        for R, B, n in ((0.65, 2, 3), (0.5, 3, 5)):
+            pol = solved(QualitySpec.uniform(R, 0.8), B, n, grid_size=257)
+            for (b, m), row in sorted(pol.rows.items()):
+                for k in range(0, row.L.size, 8):
+                    st = GameState(L=float(row.L[k]), B=b, n=m)
+                    x, _ = select_equilibrium(find_roots(st, pol))
+                    assert x == row.sigma[k], (R, b, m, k)
+                    assert completion_prob(st, pol) == (row.pi0[k], row.pi1[k]), (R, b, m, k)
 
     def test_expected_utility_values(self, pol58):
-        st = GameState(L=1.0, B=2, n=2)
-        assert expected_utility(0.4, st, pol58) == pytest.approx(U58_UTIL, abs=1e-6)
-        # Threshold at the top of the support means never investing.
-        assert expected_utility(0.8, st, pol58) == 0.0
+        rs = find_roots(GameState(L=1.0, B=2, n=2), pol58)
+        assert rs.candidates[rs.selected].utility == pytest.approx(U58_UTIL, abs=1e-6)
 
     def test_residual_small_at_equilibrium(self, pol58):
-        st = GameState(L=1.0, B=2, n=2)
-        x, _ = select_equilibrium(find_roots(st, pol58), st, pol58)
-        assert abs(indifference_residual(x, st, pol58)) <= 1e-8
+        rs = find_roots(GameState(L=1.0, B=2, n=2), pol58)
+        assert abs(rs.candidates[rs.selected].residual) <= 1e-8
 
     def test_residual_sentinel_when_invest_child_dead(self, pol58):
-        # Odds so low that even a top signal leaves the child unwinnable.
-        assert indifference_residual(0.5, GameState(L=0.01, B=2, n=2), pol58) == math.inf
+        # Odds so low that even a top signal leaves the child unwinnable:
+        # the only candidate is never investing, and its G is undefined.
+        rs = find_roots(GameState(L=0.01, B=2, n=2), pol58)
+        assert [(c.kind, c.residual) for c in rs.candidates] == [("herd_decline", math.inf)]
 
 
 class TestCandidateKinds:
@@ -123,7 +119,7 @@ class TestCandidateKinds:
         rs = find_roots(st, pol58)
         kinds = [c.kind for c in rs.candidates]
         assert kind in kinds
-        sel, _ = select_equilibrium(rs, st, pol58)
+        sel, _ = select_equilibrium(rs)
         if edge is not None:
             assert sel == getattr(pol58.dist, edge)
 
@@ -132,13 +128,6 @@ class TestCandidateKinds:
             find_roots(GameState(L=1.0, B=0, n=2), pol58)
         with pytest.raises(DomainError):
             find_roots(GameState(L=1.0, B=3, n=2), pol58)
-
-    def test_discriminator_needs_two(self, pol58):
-        st = GameState(L=1.0, B=2, n=2)
-        rs = find_roots(st, pol58)
-        if len(rs.candidates) == 1:
-            with pytest.raises(DomainError):
-                discriminator(0, rs, st, pol58)
 
 
 class TestPlateaus:
@@ -192,7 +181,7 @@ class TestSelection:
             self._flat(0.5),
             self._flat(0.3),
             self._flat(0.6),
-            SolverSettings().tie_rel_tol,
+            TIE_REL_TOL,
         )
         assert irr
         assert idx == 0
@@ -206,7 +195,7 @@ class TestSelection:
             self._flat(0.5),
             self._flat(0.3),
             self._flat(0.6),
-            SolverSettings().tie_rel_tol,
+            TIE_REL_TOL,
         )
         assert (idx, irr) == (0, False)
 
@@ -221,7 +210,7 @@ class TestSelection:
             self._flat(0.5),
             np.array([0.3, 0.3]),
             np.array([0.5, 0.9]),
-            SolverSettings().tie_rel_tol,
+            TIE_REL_TOL,
         )
         assert (idx, irr) == (1, False)
 
@@ -261,8 +250,6 @@ class TestTableShape:
     def test_settings_validation(self):
         with pytest.raises(DomainError):
             SolverSettings(grid_size=4)
-        with pytest.raises(DomainError):
-            SolverSettings(grid_pad=0.5)
 
     def test_bad_requirement_rejected(self, pol58):
         with pytest.raises(DomainError):

@@ -16,6 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cascadefund import roots
 from cascadefund.beliefs import OutOfSupportWarning, QualitySpec, TypeDistribution
 from cascadefund.engine import (
+    ROOT_XTOL,
+    SCAN_POINTS,
     LikelihoodGrid,
     PolicyRow,
     SolverSettings,
@@ -51,10 +53,9 @@ def vanishing_end_spec():
 
 def assert_rows_scan_alike(table):
     """Every row of the table scans to the same roots either way."""
-    s = table.settings
     for (B, n), row in sorted(table.rows.items()):
         inv_view, _ = table.child_views(B, n)
-        args = (table.dist, inv_view.ratio, row.L, s.scan_points, s.root_xtol, 8_192)
+        args = (table.dist, inv_view.ratio, row.L, SCAN_POINTS, ROOT_XTOL, 8_192)
         dense = roots.scan_roots(*args)
         assert roots.scan_roots(*args, inv_view.ratio_bounds) == dense, (B, n)
     return len(table.rows)
@@ -249,7 +250,7 @@ def test_each_row_logs_its_scan(caplog):
         table = backward_induction(dist, 2, 3, settings=SolverSettings(grid_size=65))
     records = [r for r in caplog.records if r.name == "cascadefund"]
     assert len(records) == len(table.rows)
-    cells = len(range(0, table.settings.scan_points - 1, roots.CELL_POINTS - 1))
+    cells = len(range(0, SCAN_POINTS - 1, roots.CELL_POINTS - 1))
     for ((B, n), row), rec in zip(sorted(table.rows.items(), key=lambda kv: kv[0][::-1]), records):
         states, certified, evaluated, unbounded, brackets = rec.args
         assert rec.levelno == logging.DEBUG
