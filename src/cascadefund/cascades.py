@@ -1,11 +1,13 @@
-"""Cascade bounds, herd predicates, and delegation startability.
+"""Cascade bounds and delegation startability.
 
 Once public odds of a good world reach Q/(1-Q), even the most pessimistic
 type invests and actions stop carrying information (an up-cascade).  Once
 the odds fall to ((1-Q)/Q)^B, recovery through B more investments is
 impossible and everyone declines (a down-cascade).  Between those bounds
 actions stay informative, which caps how much public learning a finished
-game can exhibit.
+game can exhibit.  Whether a herd is an equilibrium at a given state
+depends on the solved continuation, so that test lives with the solvers
+(cascadefund.roots.herd_flags), not here.
 
 A "delegating" threshold at the bottom of the support makes a player
 invest for every type, starting an up-cascade from inside the game.  That
@@ -30,8 +32,6 @@ __all__ = [
     "cascade_startable",
     "cascade_trigger",
     "down_cascade_bound",
-    "herd_decline_holds",
-    "herd_invest_necessary",
     "in_down_cascade",
     "in_up_cascade",
     "learning_bound",
@@ -123,37 +123,6 @@ def min_R_for_cascades(Q: float) -> float:
     """Least uniform-quality floor R at which cascades become startable."""
     _check_Q(Q)
     return 1.0 / (1.0 + math.sqrt((1.0 - Q) * (1.0 + Q) / (Q * (2.0 - Q))))
-
-
-def herd_decline_holds(L: float, B: int, n: int, policy) -> bool:
-    """Whether a herd of decliners is self-consistent at (L, B, n).
-
-    Declining en masse is an equilibrium iff the most optimistic type
-    still prefers out: L*Q/(1-Q) at the child state reached by an
-    (off-path) invest cannot cover the completion-odds ratio there.  A
-    dead child (completion impossible) makes declining trivially optimal.
-    """
-    Q = policy.dist.Q
-    child_L = L * Q / (1.0 - Q)
-    ratio = policy.ratio(child_L, B - 1, n - 1)
-    if math.isinf(ratio):
-        return True
-    return child_L <= ratio * (1.0 + 1e-12)
-
-
-def herd_invest_necessary(L: float, B: int, n: int, policy) -> bool:
-    """Necessary condition for a herd of investors at (L, B, n).
-
-    Investing for every type means actions carry no information, so the
-    child state keeps odds L; the most pessimistic type must then prefer
-    investing: L*(1-Q)/Q at least the completion-odds ratio at (L, B-1, n-1).
-    A dead child fails the condition outright.
-    """
-    Q = policy.dist.Q
-    ratio = policy.ratio(L, B - 1, n - 1)
-    if math.isinf(ratio):
-        return False
-    return L * (1.0 - Q) / Q >= ratio * (1.0 - 1e-12)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from cascadefund.cascades import analyze as cascade_analyze
 from cascadefund.cascades import min_R_for_cascades
 from cascadefund.engine import (
     GameState,
-    SolverSettings,
     backward_induction,
     pi_ordering_scan,
 )
@@ -408,9 +407,7 @@ def _out_prefix(cfg: RunConfig, command: str) -> str:
 
 def cmd_solve(cfg: RunConfig) -> int:
     dist = TypeDistribution(cfg.spec)
-    policy = backward_induction(
-        dist, cfg["B"], cfg["n"], settings=SolverSettings(grid_size=cfg["grid_size"])
-    )
+    policy = backward_induction(dist, cfg["B"], cfg["n"], grid_size=cfg["grid_size"])
     prefix = _out_prefix(cfg, "solve")
     config = _public_config(cfg)
 
@@ -460,11 +457,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     n = cfg["n"]
     Ls = _L_grid(cfg)
     # Larger games walk the diagonal of an engine table at the run's grid.
-    policy = (
-        backward_induction(dist, n, n, settings=SolverSettings(grid_size=cfg["grid_size"]))
-        if n >= 3
-        else None
-    )
+    policy = backward_induction(dist, n, n, grid_size=cfg["grid_size"]) if n >= 3 else None
     sweep = sweep_profiles(dist, n, Ls, policy=policy)
     prefix = _out_prefix(cfg, "sweep")
     config = _public_config(cfg)
@@ -496,9 +489,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     dist = TypeDistribution(cfg.spec)
-    policy = backward_induction(
-        dist, cfg["B"], cfg["n"], settings=SolverSettings(grid_size=cfg["grid_size"])
-    )
+    policy = backward_induction(dist, cfg["B"], cfg["n"], grid_size=cfg["grid_size"])
     state = GameState(cfg["L0"], cfg["B"], cfg["n"])
     batch = simulate_runs(policy, state, cfg["runs"], cfg["seed"])
     est = completion_from_batch(batch)

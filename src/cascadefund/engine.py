@@ -21,7 +21,11 @@ cascadefund.roots; this module supplies the child rows they evaluate.
 Tables are solved bottom-up in n on a log-odds grid wide enough to hold
 every reachable state, with extra grid points pinned at the analytic
 cascade bounds so the all-invest and all-decline plateaus are resolved
-sharply.  Row queries interpolate linearly in log odds.
+sharply.  Row queries interpolate linearly in log odds; a state (1, 1)
+is read in closed form instead, by table queries and parent rows alike.
+The only setting is the grid: the points themselves or their number
+(`backward_induction`); the root tolerances are those of
+cascadefund.roots.
 
 One path solves live states, `_solve_states`: candidates and selection
 from cascadefund.roots, then the completion recurrence and the irregular
@@ -44,7 +48,13 @@ from cascadefund.beliefs import (
     OutOfSupportWarning,
     TypeDistribution,
 )
-from cascadefund.roots import KIND_INTERIOR, ModelViolationError
+from cascadefund.roots import (
+    KIND_INTERIOR,
+    RESIDUAL_TOL,
+    ROOT_XTOL,
+    TIE_REL_TOL,
+    ModelViolationError,
+)
 
 __all__ = [
     "Candidate",
@@ -54,7 +64,6 @@ __all__ = [
     "PolicyRow",
     "PolicyTable",
     "RootSet",
-    "SolverSettings",
     "backward_induction",
     "completion_prob",
     "find_roots",
@@ -65,9 +74,6 @@ __all__ = [
 MAX_PLAYERS = 50
 
 SCAN_POINTS = 4001  # candidate scan points over the support per state
-ROOT_XTOL = 1e-12  # bisection tolerance on a root
-RESIDUAL_TOL = 1e-9  # bound on an interior root's |G| / max(1, L)
-TIE_REL_TOL = 1e-9  # relative tolerance of utility and discriminator ties
 GRID_PAD = 10.0  # factor by which the spanning grid overhangs the cascade bounds
 # Candidates whose continuation multisets agree within this absolute
 # spread are treated as the same equilibrium outcome (B = n rows).
@@ -87,15 +93,6 @@ class GameState:
             raise DomainError(f"need finite positive odds, got L={self.L}")
         if self.n < 0:
             raise DomainError("player count cannot be negative")
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    grid_size: int = 2001
-
-    def __post_init__(self) -> None:
-        if self.grid_size < 16:
-            raise DomainError("grid_size must be at least 16")
 
 
 class LikelihoodGrid:
@@ -174,8 +171,6 @@ class PolicyRow:
         live = pi1 > 0.0
         self._live_logL = self.logL[live]
         self._live_logratio = np.log(np.maximum(pi0[live], 1e-300) / pi1[live])
-        self._live_pi0 = pi0[live]
-        self._live_pi1 = pi1[live]
         self._logratio_lo, self._logratio_hi = _range_tables(self._live_logratio)
 
     def _outside(self, lo, hi):
@@ -302,10 +297,10 @@ class _StateView:
     alone and completion is certain.  "dead" (B > n): the drive cannot
     fill, nobody invests and completion is impossible.  "last" (B = n = 1):
     a sole remaining pivotal mover, evaluated in closed form rather than
-    from a stored row, so parents of that state carry no interpolation
-    error.  "row": a solved table row.  Every kind bounds its ratio over
-    odds intervals (`ratio_bounds`), so every engine row takes the
-    certified root scan.
+    from a stored row, so neither parents of that state nor queries at it
+    carry interpolation error.  "row": a solved table row.  Every kind
+    bounds its ratio over odds intervals (`ratio_bounds`), so every engine
+    row takes the certified root scan.
     """
 
     def __init__(self, kind: str, dist, row: PolicyRow | None = None):
@@ -386,7 +381,8 @@ class _StateView:
             z = np.zeros_like(La)
             return (z, z.copy()) if La.ndim else (0.0, 0.0)
         if self.kind == "last":
-            return self._last_pi(La)
+            p0, p1 = self._last_pi(La)
+            return (p0, p1) if La.ndim else (float(p0), float(p1))
         return self.row.pi_at(La)
 
     def irregular(self, L):
@@ -470,7 +466,12 @@ class PolicyTable:
     Queries outside stored rows use the terminal conventions: B <= 0 means
     the drive has already filled, so movers bet on private beliefs alone
     (sigma = 1/(1+L), pi = 1); B > n means the drive cannot fill, nobody
-    invests (sigma = Q, pi = 0).
+    invests (sigma = Q, pi = 0).  Every query at (1, 1), from the table or
+    from a parent row's solve, reads the closed-form last mover; the stored
+    (1, 1) row is output only.  `sigma` takes the closed form at every
+    B = 1: the mover's own investment fills the drive, so she bets on the
+    world alone.  Her pi and ratio at n >= 2 still depend on later movers
+    and come from the stored row.
     """
 
     def __init__(self, dist, grid, rows, B0, n0):
@@ -495,12 +496,13 @@ class PolicyTable:
             return _StateView("won", self.dist)
         if B > n:
             return _StateView("dead", self.dist)
+        if (B, n) == (1, 1):
+            return _StateView("last", self.dist)
         return _StateView("row", self.dist, self.row(B, n))
 
     def sigma(self, L, B: int, n: int):
-        if B == 1 and n >= 1:
-            # Needing one more investment decouples the mover from the
-            # future, as for a sole pivotal mover.  Exact, no grid error.
+        if B == 1 and n >= 2:
+            # Exact, no grid error (class docstring).
             return _StateView("last", self.dist).sigma(L)
         return self._view(B, n).sigma(L)
 
@@ -508,24 +510,15 @@ class PolicyTable:
         return self._view(B, n).pi(L)
 
     def ratio(self, L, B: int, n: int):
+        """Completion-odds ratio pi0/pi1; +inf where completion is impossible."""
         return self._view(B, n).ratio(L)
 
     def irregular_at(self, L, B: int, n: int):
         return self._view(B, n).irregular(L)
 
     def child_views(self, B: int, n: int) -> tuple[_StateView, _StateView]:
-        """Invest child (B-1, n-1) and decline child (B, n-1) query views.
-
-        A (1, 1) child is the closed-form last mover; table queries at
-        (1, 1) still read the stored row.
-        """
-
-        def view(Bc: int, nc: int) -> _StateView:
-            if (Bc, nc) == (1, 1):
-                return _StateView("last", self.dist)
-            return self._view(Bc, nc)
-
-        return view(B - 1, n - 1), view(B, n - 1)
+        """Invest child (B-1, n-1) and decline child (B, n-1) query views."""
+        return self._view(B - 1, n - 1), self._view(B, n - 1)
 
     def iter_rows(self):
         for (B, n) in sorted(self.rows):
@@ -555,13 +548,18 @@ def backward_induction(
     B0: int,
     n0: int,
     grid: LikelihoodGrid | None = None,
-    settings: SolverSettings | None = None,
+    grid_size: int = 2001,
 ) -> PolicyTable:
-    """Solve every row reachable from (B0, n0), in ascending n."""
+    """Solve every row reachable from (B0, n0), in ascending n.
+
+    The rows are solved on `grid`, or else on a spanning grid of
+    `grid_size` points.
+    """
     if not (1 <= B0 <= n0 <= MAX_PLAYERS):
         raise DomainError(f"need 1 <= B0 <= n0 <= {MAX_PLAYERS}")
-    settings = settings or SolverSettings()
-    grid = grid or LikelihoodGrid.spanning(dist.Q, B0, settings.grid_size)
+    if grid_size < 16:
+        raise DomainError("grid_size must be at least 16")
+    grid = grid or LikelihoodGrid.spanning(dist.Q, B0, grid_size)
 
     rows: dict[tuple[int, int], PolicyRow] = {}
     table = PolicyTable(dist, grid, rows, B0, n0)

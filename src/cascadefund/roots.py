@@ -54,6 +54,7 @@ __all__ = [
     "choose",
     "discriminator",
     "gap",
+    "herd_flags",
     "pivotal_threshold",
     "rescue_root",
     "scan_roots",
@@ -67,6 +68,10 @@ __all__ = [
 # NaN where a written bound on that rounding is not far below the margin.
 CELL_POINTS = 40
 CELL_MARGIN = 1e-9
+
+ROOT_XTOL = 1e-12  # bisection tolerance on a root
+RESIDUAL_TOL = 1e-9  # bound on an interior root's |G| / max(1, L)
+TIE_REL_TOL = 1e-9  # relative tolerance of utility and discriminator ties
 
 
 def _debug(msg, *args):
@@ -275,21 +280,30 @@ def rescue_root(dist, child_ratio, L, xtol):
     return float(root[0])
 
 
-def candidates(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
-    """Interior roots plus playable herd thresholds, as (x, kind) per state."""
+def herd_flags(dist, child_ratio, Ls):
+    """Where the two herd thresholds are playable, as (herd_inv, herd_dec).
+
+    Investing for every type (x = 1-Q) keeps the odds at L, so it is
+    playable when the worst type still clears the child ratio there;
+    declining for every type (x = Q) is playable when the best type cannot
+    clear the ratio at odds L * Q/(1-Q), or the invest child is dead
+    outright.  One-ulp slack keeps states exactly at a cascade bound on
+    the herd side.
+    """
     Q = dist.Q
     up = Q / (1.0 - Q)
-    roots = scan_roots(dist, child_ratio, Ls, scan, xtol, budget, bounds)
-
-    # Investing for every type keeps odds at L, so it is playable when the
-    # worst type still clears the child ratio; declining for every type is
-    # playable when the best type cannot clear it (or the invest child is
-    # dead outright).  One-ulp slack keeps states exactly at a cascade
-    # bound on the herd side.
     r_at_L = np.asarray(child_ratio(Ls), dtype=float)
     herd_inv = np.isfinite(r_at_L) & (Ls * (1.0 - Q) / Q >= r_at_L * (1.0 - 1e-15))
     r_at_up = np.asarray(child_ratio(Ls * up), dtype=float)
     herd_dec = ~np.isfinite(r_at_up) | (Ls * up <= r_at_up * (1.0 + 1e-15))
+    return herd_inv, herd_dec
+
+
+def candidates(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
+    """Interior roots plus playable herd thresholds, as (x, kind) per state."""
+    Q = dist.Q
+    roots = scan_roots(dist, child_ratio, Ls, scan, xtol, budget, bounds)
+    herd_inv, herd_dec = herd_flags(dist, child_ratio, Ls)
 
     cands: list[list[tuple[float, str]]] = []
     for s in range(len(Ls)):

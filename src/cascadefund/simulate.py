@@ -28,30 +28,13 @@ __all__ = [
     "BLOCK_RUNS",
     "BatchRuns",
     "CompletionEstimate",
-    "RunRecord",
     "completion_from_batch",
     "end_likelihood_stats",
     "estimate_completion",
-    "simulate_run",
     "simulate_runs",
 ]
 
 BLOCK_RUNS = 4096
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One simulated drive: private draws, actions, and the odds path."""
-
-    world: int
-    types: np.ndarray
-    actions: np.ndarray
-    likelihood_path: np.ndarray
-    completed: bool
-
-    @property
-    def L_end(self) -> float:
-        return float(self.likelihood_path[-1])
 
 
 @dataclass(frozen=True)
@@ -70,15 +53,6 @@ class BatchRuns:
     @property
     def L_end(self) -> np.ndarray:
         return self.paths[:, -1]
-
-    def record(self, i: int) -> RunRecord:
-        return RunRecord(
-            world=int(self.world[i]),
-            types=self.types[i].copy(),
-            actions=self.actions[i].copy(),
-            likelihood_path=self.paths[i].copy(),
-            completed=bool(self.completed[i]),
-        )
 
 
 def _simulate_block(policy: PolicyTable, state: GameState, count: int, seed_seq):
@@ -134,10 +108,6 @@ def simulate_runs(
     return BatchRuns(world, types, actions, paths, completed)
 
 
-def simulate_run(policy: PolicyTable, state: GameState, seed: int) -> RunRecord:
-    return simulate_runs(policy, state, 1, seed).record(0)
-
-
 @dataclass(frozen=True)
 class CompletionEstimate:
     """Conditional completion frequencies by world, with binomial errors.
@@ -183,6 +153,11 @@ def completion_from_batch(batch: BatchRuns) -> CompletionEstimate:
 def estimate_completion(
     policy: PolicyTable, state: GameState, runs: int, seed: int
 ) -> CompletionEstimate:
+    """Completion frequencies from a fresh batch of `runs` drives.
+
+    The one-call library form of simulate_runs plus completion_from_batch;
+    settled states give their exact values without simulating.
+    """
     if state.B <= 0 or state.B > state.n:
         p0, p1 = policy.pi(state.L, state.B, state.n)
         return CompletionEstimate(p0, p1, 0.0, 0.0, runs, runs)

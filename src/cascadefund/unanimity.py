@@ -21,6 +21,10 @@ independent is how a child state is evaluated: exact recursion here,
 interpolation in solved table rows there, and that is what the
 grid-versus-exact comparison checks.  Only the sweep helper may build an
 engine table, for n >= 3.
+
+Nothing here is a setting: the scan sizes are module constants, and the
+root, residual and tie tolerances are those of cascadefund.roots, the
+same the engine uses.
 """
 
 from __future__ import annotations
@@ -33,12 +37,18 @@ import numpy as np
 from cascadefund import roots
 from cascadefund.beliefs import DomainError, TypeDistribution
 from cascadefund.cascades import cascade_trigger, in_down_cascade, in_up_cascade, up_cascade_bound
-from cascadefund.roots import KIND_HERD_DECLINE, KIND_HERD_INVEST, KIND_INTERIOR
+from cascadefund.roots import (
+    KIND_HERD_DECLINE,
+    KIND_HERD_INVEST,
+    KIND_INTERIOR,
+    RESIDUAL_TOL,
+    ROOT_XTOL,
+    TIE_REL_TOL,
+)
 
 __all__ = [
     "DelegationReport",
     "ThresholdProfile",
-    "UnanimitySettings",
     "asymmetric_profiles",
     "completion_prob_unanimity",
     "delegation_analysis",
@@ -53,19 +63,18 @@ __all__ = [
     "sweep_profiles",
 ]
 
-@dataclass(frozen=True)
-class UnanimitySettings:
-    # Scan densities only bracket roots; precision comes from bisection.
-    # Deeper recursion levels use coarser scans to keep n=4 tractable.
-    scan_top: int = 1201
-    scan_rec: int = 151
-    scan_deep: int = 101
-    root_xtol: float = 1e-12
-    residual_tol: float = 1e-9
-    tie_rel_tol: float = 1e-9
-    split_scan: int = 801
-    gs_restarts: int = 6
-    gs_iters: int = 120
+
+# Ladder scan points at the top level, one level down, and deeper.  Scans
+# only bracket roots; precision comes from bisection.  Deeper recursion
+# levels use coarser scans to keep n=4 tractable.
+SCAN_TOP = 1201
+SCAN_REC = 151
+SCAN_DEEP = 101
+# asymmetric_profiles: scan points of the two-value split, and the restarts
+# and sweeps of its Gauss-Seidel search for profiles with more values.
+SPLIT_SCAN = 801
+GS_RESTARTS = 6
+GS_ITERS = 120
 
 
 def _psi(dist: TypeDistribution, x):
@@ -173,7 +182,7 @@ def symmetric_threshold(L: float, dist: TypeDistribution, n: int, xtol: float = 
 # -- exact recursive ladder ---------------------------------------------------
 
 
-def _ladder_solve(dist, Ls, m, settings, depth=0):
+def _ladder_solve(dist, Ls, m, depth=0):
     """Solve the m-player must-fill game exactly at each odds point.
 
     Returns (x_first, pi0, pi1, tie), where tie flags a discriminator tie
@@ -187,18 +196,18 @@ def _ladder_solve(dist, Ls, m, settings, depth=0):
         return x, dist.sf(0, x), dist.sf(1, x), np.zeros(np.shape(x), dtype=bool)
 
     if depth == 0:
-        scan = settings.scan_top
+        scan = SCAN_TOP
     elif depth == 1:
-        scan = settings.scan_rec
+        scan = SCAN_REC
     else:
-        scan = settings.scan_deep
+        scan = SCAN_DEEP
     # Below this the child subgame declines for every type, with certainty;
     # shrink the analytic bound a hair so boundary queries still get the
     # exact recursive answer.
     dead_child = (dist.lo / dist.hi) ** (m - 1) * (1.0 - 1e-12)
 
     def child_pi(Lq):
-        return _ladder_solve(dist, Lq, m - 1, settings, depth + 1)[1:3]
+        return _ladder_solve(dist, Lq, m - 1, depth + 1)[1:3]
 
     def child_ratio(Lq):
         shape = np.shape(Lq)
@@ -214,15 +223,15 @@ def _ladder_solve(dist, Ls, m, settings, depth=0):
     # scan, keeps the temporaries of the scan and of the child solves small.
     # At five states they sit at glibc's heap-trim threshold, and in some
     # heap layouts every block returns its pages and faults them back in.
-    cands = roots.candidates(dist, child_ratio, Ls, scan, settings.root_xtol, 5_120)
-    ch = roots.choose(dist, Ls, cands, child_pi, settings.tie_rel_tol)
+    cands = roots.candidates(dist, child_ratio, Ls, scan, ROOT_XTOL, 5_120)
+    ch = roots.choose(dist, Ls, cands, child_pi, TIE_REL_TOL)
     sel = ch.sel
     # One decline kills a must-fill drive: completion runs through the
     # invest child alone.
     return ch.x[sel], ch.T0[sel] * ch.p0c[sel], ch.T1[sel] * ch.p1c[sel], ch.tie
 
 
-def _ladder_walk(dist, Ls, n, settings):
+def _ladder_walk(dist, Ls, n):
     """Thresholds along the all-invest path from each starting odds point.
 
     Returns (xs, irregular).  Row i of xs holds the playing-order profile
@@ -234,24 +243,20 @@ def _ladder_walk(dist, Ls, n, settings):
     """
     if n < 1:
         raise DomainError("need at least one player")
-    settings = settings or UnanimitySettings()
     Lc = np.asarray(Ls, dtype=float)
     xs = np.empty((len(Lc), n))
     irregular = np.zeros(len(Lc), dtype=bool)
     for j, m in enumerate(range(n, 0, -1)):
-        xs[:, j], _, _, tie = _ladder_solve(dist, Lc, m, settings)
+        xs[:, j], _, _, tie = _ladder_solve(dist, Lc, m)
         irregular |= tie
         Lc = Lc * dist.lr_upper_tail(xs[:, j])
     return xs, irregular
 
 
-def solve_unanimity(
-    L: float, dist: TypeDistribution, n: int, settings: UnanimitySettings | None = None
-) -> ThresholdProfile:
+def solve_unanimity(L: float, dist: TypeDistribution, n: int) -> ThresholdProfile:
     """Exact equilibrium of the n-player must-fill game, in playing order."""
-    settings = settings or UnanimitySettings()
-    thresholds = _ladder_walk(dist, [float(L)], n, settings)[0][0]
-    return _finish_profile(dist, float(L), thresholds, settings)
+    thresholds = _ladder_walk(dist, [float(L)], n)[0][0]
+    return _finish_profile(dist, float(L), thresholds)
 
 
 def _member_kind(dist, x):
@@ -262,7 +267,7 @@ def _member_kind(dist, x):
     return KIND_INTERIOR
 
 
-def _finish_profile(dist, L, thresholds, settings, reorder=False) -> ThresholdProfile:
+def _finish_profile(dist, L, thresholds, reorder=False) -> ThresholdProfile:
     xs = list(map(float, thresholds))
     n = len(xs)
     if reorder and n >= 2:
@@ -289,15 +294,15 @@ def _finish_profile(dist, L, thresholds, settings, reorder=False) -> ThresholdPr
     )
 
 
-def _profile_valid(dist, L, xs, kinds, tol) -> bool:
-    scale = max(1.0, L)
+def _profile_valid(dist, L, xs, kinds) -> bool:
+    tol = RESIDUAL_TOL * max(1.0, L)
     for i, (x, kind) in enumerate(zip(xs, kinds)):
         r = _member_residual(dist, L, xs, i)
-        if kind == KIND_INTERIOR and abs(r) > tol * scale:
+        if kind == KIND_INTERIOR and abs(r) > tol:
             return False
-        if kind == KIND_HERD_INVEST and r < -tol * scale:
+        if kind == KIND_HERD_INVEST and r < -tol:
             return False
-        if kind == KIND_HERD_DECLINE and r > tol * scale:
+        if kind == KIND_HERD_DECLINE and r > tol:
             return False
     return True
 
@@ -323,9 +328,7 @@ def _solve_inner(dist, L, rhs_fixed, m2):
     return float(out) if out.ndim == 0 else out
 
 
-def asymmetric_profiles(
-    L: float, dist: TypeDistribution, n: int, settings: UnanimitySettings | None = None
-) -> list[ThresholdProfile]:
+def asymmetric_profiles(L: float, dist: TypeDistribution, n: int) -> list[ThresholdProfile]:
     """Enumerate equilibrium threshold multisets of the must-fill game.
 
     Always contains the symmetric profile.  Two-value profiles are found
@@ -334,11 +337,10 @@ def asymmetric_profiles(
     symmetric starts, so for n > 2 the enumeration is heuristic rather
     than exhaustive.  Members are emitted first-mover first.
     """
-    settings = settings or UnanimitySettings()
     if n < 1:
         raise DomainError("need at least one player")
     if n == 1:
-        return [_finish_profile(dist, L, [roots.pivotal_threshold(dist, L)], settings)]
+        return [_finish_profile(dist, L, [roots.pivotal_threshold(dist, L)])]
 
     lo, hi = dist.lo, dist.hi
     found: list[list[float]] = []
@@ -349,7 +351,7 @@ def asymmetric_profiles(
             if max(abs(a - b) for a, b in zip(old, xs)) <= 1e-7:
                 return
         kinds = [_member_kind(dist, x) for x in xs]
-        if _profile_valid(dist, L, xs, kinds, settings.residual_tol):
+        if _profile_valid(dist, L, xs, kinds):
             found.append(xs)
 
     push([symmetric_threshold(L, dist, n)] * n)
@@ -366,7 +368,7 @@ def asymmetric_profiles(
             )
             return resid, b
 
-        grid = np.linspace(lo, hi, settings.split_scan)
+        grid = np.linspace(lo, hi, SPLIT_SCAN)
         vals, _ = outer(grid)
         # Delegate block at the bottom edge.
         if vals[0] >= 0.0:
@@ -378,7 +380,7 @@ def asymmetric_profiles(
                 lambda m: (float(outer(m)[0]) > 0.0) == (f_lo > 0.0),
                 float(grid[j]),
                 float(grid[j + 1]),
-                settings.root_xtol,
+                ROOT_XTOL,
                 100,
             )
             a_star = 0.5 * (a_lo + a_hi)
@@ -388,12 +390,12 @@ def asymmetric_profiles(
     if n >= 3:
         rng = np.random.default_rng(7)
         base = symmetric_threshold(L, dist, n)
-        for _ in range(settings.gs_restarts):
+        for _ in range(GS_RESTARTS):
             xs = np.clip(
                 base + rng.uniform(-0.2, 0.2, size=n) * (hi - lo), lo, hi
             )
             ok = True
-            for _ in range(settings.gs_iters):
+            for _ in range(GS_ITERS):
                 moved = 0.0
                 for i in range(n):
                     rhs = float(np.prod(_psi(dist, np.delete(xs, i))))
@@ -407,12 +409,12 @@ def asymmetric_profiles(
                         new = hi
                     else:
                         a, b = roots.bisect(
-                            lambda v: gi(v) <= 0.0, lo, hi, settings.root_xtol
+                            lambda v: gi(v) <= 0.0, lo, hi, ROOT_XTOL
                         )
                         new = 0.5 * (a + b)
                     moved = max(moved, abs(new - xs[i]))
                     xs[i] = new
-                if moved <= settings.root_xtol:
+                if moved <= ROOT_XTOL:
                     break
             else:
                 ok = False
@@ -420,7 +422,7 @@ def asymmetric_profiles(
                 push(list(xs))
 
     return [
-        _finish_profile(dist, L, xs, settings, reorder=True) for xs in found
+        _finish_profile(dist, L, xs, reorder=True) for xs in found
     ]
 
 
@@ -552,12 +554,10 @@ def delegation_analysis(
     )
 
 
-def delegation_pattern(
-    dist: TypeDistribution, n: int, Ls, settings: UnanimitySettings | None = None
-):
+def delegation_pattern(dist: TypeDistribution, n: int, Ls):
     """Delegation flags (x_i at the bottom edge) along solved profiles."""
     Ls = np.atleast_1d(np.asarray(Ls, dtype=float))
-    xs, _ = _ladder_walk(dist, Ls, n, settings)
+    xs, _ = _ladder_walk(dist, Ls, n)
     flags = xs <= dist.lo + 1e-9
     return tuple((L, tuple(row)) for L, row in zip(Ls.tolist(), flags.tolist()))
 
@@ -595,13 +595,7 @@ def social_insurance_check(
     return True
 
 
-def sweep_profiles(
-    dist: TypeDistribution,
-    n: int,
-    Ls,
-    settings: UnanimitySettings | None = None,
-    policy=None,
-):
+def sweep_profiles(dist: TypeDistribution, n: int, Ls, policy=None):
     """Solved profiles across an odds range, as columnar arrays.
 
     Games of up to two players run one exact ladder walk over all odds
@@ -611,7 +605,7 @@ def sweep_profiles(
     """
     Ls = np.asarray(Ls, dtype=float)
     if n <= 2:
-        xcols, irregular = _ladder_walk(dist, Ls, n, settings)
+        xcols, irregular = _ladder_walk(dist, Ls, n)
     else:
         irregular = np.zeros(len(Ls), dtype=bool)
         if policy is None:

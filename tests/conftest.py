@@ -48,15 +48,14 @@ def dist_bimodal() -> TypeDistribution:
 @pytest.fixture(scope="session")
 def solved():
     """Session-wide memo of solved policy tables keyed by configuration."""
-    from cascadefund.engine import SolverSettings, backward_induction
+    from cascadefund.engine import backward_induction
 
     cache: dict = {}
 
     def get(spec: QualitySpec, B: int, n: int, grid_size: int = 2001):
         key = (tuple(sorted(spec.to_dict().items(), key=lambda kv: kv[0])).__repr__(), B, n, grid_size)
         if key not in cache:
-            settings = SolverSettings(grid_size=grid_size)
-            cache[key] = backward_induction(TypeDistribution(spec), B, n, settings=settings)
+            cache[key] = backward_induction(TypeDistribution(spec), B, n, grid_size=grid_size)
         return cache[key]
 
     return get

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from cascadefund import roots
 from cascadefund.beliefs import QualitySpec, TypeDistribution
 from cascadefund.cascades import (
     analyze,
     cascade_startable,
     cascade_trigger,
     down_cascade_bound,
-    herd_decline_holds,
-    herd_invest_necessary,
     in_down_cascade,
     in_up_cascade,
     learning_bound,
@@ -97,20 +96,22 @@ class TestStartability:
 
 
 class TestHerdPredicates:
+    """The engine's herd test at (2, 2), whose invest child is the last mover."""
+
     def test_against_solved_table(self, dist_u58, solved):
-        policy = solved(dist_u58.spec, 2, 2)
-        assert herd_decline_holds(0.05, 2, 2, policy)
-        assert not herd_decline_holds(1.0, 2, 2, policy)
-        assert not herd_decline_holds(4.5, 2, 2, policy)
-        assert herd_invest_necessary(4.5, 2, 2, policy)
-        assert not herd_invest_necessary(1.0, 2, 2, policy)
+        invest_child = solved(dist_u58.spec, 2, 2).child_views(2, 2)[0]
+        herd_inv, herd_dec = roots.herd_flags(
+            dist_u58, invest_child.ratio, np.array([0.05, 1.0, 4.5])
+        )
+        assert herd_dec.tolist() == [True, False, False]
+        assert herd_inv[1:].tolist() == [False, True]
 
     def test_boundaries_match_solved_plateaus(self, dist_u58, solved):
         policy = solved(dist_u58.spec, 2, 2)
-        row = policy.row(2, 2)
+        L = policy.row(2, 2).L
         up = dist_u58.Q / (1.0 - dist_u58.Q)
-        for L in row.L:
-            assert herd_invest_necessary(float(L), 2, 2, policy) == (L >= up)
+        herd_inv, _ = roots.herd_flags(dist_u58, policy.child_views(2, 2)[0].ratio, L)
+        assert np.array_equal(herd_inv, L >= up)
 
 
 class TestReport:

@@ -24,7 +24,7 @@ from cascadefund.engine import (
     LikelihoodGrid,
     ModelViolationError,
     PolicyTable,
-    SolverSettings,
+    _StateView,
     backward_induction,
     completion_prob,
     find_roots,
@@ -59,6 +59,26 @@ class TestLastMover:
         rs = find_roots(GameState(L=1.0, B=1, n=1), pol58)
         assert len(rs.candidates) == 1
         assert rs.candidates[0].x == pytest.approx(0.5, abs=1e-9)
+
+    def test_every_query_at_one_one_reads_the_closed_form(self, solved):
+        # Table queries at (1, 1) and the (2, 2) row's invest child are one
+        # convention, at the stored odds and between them; the stored
+        # (1, 1) row is output only.
+        table = solved(QualitySpec.uniform(0.5, 0.8), 2, 3, grid_size=129)
+        last = _StateView("last", table.dist)
+        stored = table.row(1, 1).L
+        L = np.concatenate((stored, np.sqrt(stored[:-1] * stored[1:])))
+        want = (last.sigma(L), *last.pi(L), last.ratio(L), last.irregular(L))
+        child = table.child_views(2, 2)[0]
+        for got in (
+            (table.sigma(L, 1, 1), *table.pi(L, 1, 1), table.ratio(L, 1, 1),
+             table.irregular_at(L, 1, 1)),
+            (child.sigma(L), *child.pi(L), child.ratio(L), child.irregular(L)),
+        ):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+        # A scalar query gives plain floats, as every other view does.
+        assert [type(p) for p in table.pi(1.0, 1, 1)] == [float, float]
 
 
 class TestTwoPlayerAnchors:
@@ -247,9 +267,9 @@ class TestTableShape:
         with pytest.raises(DomainError):
             LikelihoodGrid([0.0, 1.0])
 
-    def test_settings_validation(self):
+    def test_settings_validation(self, pol58):
         with pytest.raises(DomainError):
-            SolverSettings(grid_size=4)
+            backward_induction(pol58.dist, 2, 2, grid_size=4)
 
     def test_bad_requirement_rejected(self, pol58):
         with pytest.raises(DomainError):
@@ -275,7 +295,7 @@ class TestRefinement:
     def test_threshold_error_contracts_with_grid(self):
         dist = TypeDistribution(QualitySpec.uniform(0.65, 0.8))
         tabs = {
-            g: backward_induction(dist, 2, 2, settings=SolverSettings(grid_size=g))
+            g: backward_induction(dist, 2, 2, grid_size=g)
             for g in (501, 1001, 2001)
         }
         probes = np.exp(np.linspace(np.log(0.08), np.log(3.9), 37))

@@ -20,7 +20,6 @@ from cascadefund.engine import (
     SCAN_POINTS,
     LikelihoodGrid,
     PolicyRow,
-    SolverSettings,
     _StateView,
     backward_induction,
 )
@@ -112,7 +111,7 @@ def test_last_mover_bound_gives_way_where_rounding_swamps_the_tails():
     assert np.isinf(rmin[0]) and np.isinf(rmax[0])
     assert 0.0 < rmin[1] <= rmax[1] < 1.0
     # The (2, 2) row, whose invest child is the last mover, scans alike.
-    table = backward_induction(dist, 2, 2, settings=SolverSettings(grid_size=129))
+    table = backward_induction(dist, 2, 2, grid_size=129)
     assert assert_rows_scan_alike(table) == 2
 
 
@@ -125,11 +124,10 @@ def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
         return scan_roots(*args, **kwargs)
 
     monkeypatch.setattr(roots, "scan_roots", recording)
-    s = SolverSettings(grid_size=129)
     for name in sorted(SPECS):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OutOfSupportWarning)
-            table = backward_induction(TypeDistribution(SPECS[name]()), 3, 5, settings=s)
+            table = backward_induction(TypeDistribution(SPECS[name]()), 3, 5, grid_size=129)
         assert len(seen) == len(table.rows), name
         assert all(b is not None for b in seen), name
         seen.clear()
@@ -137,7 +135,7 @@ def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
     # much as 5% of its cells, which a dense row (all of them) would.
     dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
     with caplog.at_level(logging.DEBUG, logger="cascadefund"):
-        table = backward_induction(dist, 3, 5, settings=SolverSettings(grid_size=257))
+        table = backward_induction(dist, 3, 5, grid_size=257)
     records = [r for r in caplog.records if r.name == "cascadefund"]
     assert len(records) == len(table.rows) == 9
     for rec in records:
@@ -166,9 +164,7 @@ def tabulated_specs(draw):
 def test_certified_scan_equals_dense_scan_on_tabulated_densities(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OutOfSupportWarning)
-        table = backward_induction(
-            TypeDistribution(spec), 2, 3, settings=SolverSettings(grid_size=33)
-        )
+        table = backward_induction(TypeDistribution(spec), 2, 3, grid_size=33)
         assert assert_rows_scan_alike(table) >= 2
 
 
@@ -215,13 +211,12 @@ def test_narrow_grid_still_warns_and_matches_dense(monkeypatch):
     # so child queries past the top are clamped and must keep warning.
     dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
     grid = LikelihoodGrid(np.geomspace(0.2, 2.0, 120))
-    s = SolverSettings(grid_size=120)
     with pytest.warns(OutOfSupportWarning):
-        cert = backward_induction(dist, 2, 3, grid=grid, settings=s)
+        cert = backward_induction(dist, 2, 3, grid=grid)
     # Without bounds every row takes the dense scan.
     monkeypatch.setattr(_StateView, "ratio_bounds", property(lambda self: None))
     with pytest.warns(OutOfSupportWarning):
-        dense = backward_induction(dist, 2, 3, grid=grid, settings=s)
+        dense = backward_induction(dist, 2, 3, grid=grid)
     assert sorted(cert.rows) == sorted(dense.rows)
     for key, row in cert.rows.items():
         other = dense.rows[key]
@@ -233,11 +228,10 @@ def test_engine_scan_memory_stays_small():
     # 8,192-element scan blocks peak near 1.3 MB here; 512-state blocks of
     # the 4,001-point scan reached about 109 MB.
     dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
-    s = SolverSettings(grid_size=257)
-    backward_induction(dist, 2, 2, settings=s)
+    backward_induction(dist, 2, 2, grid_size=257)
     tracemalloc.start()
     try:
-        backward_induction(dist, 3, 5, settings=s)
+        backward_induction(dist, 3, 5, grid_size=257)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,7 +241,7 @@ def test_engine_scan_memory_stays_small():
 def test_each_row_logs_its_scan(caplog):
     dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
     with caplog.at_level(logging.DEBUG, logger="cascadefund"):
-        table = backward_induction(dist, 2, 3, settings=SolverSettings(grid_size=65))
+        table = backward_induction(dist, 2, 3, grid_size=65)
     records = [r for r in caplog.records if r.name == "cascadefund"]
     assert len(records) == len(table.rows)
     cells = len(range(0, SCAN_POINTS - 1, roots.CELL_POINTS - 1))

@@ -20,10 +20,8 @@ from cascadefund.simulate import (
     BLOCK_RUNS,
     BatchRuns,
     CompletionEstimate,
-    RunRecord,
     end_likelihood_stats,
     estimate_completion,
-    simulate_run,
     simulate_runs,
 )
 
@@ -64,11 +62,11 @@ class TestDeterminism:
         assert _batch_equal(BatchRuns(*(c[:BLOCK_RUNS] for c in cols)), small)
 
     def test_single_run_record(self, pol58):
-        rec = simulate_run(pol58, GameState(L=1.0, B=2, n=2), seed=5)
-        assert isinstance(rec, RunRecord)
-        assert rec.types.shape == (2,)
-        assert rec.likelihood_path.shape == (3,)
-        assert rec.likelihood_path[0] == 1.0
+        batch = simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 1, seed=5)
+        assert len(batch) == 1
+        assert batch.types[0].shape == (2,)
+        assert batch.paths[0].shape == (3,)
+        assert batch.paths[0, 0] == 1.0
 
     def test_rejects_zero_runs(self, pol58):
         with pytest.raises(DomainError):
@@ -96,16 +94,15 @@ class TestPathConsistency:
         batch = simulate_runs(pol58, st, 50, seed=7)
         dist = pol58.dist
         for i in range(50):
-            rec = batch.record(i)
             L, need = st.L, st.B
             for k in range(st.n):
                 x = pol58.sigma(L, need, st.n - k)
-                act = rec.types[k] >= x
-                assert act == bool(rec.actions[k])
+                act = batch.types[i, k] >= x
+                assert act == bool(batch.actions[i, k])
                 L = update_on_invest(L, dist, x) if act else update_on_decline(L, dist, x)
                 need -= int(act)
-                assert rec.likelihood_path[k + 1] == pytest.approx(L, rel=1e-12)
-            assert rec.completed == (need <= 0)
+                assert batch.paths[i, k + 1] == pytest.approx(L, rel=1e-12)
+            assert batch.completed[i] == (need <= 0)
 
     def test_types_match_world_frequencies(self, pol58):
         # E[t | good] = E[1 - 2q(1-q)] = 0.56 for quality uniform on
