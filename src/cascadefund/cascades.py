@@ -39,6 +39,8 @@ __all__ = [
     "up_cascade_bound",
 ]
 
+STARTABLE_SCAN = 2000  # scan steps of (1-Q, 1/2] in cascade_startable
+
 
 def _check_Q(Q: float) -> None:
     if not (0.5 < Q < 1.0):
@@ -89,9 +91,7 @@ def cascade_trigger(dist: TypeDistribution, x) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def cascade_startable(
-    dist: TypeDistribution, grid: int = 2000
-) -> tuple[bool, float | None]:
+def cascade_startable(dist: TypeDistribution) -> tuple[bool, float | None]:
     """Scan (1-Q, 1/2] for a threshold that can start an up-cascade.
 
     Returns (found, witness).  The witness is the lowest crossing of the
@@ -101,7 +101,7 @@ def cascade_startable(
     Q = dist.Q
     bound = up_cascade_bound(Q)
     lo, hi = 1.0 - Q, 0.5
-    xs = np.linspace(lo, hi, grid + 1)[1:]
+    xs = np.linspace(lo, hi, STARTABLE_SCAN + 1)[1:]
     margin = cascade_trigger(dist, xs) - bound
     hits = np.nonzero(margin >= 0.0)[0]
     if hits.size == 0:
@@ -149,8 +149,8 @@ class CascadeReport:
         }
 
 
-def analyze(dist: TypeDistribution, B: int, grid: int = 2000) -> CascadeReport:
-    startable, witness = cascade_startable(dist, grid=grid)
+def analyze(dist: TypeDistribution, B: int) -> CascadeReport:
+    startable, witness = cascade_startable(dist)
     return CascadeReport(
         Q=dist.Q,
         B=B,

@@ -22,7 +22,8 @@ Tables are solved bottom-up in n on a log-odds grid wide enough to hold
 every reachable state, with extra grid points pinned at the analytic
 cascade bounds so the all-invest and all-decline plateaus are resolved
 sharply.  Row queries interpolate linearly in log odds; a state (1, 1)
-is read in closed form instead, by table queries and parent rows alike.
+is read in closed form instead, by table queries and parent rows alike,
+except where a B = n row groups its candidates (PolicyTable).
 The only setting is the grid: the points themselves or their number
 (`backward_induction`); the root tolerances are those of
 cascadefund.roots.
@@ -51,8 +52,6 @@ from cascadefund.beliefs import (
 from cascadefund.roots import (
     KIND_INTERIOR,
     RESIDUAL_TOL,
-    ROOT_XTOL,
-    TIE_REL_TOL,
     ModelViolationError,
 )
 
@@ -75,9 +74,6 @@ MAX_PLAYERS = 50
 
 SCAN_POINTS = 4001  # candidate scan points over the support per state
 GRID_PAD = 10.0  # factor by which the spanning grid overhangs the cascade bounds
-# Candidates whose continuation multisets agree within this absolute
-# spread are treated as the same equilibrium outcome (B = n rows).
-MULTISET_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -423,10 +419,10 @@ def _solve_states(table, B, n, Ls):
     # 512-state blocks took ~60k minor page faults and 240 MB on a (3, 8)
     # grid-513 build.
     cands = roots.candidates(
-        dist, inv_view.ratio, Ls, SCAN_POINTS, ROOT_XTOL, 8_192, inv_view.ratio_bounds
+        dist, inv_view.ratio, Ls, SCAN_POINTS, 8_192, inv_view.ratio_bounds
     )
     signatures = partial(_trace_signatures, table.rows, dist, n=n) if B == n and n >= 2 else None
-    ch = roots.choose(dist, Ls, cands, inv_view.pi, TIE_REL_TOL, signatures, MULTISET_TOL)
+    ch = roots.choose(dist, Ls, cands, inv_view.pi, signatures)
     sel = ch.sel
     sigma = ch.x[sel]
     T0, T1 = ch.T0[sel], ch.T1[sel]
@@ -467,11 +463,13 @@ class PolicyTable:
     the drive has already filled, so movers bet on private beliefs alone
     (sigma = 1/(1+L), pi = 1); B > n means the drive cannot fill, nobody
     invests (sigma = Q, pi = 0).  Every query at (1, 1), from the table or
-    from a parent row's solve, reads the closed-form last mover; the stored
-    (1, 1) row is output only.  `sigma` takes the closed form at every
-    B = 1: the mover's own investment fills the drive, so she bets on the
-    world alone.  Her pi and ratio at n >= 2 still depend on later movers
-    and come from the stored row.
+    from a parent row's solve, reads the closed-form last mover, with one
+    exception: the continuation multisets that group a B = n row's
+    candidates (_trace_signatures) interpolate the stored (1, 1) row's
+    sigma, as they do the other rows of the multiset.  `sigma` takes the
+    closed form at every B = 1: the mover's own investment fills the
+    drive, so she bets on the world alone.  Her pi and ratio at n >= 2
+    still depend on later movers and come from the stored row.
     """
 
     def __init__(self, dist, grid, rows, B0, n0):
@@ -609,13 +607,14 @@ def completion_prob(state: GameState, policy: PolicyTable) -> tuple[float, float
     return find_roots(state, policy).pi
 
 
-def pi_ordering_scan(policy: PolicyTable, tol: float = 1e-9) -> dict:
+def pi_ordering_scan(policy: PolicyTable) -> dict:
     """Scan every stored state for completion odds favoring the bad world.
 
     Completion ought never be likelier when the project is bad, but that
     ordering is unproven for partial-requirement games, so the scan
     reports offending states instead of asserting.
     """
+    tol = 1e-9
     violations = []
     checked = 0
     for B, n, row in policy.iter_rows():

@@ -72,6 +72,9 @@ CELL_MARGIN = 1e-9
 ROOT_XTOL = 1e-12  # bisection tolerance on a root
 RESIDUAL_TOL = 1e-9  # bound on an interior root's |G| / max(1, L)
 TIE_REL_TOL = 1e-9  # relative tolerance of utility and discriminator ties
+# Candidates whose continuation multisets agree within this absolute
+# spread are treated as the same equilibrium outcome (B = n rows).
+MULTISET_TOL = 1e-5
 
 
 def _debug(msg, *args):
@@ -101,12 +104,13 @@ def bisect(left, a, b, tol=0.0, max_iter=None):
     `left(m)` true moves a up to m, false moves b down to it.  Halving
     stops once b - a <= tol (checked before each step) or after max_iter
     steps (None: no cap).  Works on scalars and elementwise on arrays; an
-    array stops when its widest bracket is within tol.  Returns (a, b), so
-    each caller picks its own answer: the midpoint or an end.
+    array stops when its widest bracket is within tol (an empty array at
+    once).  Returns (a, b), so each caller picks its own answer: the
+    midpoint or an end.
     """
     vector = np.ndim(a) > 0
     for _ in itertools.count() if max_iter is None else range(max_iter):
-        if (np.max(b - a) if vector else b - a) <= tol:
+        if (np.max(b - a, initial=0.0) if vector else b - a) <= tol:
             break
         m = 0.5 * (a + b)
         go = left(m)
@@ -138,8 +142,8 @@ def gap(dist, child_ratio, L, x):
     return np.where(np.isfinite(r), La * xa / (1.0 - xa) - r, np.nan)
 
 
-def _bisect_brackets(g, lo, hi, glo_pos, xtol):
-    """Vectorised bisection of g on sign-change brackets [lo, hi]."""
+def _bisect_brackets(g, lo, hi, glo_pos):
+    """Vectorised bisection of g on sign-change brackets [lo, hi] to ROOT_XTOL."""
 
     def left(mid):
         gm = g(mid)
@@ -147,11 +151,11 @@ def _bisect_brackets(g, lo, hi, glo_pos, xtol):
             raise ModelViolationError("indifference gap undefined inside a bracket")
         return (gm > 0.0) == glo_pos
 
-    lo, hi = bisect(left, lo, hi, xtol, 80)
+    lo, hi = bisect(left, lo, hi, ROOT_XTOL, 80)
     return 0.5 * (lo + hi)
 
 
-def scan_roots(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
+def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
     """Interior roots of G at each odds point, from a scan of `scan` points.
 
     Scan points where G is exactly zero count as roots, except x = 1-Q,
@@ -238,14 +242,13 @@ def scan_roots(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
             xs[j],
             xs[j + 1],
             np.concatenate(glo_pos),
-            xtol,
         )
         for s, x in zip(state, xr):
             roots[int(s)].append(float(x))
     return roots
 
 
-def rescue_root(dist, child_ratio, L, xtol):
+def rescue_root(dist, child_ratio, L):
     """Locate the root when the playable-invest window is sub-scan-width.
 
     Just above a dead frontier only thresholds within a vanishing band
@@ -260,7 +263,7 @@ def rescue_root(dist, child_ratio, L, xtol):
     g_lo = g(lo)
     if math.isnan(g_lo):
         # Bisect for the lowest threshold whose invest child is alive.
-        _, lo = bisect(lambda m: math.isnan(g(m)), lo, hi, xtol / 4, 200)
+        _, lo = bisect(lambda m: math.isnan(g(m)), lo, hi, ROOT_XTOL / 4, 200)
         g_lo = g(lo)
     g_hi = g(hi)
     if math.isnan(g_lo) or math.isnan(g_hi):
@@ -275,7 +278,6 @@ def rescue_root(dist, child_ratio, L, xtol):
         np.array([lo]),
         np.array([hi]),
         np.array([g_lo > 0.0]),
-        xtol,
     )
     return float(root[0])
 
@@ -299,10 +301,10 @@ def herd_flags(dist, child_ratio, Ls):
     return herd_inv, herd_dec
 
 
-def candidates(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
+def candidates(dist, child_ratio, Ls, scan, budget, bounds=None):
     """Interior roots plus playable herd thresholds, as (x, kind) per state."""
     Q = dist.Q
-    roots = scan_roots(dist, child_ratio, Ls, scan, xtol, budget, bounds)
+    roots = scan_roots(dist, child_ratio, Ls, scan, budget, bounds)
     herd_inv, herd_dec = herd_flags(dist, child_ratio, Ls)
 
     cands: list[list[tuple[float, str]]] = []
@@ -319,7 +321,7 @@ def candidates(dist, child_ratio, Ls, scan, xtol, budget, bounds=None):
         if herd_dec[s]:
             got.append((Q, KIND_HERD_DECLINE))
         if not got:
-            got.append((rescue_root(dist, child_ratio, float(Ls[s]), xtol), KIND_INTERIOR))
+            got.append((rescue_root(dist, child_ratio, float(Ls[s])), KIND_INTERIOR))
         cands.append(got)
     return cands
 
@@ -336,11 +338,11 @@ def discriminator(L, p0c, p1c, T0_rivals, T1_rivals):
     return np.max(L * p1c * T1_rivals - p0c * T0_rivals)
 
 
-def select(xs, U, L, T1, T0, p0c, p1c, tie_rel_tol, sigs=None, multiset_tol=0.0):
+def select(xs, U, L, T1, T0, p0c, p1c, sigs=None):
     """Pick the equilibrium index among one state's candidates.
 
     Returns (index, tie_irregular).  When sigs is given, candidates whose
-    continuation multisets (rows of sigs) agree within multiset_tol are one
+    continuation multisets (rows of sigs) agree within MULTISET_TOL are one
     outcome: their utilities agree by theory, so the comparison across
     groups uses the group max.  The trembling discriminator ranks the
     candidates inside the surviving pool.
@@ -349,20 +351,17 @@ def select(xs, U, L, T1, T0, p0c, p1c, tie_rel_tol, sigs=None, multiset_tol=0.0)
     if k == 1:
         return 0, False
     groups: list[list[int]] = []
-    if sigs is not None:
-        for i in range(k):
-            for g in groups:
-                if np.max(np.abs(sigs[i] - sigs[g[0]])) <= multiset_tol:
-                    g.append(i)
-                    break
-            else:
-                groups.append([i])
-    else:
-        groups = [[i] for i in range(k)]
+    for i in range(k):
+        for g in groups:
+            if sigs is not None and np.max(np.abs(sigs[i] - sigs[g[0]])) <= MULTISET_TOL:
+                g.append(i)
+                break
+        else:
+            groups.append([i])
 
     gU = [max(U[i] for i in g) for g in groups]
     best = max(gU)
-    tie_tol = tie_rel_tol * max(1.0, abs(best))
+    tie_tol = TIE_REL_TOL * max(1.0, abs(best))
     pool: list[int] = []
     for g, u in zip(groups, gU):
         if best - u <= tie_tol:
@@ -374,7 +373,7 @@ def select(xs, U, L, T1, T0, p0c, p1c, tie_rel_tol, sigs=None, multiset_tol=0.0)
     D = {i: discriminator(L, p0c[i], p1c[i], T0[r], T1[r]) for i, r in rivals.items()}
     order = sorted(pool, key=lambda i: (-D[i], xs[i]))
     top, second = order[0], order[1]
-    d_tol = tie_rel_tol * max(1.0, abs(D[top]))
+    d_tol = TIE_REL_TOL * max(1.0, abs(D[top]))
     tie = D[top] - D[second] <= d_tol and abs(xs[top] - xs[second]) > 1e-9
     return top, bool(tie)
 
@@ -400,7 +399,7 @@ class Choice:
     tie: np.ndarray
 
 
-def choose(dist, Ls, cands, child_pi, tie_rel_tol, signatures=None, multiset_tol=0.0):
+def choose(dist, Ls, cands, child_pi, signatures=None):
     """Score every candidate by expected utility and select one per state.
 
     child_pi maps invest-child odds to (pi_0, pi_1); signatures, when
@@ -432,9 +431,7 @@ def choose(dist, Ls, cands, child_pi, tie_rel_tol, signatures=None, multiset_tol
             T0[lo:hi],
             p0c[lo:hi],
             p1c[lo:hi],
-            tie_rel_tol,
             None if sigs is None else sigs[lo:hi],
-            multiset_tol,
         )
         sel[s] = lo + local
     return Choice(x, kinds, T0, T1, Lp, p0c, p1c, U, sel, tie)

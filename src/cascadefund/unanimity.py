@@ -9,9 +9,11 @@ system
 
 independently of the order of play; order only determines which member of
 the solved multiset moves first (the discriminator picks the one a
-vanishing tremble favors).  This module solves that system exactly by
-nested bisection, with no likelihood grid, and owns the delegation
-analysis: profiles where some player invests for every type.
+vanishing tremble favors).  This module solves that system with no
+likelihood grid: the exact ladder (solve_unanimity) selects one profile,
+and asymmetric_profiles finds every one, exhaustively, from C(n+S, S)
+count vectors over the S monotone pieces of the hazard J.  It also owns
+the delegation analysis: profiles where some player invests for every type.
 
 The exact ladder shares its per-state rule with the grid engine: the
 candidate scan, root bisection, herd candidates, rescue and the
@@ -29,6 +31,7 @@ same the engine uses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +46,6 @@ from cascadefund.roots import (
     KIND_INTERIOR,
     RESIDUAL_TOL,
     ROOT_XTOL,
-    TIE_REL_TOL,
 )
 
 __all__ = [
@@ -70,11 +72,10 @@ __all__ = [
 SCAN_TOP = 1201
 SCAN_REC = 151
 SCAN_DEEP = 101
-# asymmetric_profiles: scan points of the two-value split, and the restarts
-# and sweeps of its Gauss-Seidel search for profiles with more values.
-SPLIT_SCAN = 801
-GS_RESTARTS = 6
-GS_ITERS = 120
+# Scan points of d log J over the support, which asymmetric_profiles also
+# scans its level equations on, and of the cascade trigger in
+# delegation_analysis.
+SCAN_HAZARD = 4001
 
 
 def _psi(dist: TypeDistribution, x):
@@ -157,7 +158,7 @@ def _member_residual(dist, L, xs, i):
     return L * xi / (1.0 - xi) - rhs
 
 
-def symmetric_threshold(L: float, dist: TypeDistribution, n: int, xtol: float = 1e-12) -> float:
+def symmetric_threshold(L: float, dist: TypeDistribution, n: int) -> float:
     """The unique all-equal threshold: L*x/(1-x) = psi(x)^(n-1).
 
     The left side rises and the right side falls in x, so the interior
@@ -175,7 +176,7 @@ def symmetric_threshold(L: float, dist: TypeDistribution, n: int, xtol: float = 
         return lo
     if g(hi) <= 0.0:
         return hi
-    a, b = roots.bisect(lambda m: g(m) <= 0.0, lo, hi, xtol)
+    a, b = roots.bisect(lambda m: g(m) <= 0.0, lo, hi, ROOT_XTOL)
     return 0.5 * (a + b)
 
 
@@ -223,8 +224,8 @@ def _ladder_solve(dist, Ls, m, depth=0):
     # scan, keeps the temporaries of the scan and of the child solves small.
     # At five states they sit at glibc's heap-trim threshold, and in some
     # heap layouts every block returns its pages and faults them back in.
-    cands = roots.candidates(dist, child_ratio, Ls, scan, ROOT_XTOL, 5_120)
-    ch = roots.choose(dist, Ls, cands, child_pi, TIE_REL_TOL)
+    cands = roots.candidates(dist, child_ratio, Ls, scan, 5_120)
+    ch = roots.choose(dist, Ls, cands, child_pi)
     sel = ch.sel
     # One decline kills a must-fill drive: completion runs through the
     # invest child alone.
@@ -307,35 +308,20 @@ def _profile_valid(dist, L, xs, kinds) -> bool:
     return True
 
 
-def _solve_inner(dist, L, rhs_fixed, m2):
-    """Root in b of L*b/(1-b) = rhs_fixed * psi(b)^(m2-1), elementwise.
-
-    The left side rises and the right side falls, so bisection suffices;
-    no-crossing cases pin to the support edge.
-    """
-    rhs = np.asarray(rhs_fixed, dtype=float)
-    lo, hi = dist.lo, dist.hi
-
-    def g(b):
-        return L * b / (1.0 - b) - rhs * _psi(dist, b) ** (m2 - 1)
-
-    pin_lo = g(np.full(rhs.shape, lo)) >= 0.0
-    pin_hi = g(np.full(rhs.shape, hi)) <= 0.0
-    a, b = roots.bisect(
-        lambda m: g(m) <= 0.0, np.full(rhs.shape, lo), np.full(rhs.shape, hi), 0.0, 60
-    )
-    out = np.where(pin_lo, lo, np.where(pin_hi, hi, 0.5 * (a + b)))
-    return float(out) if out.ndim == 0 else out
-
-
 def asymmetric_profiles(L: float, dist: TypeDistribution, n: int) -> list[ThresholdProfile]:
-    """Enumerate equilibrium threshold multisets of the must-fill game.
+    """Every equilibrium threshold multiset of the must-fill game.
 
-    Always contains the symmetric profile.  Two-value profiles are found
-    by nested bisection over every multiplicity split; profiles with more
-    distinct values are sought by fixed-point iteration from perturbed
-    symmetric starts, so for n > 2 the enumeration is heuristic rather
-    than exhaustive.  Members are emitted first-mover first.
+    Member i's gap is (L*J(x_i) - P)/psi(x_i), P the product of every
+    member's psi and J = hazard_J.  So every interior member sits on one
+    level v = P/L of J, each monotone piece of J holds at most one distinct
+    value, and a member at 1-Q needs J(1-Q) >= v; J < 1 below Q, so one
+    member at Q puts every member at Q.  Besides the two all-herd profiles,
+    a profile is a count vector (members at 1-Q and on each of the S
+    pieces) plus the equation L*v = P(v).  The search is exhaustive over
+    the C(n+S, S) count vectors: each equation is scanned in x along its
+    first occupied piece, at the scan points of d log J (so levels are
+    dense where J turns), and every sign change is bisected.  Members are
+    emitted first-mover first.
     """
     if n < 1:
         raise DomainError("need at least one player")
@@ -350,80 +336,93 @@ def asymmetric_profiles(L: float, dist: TypeDistribution, n: int) -> list[Thresh
         for old in found:
             if max(abs(a - b) for a, b in zip(old, xs)) <= 1e-7:
                 return
-        kinds = [_member_kind(dist, x) for x in xs]
-        if _profile_valid(dist, L, xs, kinds):
+        if _profile_valid(dist, L, xs, [_member_kind(dist, x) for x in xs]):
             found.append(xs)
 
-    push([symmetric_threshold(L, dist, n)] * n)
+    push([lo] * n)
+    push([hi] * n)
+    xs, ends, signs = _hazard_scan(dist)
+    a, b = np.r_[lo, ends[1:-1]], np.r_[ends[1:-1], hi]
+    S = a.size
 
-    # Two-value profiles a (m1 copies) and b (m2 copies).
-    for m1 in range(1, n):
-        m2 = n - m1
+    def members(x, on):
+        """Each piece's member at the level J(x), x on piece `on`: the
+        level's crossing, or the piece's nearer end where it misses."""
+        v, shape = hazard_J(dist, x)[:, None], (len(x), S)
+        p, q = roots.bisect(
+            lambda m: (hazard_J(dist, m) < v) == (signs > 0),
+            np.broadcast_to(a, shape), np.broadcast_to(b, shape), 0.0, 60,
+        )
+        X = 0.5 * (p + q)
+        X[np.arange(len(x)), on] = x
+        return X
 
-        def outer(a):
-            b = _solve_inner(dist, L, _psi(dist, a) ** m1, m2)
-            resid = (
-                L * a / (1.0 - a)
-                - _psi(dist, a) ** (m1 - 1) * _psi(dist, b) ** m2
-            )
-            return resid, b
+    # Level equation of count vector m: F = log(L*J) - sum_s m_s log psi(x_s).
+    pts = [np.r_[p, xs[(xs > p) & (xs < q)], q] for p, q in zip(a, b)]
+    x1, piece = np.concatenate(pts), np.repeat(np.arange(S), [len(x) for x in pts])
+    F0 = np.log(L * hazard_J(dist, x1))
+    lpsi = np.log(_psi(dist, members(x1, piece)))
+    brackets = []
+    for s in range(S):
+        (at,) = np.nonzero(piece == s)
+        # Piece s first occupied: m0 at 1-Q (psi = 1 there), m_s >= 1.
+        for block in _count_vectors(n - 1, S - s + 1):
+            M = np.zeros((len(block), S), dtype=np.int64)
+            M[:, s:] = block[:, 1:]
+            M[:, s] += 1
+            row, k = _level_brackets(F0[at], lpsi[at], M)
+            brackets.append((np.full(row.size, s), at[k], block[row, 0], M[row]))
+    first, k, m0, M = (np.concatenate(c) for c in zip(*brackets))
 
-        grid = np.linspace(lo, hi, SPLIT_SCAN)
-        vals, _ = outer(grid)
-        # Delegate block at the bottom edge.
-        if vals[0] >= 0.0:
-            push([lo] * m1 + [float(outer(lo)[1])] * m2)
-        sign = np.sign(vals)
-        for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            f_lo = float(vals[j])
-            a_lo, a_hi = roots.bisect(
-                lambda m: (float(outer(m)[0]) > 0.0) == (f_lo > 0.0),
-                float(grid[j]),
-                float(grid[j + 1]),
-                ROOT_XTOL,
-                100,
-            )
-            a_star = 0.5 * (a_lo + a_hi)
-            push([a_star] * m1 + [float(outer(a_star)[1])] * m2)
+    def positive(x):
+        lp = np.log(_psi(dist, members(x, first)))
+        return np.log(L * hazard_J(dist, x)) - np.sum(M * lp, axis=1) > 0.0
 
-    # Fixed-point search for profiles with more than two distinct values.
-    if n >= 3:
-        rng = np.random.default_rng(7)
-        base = symmetric_threshold(L, dist, n)
-        for _ in range(GS_RESTARTS):
-            xs = np.clip(
-                base + rng.uniform(-0.2, 0.2, size=n) * (hi - lo), lo, hi
-            )
-            ok = True
-            for _ in range(GS_ITERS):
-                moved = 0.0
-                for i in range(n):
-                    rhs = float(np.prod(_psi(dist, np.delete(xs, i))))
+    pos = F0[k] - np.sum(M * lpsi[k], axis=1) > 0.0
+    p, q = roots.bisect(lambda x: positive(x) == pos, x1[k], x1[k + 1], ROOT_XTOL, 100)
+    for c0, m, X in zip(m0, M, members(0.5 * (p + q), first)):
+        push([lo] * int(c0) + list(np.repeat(X, m)))
 
-                    def gi(v):
-                        return L * v / (1.0 - v) - rhs
+    return [_finish_profile(dist, L, xs, reorder=True) for xs in found]
 
-                    if gi(lo) >= 0.0:
-                        new = lo
-                    elif gi(hi) <= 0.0:
-                        new = hi
-                    else:
-                        a, b = roots.bisect(
-                            lambda v: gi(v) <= 0.0, lo, hi, ROOT_XTOL
-                        )
-                        new = 0.5 * (a + b)
-                    moved = max(moved, abs(new - xs[i]))
-                    xs[i] = new
-                if moved <= ROOT_XTOL:
-                    break
-            else:
-                ok = False
-            if ok:
-                push(list(xs))
 
-    return [
-        _finish_profile(dist, L, xs, reorder=True) for xs in found
-    ]
+def _count_vectors(total, bins):
+    """Every way to put `total` members into `bins` bins, 4,096 at a time
+    (stars and bars: bins - 1 bars among total + bins - 1 slots)."""
+    slots = total + bins - 1
+    bars = itertools.combinations(range(slots), bins - 1)
+    while True:
+        cut = np.fromiter(itertools.chain.from_iterable(itertools.islice(bars, 4096)), np.int64)
+        if not cut.size:
+            return
+        yield np.diff(cut.reshape(-1, bins - 1), axis=1, prepend=-1, append=slots) - 1
+
+
+def _level_brackets(F0, lpsi, M):
+    """(count vector, k) wherever F = F0 - lpsi @ m switches between F <= 0
+    and F > 0 from scan point k to k+1.
+
+    Each term of F is monotone along the scan piece (J and psi are
+    monotone there, and each other piece's member is monotone in the
+    level), so on a stretch of scan points F lies between bounds taken at
+    the stretch's ends.  Stretches those bounds keep on one side are
+    dropped and the rest halved down to neighbouring points: the brackets
+    of a dense scan, without evaluating every point for every vector.
+    """
+    row, i, j = np.arange(len(M)), np.zeros(len(M), dtype=int), np.full(len(M), len(F0) - 1)
+    rows, ks = [], []
+    while row.size:
+        Pi, Pj = M[row] * lpsi[i], M[row] * lpsi[j]
+        top = np.maximum(F0[i], F0[j]) - np.minimum(Pi, Pj).sum(axis=1)
+        bottom = np.minimum(F0[i], F0[j]) - np.maximum(Pi, Pj).sum(axis=1)
+        live, last = (bottom <= 0.0) & (top > 0.0), j - i == 1
+        hit = live & last & ((F0[i] - Pi.sum(axis=1) > 0.0) != (F0[j] - Pj.sum(axis=1) > 0.0))
+        rows.append(row[hit])
+        ks.append(i[hit])
+        split = live & ~last
+        mid = (i + j)[split] // 2
+        row, i, j = np.tile(row[split], 2), np.r_[i[split], mid], np.r_[mid, j[split]]
+    return np.concatenate(rows), np.concatenate(ks)
 
 
 # -- hazard shape and delegation ---------------------------------------------
@@ -438,31 +437,40 @@ def hazard_J(dist: TypeDistribution, x):
     return float(out) if out.ndim == 0 else out
 
 
-def J_monotone_segments(dist: TypeDistribution, points: int = 4001):
-    """Maximal segments of (1-Q, Q) where d log J / dx keeps one sign.
+def _hazard_scan(dist):
+    """Scan points of d log J and the monotone pieces of J they show.
 
-    The derivative is evaluated in closed form: 1/x + 1/(1-x) +
-    f_1/(1-F_1) - f_0/(1-F_0).
+    Returns (xs, ends, signs): SCAN_HAZARD points inset from the support
+    edges, the ends of the pieces (the outer two are the first and last
+    points) and the sign of d log J on each.  The derivative is evaluated
+    in closed form, 1/x + 1/(1-x) + f_1/(1-F_1) - f_0/(1-F_0), and each
+    sign change between neighbouring points is bisected to where it
+    happens: a zero, or a density breakpoint such as 1-R.
     """
+
+    def rising(x):
+        T0, T1 = dist.sf_pair(x)
+        return (
+            1.0 / x
+            + 1.0 / (1.0 - x)
+            + dist.pdf(1, x) / np.maximum(T1, 1e-300)
+            - dist.pdf(0, x) / np.maximum(T0, 1e-300)
+        ) >= 0.0
+
     inset = (dist.hi - dist.lo) * 1e-7
-    xs = np.linspace(dist.lo + inset, dist.hi - inset, points)
-    T1 = dist.sf(1, xs)
-    T0 = dist.sf(0, xs)
-    d = (
-        1.0 / xs
-        + 1.0 / (1.0 - xs)
-        + dist.pdf(1, xs) / np.maximum(T1, 1e-300)
-        - dist.pdf(0, xs) / np.maximum(T0, 1e-300)
-    )
-    sign = np.where(d >= 0.0, 1, -1)
-    segments: list[tuple[float, float, int]] = []
-    start = 0
-    for i in range(1, len(xs)):
-        if sign[i] != sign[start]:
-            segments.append((float(xs[start]), float(xs[i - 1]), int(sign[start])))
-            start = i
-    segments.append((float(xs[start]), float(xs[-1]), int(sign[start])))
-    return segments
+    xs = np.linspace(dist.lo + inset, dist.hi - inset, SCAN_HAZARD)
+    up = rising(xs)
+    k = np.flatnonzero(up[1:] != up[:-1])
+    _, turns = roots.bisect(lambda m: rising(m) == up[k], xs[k], xs[k + 1], 0.0, 60)
+    return xs, np.r_[xs[0], turns, xs[-1]], np.where(up[np.r_[0, k + 1]], 1, -1)
+
+
+def J_monotone_segments(dist: TypeDistribution):
+    """Maximal segments (start, end, sign) of (1-Q, Q) where d log J / dx
+    keeps one sign.  Neighbouring segments share the end where the sign
+    changes; the outer ends are inset from the support edges."""
+    _, ends, signs = _hazard_scan(dist)
+    return [(float(a), float(b), int(s)) for a, b, s in zip(ends[:-1], ends[1:], signs)]
 
 
 @dataclass(frozen=True)
@@ -494,9 +502,7 @@ def _refine_crossing(dist, bound, a, b, rising):
     return 0.5 * (a + b)
 
 
-def delegation_analysis(
-    dist: TypeDistribution, points: int = 4001, pattern=None
-) -> DelegationReport:
+def delegation_analysis(dist: TypeDistribution, pattern=None) -> DelegationReport:
     """Scan for thresholds below 1/2 whose invest update starts a cascade.
 
     earliest_only / latest_only report, over every witness threshold x,
@@ -508,30 +514,25 @@ def delegation_analysis(
     Q = dist.Q
     bound = up_cascade_bound(Q)
     lo = dist.lo
-    xs = np.linspace(lo, 0.5, points)[1:]
+    xs = np.linspace(lo, 0.5, SCAN_HAZARD)[1:]
     margin = cascade_trigger(dist, xs) - bound
     above = margin >= 0.0
     intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < len(xs):
-        if above[i]:
-            j = i
-            while j + 1 < len(xs) and above[j + 1]:
-                j += 1
-            a = (
-                float(xs[i])
-                if i == 0
-                else _refine_crossing(dist, bound, float(xs[i - 1]), float(xs[i]), True)
-            )
-            b = (
-                float(xs[j])
-                if j == len(xs) - 1
-                else _refine_crossing(dist, bound, float(xs[j]), float(xs[j + 1]), False)
-            )
-            intervals.append((a, b))
-            i = j + 1
-        else:
-            i += 1
+    # Each run of points above the bound starts at a rise of the
+    # zero-padded flags and ends one point before the following fall.
+    flips = np.flatnonzero(np.diff(np.r_[0, above, 0]))
+    for i, j in zip(flips[::2], flips[1::2] - 1):
+        a = (
+            float(xs[i])
+            if i == 0
+            else _refine_crossing(dist, bound, float(xs[i - 1]), float(xs[i]), True)
+        )
+        b = (
+            float(xs[j])
+            if j == len(xs) - 1
+            else _refine_crossing(dist, bound, float(xs[j]), float(xs[j + 1]), False)
+        )
+        intervals.append((a, b))
 
     if not intervals:
         return DelegationReport(False, (), False, False, pattern)
@@ -562,9 +563,7 @@ def delegation_pattern(dist: TypeDistribution, n: int, Ls):
     return tuple((L, tuple(row)) for L, row in zip(Ls.tolist(), flags.tolist()))
 
 
-def social_insurance_check(
-    dist: TypeDistribution, profile: ThresholdProfile, tol: float = 1e-9
-) -> bool:
+def social_insurance_check(dist: TypeDistribution, profile: ThresholdProfile) -> bool:
     """Each member shades at or below the stand-alone optimum 1/(1+L_i).
 
     L_i is the public odds at that member's own move along the all-invest
@@ -575,6 +574,7 @@ def social_insurance_check(
     inside a cascade are skipped: there thresholds pin to the support
     edges and the comparison is vacuous.
     """
+    tol = 1e-9
     xs = profile.thresholds
     n = len(xs)
     L = profile.L

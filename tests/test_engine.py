@@ -19,7 +19,6 @@ from cascadefund.beliefs import (
     TypeDistribution,
 )
 from cascadefund.engine import (
-    TIE_REL_TOL,
     GameState,
     LikelihoodGrid,
     ModelViolationError,
@@ -201,7 +200,6 @@ class TestSelection:
             self._flat(0.5),
             self._flat(0.3),
             self._flat(0.6),
-            TIE_REL_TOL,
         )
         assert irr
         assert idx == 0
@@ -215,7 +213,6 @@ class TestSelection:
             self._flat(0.5),
             self._flat(0.3),
             self._flat(0.6),
-            TIE_REL_TOL,
         )
         assert (idx, irr) == (0, False)
 
@@ -230,7 +227,6 @@ class TestSelection:
             self._flat(0.5),
             np.array([0.3, 0.3]),
             np.array([0.5, 0.9]),
-            TIE_REL_TOL,
         )
         assert (idx, irr) == (1, False)
 

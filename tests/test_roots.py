@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cascadefund import roots
 from cascadefund.beliefs import OutOfSupportWarning, QualitySpec, TypeDistribution
 from cascadefund.engine import (
-    ROOT_XTOL,
     SCAN_POINTS,
     LikelihoodGrid,
     PolicyRow,
@@ -54,7 +53,7 @@ def assert_rows_scan_alike(table):
     """Every row of the table scans to the same roots either way."""
     for (B, n), row in sorted(table.rows.items()):
         inv_view, _ = table.child_views(B, n)
-        args = (table.dist, inv_view.ratio, row.L, SCAN_POINTS, ROOT_XTOL, 8_192)
+        args = (table.dist, inv_view.ratio, row.L, SCAN_POINTS, 8_192)
         dense = roots.scan_roots(*args)
         assert roots.scan_roots(*args, inv_view.ratio_bounds) == dense, (B, n)
     return len(table.rows)
@@ -120,7 +119,7 @@ def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
     scan_roots = roots.scan_roots
 
     def recording(*args, **kwargs):
-        seen.append(args[6] if len(args) > 6 else kwargs.get("bounds"))
+        seen.append(args[5] if len(args) > 5 else kwargs.get("bounds"))
         return scan_roots(*args, **kwargs)
 
     monkeypatch.setattr(roots, "scan_roots", recording)
@@ -184,8 +183,8 @@ def test_zero_at_shared_cell_end_is_reported_once():
     def bounds(lo, hi):
         return np.full(np.shape(lo), c), np.full(np.shape(hi), c)
 
-    dense = roots.scan_roots(dist, ratio, L, scan, 1e-12, 10 * scan)
-    cert = roots.scan_roots(dist, ratio, L, scan, 1e-12, 10 * scan, bounds)
+    dense = roots.scan_roots(dist, ratio, L, scan, 10 * scan)
+    cert = roots.scan_roots(dist, ratio, L, scan, 10 * scan, bounds)
     assert dense == cert == [[float(xs[W - 1])]]
 
 
@@ -198,7 +197,7 @@ def test_scan_evaluates_cells_where_the_child_row_warns():
     L = np.geomspace(0.5, 2.0, 50)
     half = np.full(L.size, 0.5)
     row = PolicyRow(1, 2, L, half, half, half, np.zeros(L.size, dtype=bool), dist.Q)
-    args = (dist, row.ratio_at, np.array([1.0]), 4001, 1e-12, 8_192)
+    args = (dist, row.ratio_at, np.array([1.0]), 4001, 8_192)
     with pytest.warns(OutOfSupportWarning):
         cert = roots.scan_roots(*args, row.ratio_bounds)
     with pytest.warns(OutOfSupportWarning):
@@ -256,6 +255,6 @@ def test_each_row_logs_its_scan(caplog):
     # A scan without bounds evaluates every cell, and none has a bound.
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cascadefund"):
-        roots.scan_roots(dist, _StateView("last", dist).ratio, row.L, 4001, 1e-12, 8_192)
+        roots.scan_roots(dist, _StateView("last", dist).ratio, row.L, 4001, 8_192)
     states, certified, evaluated, unbounded, brackets = caplog.records[-1].args
     assert certified == 0 and evaluated == unbounded == states * cells

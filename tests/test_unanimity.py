@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bimodal_spec, triangular_spec
+
 from cascadefund import roots
 from cascadefund.beliefs import QualitySpec, TypeDistribution
 from cascadefund.unanimity import (
@@ -30,7 +32,21 @@ from cascadefund.unanimity import (
     sweep_profiles,
     symmetric_threshold,
 )
-from cascadefund.unanimity import _member_residual
+from cascadefund.unanimity import _level_brackets, _member_residual, _profile_valid
+
+EXACT_SPECS = {
+    "uniform-0.5-0.8": lambda: QualitySpec.uniform(0.5, 0.8),
+    "uniform-0.65-0.8": lambda: QualitySpec.uniform(0.65, 0.8),
+    "uniform-0.75-0.8": lambda: QualitySpec.uniform(0.75, 0.8),
+    "triangular": triangular_spec,
+    "bimodal": bimodal_spec,
+}
+
+
+def _holds(profiles, want, tol):
+    """Whether some profile's sorted thresholds lie within tol of want's."""
+    want = np.sort(want)
+    return any(np.max(np.abs(np.sort(p.thresholds) - want)) <= tol for p in profiles)
 
 
 class TestReferenceProfile:
@@ -196,6 +212,58 @@ class TestAsymmetric:
                 else:
                     assert r <= 1e-7
 
+    @pytest.mark.parametrize(
+        "L, want",
+        [
+            (0.706269, [0.2374, 0.2374, 0.2804, 0.4114]),
+            (0.273193, [0.2, 0.3487, 0.3487, 0.3524]),
+        ],
+    )
+    def test_four_player_profiles_with_three_values(self, dist_u658, L, want):
+        # Three distinct thresholds, one on each monotone piece of J: a
+        # two-value split cannot reach them.
+        profs = asymmetric_profiles(L, dist_u658, 4)
+        for prof in profs:
+            assert _profile_valid(dist_u658, L, prof.thresholds, prof.kinds)
+        assert _holds(profs, want, 1e-4)
+
+    def test_set_certifies_the_ladder_and_rejects_the_blend(self, dist_u658):
+        # The exact four-player ladder's profile is an equilibrium; the
+        # engine sweep's profile at the same odds, interpolated across a
+        # selection switch, is not: its interior member at 0.2305 is off
+        # indifference by 0.0172.
+        L = 0.706269
+        profs = asymmetric_profiles(L, dist_u658, 4)
+        assert _holds(profs, [0.3494, 0.2, 0.2, 0.3511], 1e-4)
+        blend = [0.230501, 0.320663, 0.2, 0.389308]
+        assert not _holds(profs, blend, 1e-4)
+        assert _member_residual(dist_u658, L, blend, 0) == pytest.approx(0.0172, abs=1e-4)
+
+    @pytest.mark.parametrize("S", [1, 3, 5])
+    def test_pruned_brackets_equal_the_dense_scan(self, S):
+        # Monotone terms along the scan, as on a piece of J: the bounds
+        # only drop stretches on which a dense scan finds no switch.
+        rng = np.random.default_rng(S)
+        K, n = 301, 12
+        F0 = np.sort(rng.normal(size=K)) * rng.choice([-1.0, 1.0])
+        lpsi = np.sort(-rng.exponential(0.2, size=(K, S)), axis=0)
+        lpsi = np.where(rng.random(S) < 0.5, lpsi, lpsi[::-1])
+        M = rng.multinomial(n, np.full(S, 1.0 / S), size=400)
+        F = F0[:, None] - np.sum(M[None, :, :] * lpsi[:, None, :], axis=2)
+        k, row = np.nonzero((F[:-1] > 0.0) != (F[1:] > 0.0))
+        got_row, got_k = _level_brackets(F0, lpsi, M)
+        assert sorted(zip(got_row, got_k)) == sorted(zip(row, k))
+        assert row.size > 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", sorted(EXACT_SPECS))
+    @given(L=st.floats(0.1, 4.0))
+    @settings(max_examples=3, deadline=None)
+    def test_exact_ladder_profile_is_enumerated(self, name, n, L):
+        dist = TypeDistribution(EXACT_SPECS[name]())
+        sol = solve_unanimity(L, dist, n)
+        assert _holds(asymmetric_profiles(L, dist, n), sol.thresholds, 1e-9)
+
 
 class TestHazardSegments:
     def test_wide_uniform_is_single_increasing(self, dist_u58):
@@ -208,9 +276,9 @@ class TestHazardSegments:
         assert len(segs) == 2
         (a0, b0, s0), (a1, b1, s1) = segs
         assert (s0, s1) == (-1, 1)
-        # The turn sits at the bottom of the upper support interval.
-        assert b0 == pytest.approx(1.0 - dist_u758.spec.R, abs=1e-3)
-        assert a1 == pytest.approx(1.0 - dist_u758.spec.R, abs=1e-3)
+        # The turn sits exactly at the top of the lower support interval,
+        # where the density drops to zero.
+        assert b0 == a1 == pytest.approx(1.0 - dist_u758.spec.R, abs=1e-12)
 
 
 class TestDelegation:
