@@ -1,19 +1,21 @@
-"""Cascade bounds and delegation startability.
+"""Cascade bounds and the cascade-trigger scan.
 
 Once public odds of a good world reach Q/(1-Q), even the most pessimistic
 type invests and actions stop carrying information (an up-cascade).  Once
 the odds fall to ((1-Q)/Q)^B, recovery through B more investments is
 impossible and everyone declines (a down-cascade).  Between those bounds
 actions stay informative, which caps how much public learning a finished
-game can exhibit.  Whether a herd is an equilibrium at a given state
-depends on the solved continuation, so that test lives with the solvers
+game can exhibit.  This module is the one home of those bound formulas.
+Whether a herd is an equilibrium at a given state depends on the solved
+continuation, so that test lives with the solvers
 (cascadefund.roots.herd_flags), not here.
 
 A "delegating" threshold at the bottom of the support makes a player
 invest for every type, starting an up-cascade from inside the game.  That
 is possible only when the invest update is strong enough at some interior
-threshold, a property of the quality distribution alone; the scan here
-locates witnesses.
+threshold, a property of the quality distribution alone.  The one scan of
+that trigger, witness_intervals, answers both cascade_startable here and
+cascadefund.unanimity.delegation_analysis.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ __all__ = [
     "learning_bound",
     "min_R_for_cascades",
     "up_cascade_bound",
+    "witness_intervals",
 ]
 
-STARTABLE_SCAN = 2000  # scan steps of (1-Q, 1/2] in cascade_startable
+TRIGGER_SCAN = 4000  # scan steps of (1-Q, 1/2] in witness_intervals
 
 
 def _check_Q(Q: float) -> None:
@@ -91,32 +94,39 @@ def cascade_trigger(dist: TypeDistribution, x) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def cascade_startable(dist: TypeDistribution) -> tuple[bool, float | None]:
-    """Scan (1-Q, 1/2] for a threshold that can start an up-cascade.
+def witness_intervals(dist: TypeDistribution) -> tuple[tuple[float, float], ...]:
+    """Intervals of thresholds in (1-Q, 1/2] whose invest update can start
+    an up-cascade: where the trigger is at or above Q/(1-Q).
 
-    Returns (found, witness).  The witness is the lowest crossing of the
-    trigger level, refined by bisection; x = 1-Q itself meets the trigger
-    with equality by construction and does not count.
+    The trigger is scanned at TRIGGER_SCAN steps, and every flip between
+    neighbouring points is bisected (to 1e-13, at most 80 steps) to its
+    midpoint.  An interval starts or ends at an end point of the scan
+    where the trigger is above the bound there.  x = 1-Q itself meets the
+    bound with equality by construction and is not scanned.
     """
-    Q = dist.Q
-    bound = up_cascade_bound(Q)
-    lo, hi = 1.0 - Q, 0.5
-    xs = np.linspace(lo, hi, STARTABLE_SCAN + 1)[1:]
-    margin = cascade_trigger(dist, xs) - bound
-    hits = np.nonzero(margin >= 0.0)[0]
-    if hits.size == 0:
-        return False, None
-    i = int(hits[0])
-    if i == 0:
-        return True, float(xs[0])
-    _, b = bisect(
-        lambda m: not cascade_trigger(dist, m) - bound >= 0.0,
-        float(xs[i - 1]),
-        float(xs[i]),
-        1e-13,
-        80,
-    )
-    return True, b
+    bound = up_cascade_bound(dist.Q)
+
+    def reaches(x):
+        return cascade_trigger(dist, x) >= bound
+
+    xs = np.linspace(dist.lo, 0.5, TRIGGER_SCAN + 1)[1:]
+    above = reaches(xs)
+    k = np.flatnonzero(above[1:] != above[:-1])
+    a, b = bisect(lambda m: reaches(m) == above[k], xs[k], xs[k + 1], 1e-13, 80)
+    # Crossings alternate between rises and falls, so together with the
+    # scan's end points where the trigger is above they pair into intervals.
+    ends = np.r_[xs[:1][above[:1]], 0.5 * (a + b), xs[-1:][above[-1:]]].tolist()
+    return tuple(zip(ends[::2], ends[1::2]))
+
+
+def cascade_startable(dist: TypeDistribution) -> tuple[bool, float | None]:
+    """Whether some threshold in (1-Q, 1/2] can start an up-cascade.
+
+    Returns (found, witness): the witness is the start of the first of
+    witness_intervals, the same intervals delegation_analysis reports.
+    """
+    iv = witness_intervals(dist)
+    return bool(iv), iv[0][0] if iv else None
 
 
 def min_R_for_cascades(Q: float) -> float:

@@ -311,48 +311,36 @@ class RunConfig(dict):
         return self["_spec"]
 
 
+def _read_json(path: str, what: str):
+    """Parse the JSON file at `path`; errors name `what` and the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad {what} JSON in {path}: {exc}") from exc
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     doc = dict(DEFAULTS)
     if args.config:
-        try:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad config JSON: {exc}") from exc
+        loaded = _read_json(args.config, "config")
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         doc.update(loaded)
-    for key in (
-        "B",
-        "n",
-        "L0",
-        "L_min",
-        "L_max",
-        "L_points",
-        "grid_size",
-        "seed",
-        "runs",
-        "format",
-        "out",
-    ):
+    # Every flag shares its key's name; quality and L_scale have no flag.
+    for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             doc[key] = val
 
     quality = doc["quality"]
     if isinstance(quality, str):
-        try:
-            with open(quality) as fh:
-                quality = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read quality spec: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad quality JSON: {exc}") from exc
+        quality = _read_json(quality, "quality spec")
     spec = QualitySpec.from_dict(quality)
 
     cfg = RunConfig(doc)

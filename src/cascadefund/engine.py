@@ -49,6 +49,7 @@ from cascadefund.beliefs import (
     OutOfSupportWarning,
     TypeDistribution,
 )
+from cascadefund.cascades import down_cascade_bound, up_cascade_bound
 from cascadefund.roots import (
     KIND_INTERIOR,
     RESIDUAL_TOL,
@@ -106,7 +107,9 @@ class LikelihoodGrid:
     @classmethod
     def spanning(cls, Q: float, B0: int, size: int):
         """Grid covering every state reachable from odds inside the bounds."""
-        lo = ((1.0 - Q) / Q) ** B0 / GRID_PAD
+        lo = down_cascade_bound(Q, B0) / GRID_PAD
+        # Not GRID_PAD * up_cascade_bound(Q): that rounds differently and
+        # would move every grid point.
         hi = GRID_PAD * Q / (1.0 - Q)
         return cls(np.exp(np.linspace(math.log(lo), math.log(hi), size)))
 
@@ -158,7 +161,7 @@ class PolicyRow:
         self.pi1 = pi1
         self.irregular = irregular
         self.Q = Q
-        self.up_bound = Q / (1.0 - Q)
+        self.up_bound = up_cascade_bound(Q)
         dead = np.nonzero(pi1 == 0.0)[0]
         # Highest stored odds with zero completion chance; queries at or
         # below it are dead states.  The solver places a grid point at the
@@ -525,8 +528,8 @@ class PolicyTable:
 
 def _row_points(grid: LikelihoodGrid, Q: float, B: int) -> np.ndarray:
     """Grid points plus anchors at the analytic cascade bounds for this row."""
-    up = Q / (1.0 - Q)
-    dead = ((1.0 - Q) / Q) ** B
+    up = up_cascade_bound(Q)
+    dead = down_cascade_bound(Q, B)
     offs = np.array([1e-9, 1e-6, 1e-3, 3e-2])
     extra = np.concatenate(
         (

@@ -293,6 +293,7 @@ def herd_flags(dist, child_ratio, Ls):
     the herd side.
     """
     Q = dist.Q
+    # cascades.up_cascade_bound, written out: cascades imports this module.
     up = Q / (1.0 - Q)
     r_at_L = np.asarray(child_ratio(Ls), dtype=float)
     herd_inv = np.isfinite(r_at_L) & (Ls * (1.0 - Q) / Q >= r_at_L * (1.0 - 1e-15))

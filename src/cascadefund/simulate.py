@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cascadefund.beliefs import DomainError, TypeDistribution
+from cascadefund.cascades import learning_bound
 from cascadefund.engine import GameState, PolicyTable
 
 __all__ = [
@@ -172,7 +173,7 @@ def end_likelihood_stats(batch: BatchRuns, dist: TypeDistribution) -> dict:
     are reported with a warning rather than raised, so summaries stay
     usable while the caller's tests decide how hard to fail.
     """
-    bound = (dist.Q / (1.0 - dist.Q)) ** 2
+    bound = learning_bound(dist.Q)
     ends = np.asarray(batch.L_end)[np.asarray(batch.completed, dtype=bool)]
     if ends.size == 0:
         return {"n_completed": 0, "learning_bound": bound}

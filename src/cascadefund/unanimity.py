@@ -21,8 +21,8 @@ utility-then-discriminator selection all come from cascadefund.roots, so
 that code is not cross-checked by comparing the two solvers.  What stays
 independent is how a child state is evaluated: exact recursion here,
 interpolation in solved table rows there, and that is what the
-grid-versus-exact comparison checks.  Only the sweep helper may build an
-engine table, for n >= 3.
+grid-versus-exact comparison checks.  Nothing here builds an engine
+table: the sweep helper walks one its caller solved, for n >= 3.
 
 Nothing here is a setting: the scan sizes are module constants, and the
 root, residual and tie tolerances are those of cascadefund.roots, the
@@ -39,7 +39,7 @@ import numpy as np
 
 from cascadefund import roots
 from cascadefund.beliefs import DomainError, TypeDistribution
-from cascadefund.cascades import cascade_trigger, in_down_cascade, in_up_cascade, up_cascade_bound
+from cascadefund.cascades import down_cascade_bound, in_down_cascade, in_up_cascade, witness_intervals
 from cascadefund.roots import (
     KIND_HERD_DECLINE,
     KIND_HERD_INVEST,
@@ -73,8 +73,7 @@ SCAN_TOP = 1201
 SCAN_REC = 151
 SCAN_DEEP = 101
 # Scan points of d log J over the support, which asymmetric_profiles also
-# scans its level equations on, and of the cascade trigger in
-# delegation_analysis.
+# scans its level equations on.
 SCAN_HAZARD = 4001
 
 
@@ -205,7 +204,7 @@ def _ladder_solve(dist, Ls, m, depth=0):
     # Below this the child subgame declines for every type, with certainty;
     # shrink the analytic bound a hair so boundary queries still get the
     # exact recursive answer.
-    dead_child = (dist.lo / dist.hi) ** (m - 1) * (1.0 - 1e-12)
+    dead_child = down_cascade_bound(dist.Q, m - 1) * (1.0 - 1e-12)
 
     def child_pi(Lq):
         return _ladder_solve(dist, Lq, m - 1, depth + 1)[1:3]
@@ -481,7 +480,6 @@ class DelegationReport:
     witness_intervals: tuple[tuple[float, float], ...]
     earliest_only: bool
     latest_only: bool
-    pattern: tuple[tuple[float, tuple[bool, ...]], ...] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -489,69 +487,35 @@ class DelegationReport:
             "witness_intervals": [list(w) for w in self.witness_intervals],
             "earliest_only": self.earliest_only,
             "latest_only": self.latest_only,
-            "pattern": None
-            if self.pattern is None
-            else [[L, list(flags)] for L, flags in self.pattern],
         }
 
 
-def _refine_crossing(dist, bound, a, b, rising):
-    a, b = roots.bisect(
-        lambda m: (cascade_trigger(dist, m) - bound >= 0.0) != rising, a, b, 1e-13, 80
-    )
-    return 0.5 * (a + b)
+def delegation_analysis(dist: TypeDistribution) -> DelegationReport:
+    """Thresholds below 1/2 whose invest update starts a cascade.
 
-
-def delegation_analysis(dist: TypeDistribution, pattern=None) -> DelegationReport:
-    """Scan for thresholds below 1/2 whose invest update starts a cascade.
-
-    earliest_only / latest_only report, over every witness threshold x,
-    the sign of (1-x)(1-F_1)^2 - x(1-F_0)^2 - (1-2x): positive everywhere
-    means only the earliest mover of an all-delegating block can be the
-    delegator, negative everywhere means only the latest.  Both come back
-    False when nothing is startable.
+    The witness intervals are cascadefund.cascades.witness_intervals, the
+    scan behind cascade_startable too.  earliest_only / latest_only
+    report, over every witness threshold x, the sign of
+    (1-x)(1-F_1)^2 - x(1-F_0)^2 - (1-2x): positive everywhere means only
+    the earliest mover of an all-delegating block can be the delegator,
+    negative everywhere means only the latest.  Both come back False when
+    nothing is startable.
     """
-    Q = dist.Q
-    bound = up_cascade_bound(Q)
-    lo = dist.lo
-    xs = np.linspace(lo, 0.5, SCAN_HAZARD)[1:]
-    margin = cascade_trigger(dist, xs) - bound
-    above = margin >= 0.0
-    intervals: list[tuple[float, float]] = []
-    # Each run of points above the bound starts at a rise of the
-    # zero-padded flags and ends one point before the following fall.
-    flips = np.flatnonzero(np.diff(np.r_[0, above, 0]))
-    for i, j in zip(flips[::2], flips[1::2] - 1):
-        a = (
-            float(xs[i])
-            if i == 0
-            else _refine_crossing(dist, bound, float(xs[i - 1]), float(xs[i]), True)
-        )
-        b = (
-            float(xs[j])
-            if j == len(xs) - 1
-            else _refine_crossing(dist, bound, float(xs[j]), float(xs[j + 1]), False)
-        )
-        intervals.append((a, b))
-
+    intervals = witness_intervals(dist)
     if not intervals:
-        return DelegationReport(False, (), False, False, pattern)
+        return DelegationReport(False, (), False, False)
 
-    margins = []
-    for a, b in intervals:
-        # Open interior: the defining margin vanishes in the limit at the
-        # bottom edge of the support, which tells us nothing.
-        w = np.linspace(a, b, 259)[1:-1]
-        T1 = dist.sf(1, w)
-        T0 = dist.sf(0, w)
-        margins.append((1.0 - w) * T1 * T1 - w * T0 * T0 - (1.0 - 2.0 * w))
-    allm = np.concatenate(margins)
+    # Open interiors: the defining margin vanishes in the limit at the
+    # bottom edge of the support, which tells us nothing.
+    w = np.concatenate([np.linspace(a, b, 259)[1:-1] for a, b in intervals])
+    T1 = dist.sf(1, w)
+    T0 = dist.sf(0, w)
+    allm = (1.0 - w) * T1 * T1 - w * T0 * T0 - (1.0 - 2.0 * w)
     return DelegationReport(
         startable=True,
-        witness_intervals=tuple(intervals),
+        witness_intervals=intervals,
         earliest_only=bool(np.all(allm > 0.0)),
         latest_only=bool(np.all(allm < 0.0)),
-        pattern=pattern,
     )
 
 
@@ -599,19 +563,16 @@ def sweep_profiles(dist: TypeDistribution, n: int, Ls, policy=None):
     """Solved profiles across an odds range, as columnar arrays.
 
     Games of up to two players run one exact ladder walk over all odds
-    points; larger games walk the diagonal of a grid-engine table, one
-    array query per mover (the table is built at the default grid when
-    not supplied).
+    points; larger games walk the diagonal of the grid-engine table
+    `policy`, one array query per mover.
     """
     Ls = np.asarray(Ls, dtype=float)
     if n <= 2:
         xcols, irregular = _ladder_walk(dist, Ls, n)
     else:
-        irregular = np.zeros(len(Ls), dtype=bool)
         if policy is None:
-            from cascadefund.engine import backward_induction
-
-            policy = backward_induction(dist, n, n)
+            raise DomainError(f"a {n}-player sweep needs a solved policy table")
+        irregular = np.zeros(len(Ls), dtype=bool)
         xcols = np.empty((len(Ls), n))
         Lc = Ls
         for j, m in enumerate(range(n, 0, -1)):

@@ -13,7 +13,9 @@ from cascadefund.cascades import (
     learning_bound,
     min_R_for_cascades,
     up_cascade_bound,
+    witness_intervals,
 )
+from cascadefund.unanimity import delegation_analysis
 
 
 class TestBounds:
@@ -93,6 +95,37 @@ class TestStartability:
         above = TypeDistribution(QualitySpec.uniform(R + delta, Q))
         assert not cascade_startable(below)[0]
         assert cascade_startable(above)[0]
+
+
+# Uniform R just above min_R_for_cascades(0.8), where the trigger reaches
+# the bound only in a sliver, three wider uniforms, and the tabulated
+# density of the CLI golden outputs.
+ONE_SCAN_SPECS = [
+    {"kind": "uniform", "R": min_R_for_cascades(0.8) + 1e-5, "Q": 0.8},
+    {"kind": "uniform", "R": min_R_for_cascades(0.8) + 3e-5, "Q": 0.8},
+    {"kind": "uniform", "R": 0.75, "Q": 0.8},
+    {"kind": "uniform", "R": 0.65, "Q": 0.8},
+    {"kind": "uniform", "R": 0.5, "Q": 0.8},
+    {
+        "kind": "tabulated",
+        "R": 0.6,
+        "Q": 0.85,
+        "knots": [[q, d / 0.3] for q, d in ((0.6, 1.0), (0.7, 0.0), (0.75, 2.0), (0.85, 2.0))],
+    },
+]
+
+
+@pytest.mark.filterwarnings("ignore::cascadefund.beliefs.OutOfSupportWarning")
+@pytest.mark.parametrize("doc", ONE_SCAN_SPECS)
+class TestOneTriggerScan:
+    def test_startable_agrees_with_delegation(self, doc):
+        dist = TypeDistribution(QualitySpec.from_dict(doc))
+        iv = delegation_analysis(dist).witness_intervals
+        assert cascade_startable(dist) == (bool(iv), iv[0][0] if iv else None)
+
+    def test_delegation_reports_the_scan(self, doc):
+        dist = TypeDistribution(QualitySpec.from_dict(doc))
+        assert witness_intervals(dist) == delegation_analysis(dist).witness_intervals
 
 
 class TestHerdPredicates:

@@ -208,6 +208,19 @@ class TestConfigHandling:
         )
         assert run(workdir, "solve", "--config", str(cfgfile)) == 2
 
+    def test_missing_quality_file_exit_2(self, workdir, capsys):
+        cfgfile = workdir / "cfg.json"
+        cfgfile.write_text(json.dumps({"quality": "nope_quality.json"}))
+        assert run(workdir, "solve", "--config", str(cfgfile)) == 2
+        assert "nope_quality.json" in capsys.readouterr().err
+
+    def test_bad_quality_json_exit_2(self, workdir, capsys):
+        (workdir / "q.json").write_text("{not json")
+        cfgfile = workdir / "cfg.json"
+        cfgfile.write_text(json.dumps({"quality": "q.json"}))
+        assert run(workdir, "solve", "--config", str(cfgfile)) == 2
+        assert "q.json" in capsys.readouterr().err
+
     def test_no_subcommand_exit_2(self):
         assert cli.main([]) == 2
 
@@ -366,7 +379,9 @@ TABULATED = {
 # was recorded before sweeps solved all odds points in one ladder walk and
 # one vectorised walk down the engine diagonal.  The analyze digests (both
 # configs have startable cascades, so the witness bisection runs) were
-# recorded before the root-finding loops moved onto one bisection helper.
+# recorded after the report dropped its always-null delegation "pattern"
+# key; the rest of both documents is unchanged since before the
+# root-finding loops moved onto one bisection helper.
 GOLDEN = [
     (["solve", "--B", "2", "--n", "3", "--grid-size", "129", "--out", "solve"], {
         "solve.csv": "578c251bf4fc4950f41812ef3e8b101cb1b46b5a4c0467e125b6a2a840fdcd65",
@@ -390,10 +405,10 @@ GOLDEN = [
         "simulate.json": "a165185bb714a5de288263112a512e3d304cecfa6ad667696e622ec20df4f6c9",
     }),
     (["analyze", "--config", "analyze.config.json", "--out", "analyze_u"], {
-        "analyze_u.json": "d75e31eeec3e826c006b7936b1b651b2e8b77afbbe79915e3ed5235c5a864b93",
+        "analyze_u.json": "1dfa746a80e75e91088840d8518b5c6fb2b61066d6363bc9b3e619ec7f1b038b",
     }),
     (["analyze", "--config", "sweep.config.json", "--out", "analyze_t"], {
-        "analyze_t.json": "048d5d1b21d4256c76998bdb78d782dc8123abb3986461592f6c476e1cfc32b4",
+        "analyze_t.json": "a614966ffd80bb9d9ad048046460163f18ea5710b0703dd14d9cde5bf9f11802",
     }),
 ]
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import bimodal_spec, triangular_spec
 
 from cascadefund import roots
-from cascadefund.beliefs import QualitySpec, TypeDistribution
+from cascadefund.beliefs import DomainError, QualitySpec, TypeDistribution
 from cascadefund.unanimity import (
     DelegationReport,
     asymmetric_profiles,
@@ -349,6 +349,10 @@ class TestSweep:
         assert by_L[0.7379] == (False, True, True, False)
         assert by_L[1.607] == (True, True, True, False)
         assert by_L[3.5] == (False, False, False, False)
+
+    def test_three_player_sweep_needs_a_table(self, dist_u658):
+        with pytest.raises(DomainError):
+            sweep_profiles(dist_u658, 3, np.geomspace(0.5, 3.5, 11))
 
     def test_empty_sweep(self, dist_u658):
         sw = sweep_profiles(dist_u658, 2, np.array([]))
