@@ -66,6 +66,13 @@ def _as_float_array(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _knot_arrays(knots):
+    """Knot positions, densities and the trapezoid mass of each piece."""
+    qs = np.array([k[0] for k in knots])
+    ds = np.array([k[1] for k in knots])
+    return qs, ds, np.diff(qs) * (ds[:-1] + ds[1:]) / 2.0
+
+
 @dataclass(frozen=True)
 class QualitySpec:
     """Distribution of signal qualities on [R, Q].
@@ -99,8 +106,7 @@ class QualitySpec:
         object.__setattr__(
             self, "knots", tuple((float(q), float(d)) for q, d in self.knots)
         )
-        qs = np.array([k[0] for k in self.knots])
-        ds = np.array([k[1] for k in self.knots])
+        qs, ds, piece_mass = _knot_arrays(self.knots)
         if np.any(np.diff(qs) <= 0):
             raise ConfigError("knot positions must be strictly increasing")
         if abs(qs[0] - R) > 1e-12 or abs(qs[-1] - Q) > 1e-12:
@@ -109,7 +115,7 @@ class QualitySpec:
             raise ConfigError("densities must be nonnegative")
         if ds[0] <= 0 or ds[-1] <= 0:
             raise ConfigError("density must be strictly positive at R and at Q")
-        mass = float(np.sum(np.diff(qs) * (ds[:-1] + ds[1:]) / 2.0))
+        mass = float(np.sum(piece_mass))
         if abs(mass - 1.0) > 1e-8:
             raise ConfigError(f"density integrates to {mass:.12g}, not 1")
         if np.any(ds[1:-1] == 0):
@@ -129,9 +135,7 @@ class QualitySpec:
         """Build a tabulated spec; normalize=True rescales to unit mass."""
         knots = [(float(q), float(d)) for q, d in knots]
         if normalize:
-            qs = np.array([k[0] for k in knots])
-            ds = np.array([k[1] for k in knots])
-            mass = float(np.sum(np.diff(qs) * (ds[:-1] + ds[1:]) / 2.0))
+            mass = float(np.sum(_knot_arrays(knots)[2]))
             if mass <= 0:
                 raise ConfigError("cannot normalize a zero-mass density")
             knots = [(q, d / mass) for q, d in knots]
@@ -142,30 +146,20 @@ class QualitySpec:
         if not isinstance(doc, dict):
             raise ConfigError("quality spec must be a JSON object")
         kind = doc.get("kind")
-        if kind == "uniform":
-            extra = set(doc) - {"kind", "R", "Q"}
-            if extra:
-                raise ConfigError(f"unexpected quality keys {sorted(extra)}")
-            try:
-                return cls.uniform(doc["R"], doc["Q"])
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"bad uniform quality spec: {exc!r}") from exc
-        if kind == "tabulated":
-            extra = set(doc) - {"kind", "R", "Q", "knots"}
-            if extra:
-                raise ConfigError(f"unexpected quality keys {sorted(extra)}")
-            try:
-                return cls(
-                    kind="tabulated",
-                    R=float(doc["R"]),
-                    Q=float(doc["Q"]),
-                    knots=tuple((float(q), float(d)) for q, d in doc["knots"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                if isinstance(exc, ConfigError):
-                    raise
-                raise ConfigError(f"bad tabulated quality spec: {exc!r}") from exc
-        raise ConfigError(f"unknown quality kind {kind!r}")
+        if kind not in ("uniform", "tabulated"):
+            raise ConfigError(f"unknown quality kind {kind!r}")
+        allowed = {"kind", "R", "Q", "knots"} if kind == "tabulated" else {"kind", "R", "Q"}
+        extra = set(doc) - allowed
+        if extra:
+            raise ConfigError(f"unexpected quality keys {sorted(extra)}")
+        try:
+            R, Q = float(doc["R"]), float(doc["Q"])
+            knots = None
+            if kind == "tabulated":
+                knots = tuple((float(q), float(d)) for q, d in doc["knots"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {kind} quality spec: {exc!r}") from exc
+        return cls(kind=kind, R=R, Q=Q, knots=knots)
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "QualitySpec":
@@ -206,10 +200,8 @@ def _segment_arrays(spec: QualitySpec):
         knots = [(spec.R, 1.0 / (spec.Q - spec.R)), (spec.Q, 1.0 / (spec.Q - spec.R))]
     else:
         knots = list(spec.knots)
-    qs = np.array([k[0] for k in knots])
-    ds = np.array([k[1] for k in knots])
-    mass = float(np.sum(np.diff(qs) * (ds[:-1] + ds[1:]) / 2.0))
-    ds = ds / mass
+    qs, ds, piece_mass = _knot_arrays(knots)
+    ds = ds / float(np.sum(piece_mass))
 
     breaks: list[float] = []
     c0: list[float] = []
@@ -423,13 +415,11 @@ class TypeDistribution:
         if spec.kind == "uniform":
             out = spec.R + ua * (spec.Q - spec.R)
             return float(out) if scalar else out
-        qs = np.array([k[0] for k in spec.knots])
-        ds = np.array([k[1] for k in spec.knots])
-        mass_seg = np.diff(qs) * (ds[:-1] + ds[1:]) / 2.0
-        total = float(np.sum(mass_seg))
-        cum = np.concatenate(([0.0], np.cumsum(mass_seg))) / total
+        qs, ds, piece_mass = _knot_arrays(spec.knots)
+        total = float(np.sum(piece_mass))
+        cum = np.concatenate(([0.0], np.cumsum(piece_mass))) / total
         cum[-1] = 1.0
-        idx = np.clip(np.searchsorted(cum, ua, side="right") - 1, 0, len(mass_seg) - 1)
+        idx = np.clip(np.searchsorted(cum, ua, side="right") - 1, 0, len(piece_mass) - 1)
         qa, qb = qs[idx], qs[idx + 1]
         da, db = ds[idx] / total, ds[idx + 1] / total
         rem = ua - cum[idx]

@@ -37,6 +37,7 @@ from cascadefund.beliefs import ConfigError, QualitySpec, TypeDistribution
 from cascadefund.cascades import analyze as cascade_analyze
 from cascadefund.cascades import min_R_for_cascades
 from cascadefund.engine import (
+    MAX_PLAYERS,
     GameState,
     backward_induction,
     pi_ordering_scan,
@@ -352,10 +353,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{key} must be an integer, got {v!r}")
     if not 1 <= cfg["B"] <= cfg["n"]:
         raise ConfigError(f"need 1 <= B <= n, got B={cfg['B']}, n={cfg['n']}")
-    if cfg["n"] > 50:
-        raise ConfigError("player counts above 50 are not supported")
+    if cfg["n"] > MAX_PLAYERS:
+        raise ConfigError(f"player counts above {MAX_PLAYERS} are not supported")
     for key in ("L0", "L_min", "L_max"):
-        v = float(cfg[key])
+        try:
+            v = float(cfg[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
         if not (math.isfinite(v) and v > 0):
             raise ConfigError(f"{key} must be finite and positive, got {v!r}")
         cfg[key] = v
@@ -373,6 +377,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"L_scale must be 'log' or 'linear', got {cfg['L_scale']!r}")
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a path prefix or null, got {cfg['out']!r}")
     return cfg
 
 

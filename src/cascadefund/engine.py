@@ -21,9 +21,13 @@ cascadefund.roots; this module supplies the child rows they evaluate.
 Tables are solved bottom-up in n on a log-odds grid wide enough to hold
 every reachable state, with extra grid points pinned at the analytic
 cascade bounds so the all-invest and all-decline plateaus are resolved
-sharply.  Row queries interpolate linearly in log odds; a state (1, 1)
-is read in closed form instead, by table queries and parent rows alike,
-except where a B = n row groups its candidates (PolicyTable).
+sharply.  Every state answers the same five queries (`sigma_at`,
+`pi_at`, `ratio_at`, `ratio_bounds`, `irregular_at`): a stored
+`PolicyRow` interpolates linearly in log odds, `_Settled` holds the
+conventions of a filled or unfillable drive, and `_LastMover` reads the
+state (1, 1) in closed form, for table queries and parent rows alike,
+except where a B = n row groups its candidates.  `PolicyTable.view`
+picks the one for a state.
 The only setting is the grid: the points themselves or their number
 (`backward_induction`); the root tolerances are those of
 cascadefund.roots.
@@ -102,7 +106,6 @@ class LikelihoodGrid:
         if np.any(~np.isfinite(pts)) or np.any(pts <= 0) or np.any(np.diff(pts) <= 0):
             raise DomainError("grid points must be finite, positive, increasing")
         self.points = pts
-        self.log_points = np.log(pts)
 
     @classmethod
     def spanning(cls, Q: float, B0: int, size: int):
@@ -278,41 +281,72 @@ def _range_tables(v):
     return np.array(lo), np.array(hi)
 
 
+class _Settled:
+    """A drive that has settled, answering the queries of a `PolicyRow`.
+
+    Filled (B <= 0): movers bet on private beliefs alone and completion is
+    certain.  Unfillable (B > n): nobody invests and completion is
+    impossible.
+    """
+
+    def __init__(self, dist, filled: bool):
+        self.dist = dist
+        self.filled = filled
+
+    def sigma_at(self, L):
+        La = np.asarray(L, dtype=float)
+        Q = self.dist.Q
+        out = roots.pivotal_threshold(self.dist, La) if self.filled else np.full_like(La, Q)
+        return float(out) if out.ndim == 0 else out
+
+    def pi_at(self, L):
+        p = 1.0 if self.filled else 0.0
+        z = np.full_like(np.asarray(L, dtype=float), p)
+        return (z, z.copy()) if z.ndim else (p, p)
+
+    def ratio_at(self, L):
+        out = np.full_like(np.asarray(L, dtype=float), 1.0 if self.filled else np.inf)
+        return float(out) if out.ndim == 0 else out
+
+    def ratio_bounds(self, lo, hi):
+        return self.ratio_at(lo), self.ratio_at(hi)
+
+    def irregular_at(self, L):
+        out = np.zeros(np.shape(L), dtype=bool)
+        return bool(out) if out.ndim == 0 else out
+
+
 # Largest relative rounding error bound on the last mover's two tails at
-# which `_StateView` still bounds that mover's ratio; the ratio then errs by
+# which `_LastMover` still bounds that mover's ratio; the ratio then errs by
 # at most twice this, far inside the scan's roots.CELL_MARGIN.
 LAST_TAIL_GUARD = roots.CELL_MARGIN / 16
 
 
-def _odds(p0, p1):
-    """pi0/pi1, +inf where completion is impossible."""
-    return np.divide(p0, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
+class _LastMover(_Settled):
+    """The sole pivotal last mover at (1, 1), in closed form.
 
-
-class _StateView:
-    """Uniform query surface over a solved row or a terminal convention.
-
-    "won" (B <= 0): the drive has filled, movers bet on private beliefs
-    alone and completion is certain.  "dead" (B > n): the drive cannot
-    fill, nobody invests and completion is impossible.  "last" (B = n = 1):
-    a sole remaining pivotal mover, evaluated in closed form rather than
-    from a stored row, so neither parents of that state nor queries at it
-    carry interpolation error.  "row": a solved table row.  Every kind
-    bounds its ratio over odds intervals (`ratio_bounds`), so every engine
-    row takes the certified root scan.
+    Her investment fills the drive, so she cuts as a filled drive's movers
+    do, at the clipped 1/(1+L); completion is her own investment,
+    pi_w = sf_w at that cut.  Neither parents of this state nor queries at
+    it carry interpolation error.
     """
 
-    def __init__(self, kind: str, dist, row: PolicyRow | None = None):
-        if kind not in ("row", "won", "dead", "last"):
-            raise ValueError(kind)
-        self.kind = kind
-        self.dist = dist
-        self.row = row
+    def __init__(self, dist):
+        super().__init__(dist, filled=True)
 
-    def _last_pi(self, La):
+    def _pi(self, La):
         return self.dist.sf_pair(roots.pivotal_threshold(self.dist, La))
 
-    def _last_bounds(self, lo, hi):
+    def pi_at(self, L):
+        La = np.asarray(L, dtype=float)
+        p0, p1 = self._pi(La)
+        return (p0, p1) if La.ndim else (float(p0), float(p1))
+
+    def ratio_at(self, L):
+        out = roots.completion_ratio(*self._pi(np.asarray(L, dtype=float)))
+        return float(out) if np.ndim(out) == 0 else out
+
+    def ratio_bounds(self, lo, hi):
         """(rmin, rmax) of the last mover's ratio over odds intervals [lo, hi].
 
         The ratio is h(s) = sf_0(s)/sf_1(s) at s = clip(1/(1+L), lo, hi).
@@ -334,62 +368,10 @@ class _StateView:
         dist = self.dist
         s = roots.pivotal_threshold(dist, np.stack((lo, hi)))
         p0, p1 = dist.sf_pair(s)
-        r = _odds(p0, p1)
+        r = roots.completion_ratio(p0, p1)
         err = dist.sf_error(s[1])
         keep = (err <= LAST_TAIL_GUARD * np.minimum(p0[0], p1[0])) | (s[1] >= dist.hi)
         return np.where(keep, r[0], np.nan), np.where(keep, r[1], np.nan)
-
-    def sigma(self, L):
-        La = np.asarray(L, dtype=float)
-        if self.kind in ("won", "last"):
-            out = roots.pivotal_threshold(self.dist, La)
-        elif self.kind == "dead":
-            out = np.full_like(La, self.dist.Q)
-        else:
-            out = self.row.sigma_at(La)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def ratio(self, L):
-        La = np.asarray(L, dtype=float)
-        if self.kind == "won":
-            out = np.ones_like(La)
-        elif self.kind == "dead":
-            out = np.full_like(La, np.inf)
-        elif self.kind == "last":
-            out = _odds(*self._last_pi(La))
-        else:
-            out = self.row.ratio_at(La)
-        return float(out) if np.ndim(out) == 0 else out
-
-    @property
-    def ratio_bounds(self):
-        """Callable bounding `ratio` over odds intervals (roots.scan_roots)."""
-        if self.kind == "row":
-            return self.row.ratio_bounds
-        if self.kind == "last":
-            return self._last_bounds
-        fill = 1.0 if self.kind == "won" else np.inf
-        return lambda lo, hi: (np.full_like(lo, fill), np.full_like(hi, fill))
-
-    def pi(self, L):
-        La = np.asarray(L, dtype=float)
-        if self.kind == "won":
-            z = np.ones_like(La)
-            return (z, z.copy()) if La.ndim else (1.0, 1.0)
-        if self.kind == "dead":
-            z = np.zeros_like(La)
-            return (z, z.copy()) if La.ndim else (0.0, 0.0)
-        if self.kind == "last":
-            p0, p1 = self._last_pi(La)
-            return (p0, p1) if La.ndim else (float(p0), float(p1))
-        return self.row.pi_at(La)
-
-    def irregular(self, L):
-        if self.kind != "row":
-            La = np.asarray(L)
-            out = np.zeros(La.shape, dtype=bool)
-            return bool(out) if La.ndim == 0 else out
-        return self.row.irregular_at(L)
 
 
 def _trace_signatures(rows, dist, xflat, Lp_flat, n):
@@ -414,30 +396,28 @@ def _solve_states(table, B, n, Ls):
     (choice, pi0, pi1, irregular), the choice as roots.choose gives it.
     """
     dist = table.dist
-    inv_view, dec_view = table.child_views(B, n)
+    inv, dec = table.view(B - 1, n - 1), table.view(B, n - 1)
     # A scan budget of 8,192 elements keeps every scan temporary under
     # glibc's 128 KiB mmap threshold, so the blocks reuse heap memory
     # instead of mapping fresh pages: at SCAN_POINTS = 4,001 a block
     # certifies 79 states and evaluates open cells 204 at a time.  Dense
     # 512-state blocks took ~60k minor page faults and 240 MB on a (3, 8)
     # grid-513 build.
-    cands = roots.candidates(
-        dist, inv_view.ratio, Ls, SCAN_POINTS, 8_192, inv_view.ratio_bounds
-    )
+    cands = roots.candidates(dist, inv.ratio_at, Ls, SCAN_POINTS, 8_192, inv.ratio_bounds)
     signatures = partial(_trace_signatures, table.rows, dist, n=n) if B == n and n >= 2 else None
-    ch = roots.choose(dist, Ls, cands, inv_view.pi, signatures)
+    ch = roots.choose(dist, Ls, cands, inv.pi_at, signatures)
     sel = ch.sel
     sigma = ch.x[sel]
     T0, T1 = ch.T0[sel], ch.T1[sel]
     F0, F1 = dist.cdf(0, sigma), dist.cdf(1, sigma)
     Lm = Ls * dist.lr_lower_tail(sigma)
-    p0m, p1m = dec_view.pi(Lm)
+    p0m, p1m = dec.pi_at(Lm)
     pi0 = T0 * ch.p0c[sel] + F0 * p0m
     pi1 = T1 * ch.p1c[sel] + F1 * p1m
 
     irregular = ch.tie.copy()
-    irregular |= ((T0 + T1) > 0.0) & np.asarray(inv_view.irregular(ch.Lp[sel]))
-    irregular |= ((F0 + F1) > 0.0) & np.asarray(dec_view.irregular(Lm))
+    irregular |= ((T0 + T1) > 0.0) & np.asarray(inv.irregular_at(ch.Lp[sel]))
+    irregular |= ((F0 + F1) > 0.0) & np.asarray(dec.irregular_at(Lm))
     return ch, pi0, pi1, irregular
 
 
@@ -446,8 +426,8 @@ def _solve_row(table, B, n, Lpts):
     sigma = ch.x[ch.sel]
     interior = np.array([ch.kinds[i] == KIND_INTERIOR for i in ch.sel])
     if np.any(interior):
-        inv_view, _ = table.child_views(B, n)
-        res = roots.gap(table.dist, inv_view.ratio, Lpts[interior], sigma[interior])
+        inv = table.view(B - 1, n - 1)
+        res = roots.gap(table.dist, inv.ratio_at, Lpts[interior], sigma[interior])
         scale = np.maximum(1.0, Lpts[interior])
         if np.any(~(np.abs(res) <= RESIDUAL_TOL * scale)):
             worst = float(np.nanmax(np.abs(res) / scale))
@@ -462,17 +442,19 @@ def _solve_row(table, B, n, Lpts):
 class PolicyTable:
     """Solved policy rows for every (B, n) reachable from (B0, n0).
 
-    Queries outside stored rows use the terminal conventions: B <= 0 means
-    the drive has already filled, so movers bet on private beliefs alone
-    (sigma = 1/(1+L), pi = 1); B > n means the drive cannot fill, nobody
-    invests (sigma = Q, pi = 0).  Every query at (1, 1), from the table or
-    from a parent row's solve, reads the closed-form last mover, with one
-    exception: the continuation multisets that group a B = n row's
-    candidates (_trace_signatures) interpolate the stored (1, 1) row's
-    sigma, as they do the other rows of the multiset.  `sigma` takes the
-    closed form at every B = 1: the mover's own investment fills the
-    drive, so she bets on the world alone.  Her pi and ratio at n >= 2
-    still depend on later movers and come from the stored row.
+    `view(B, n)` gives what answers the queries at a state: the stored
+    row, or outside stored rows a terminal convention (`_Settled`).  B <= 0
+    means the drive has already filled, so movers bet on private beliefs
+    alone (sigma = 1/(1+L), pi = 1); B > n means the drive cannot fill,
+    nobody invests (sigma = Q, pi = 0).  At (1, 1) it is the closed-form
+    last mover (`_LastMover`), for the table's queries and for a parent
+    row's solve alike, with one exception: the continuation multisets
+    that group a B = n row's candidates (_trace_signatures) interpolate
+    the stored (1, 1) row's sigma, as they do the other rows of the
+    multiset.  `sigma` takes the closed form at every B = 1: the mover's
+    own investment fills the drive, so she bets on the world alone.  Her
+    pi and ratio at n >= 2 still depend on later movers and come from the
+    stored row.  Every query gives Python scalars for a scalar L.
     """
 
     def __init__(self, dist, grid, rows, B0, n0):
@@ -492,34 +474,28 @@ class PolicyTable:
         except KeyError:
             raise ModelViolationError(f"row (B={B}, n={n}) is not in the table") from None
 
-    def _view(self, B: int, n: int) -> _StateView:
-        if B <= 0:
-            return _StateView("won", self.dist)
-        if B > n:
-            return _StateView("dead", self.dist)
+    def view(self, B: int, n: int) -> PolicyRow | _Settled:
+        """What answers the queries at state (B, n) (class docstring)."""
+        if B <= 0 or B > n:
+            return _Settled(self.dist, B <= 0)
         if (B, n) == (1, 1):
-            return _StateView("last", self.dist)
-        return _StateView("row", self.dist, self.row(B, n))
+            return _LastMover(self.dist)
+        return self.row(B, n)
 
     def sigma(self, L, B: int, n: int):
-        if B == 1 and n >= 2:
-            # Exact, no grid error (class docstring).
-            return _StateView("last", self.dist).sigma(L)
-        return self._view(B, n).sigma(L)
+        if B == 1 and n >= 1:
+            B, n = 1, 1  # the closed form: exact, no grid error (class docstring)
+        return self.view(B, n).sigma_at(L)
 
     def pi(self, L, B: int, n: int):
-        return self._view(B, n).pi(L)
+        return self.view(B, n).pi_at(L)
 
     def ratio(self, L, B: int, n: int):
         """Completion-odds ratio pi0/pi1; +inf where completion is impossible."""
-        return self._view(B, n).ratio(L)
+        return self.view(B, n).ratio_at(L)
 
     def irregular_at(self, L, B: int, n: int):
-        return self._view(B, n).irregular(L)
-
-    def child_views(self, B: int, n: int) -> tuple[_StateView, _StateView]:
-        """Invest child (B-1, n-1) and decline child (B, n-1) query views."""
-        return self._view(B - 1, n - 1), self._view(B, n - 1)
+        return self.view(B, n).irregular_at(L)
 
     def iter_rows(self):
         for (B, n) in sorted(self.rows):
@@ -583,8 +559,8 @@ def find_roots(state: GameState, policy: PolicyTable) -> RootSet:
     if not (1 <= state.B <= state.n):
         raise DomainError("find_roots needs a live state with 1 <= B <= n")
     ch, pi0, pi1, _ = _solve_states(policy, state.B, state.n, np.array([state.L]))
-    inv_view, _ = policy.child_views(state.B, state.n)
-    g = roots.gap(policy.dist, inv_view.ratio, state.L, ch.x)
+    inv = policy.view(state.B - 1, state.n - 1)
+    g = roots.gap(policy.dist, inv.ratio_at, state.L, ch.x)
     res = np.where(np.isnan(g), np.inf, g)
     cands = tuple(
         Candidate(x=float(x), kind=kind, utility=float(u), residual=float(r))

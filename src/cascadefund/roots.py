@@ -30,7 +30,7 @@ sign change and no exact zero.  Only the other cells are evaluated, with
 the same expression at the same points as the full scan, so every
 bracket, and hence every root, is the same bit for bit.  The engine's
 bounds come from child rows' range tables and from the closed-form last
-mover's monotone tails (engine._StateView); the exact must-fill ladder
+mover's monotone tails (engine._LastMover); the exact must-fill ladder
 scans densely.
 """
 
@@ -52,6 +52,7 @@ __all__ = [
     "bisect",
     "candidates",
     "choose",
+    "completion_ratio",
     "discriminator",
     "gap",
     "herd_flags",
@@ -132,6 +133,11 @@ def pivotal_threshold(dist, L):
     support.
     """
     return np.clip(1.0 / (1.0 + np.asarray(L, dtype=float)), dist.lo, dist.hi)
+
+
+def completion_ratio(p0, p1):
+    """The child ratio pi_0/pi_1 from completion probabilities; +inf where p1 = 0."""
+    return np.divide(p0, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
 
 
 def gap(dist, child_ratio, L, x):

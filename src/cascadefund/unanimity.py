@@ -210,14 +210,12 @@ def _ladder_solve(dist, Ls, m, depth=0):
         return _ladder_solve(dist, Lq, m - 1, depth + 1)[1:3]
 
     def child_ratio(Lq):
-        shape = np.shape(Lq)
-        flat = np.ravel(np.asarray(Lq, dtype=float))
-        out = np.full(flat.shape, np.inf)
-        live = flat > dead_child
+        Lq = np.asarray(Lq, dtype=float)
+        out = np.full(Lq.shape, np.inf)
+        live = Lq > dead_child
         if live.any():
-            p0, p1 = child_pi(flat[live])
-            out[live] = np.where(p1 > 0.0, p0 / np.where(p1 > 0.0, p1, 1.0), np.inf)
-        return out.reshape(shape)
+            out[live] = roots.completion_ratio(*child_pi(Lq[live]))
+        return out
 
     # A block of 5,120 (state, scan point) elements, four states at the top
     # scan, keeps the temporaries of the scan and of the child solves small.

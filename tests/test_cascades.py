@@ -132,9 +132,9 @@ class TestHerdPredicates:
     """The engine's herd test at (2, 2), whose invest child is the last mover."""
 
     def test_against_solved_table(self, dist_u58, solved):
-        invest_child = solved(dist_u58.spec, 2, 2).child_views(2, 2)[0]
+        invest_child = solved(dist_u58.spec, 2, 2).view(1, 1)
         herd_inv, herd_dec = roots.herd_flags(
-            dist_u58, invest_child.ratio, np.array([0.05, 1.0, 4.5])
+            dist_u58, invest_child.ratio_at, np.array([0.05, 1.0, 4.5])
         )
         assert herd_dec.tolist() == [True, False, False]
         assert herd_inv[1:].tolist() == [False, True]
@@ -143,7 +143,7 @@ class TestHerdPredicates:
         policy = solved(dist_u58.spec, 2, 2)
         L = policy.row(2, 2).L
         up = dist_u58.Q / (1.0 - dist_u58.Q)
-        herd_inv, _ = roots.herd_flags(dist_u58, policy.child_views(2, 2)[0].ratio, L)
+        herd_inv, _ = roots.herd_flags(dist_u58, policy.view(1, 1).ratio_at, L)
         assert np.array_equal(herd_inv, L >= up)
 
 

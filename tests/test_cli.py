@@ -201,11 +201,20 @@ class TestConfigHandling:
     def test_missing_config_file_exit_2(self, workdir):
         assert run(workdir, "solve", "--config", "nope.json") == 2
 
-    def test_bad_quality_values_exit_2(self, workdir):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"quality": {"kind": "uniform", "R": 0.9, "Q": 0.8}},
+            {"quality": {"kind": "uniform", "R": "abc", "Q": 0.8}},
+            {"L0": "abc"},
+            {"L0": [1]},
+            {"out": 5},
+        ],
+        ids=["R-above-Q", "R-not-a-number", "L0-not-a-number", "L0-a-list", "out-not-a-path"],
+    )
+    def test_bad_quality_values_exit_2(self, workdir, doc):
         cfgfile = workdir / "cfg.json"
-        cfgfile.write_text(
-            json.dumps({"quality": {"kind": "uniform", "R": 0.9, "Q": 0.8}})
-        )
+        cfgfile.write_text(json.dumps(doc))
         assert run(workdir, "solve", "--config", str(cfgfile)) == 2
 
     def test_missing_quality_file_exit_2(self, workdir, capsys):

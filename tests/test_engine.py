@@ -23,14 +23,14 @@ from cascadefund.engine import (
     LikelihoodGrid,
     ModelViolationError,
     PolicyTable,
-    _StateView,
+    _LastMover,
     backward_induction,
     completion_prob,
     find_roots,
     pi_ordering_scan,
     select_equilibrium,
 )
-from cascadefund.roots import select
+from cascadefund.roots import CELL_MARGIN, select
 
 U58 = (64.0 / 225.0, 0.64)  # (pi0, pi1) at L = 1 for uniform [0.5, 0.8]
 U58_UTIL = 16.0 / 90.0
@@ -64,20 +64,55 @@ class TestLastMover:
         # convention, at the stored odds and between them; the stored
         # (1, 1) row is output only.
         table = solved(QualitySpec.uniform(0.5, 0.8), 2, 3, grid_size=129)
-        last = _StateView("last", table.dist)
+        last = _LastMover(table.dist)
         stored = table.row(1, 1).L
         L = np.concatenate((stored, np.sqrt(stored[:-1] * stored[1:])))
-        want = (last.sigma(L), *last.pi(L), last.ratio(L), last.irregular(L))
-        child = table.child_views(2, 2)[0]
+        want = (last.sigma_at(L), *last.pi_at(L), last.ratio_at(L), last.irregular_at(L))
+        child = table.view(1, 1)
         for got in (
             (table.sigma(L, 1, 1), *table.pi(L, 1, 1), table.ratio(L, 1, 1),
              table.irregular_at(L, 1, 1)),
-            (child.sigma(L), *child.pi(L), child.ratio(L), child.irregular(L)),
+            (child.sigma_at(L), *child.pi_at(L), child.ratio_at(L), child.irregular_at(L)),
         ):
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
         # A scalar query gives plain floats, as every other view does.
         assert [type(p) for p in table.pi(1.0, 1, 1)] == [float, float]
+
+
+@pytest.mark.parametrize(
+    "B, n",
+    [(0, 2), (3, 2), (1, 1), (2, 2), (1, 3)],
+    ids=["filled", "unfillable", "last-mover", "stored-row", "sigma-at-B-1"],
+)
+def test_every_state_answers_one_query_contract(solved, B, n):
+    # Whatever answers at a state, a scalar query gives Python scalars and
+    # an array query arrays of the query's shape.
+    table = solved(QualitySpec.uniform(0.5, 0.8), 2, 3, grid_size=129)
+    L = np.geomspace(0.3, 3.0, 6).reshape(2, 3)
+    assert type(table.sigma(1.0, B, n)) is float
+    assert table.sigma(L, B, n).shape == L.shape
+    if (B, n) == (1, 3):
+        # Not stored: only sigma answers here, in closed form.
+        assert np.array_equal(table.sigma(L, B, n), table.view(1, 1).sigma_at(L))
+        return
+    assert [type(p) for p in table.pi(1.0, B, n)] == [float, float]
+    assert [p.shape for p in table.pi(L, B, n)] == [L.shape, L.shape]
+    assert type(table.ratio(1.0, B, n)) is float
+    assert table.ratio(L, B, n).shape == L.shape
+    assert type(table.irregular_at(1.0, B, n)) is bool
+    irregular = table.irregular_at(L, B, n)
+    assert irregular.dtype == bool and irregular.shape == L.shape
+
+    view = table.view(B, n)
+    assert np.array_equal(view.sigma_at(L), table.sigma(L, B, n))
+    assert np.array_equal(view.pi_at(L), table.pi(L, B, n))
+    assert np.array_equal(view.ratio_at(L), table.ratio(L, B, n))
+    assert np.array_equal(view.irregular_at(L), irregular)
+    rmin, rmax = view.ratio_bounds(L, 1.1 * L)
+    assert rmin.shape == rmax.shape == L.shape
+    r = view.ratio_at(L)
+    assert np.all(r >= rmin * (1.0 - CELL_MARGIN)) and np.all(r <= rmax * (1.0 + CELL_MARGIN))
 
 
 class TestTwoPlayerAnchors:

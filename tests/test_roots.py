@@ -19,7 +19,7 @@ from cascadefund.engine import (
     SCAN_POINTS,
     LikelihoodGrid,
     PolicyRow,
-    _StateView,
+    _LastMover,
     backward_induction,
 )
 from conftest import bimodal_spec, triangular_spec
@@ -52,10 +52,10 @@ def vanishing_end_spec():
 def assert_rows_scan_alike(table):
     """Every row of the table scans to the same roots either way."""
     for (B, n), row in sorted(table.rows.items()):
-        inv_view, _ = table.child_views(B, n)
-        args = (table.dist, inv_view.ratio, row.L, SCAN_POINTS, 8_192)
+        inv = table.view(B - 1, n - 1)
+        args = (table.dist, inv.ratio_at, row.L, SCAN_POINTS, 8_192)
         dense = roots.scan_roots(*args)
-        assert roots.scan_roots(*args, inv_view.ratio_bounds) == dense, (B, n)
+        assert roots.scan_roots(*args, inv.ratio_bounds) == dense, (B, n)
     return len(table.rows)
 
 
@@ -72,7 +72,7 @@ def test_certified_scan_equals_dense_scan(name, solved):
 @pytest.mark.parametrize("name", sorted(SPECS) + ["vanishing-end"])
 def test_last_mover_bounds_hold_the_ratio(name):
     spec = vanishing_end_spec() if name == "vanishing-end" else SPECS[name]()
-    view = _StateView("last", TypeDistribution(spec))
+    view = _LastMover(TypeDistribution(spec))
     frontier = (1.0 - spec.Q) / spec.Q
     rng = np.random.default_rng(5)
     # Intervals anywhere on the child odds a scan reaches, and intervals
@@ -89,7 +89,7 @@ def test_last_mover_bounds_hold_the_ratio(name):
     assert np.array_equal(bounded, ~np.isnan(rmax))
     assert np.count_nonzero(bounded) >= 200
     for a, b, r0, r1 in zip(lo[bounded], hi[bounded], rmin[bounded], rmax[bounded]):
-        r = view.ratio(np.linspace(a, b, 257).clip(a, b))
+        r = view.ratio_at(np.linspace(a, b, 257).clip(a, b))
         if np.isinf(r0):
             assert np.isinf(r1) and np.all(np.isinf(r)), (a, b)
         live = r[np.isfinite(r)]
@@ -99,7 +99,7 @@ def test_last_mover_bounds_hold_the_ratio(name):
 
 def test_last_mover_bound_gives_way_where_rounding_swamps_the_tails():
     dist = TypeDistribution(vanishing_end_spec())
-    view = _StateView("last", dist)
+    view = _LastMover(dist)
     frontier = (1.0 - dist.Q) / dist.Q
     lo = frontier * (1.0 + np.geomspace(1e-9, 1e-6, 10))
     rmin, rmax = view.ratio_bounds(lo, 1.01 * lo)
@@ -213,7 +213,8 @@ def test_narrow_grid_still_warns_and_matches_dense(monkeypatch):
     with pytest.warns(OutOfSupportWarning):
         cert = backward_induction(dist, 2, 3, grid=grid)
     # Without bounds every row takes the dense scan.
-    monkeypatch.setattr(_StateView, "ratio_bounds", property(lambda self: None))
+    scan_roots = roots.scan_roots
+    monkeypatch.setattr(roots, "scan_roots", lambda *args: scan_roots(*args[:5]))
     with pytest.warns(OutOfSupportWarning):
         dense = backward_induction(dist, 2, 3, grid=grid)
     assert sorted(cert.rows) == sorted(dense.rows)
@@ -255,6 +256,6 @@ def test_each_row_logs_its_scan(caplog):
     # A scan without bounds evaluates every cell, and none has a bound.
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cascadefund"):
-        roots.scan_roots(dist, _StateView("last", dist).ratio, row.L, 4001, 8_192)
+        roots.scan_roots(dist, _LastMover(dist).ratio_at, row.L, 4001, 8_192)
     states, certified, evaluated, unbounded, brackets = caplog.records[-1].args
     assert certified == 0 and evaluated == unbounded == states * cells
