@@ -66,6 +66,13 @@ def _as_float_array(x) -> tuple[np.ndarray, bool]:
     return arr, arr.ndim == 0
 
 
+def _number(v) -> float:
+    """float(v) for a number; a JSON boolean is not one, though float(True) is 1.0."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def _knot_arrays(knots):
     """Knot positions, densities and the trapezoid mass of each piece."""
     qs = np.array([k[0] for k in knots])
@@ -153,10 +160,10 @@ class QualitySpec:
         if extra:
             raise ConfigError(f"unexpected quality keys {sorted(extra)}")
         try:
-            R, Q = float(doc["R"]), float(doc["Q"])
+            R, Q = _number(doc["R"]), _number(doc["Q"])
             knots = None
             if kind == "tabulated":
-                knots = tuple((float(q), float(d)) for q, d in doc["knots"])
+                knots = tuple((_number(q), _number(d)) for q, d in doc["knots"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad {kind} quality spec: {exc!r}") from exc
         return cls(kind=kind, R=R, Q=Q, knots=knots)

@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from cascadefund import __version__
-from cascadefund.beliefs import ConfigError, QualitySpec, TypeDistribution
+from cascadefund.beliefs import ConfigError, QualitySpec, TypeDistribution, _number
 from cascadefund.cascades import analyze as cascade_analyze
 from cascadefund.cascades import min_R_for_cascades
 from cascadefund.engine import (
@@ -357,7 +357,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"player counts above {MAX_PLAYERS} are not supported")
     for key in ("L0", "L_min", "L_max"):
         try:
-            v = float(cfg[key])
+            v = _number(cfg[key])
         except (TypeError, ValueError):
             raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
         if not (math.isfinite(v) and v > 0):

@@ -28,9 +28,8 @@ conventions of a filled or unfillable drive, and `_LastMover` reads the
 state (1, 1) in closed form, for table queries and parent rows alike,
 except where a B = n row groups its candidates.  `PolicyTable.view`
 picks the one for a state.
-The only setting is the grid: the points themselves or their number
-(`backward_induction`); the root tolerances are those of
-cascadefund.roots.
+The only setting is the number of grid points (`backward_induction`);
+the root tolerances are those of cascadefund.roots.
 
 One path solves live states, `_solve_states`: candidates and selection
 from cascadefund.roots, then the completion recurrence and the irregular
@@ -41,18 +40,13 @@ flags, for a whole table row or for one state.  `find_roots`,
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from cascadefund import roots
-from cascadefund.beliefs import (
-    DomainError,
-    OutOfSupportWarning,
-    TypeDistribution,
-)
+from cascadefund.beliefs import DomainError, TypeDistribution
 from cascadefund.cascades import down_cascade_bound, up_cascade_bound
 from cascadefund.roots import (
     KIND_INTERIOR,
@@ -63,7 +57,6 @@ from cascadefund.roots import (
 __all__ = [
     "Candidate",
     "GameState",
-    "LikelihoodGrid",
     "ModelViolationError",
     "PolicyRow",
     "PolicyTable",
@@ -96,33 +89,21 @@ class GameState:
             raise DomainError("player count cannot be negative")
 
 
-class LikelihoodGrid:
-    """Strictly increasing positive odds points, uniform in log odds."""
+def _spanning_grid(Q: float, B0: int, size: int) -> np.ndarray:
+    """Odds points, uniform in log odds, overhanging both cascade bounds.
 
-    def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise DomainError("grid needs at least two points")
-        if np.any(~np.isfinite(pts)) or np.any(pts <= 0) or np.any(np.diff(pts) <= 0):
-            raise DomainError("grid points must be finite, positive, increasing")
-        self.points = pts
-
-    @classmethod
-    def spanning(cls, Q: float, B0: int, size: int):
-        """Grid covering every state reachable from odds inside the bounds."""
-        lo = down_cascade_bound(Q, B0) / GRID_PAD
-        # Not GRID_PAD * up_cascade_bound(Q): that rounds differently and
-        # would move every grid point.
-        hi = GRID_PAD * Q / (1.0 - Q)
-        return cls(np.exp(np.linspace(math.log(lo), math.log(hi), size)))
-
-    @property
-    def lo(self) -> float:
-        return float(self.points[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.points[-1])
+    The grid runs from GRID_PAD below the dead bound ((1-Q)/Q)^B0, the
+    lowest of every row B <= B0, to GRID_PAD above the up-cascade bound
+    Q/(1-Q).  Below its first point every row is dead (sigma = Q, pi = 0)
+    and above its last every row invests for every type (sigma = 1-Q,
+    pi = 1), so a query beyond either end of a row lands on a plateau, and
+    clamping it to the end knot gives the exact value.
+    """
+    lo = down_cascade_bound(Q, B0) / GRID_PAD
+    # Not GRID_PAD * up_cascade_bound(Q): that rounds differently and
+    # would move every grid point.
+    hi = GRID_PAD * Q / (1.0 - Q)
+    return np.exp(np.linspace(math.log(lo), math.log(hi), size))
 
 
 @dataclass(frozen=True)
@@ -165,45 +146,22 @@ class PolicyRow:
         self.irregular = irregular
         self.Q = Q
         self.up_bound = up_cascade_bound(Q)
-        dead = np.nonzero(pi1 == 0.0)[0]
         # Highest stored odds with zero completion chance; queries at or
         # below it are dead states.  The solver places a grid point at the
-        # analytic bound, so this frontier is sharp.
-        self.dead_frontier = float(L[dead[-1]]) if dead.size else None
+        # analytic bound, so this frontier is sharp, and every row has one.
+        self.dead_frontier = float(L[np.nonzero(pi1 == 0.0)[0][-1]])
         live = pi1 > 0.0
         self._live_logL = self.logL[live]
         self._live_logratio = np.log(np.maximum(pi0[live], 1e-300) / pi1[live])
         self._logratio_lo, self._logratio_hi = _range_tables(self._live_logratio)
 
-    def _outside(self, lo, hi):
-        """Where odds intervals [lo, hi] reach live odds outside the stored span."""
-        # Clamping is exact inside the plateaus (at or above the up-cascade
-        # bound, at or below the dead frontier); only a live query outside
-        # the stored span can be distorted, so only that warns.
-        above = (hi > self.L[-1] * (1 + 1e-12)) & (lo < self.up_bound)
-        below = lo < self.L[0] * (1 - 1e-12)
-        if self.dead_frontier is not None:
-            below &= hi > self.dead_frontier
-        return above | below
-
-    def _warn_if_outside(self, La) -> None:
-        if np.any(self._outside(La, La)):
-            warnings.warn(
-                f"live odds query outside the solved grid for row (B={self.B}, "
-                f"n={self.n}) was clamped",
-                OutOfSupportWarning,
-                stacklevel=3,
-            )
-
     def sigma_at(self, L):
         La = np.asarray(L, dtype=float)
-        self._warn_if_outside(La)
         out = np.interp(np.log(La), self.logL, self.sigma)
         return float(out) if out.ndim == 0 else out
 
     def pi_at(self, L):
         La = np.asarray(L, dtype=float)
-        self._warn_if_outside(La)
         logq = np.log(La)
         p0 = np.interp(logq, self.logL, self.pi0)
         p1 = np.interp(logq, self.logL, self.pi1)
@@ -217,11 +175,9 @@ class PolicyRow:
     def ratio_at(self, L):
         """Completion-odds ratio pi0/pi1; +inf where completion is impossible."""
         La = np.asarray(L, dtype=float)
-        self._warn_if_outside(La)
         out = np.exp(np.interp(np.log(La), self._live_logL, self._live_logratio))
         out = np.where(La >= self.up_bound, 1.0, out)
-        if self.dead_frontier is not None:
-            out = np.where(La <= self.dead_frontier, np.inf, out)
+        out = np.where(La <= self.dead_frontier, np.inf, out)
         return float(out) if out.ndim == 0 else out
 
     def ratio_bounds(self, lo, hi):
@@ -232,14 +188,11 @@ class PolicyRow:
         by one knot each side against rounding in the log and the search,
         bounds it; 1.0 joins where the interval reaches the up-cascade bound.
         An interval at or below the dead frontier holds no live query and
-        gives (inf, inf).  An interval that reaches odds where `ratio_at`
-        would warn gives (nan, nan): no bound, so the caller evaluates it.
+        gives (inf, inf).
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         K = self._live_logL.size
-        if K == 0:
-            return np.full(lo.shape, np.nan), np.full(hi.shape, np.nan)
         i0 = np.clip(np.searchsorted(self._live_logL, np.log(lo), side="right") - 2, 0, K - 1)
         i1 = np.clip(np.searchsorted(self._live_logL, np.log(hi), side="left") + 1, 0, K - 1)
         # Sparse-table query: two overlapping power-of-two spans cover [i0, i1].
@@ -250,12 +203,8 @@ class PolicyRow:
         up = hi >= self.up_bound
         rmin = np.where(up, np.minimum(rmin, 1.0), rmin)
         rmax = np.where(up, np.maximum(rmax, 1.0), rmax)
-        if self.dead_frontier is not None:
-            dead = hi <= self.dead_frontier
-            rmin = np.where(dead, np.inf, rmin)
-            rmax = np.where(dead, np.inf, rmax)
-        warns = self._outside(lo, hi)
-        return np.where(warns, np.nan, rmin), np.where(warns, np.nan, rmax)
+        dead = hi <= self.dead_frontier
+        return np.where(dead, np.inf, rmin), np.where(dead, np.inf, rmax)
 
     def irregular_at(self, L):
         La = np.asarray(L, dtype=float)
@@ -457,12 +406,9 @@ class PolicyTable:
     stored row.  Every query gives Python scalars for a scalar L.
     """
 
-    def __init__(self, dist, grid, rows, B0, n0):
+    def __init__(self, dist, rows):
         self.dist = dist
-        self.grid = grid
         self.rows = rows
-        self.B0 = B0
-        self.n0 = n0
 
     @property
     def Q(self) -> float:
@@ -502,7 +448,7 @@ class PolicyTable:
             yield B, n, self.rows[(B, n)]
 
 
-def _row_points(grid: LikelihoodGrid, Q: float, B: int) -> np.ndarray:
+def _row_points(grid: np.ndarray, Q: float, B: int) -> np.ndarray:
     """Grid points plus anchors at the analytic cascade bounds for this row."""
     up = up_cascade_bound(Q)
     dead = down_cascade_bound(Q, B)
@@ -516,30 +462,28 @@ def _row_points(grid: LikelihoodGrid, Q: float, B: int) -> np.ndarray:
             up * (1.0 + offs),
         )
     )
-    extra = extra[(extra >= grid.lo) & (extra <= grid.hi)]
-    return np.unique(np.concatenate((grid.points, extra)))
+    extra = extra[(extra >= grid[0]) & (extra <= grid[-1])]
+    return np.unique(np.concatenate((grid, extra)))
 
 
 def backward_induction(
     dist: TypeDistribution,
     B0: int,
     n0: int,
-    grid: LikelihoodGrid | None = None,
     grid_size: int = 2001,
 ) -> PolicyTable:
     """Solve every row reachable from (B0, n0), in ascending n.
 
-    The rows are solved on `grid`, or else on a spanning grid of
-    `grid_size` points.
+    The rows are solved on the spanning grid of `grid_size` points.
     """
     if not (1 <= B0 <= n0 <= MAX_PLAYERS):
         raise DomainError(f"need 1 <= B0 <= n0 <= {MAX_PLAYERS}")
     if grid_size < 16:
         raise DomainError("grid_size must be at least 16")
-    grid = grid or LikelihoodGrid.spanning(dist.Q, B0, grid_size)
+    grid = _spanning_grid(dist.Q, B0, grid_size)
 
     rows: dict[tuple[int, int], PolicyRow] = {}
-    table = PolicyTable(dist, grid, rows, B0, n0)
+    table = PolicyTable(dist, rows)
     for n in range(1, n0 + 1):
         b_lo = max(1, B0 - (n0 - n))
         for B in range(b_lo, min(B0, n) + 1):

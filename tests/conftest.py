@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from cascadefund.beliefs import QualitySpec, TypeDistribution
+from cascadefund.beliefs import OutOfSupportWarning, QualitySpec, TypeDistribution
 
 
 def triangular_spec() -> QualitySpec:
@@ -9,6 +11,15 @@ def triangular_spec() -> QualitySpec:
     return QualitySpec.tabulated(
         0.5, 0.8, [(0.5, 0.6), (0.62, 4.2), (0.8, 0.4)], normalize=True
     )
+
+
+def interior_zero_spec() -> QualitySpec:
+    # Density vanishing at an interior knot, which the spec warns about.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OutOfSupportWarning)
+        return QualitySpec.tabulated(
+            0.5, 0.8, [(0.5, 2.0), (0.65, 0.0), (0.8, 2.0)], normalize=True
+        )
 
 
 def bimodal_spec() -> QualitySpec:

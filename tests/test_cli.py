@@ -209,8 +209,13 @@ class TestConfigHandling:
             {"L0": "abc"},
             {"L0": [1]},
             {"out": 5},
+            {"L0": True},
+            {"L_max": True},
+            {"quality": {"kind": "tabulated", "R": 0.5, "Q": 0.8,
+                         "knots": [[0.5, True], [0.6, 4.0], [0.8, 3.5]]}},
         ],
-        ids=["R-above-Q", "R-not-a-number", "L0-not-a-number", "L0-a-list", "out-not-a-path"],
+        ids=["R-above-Q", "R-not-a-number", "L0-not-a-number", "L0-a-list", "out-not-a-path",
+             "L0-a-boolean", "L_max-a-boolean", "knot-a-boolean"],
     )
     def test_bad_quality_values_exit_2(self, workdir, doc):
         cfgfile = workdir / "cfg.json"

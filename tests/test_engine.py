@@ -14,13 +14,11 @@ import pytest
 
 from cascadefund.beliefs import (
     DomainError,
-    OutOfSupportWarning,
     QualitySpec,
     TypeDistribution,
 )
 from cascadefund.engine import (
     GameState,
-    LikelihoodGrid,
     ModelViolationError,
     PolicyTable,
     _LastMover,
@@ -31,6 +29,7 @@ from cascadefund.engine import (
     select_equilibrium,
 )
 from cascadefund.roots import CELL_MARGIN, select
+from conftest import interior_zero_spec
 
 U58 = (64.0 / 225.0, 0.64)  # (pi0, pi1) at L = 1 for uniform [0.5, 0.8]
 U58_UTIL = 16.0 / 90.0
@@ -276,27 +275,34 @@ class TestTableShape:
         keys = {(B, n) for B, n, _ in pol.iter_rows()}
         assert keys == {(1, 1), (1, 2), (2, 2), (2, 3)}
 
-    def test_out_of_span_live_query_warns(self):
-        # The default spanning grid covers every live state, so force a
-        # narrow one whose top falls short of the up-cascade bound.
-        dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
-        grid = LikelihoodGrid(np.geomspace(0.5, 2.0, 101))
-        pol = backward_induction(dist, 1, 1, grid=grid)
-        with pytest.warns(OutOfSupportWarning):
-            pol.row(1, 1).sigma_at(3.0)
-
-    def test_plateau_query_outside_span_is_silent(self, pol58):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pol58.row(2, 2).sigma_at(pol58.grid.lo * 0.5)
-
-    def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            LikelihoodGrid([1.0])
-        with pytest.raises(DomainError):
-            LikelihoodGrid([1.0, 0.5])
-        with pytest.raises(DomainError):
-            LikelihoodGrid([0.0, 1.0])
+    @pytest.mark.filterwarnings("error::cascadefund.beliefs.OutOfSupportWarning")
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda: QualitySpec.uniform(0.5, 0.8),
+            lambda: QualitySpec.uniform(0.55, 0.95),
+            lambda: QualitySpec.uniform(0.55, 0.999),
+            interior_zero_spec,
+        ],
+        ids=["uniform-0.5-0.8", "uniform-0.55-0.95", "uniform-0.55-0.999", "interior-zero"],
+    )
+    def test_queries_beyond_the_span_read_the_plateaus(self, solved, make_spec):
+        # The spanning grid overhangs both cascade bounds, so clamping a
+        # query beyond either end of a row to its end knot is exact.
+        table = solved(make_spec(), 3, 4, grid_size=129)
+        Q = table.dist.Q
+        for (B, n), row in sorted(table.rows.items()):
+            below, above = row.L[0] / 10, row.L[-1] * 10
+            assert row.sigma_at(below) == Q, (B, n)
+            assert row.pi_at(below) == (0.0, 0.0), (B, n)
+            assert row.ratio_at(below) == math.inf, (B, n)
+            assert row.irregular_at(below) is False, (B, n)
+            assert row.sigma_at(above) == 1.0 - Q, (B, n)
+            assert row.pi_at(above) == (1.0, 1.0), (B, n)
+            assert row.ratio_at(above) == 1.0, (B, n)
+            assert row.irregular_at(above) is False, (B, n)
+            # Every row holds a dead knot and a live one.
+            assert np.any(row.pi1 == 0.0) and np.any(row.pi1 > 0.0), (B, n)
 
     def test_settings_validation(self, pol58):
         with pytest.raises(DomainError):

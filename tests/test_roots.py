@@ -15,22 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cascadefund import roots
 from cascadefund.beliefs import OutOfSupportWarning, QualitySpec, TypeDistribution
-from cascadefund.engine import (
-    SCAN_POINTS,
-    LikelihoodGrid,
-    PolicyRow,
-    _LastMover,
-    backward_induction,
-)
-from conftest import bimodal_spec, triangular_spec
-
-
-def interior_zero_spec():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OutOfSupportWarning)
-        return QualitySpec.tabulated(
-            0.5, 0.8, [(0.5, 2.0), (0.65, 0.0), (0.8, 2.0)], normalize=True
-        )
+from cascadefund.engine import SCAN_POINTS, _LastMover, backward_induction
+from conftest import bimodal_spec, interior_zero_spec, triangular_spec
 
 
 SPECS = {
@@ -186,42 +172,6 @@ def test_zero_at_shared_cell_end_is_reported_once():
     dense = roots.scan_roots(dist, ratio, L, scan, 10 * scan)
     cert = roots.scan_roots(dist, ratio, L, scan, 10 * scan, bounds)
     assert dense == cert == [[float(xs[W - 1])]]
-
-
-def test_scan_evaluates_cells_where_the_child_row_warns():
-    # A flat child row stored on odds [0.5, 2], below Q/(1-Q) = 4.  At L = 1
-    # the root x = 1/2 has child odds 1.86, inside the row, but every cell
-    # with child odds in (2, 4) is one-signed; it is evaluated anyway, so
-    # the clamped queries there still warn.
-    dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
-    L = np.geomspace(0.5, 2.0, 50)
-    half = np.full(L.size, 0.5)
-    row = PolicyRow(1, 2, L, half, half, half, np.zeros(L.size, dtype=bool), dist.Q)
-    args = (dist, row.ratio_at, np.array([1.0]), 4001, 8_192)
-    with pytest.warns(OutOfSupportWarning):
-        cert = roots.scan_roots(*args, row.ratio_bounds)
-    with pytest.warns(OutOfSupportWarning):
-        assert cert == roots.scan_roots(*args)
-    assert cert[0] == [pytest.approx(0.5, abs=1e-9)]
-
-
-def test_narrow_grid_still_warns_and_matches_dense(monkeypatch):
-    # The grid tops out at odds 2, below the up-cascade bound Q/(1-Q) = 4,
-    # so child queries past the top are clamped and must keep warning.
-    dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
-    grid = LikelihoodGrid(np.geomspace(0.2, 2.0, 120))
-    with pytest.warns(OutOfSupportWarning):
-        cert = backward_induction(dist, 2, 3, grid=grid)
-    # Without bounds every row takes the dense scan.
-    scan_roots = roots.scan_roots
-    monkeypatch.setattr(roots, "scan_roots", lambda *args: scan_roots(*args[:5]))
-    with pytest.warns(OutOfSupportWarning):
-        dense = backward_induction(dist, 2, 3, grid=grid)
-    assert sorted(cert.rows) == sorted(dense.rows)
-    for key, row in cert.rows.items():
-        other = dense.rows[key]
-        for field in ("L", "sigma", "pi0", "pi1", "irregular"):
-            assert np.array_equal(getattr(row, field), getattr(other, field)), (key, field)
 
 
 def test_engine_scan_memory_stays_small():
