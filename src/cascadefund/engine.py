@@ -348,10 +348,11 @@ def _solve_states(table, B, n, Ls):
     inv, dec = table.view(B - 1, n - 1), table.view(B, n - 1)
     # A scan budget of 8,192 elements keeps every scan temporary under
     # glibc's 128 KiB mmap threshold, so the blocks reuse heap memory
-    # instead of mapping fresh pages: at SCAN_POINTS = 4,001 a block
-    # certifies 79 states and evaluates open cells 204 at a time.  Dense
-    # 512-state blocks took ~60k minor page faults and 240 MB on a (3, 8)
-    # grid-513 build.
+    # instead of mapping fresh pages: the certificate bounds 8,192 groups
+    # of cells at a time (a row of 531 states makes 2,600-8,700 queries
+    # in all on a (3, 8) grid-513 build), and open cells are evaluated 204
+    # at a time.  Dense 512-state blocks took ~60k minor page faults and
+    # 240 MB on that build.
     cands = roots.candidates(dist, inv.ratio_at, Ls, SCAN_POINTS, 8_192, inv.ratio_bounds)
     signatures = partial(_trace_signatures, table.rows, dist, n=n) if B == n and n >= 2 else None
     ch = roots.choose(dist, Ls, cands, inv.pi_at, signatures)

@@ -22,22 +22,44 @@ arrays of child-odds intervals [lo, hi] to (rmin, rmax), bounds on every
 finite value the child ratio takes at odds in the interval ((inf, inf)
 where it takes none, NaN where there is no bound).  The scan then splits
 its points into cells of CELL_POINTS points, neighbouring cells sharing
-an end point.  Since x/(1-x) increases along the scan, a cell is certified
-positive when L * x_first/(1-x_first) > rmax * (1 + CELL_MARGIN) and
-negative when L * x_last/(1-x_last) < rmin * (1 - CELL_MARGIN): G then has
-one sign (or is undefined) at each of its points, so the cell holds no
-sign change and no exact zero.  Only the other cells are evaluated, with
-the same expression at the same points as the full scan, so every
-bracket, and hence every root, is the same bit for bit.  The engine's
-bounds come from child rows' range tables and from the closed-form last
-mover's monotone tails (engine._LastMover); the exact must-fill ladder
-scans densely.
+an end point.  Since x/(1-x) increases along the scan, a run of points is
+certified positive when L * x_first/(1-x_first) > rmax * (1 + CELL_MARGIN)
+and negative when L * x_last/(1-x_last) < rmin * (1 - CELL_MARGIN): G then
+has one sign (or is undefined) at each of its points, so the run holds no
+sign change and no exact zero.
+
+The certificate runs coarse to fine over power-of-two groups of cells:
+each state bounds its whole scan first, and a group that fails is split
+into its halves, down to single cells.  A certified group drops no
+bracket and no zero, since G has one sign on every point of it.  And by
+containment, every cell under a certified group would certify on its
+own: a cell's child odds lie inside its group's, the engine's bounds only
+tighten on a sub-interval (a row's range-table span nests, and the last
+mover's guard holds on it if on the group, its end values to within the
+rounding of its monotone tails), and x/(1-x) at the cell's first point
+is no lower and at its last no higher.  So the cells evaluated are those
+a cell-by-cell certificate leaves open (the tests compare the two), at a
+fraction of its bound queries.  They are evaluated with the same
+expression at the same points as the full scan, so every bracket, and
+hence every root, is the same bit for bit.  The engine's bounds come from
+child rows' range tables and from the closed-form last mover's monotone
+tails (engine._LastMover); the exact must-fill ladder scans densely.
+
+A state left with no candidate by the scan and the herd thresholds has a
+playable window narrower than a scan cell (see _rescue); its window is
+found for all such states at once.  Its bracket then joins the scan's,
+and `candidates` bisects every bracket of a call in one elementwise
+`bisect` call.  Each element stops on its own bracket, so the roots are
+the bits a bisection per bracket would give.
+
+With the DEBUG level on the "cascadefund" logger, `candidates` logs one
+record per call: states, bound queries, cells certified, cells evaluated
+(and of those, cells without a bound), scan brackets and rescued states.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 
@@ -49,6 +71,7 @@ __all__ = [
     "KIND_HERD_INVEST",
     "KIND_INTERIOR",
     "ModelViolationError",
+    "Scan",
     "bisect",
     "candidates",
     "choose",
@@ -57,7 +80,6 @@ __all__ = [
     "gap",
     "herd_flags",
     "pivotal_threshold",
-    "rescue_root",
     "scan_roots",
     "select",
 ]
@@ -104,23 +126,33 @@ def bisect(left, a, b, tol=0.0, max_iter=None):
 
     `left(m)` true moves a up to m, false moves b down to it.  Halving
     stops once b - a <= tol (checked before each step) or after max_iter
-    steps (None: no cap).  Works on scalars and elementwise on arrays; an
-    array stops when its widest bracket is within tol (an empty array at
-    once).  Returns (a, b), so each caller picks its own answer: the
-    midpoint or an end.
+    steps (None: no cap).  Works on scalars and elementwise on arrays: an
+    array element stops on its own bracket, as its scalar call would, so
+    an array call gives the same bits as the scalar calls run side by
+    side.  `left` still sees every element at each step (a stopped one at
+    its frozen midpoint), and the loop ends once every element has
+    stopped (an empty array at once).  Returns (a, b), so each caller
+    picks its own answer: the midpoint or an end.
     """
-    vector = np.ndim(a) > 0
-    for _ in itertools.count() if max_iter is None else range(max_iter):
-        if (np.max(b - a, initial=0.0) if vector else b - a) <= tol:
+    steps = itertools.count() if max_iter is None else range(max_iter)
+    if np.ndim(a) == 0:
+        for _ in steps:
+            if b - a <= tol:
+                break
+            m = 0.5 * (a + b)
+            if left(m):
+                a = m
+            else:
+                b = m
+        return a, b
+    for _ in steps:
+        # Not b - a > tol: a NaN width keeps halving, as in the scalar loop.
+        open_ = ~(b - a <= tol)
+        if not open_.any():
             break
         m = 0.5 * (a + b)
         go = left(m)
-        if vector:
-            a, b = np.where(go, m, a), np.where(go, b, m)
-        elif go:
-            a = m
-        else:
-            b = m
+        a, b = np.where(open_ & go, m, a), np.where(open_ & ~go, m, b)
     return a, b
 
 
@@ -161,17 +193,97 @@ def _bisect_brackets(g, lo, hi, glo_pos):
     return 0.5 * (lo + hi)
 
 
-def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
-    """Interior roots of G at each odds point, from a scan of `scan` points.
+@dataclass(frozen=True)
+class Scan:
+    """What a root scan finds at a set of states, before any bisection.
 
-    Scan points where G is exactly zero count as roots, except x = 1-Q,
-    which is the herd-invest candidate.  States are scanned a block at a
-    time; a block holds about `budget` (state, scan point) elements, so
-    the temporaries of the scan and of the child evaluations stay small
-    however many odds points one call serves.
+    G is exactly zero at scan point zeros[k] of state zero_state[k].
+    Bracket k is [lo[k], hi[k]] at state[k]: G changes sign across it and
+    is positive at lo[k] where glo_pos[k]; the brackets run in (state,
+    scan point) order.  The counts are the bound queries made and the
+    cells certified, evaluated and evaluated without a bound.
+    """
+
+    zero_state: np.ndarray
+    zeros: np.ndarray
+    state: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    glo_pos: np.ndarray
+    queried: int
+    certified: int
+    evaluated: int
+    unbounded: int
+
+
+def _cell_levels(ucell, lhs_first, lhs_last):
+    """Tables over power-of-two groups of cells, cells first and one group last.
+
+    Level k holds, for each group of 2**k neighbouring cells, the min and
+    max of the scan's upper-tail likelihood ratio over its points and
+    x/(1-x) at its first and last point.  Group g of level k + 1 joins
+    groups 2g and 2g + 1 (where there is one) of level k.
+    """
+    levels = [(ucell.min(axis=1), ucell.max(axis=1), lhs_first, lhs_last)]
+    while levels[-1][0].size > 1:
+        umin, umax, lf, ll = levels[-1]
+        i = np.arange(0, umin.size, 2)
+        last = np.minimum(i + 1, umin.size - 1)
+        levels.append(
+            (np.minimum.reduceat(umin, i), np.maximum.reduceat(umax, i), lf[i], ll[last])
+        )
+    return levels
+
+
+def _open_cells(Ls, bounds, levels, budget):
+    """The (state, cell) pairs the bounds cannot certify, coarse to fine.
+
+    Each state's one top group is bounded first; a group that fails splits
+    into its two halves, down to single cells.  Queries go `budget` at a
+    time.  Returns (states, cells, queried, unbounded), the pairs in
+    (state, cell) order and the unbounded count over the cells queried.
+    """
+    s = np.arange(len(Ls))
+    g = np.zeros(len(Ls), dtype=int)
+    queried = unbounded = 0
+    for k in range(len(levels) - 1, -1, -1):
+        umin, umax, lhs_first, lhs_last = levels[k]
+        fails = np.empty(s.size, dtype=bool)
+        for i in range(0, s.size, budget):
+            gi = g[i : i + budget]
+            Lb = Ls[s[i : i + budget]]
+            rmin, rmax = bounds(Lb * umin[gi], Lb * umax[gi])
+            if k == 0:
+                unbounded += np.count_nonzero(np.isnan(rmin) | np.isnan(rmax))
+            fails[i : i + budget] = ~(
+                (Lb * lhs_first[gi] > rmax * (1.0 + CELL_MARGIN))
+                | (Lb * lhs_last[gi] < rmin * (1.0 - CELL_MARGIN))
+            )
+        queried += s.size
+        s, g = s[fails], g[fails]
+        if k:
+            # Each failed group splits into its halves, in (state, group)
+            # order; the last group of a level may have one half only.
+            s = np.repeat(s, 2)
+            g = (2 * g[:, None] + np.arange(2)).ravel()
+            has = g < levels[k - 1][0].size
+            s, g = s[has], g[has]
+    return s, g, queried, unbounded
+
+
+def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
+    """Exact zeros and sign-change brackets of G at each odds point (a `Scan`).
+
+    The scan has `scan` points over the support.  Scan points where G is
+    exactly zero count as zeros, except x = 1-Q, which is the herd-invest
+    candidate.  Evaluation goes a block of about `budget` (state, scan
+    point) elements at a time, so the temporaries of the scan and of the
+    child evaluations stay small however many odds points one call
+    serves; bound queries go `budget` at a time.
 
     With `bounds` (see the module docstring) only the cells the bounds
-    cannot certify are evaluated; the roots are the same as without.
+    cannot certify are evaluated; the zeros and brackets are the same as
+    without.
     """
     xs = np.linspace(dist.lo, dist.hi, scan)
     uxs = dist.lr_upper_tail(xs)
@@ -181,111 +293,104 @@ def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
     if bounds is None:
         # Every cell is evaluated, as one span of the whole scan per state.
         first = np.zeros(1, dtype=int)
-        chunk = max(1, budget // scan)
-        evaluated = unbounded = M * cells.size
+        open_s, open_c = np.arange(M), np.zeros(M, dtype=int)
+        queried, evaluated = 0, M * cells.size
+        unbounded = evaluated
+        step = max(1, budget // scan)
     else:
-        # Certify a block of states cell by cell, then evaluate its open
-        # cells a budget's worth at a time.
         first = cells
-        chunk = max(1, budget // cells.size)
-        step = max(1, budget // CELL_POINTS)
-        evaluated = unbounded = 0
         pts = np.minimum(first[:, None] + np.arange(CELL_POINTS), scan - 1)
-        ucell = uxs[pts]
-        umin, umax = ucell.min(axis=1), ucell.max(axis=1)
-        lhs_first, lhs_last = lhs[first], lhs[pts[:, -1]]
-    roots: list[list[float]] = [[] for _ in range(M)]
-    states, js, glo_pos = [], [], []
-    for start in range(0, M, chunk):
-        Lc = Ls[start : start + chunk]
+        levels = _cell_levels(uxs[pts], lhs[first], lhs[pts[:, -1]])
+        open_s, open_c, queried, unbounded = _open_cells(Ls, bounds, levels, budget)
+        evaluated = open_s.size
+        step = max(1, budget // CELL_POINTS)
+    zstates, zjs, states, js, glo_pos = [], [], [], [], []
+    for i in range(0, open_s.size, step):
+        s, c = open_s[i : i + step], open_c[i : i + step]
         if bounds is None:
-            units = [(np.arange(len(Lc)), np.zeros(len(Lc), dtype=int))]
+            ux, lh = uxs[None, :], lhs[None, :]
         else:
-            Lb = Lc[:, None]
-            rmin, rmax = bounds(Lb * umin, Lb * umax)
-            unbounded += np.count_nonzero(np.isnan(rmin) | np.isnan(rmax))
-            certified = (Lb * lhs_first > rmax * (1.0 + CELL_MARGIN)) | (
-                Lb * lhs_last < rmin * (1.0 - CELL_MARGIN)
-            )
-            s, c = np.nonzero(~certified)
-            evaluated += s.size
-            units = [(s[i : i + step], c[i : i + step]) for i in range(0, s.size, step)]
-        for s, c in units:
-            if bounds is None:
-                ux, lh = uxs[None, :], lhs[None, :]
-            else:
-                ux, lh = uxs[pts[c]], lhs[pts[c]]
-            Lu = Lc[s][:, None]
-            r = child_ratio(Lu * ux)
-            G = np.where(np.isfinite(r), Lu * lh - r, np.nan)
-            a, b = G[:, :-1], G[:, 1:]
-            flip = (a * b < 0.0) & np.isfinite(a) & np.isfinite(b)
-            u, k = np.nonzero(flip)
-            states.append(s[u] + start)
-            js.append(first[c[u]] + k)
-            glo_pos.append(a[u, k] > 0.0)
-            # A zero at a cell's first point is the previous cell's last
-            # point (or x = 1-Q), so a cell reports zeros from its second.
-            u, k = np.nonzero(b == 0.0)
-            for st, j in zip(s[u] + start, first[c[u]] + k + 1):
-                if j < scan - 1:
-                    roots[st].append(float(xs[j]))
-            # Only one block's arrays are alive while the next block's
-            # child evaluation allocates its own.
-            del r, G, a, b, flip, ux, lh
+            ux, lh = uxs[pts[c]], lhs[pts[c]]
+        Lu = Ls[s][:, None]
+        r = child_ratio(Lu * ux)
+        G = np.where(np.isfinite(r), Lu * lh - r, np.nan)
+        a, b = G[:, :-1], G[:, 1:]
+        flip = (a * b < 0.0) & np.isfinite(a) & np.isfinite(b)
+        u, k = np.nonzero(flip)
+        states.append(s[u])
+        js.append(first[c[u]] + k)
+        glo_pos.append(a[u, k] > 0.0)
+        # A zero at a cell's first point is the previous cell's last
+        # point (or x = 1-Q), so a cell reports zeros from its second.
+        u, k = np.nonzero(b == 0.0)
+        j = first[c[u]] + k + 1
+        zstates.append(s[u][j < scan - 1])
+        zjs.append(j[j < scan - 1])
+        # Only one block's arrays are alive while the next block's
+        # child evaluation allocates its own.
+        del r, G, a, b, flip, ux, lh
 
-    state = np.concatenate(states) if states else np.empty(0, dtype=int)
-    _debug(
-        "root scan of %d states: %d cells certified, %d evaluated "
-        "(%d without a bound), %d brackets",
-        M, M * cells.size - evaluated, evaluated, unbounded, state.size,
+    def joined(parts, dtype=int):
+        return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+    j = joined(js)
+    return Scan(
+        joined(zstates),
+        xs[joined(zjs)],
+        joined(states),
+        xs[j],
+        xs[j + 1],
+        joined(glo_pos, bool),
+        queried,
+        M * cells.size - evaluated,
+        evaluated,
+        unbounded,
     )
-    if state.size:
-        j = np.concatenate(js)
-        bL = Ls[state]
-        xr = _bisect_brackets(
-            lambda x: gap(dist, child_ratio, bL, x),
-            xs[j],
-            xs[j + 1],
-            np.concatenate(glo_pos),
-        )
-        for s, x in zip(state, xr):
-            roots[int(s)].append(float(x))
-    return roots
 
 
-def rescue_root(dist, child_ratio, L):
-    """Locate the root when the playable-invest window is sub-scan-width.
+def _rescue(dist, child_ratio, Ls):
+    """Windows of states whose playable-invest window is sub-scan-width.
 
     Just above a dead frontier only thresholds within a vanishing band
     below Q keep the invest child alive, so the coarse scan sees at most
     one finite G value and finds no bracket even though a root exists.
+    Where G is undefined at x = 1-Q, the window's lower edge is bisected
+    for (to ROOT_XTOL/4, at most 200 steps), all states at once.  Returns
+    (lo, edge): the window's lower end, which is the reply itself where
+    `edge` (every playable type prefers investing), and otherwise the low
+    end of a bracket [lo, Q] on which G rises through zero.
     """
 
     def g(x):
-        return float(np.asarray(gap(dist, child_ratio, L, x)))
+        return gap(dist, child_ratio, Ls, x)
 
-    lo, hi = dist.lo, dist.hi
+    if not len(Ls):  # most calls rescue no state
+        return np.empty(0), np.empty(0, dtype=bool)
+    lo = np.full(len(Ls), dist.lo)
+    hi = np.full(len(Ls), dist.hi)
     g_lo = g(lo)
-    if math.isnan(g_lo):
+    dead = np.isnan(g_lo)
+    if dead.any():
         # Bisect for the lowest threshold whose invest child is alive.
-        _, lo = bisect(lambda m: math.isnan(g(m)), lo, hi, ROOT_XTOL / 4, 200)
-        g_lo = g(lo)
+        Ld = Ls[dead]
+        _, lo[dead] = bisect(
+            lambda m: np.isnan(gap(dist, child_ratio, Ld, m)),
+            lo[dead],
+            hi[dead],
+            ROOT_XTOL / 4,
+            200,
+        )
+        g_lo[dead] = gap(dist, child_ratio, Ld, lo[dead])
     g_hi = g(hi)
-    if math.isnan(g_lo) or math.isnan(g_hi):
-        raise ModelViolationError(f"no playable threshold window at L={L!r}")
-    if g_lo >= 0.0:
-        # Every playable type prefers investing: the window edge is the reply.
-        return lo
-    if g_hi <= 0.0:
+    no_window = np.isnan(g_lo) | np.isnan(g_hi)
+    missed = ~no_window & (g_lo < 0.0) & (g_hi <= 0.0)
+    bad = np.flatnonzero(no_window | missed)
+    if bad.size:
+        L = float(Ls[bad[0]])
+        if no_window[bad[0]]:
+            raise ModelViolationError(f"no playable threshold window at L={L!r}")
         raise ModelViolationError(f"herd-decline condition missed by the scan at L={L!r}")
-    root = _bisect_brackets(
-        lambda x: gap(dist, child_ratio, np.array([L]), x),
-        np.array([lo]),
-        np.array([hi]),
-        np.array([g_lo > 0.0]),
-    )
-    return float(root[0])
+    return lo, g_lo >= 0.0
 
 
 def herd_flags(dist, child_ratio, Ls):
@@ -309,10 +414,40 @@ def herd_flags(dist, child_ratio, Ls):
 
 
 def candidates(dist, child_ratio, Ls, scan, budget, bounds=None):
-    """Interior roots plus playable herd thresholds, as (x, kind) per state."""
+    """Interior roots plus playable herd thresholds, as (x, kind) per state.
+
+    The scan's brackets and the rescue brackets of the states left with
+    no candidate are bisected in one call (module docstring).
+    """
     Q = dist.Q
-    roots = scan_roots(dist, child_ratio, Ls, scan, budget, bounds)
+    found = scan_roots(dist, child_ratio, Ls, scan, budget, bounds)
     herd_inv, herd_dec = herd_flags(dist, child_ratio, Ls)
+    found_any = herd_inv | herd_dec
+    found_any[found.zero_state] = found_any[found.state] = True
+    rescued = np.flatnonzero(~found_any)
+    lo, edge = _rescue(dist, child_ratio, Ls[rescued])
+    # A rescue bracket [lo, Q] has G negative at lo.
+    k = rescued[~edge]
+    state = np.concatenate((found.state, k))
+    bL = Ls[state]
+    xr = _bisect_brackets(
+        lambda x: gap(dist, child_ratio, bL, x),
+        np.concatenate((found.lo, lo[~edge])),
+        np.concatenate((found.hi, np.full(k.size, dist.hi))),
+        np.concatenate((found.glo_pos, np.zeros(k.size, dtype=bool))),
+    )
+    roots: list[list[float]] = [[] for _ in range(len(Ls))]
+    for s, x in zip(
+        np.concatenate((found.zero_state, rescued[edge], state)),
+        np.concatenate((found.zeros, lo[edge], xr)),
+    ):
+        roots[s].append(float(x))
+    _debug(
+        "root scan of %d states: %d bound queries, %d cells certified, %d evaluated "
+        "(%d without a bound), %d brackets, %d rescued",
+        len(Ls), found.queried, found.certified, found.evaluated, found.unbounded,
+        found.state.size, rescued.size,
+    )
 
     cands: list[list[tuple[float, str]]] = []
     for s in range(len(Ls)):
@@ -327,8 +462,6 @@ def candidates(dist, child_ratio, Ls, scan, budget, bounds=None):
             got.append((x, KIND_INTERIOR))
         if herd_dec[s]:
             got.append((Q, KIND_HERD_DECLINE))
-        if not got:
-            got.append((rescue_root(dist, child_ratio, float(Ls[s])), KIND_INTERIOR))
         cands.append(got)
     return cands
 

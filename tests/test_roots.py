@@ -1,8 +1,8 @@
 """The certified root scan finds exactly the dense scan's roots.
 
-A cell of scan points is skipped only when the child row's range bounds
-prove G has one sign on it, so the root lists with and without bounds
-must be equal bit for bit, not merely close.
+A group of scan cells is skipped only when the child row's range bounds
+prove G has one sign on it, so the zeros, the brackets and the candidates
+with and without bounds must be equal bit for bit, not merely close.
 """
 
 import logging
@@ -35,13 +35,25 @@ def vanishing_end_spec():
     return QualitySpec.tabulated(0.5, 0.75, [(0.5, 8.0), (0.75, 1e-6)], normalize=True)
 
 
+SCAN_FIELDS = ("zero_state", "zeros", "state", "lo", "hi", "glo_pos")
+
+
+def assert_scans_alike(dist, ratio, Ls, scan, budget, bounds):
+    """Zeros, brackets and candidates are the same with and without bounds."""
+    dense = roots.scan_roots(dist, ratio, Ls, scan, budget)
+    cert = roots.scan_roots(dist, ratio, Ls, scan, budget, bounds)
+    for field in SCAN_FIELDS:
+        assert np.array_equal(getattr(dense, field), getattr(cert, field)), field
+    cands = roots.candidates(dist, ratio, Ls, scan, budget, bounds)
+    assert roots.candidates(dist, ratio, Ls, scan, budget) == cands
+    return dense, cands
+
+
 def assert_rows_scan_alike(table):
-    """Every row of the table scans to the same roots either way."""
+    """Every row of the table scans to the same brackets and candidates either way."""
     for (B, n), row in sorted(table.rows.items()):
         inv = table.view(B - 1, n - 1)
-        args = (table.dist, inv.ratio_at, row.L, SCAN_POINTS, 8_192)
-        dense = roots.scan_roots(*args)
-        assert roots.scan_roots(*args, inv.ratio_bounds) == dense, (B, n)
+        assert_scans_alike(table.dist, inv.ratio_at, row.L, SCAN_POINTS, 8_192, inv.ratio_bounds)
     return len(table.rows)
 
 
@@ -124,7 +136,7 @@ def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
     records = [r for r in caplog.records if r.name == "cascadefund"]
     assert len(records) == len(table.rows) == 9
     for rec in records:
-        states, certified, evaluated, unbounded, brackets = rec.args
+        states, queried, certified, evaluated, unbounded, brackets, rescued = rec.args
         assert evaluated < 0.05 * (certified + evaluated)
 
 
@@ -169,9 +181,10 @@ def test_zero_at_shared_cell_end_is_reported_once():
     def bounds(lo, hi):
         return np.full(np.shape(lo), c), np.full(np.shape(hi), c)
 
-    dense = roots.scan_roots(dist, ratio, L, scan, 10 * scan)
-    cert = roots.scan_roots(dist, ratio, L, scan, 10 * scan, bounds)
-    assert dense == cert == [[float(xs[W - 1])]]
+    dense, cands = assert_scans_alike(dist, ratio, L, scan, 10 * scan, bounds)
+    assert dense.zero_state.tolist() == [0] and dense.zeros.tolist() == [xs[W - 1]]
+    assert dense.state.size == 0
+    assert cands == [[(float(xs[W - 1]), roots.KIND_INTERIOR)]]
 
 
 def test_engine_scan_memory_stays_small():
@@ -196,16 +209,162 @@ def test_each_row_logs_its_scan(caplog):
     assert len(records) == len(table.rows)
     cells = len(range(0, SCAN_POINTS - 1, roots.CELL_POINTS - 1))
     for ((B, n), row), rec in zip(sorted(table.rows.items(), key=lambda kv: kv[0][::-1]), records):
-        states, certified, evaluated, unbounded, brackets = rec.args
+        states, queried, certified, evaluated, unbounded, brackets, rescued = rec.args
         assert rec.levelno == logging.DEBUG
         assert states == row.L.size
+        # Each state bounds its whole scan at least once, and far fewer
+        # intervals than its cells.
+        assert states <= queried < 0.5 * states * cells
         assert certified + evaluated == states * cells
         assert 0 <= unbounded <= evaluated
         assert brackets >= 0
+        assert 0 <= rescued < states
         assert certified > evaluated
     # A scan without bounds evaluates every cell, and none has a bound.
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cascadefund"):
-        roots.scan_roots(dist, _LastMover(dist).ratio_at, row.L, 4001, 8_192)
-    states, certified, evaluated, unbounded, brackets = caplog.records[-1].args
-    assert certified == 0 and evaluated == unbounded == states * cells
+        roots.candidates(dist, _LastMover(dist).ratio_at, row.L, 4001, 8_192)
+    states, queried, certified, evaluated, unbounded, brackets, rescued = caplog.records[-1].args
+    assert queried == certified == 0 and evaluated == unbounded == states * cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    brackets=st.lists(
+        st.tuples(st.floats(-10.0, 10.0), st.floats(-14.0, 1.0), st.floats(0.0, 1.0)),
+        max_size=12,
+    ),
+    tol=st.sampled_from([0.0, roots.ROOT_XTOL, roots.ROOT_XTOL / 4]),
+    max_iter=st.sampled_from([None, 0, 1, 7, 80, 200]),
+)
+def test_bisect_elementwise_equals_scalar_calls(brackets, tol, max_iter):
+    # Brackets of widths from 1e-14 to 10 stop after different numbers of
+    # steps; each must stop where its own scalar call does.
+    if tol == 0.0 and max_iter is None:
+        max_iter = 200  # halving to a zero width need not end
+    a = np.array([lo for lo, _, _ in brackets], dtype=float)
+    b = a + np.array([10.0**e for _, e, _ in brackets], dtype=float)
+    switch = a + (b - a) * np.array([u for _, _, u in brackets], dtype=float)
+    got_a, got_b = roots.bisect(lambda m: m < switch, a, b, tol, max_iter)
+    assert got_a.shape == got_b.shape == a.shape
+    for i in range(a.size):
+        want_a, want_b = roots.bisect(
+            lambda m: m < switch[i], float(a[i]), float(b[i]), tol, max_iter
+        )
+        assert (float(got_a[i]).hex(), float(got_b[i]).hex()) == (want_a.hex(), want_b.hex()), i
+
+
+def test_bisect_on_an_empty_array_returns_at_once():
+    calls = []
+    a, b = roots.bisect(lambda m: calls.append(m) or m < 0.0, np.empty(0), np.empty(0), 0.0)
+    assert a.size == b.size == 0 and not calls
+
+
+def _rescued_states(dist, ratio, Ls, bounds):
+    """States the scan and the herd flags leave without a candidate."""
+    found = roots.scan_roots(dist, ratio, Ls, SCAN_POINTS, 8_192, bounds)
+    herd_inv, herd_dec = roots.herd_flags(dist, ratio, Ls)
+    has = herd_inv | herd_dec
+    has[found.zero_state] = has[found.state] = True
+    return np.flatnonzero(~has)
+
+
+def test_batched_rescue_equals_the_one_state_call(solved):
+    cases = []
+    table = solved(QualitySpec.uniform(0.5, 0.8), 3, 8, grid_size=513)  # solve-partial
+    for (B, n), row in sorted(table.rows.items()):
+        cases.append((table, B, n, row.L))
+    # The knot-1e-6 density, at odds just above each row's dead frontier.
+    table = backward_induction(TypeDistribution(vanishing_end_spec()), 2, 2, grid_size=129)
+    for (B, n), row in sorted(table.rows.items()):
+        cases.append((table, B, n, row.dead_frontier * (1.0 + np.geomspace(1e-7, 1e-1, 40))))
+    rescued_total = 0
+    for table, B, n, Ls in cases:
+        inv = table.view(B - 1, n - 1)
+        args = (table.dist, inv.ratio_at)
+        cands = roots.candidates(*args, Ls, SCAN_POINTS, 8_192, inv.ratio_bounds)
+        rescued = _rescued_states(*args, Ls, inv.ratio_bounds)
+        rescued_total += rescued.size
+        for s in rescued:
+            one = roots.candidates(*args, Ls[s : s + 1], SCAN_POINTS, 8_192, inv.ratio_bounds)
+            assert one == [cands[s]], (B, n, s)
+            assert len(cands[s]) == 1 and cands[s][0][1] == roots.KIND_INTERIOR
+    assert rescued_total >= 40
+
+
+def test_rescue_names_the_first_failing_state(monkeypatch):
+    # With the herd flags off, a child dead below odds 50 leaves a state
+    # at L = 1 no playable window (L * Q/(1-Q) = 4), and a child ratio of
+    # 1e9 above it leaves G negative on the whole support at L = 60.
+    dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
+
+    def ratio(q):
+        q = np.asarray(q, dtype=float)
+        return np.where(q < 50.0, np.inf, 1e9)
+
+    monkeypatch.setattr(
+        roots, "herd_flags", lambda dist, ratio, Ls: (np.zeros(len(Ls), bool),) * 2
+    )
+    for Ls, message in [
+        ([2.0, 60.0, 1.0], "no playable threshold window at L=2.0"),
+        ([60.0, 1.0], "herd-decline condition missed by the scan at L=60.0"),
+    ]:
+        with pytest.raises(roots.ModelViolationError, match=message):
+            roots.candidates(dist, ratio, np.array(Ls), 257, 8_192)
+
+
+def _flat_certificate(dist, Ls, scan, bounds):
+    """The one-level certificate: every cell of every state bounded at once.
+
+    Returns the child odds of the open cells' points, in (state, cell)
+    order, and the count of cells without a bound.
+    """
+    W = roots.CELL_POINTS
+    xs = np.linspace(dist.lo, dist.hi, scan)
+    uxs = dist.lr_upper_tail(xs)
+    lhs = xs / (1.0 - xs)
+    first = np.arange(0, scan - 1, W - 1)
+    pts = np.minimum(first[:, None] + np.arange(W), scan - 1)
+    Lb = Ls[:, None]
+    rmin, rmax = bounds(Lb * uxs[pts].min(axis=1), Lb * uxs[pts].max(axis=1))
+    certified = (Lb * lhs[first] > rmax * (1.0 + roots.CELL_MARGIN)) | (
+        Lb * lhs[pts[:, -1]] < rmin * (1.0 - roots.CELL_MARGIN)
+    )
+    s, c = np.nonzero(~certified)
+    return Ls[s][:, None] * uxs[pts[c]], np.count_nonzero(np.isnan(rmin) | np.isnan(rmax))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS) + ["vanishing-end"])
+def test_coarse_to_fine_certificate_evaluates_the_flat_certificates_cells(name, solved):
+    if name == "vanishing-end":
+        table = backward_induction(TypeDistribution(vanishing_end_spec()), 2, 2, grid_size=129)
+    else:
+        table = solved(SPECS[name](), 3, 5, grid_size=257)
+    for (B, n), row in sorted(table.rows.items()):
+        inv = table.view(B - 1, n - 1)
+        seen = []
+
+        def ratio(q):
+            if np.ndim(q) == 2:  # a block of cells; herd flags and bisection pass 1-D odds
+                seen.append(np.array(q))
+            return inv.ratio_at(q)
+
+        want, unbounded = _flat_certificate(table.dist, row.L, SCAN_POINTS, inv.ratio_bounds)
+        found = roots.scan_roots(table.dist, ratio, row.L, SCAN_POINTS, 8_192, inv.ratio_bounds)
+        got = np.concatenate(seen) if seen else np.empty((0, roots.CELL_POINTS))
+        assert np.array_equal(got, want), (name, B, n)
+        assert found.evaluated == len(want) and found.unbounded == unbounded, (name, B, n)
+
+
+def test_coarse_to_fine_certificate_makes_few_bound_queries(solved):
+    table = solved(QualitySpec.uniform(0.5, 0.8), 3, 5, grid_size=257)
+    for (B, n), row in sorted(table.rows.items()):
+        inv = table.view(B - 1, n - 1)
+        queried = []
+
+        def bounds(lo, hi):
+            queried.append(lo.size)
+            return inv.ratio_bounds(lo, hi)
+
+        found = roots.scan_roots(table.dist, inv.ratio_at, row.L, SCAN_POINTS, 8_192, bounds)
+        assert found.queried == sum(queried) <= 30 * row.L.size, (B, n)
