@@ -25,7 +25,6 @@ rules and the private-likelihood rule live here.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -168,31 +167,11 @@ class QualitySpec:
             raise ConfigError(f"bad {kind} quality spec: {exc!r}") from exc
         return cls(kind=kind, R=R, Q=Q, knots=knots)
 
-    @classmethod
-    def from_json(cls, doc: str | dict) -> "QualitySpec":
-        if isinstance(doc, str):
-            try:
-                doc = json.loads(doc)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad quality JSON: {exc}") from exc
-        return cls.from_dict(doc)
-
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind, "R": self.R, "Q": self.Q}
         if self.kind == "tabulated":
             doc["knots"] = [[q, d] for q, d in self.knots]
         return doc
-
-    def type_from_signal(self, q, s):
-        """Roll a quality and a binary signal into the scalar type."""
-        qa, q_scalar = _as_float_array(q)
-        sa, s_scalar = _as_float_array(s)
-        if np.any((qa < self.R - 1e-12) | (qa > self.Q + 1e-12)):
-            raise DomainError(f"quality outside [{self.R}, {self.Q}]")
-        if np.any((sa != 0) & (sa != 1)):
-            raise DomainError("signal must be 0 or 1")
-        t = np.where(sa == 1, qa, 1.0 - qa)
-        return float(t) if (q_scalar and s_scalar) else t
 
 
 def _segment_arrays(spec: QualitySpec):

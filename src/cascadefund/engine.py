@@ -33,13 +33,14 @@ the root tolerances are those of cascadefund.roots.
 
 One path solves live states, `_solve_states`: candidates and selection
 from cascadefund.roots, then the completion recurrence and the irregular
-flags, for a whole table row or for one state.  `find_roots`,
-`select_equilibrium` and `completion_prob` are that solve at one state.
+flags, for a whole table row or for one state.  `find_roots` and
+`completion_prob` are that solve at one state.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -65,7 +66,6 @@ __all__ = [
     "completion_prob",
     "find_roots",
     "pi_ordering_scan",
-    "select_equilibrium",
 ]
 
 MAX_PLAYERS = 50
@@ -97,9 +97,16 @@ def _spanning_grid(Q: float, B0: int, size: int) -> np.ndarray:
     Q/(1-Q).  Below its first point every row is dead (sigma = Q, pi = 0)
     and above its last every row invests for every type (sigma = 1-Q,
     pi = 1), so a query beyond either end of a row lands on a plateau, and
-    clamping it to the end knot gives the exact value.
+    clamping it to the end knot gives the exact value.  A first point that
+    is zero (log fails) or subnormal (too few bits to space points by) is
+    a DomainError.
     """
     lo = down_cascade_bound(Q, B0) / GRID_PAD
+    if not lo >= sys.float_info.min:
+        raise DomainError(
+            f"dead bound ((1-Q)/Q)^B0 / {GRID_PAD:g} = {lo:.3g} at Q={Q!r}, B0={B0} "
+            "is not a positive normal double; no odds grid reaches it"
+        )
     # Not GRID_PAD * up_cascade_bound(Q): that rounds differently and
     # would move every grid point.
     hi = GRID_PAD * Q / (1.0 - Q)
@@ -386,7 +393,7 @@ def _solve_row(table, B, n, Lpts):
                 f"(B={B}, n={n})"
             )
 
-    return PolicyRow(B, n, Lpts, sigma, pi0, pi1, irregular, table.Q)
+    return PolicyRow(B, n, Lpts, sigma, pi0, pi1, irregular, table.dist.Q)
 
 
 class PolicyTable:
@@ -410,10 +417,6 @@ class PolicyTable:
     def __init__(self, dist, rows):
         self.dist = dist
         self.rows = rows
-
-    @property
-    def Q(self) -> float:
-        return self.dist.Q
 
     def row(self, B: int, n: int) -> PolicyRow:
         try:
@@ -512,16 +515,6 @@ def find_roots(state: GameState, policy: PolicyTable) -> RootSet:
         for x, kind, u, r in zip(ch.x, ch.kinds, ch.U, res)
     )
     return RootSet(state, cands, int(ch.sel[0]), bool(ch.tie[0]), (float(pi0[0]), float(pi1[0])))
-
-
-def select_equilibrium(root_set: RootSet) -> tuple[float, bool]:
-    """Equilibrium threshold of a root set plus its irregularity flag.
-
-    Highest expected utility wins; within tolerance ties the discriminator
-    decides, and a discriminator tie between distinct thresholds marks the
-    state irregular (the tie-break refinement has no unique selection).
-    """
-    return root_set.candidates[root_set.selected].x, root_set.tie
 
 
 def completion_prob(state: GameState, policy: PolicyTable) -> tuple[float, float]:

@@ -315,7 +315,9 @@ def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
         r = child_ratio(Lu * ux)
         G = np.where(np.isfinite(r), Lu * lh - r, np.nan)
         a, b = G[:, :-1], G[:, 1:]
-        flip = (a * b < 0.0) & np.isfinite(a) & np.isfinite(b)
+        # Times the sign of b, not b: a product of two tiny (huge) gaps
+        # underflows to zero (overflows) and would drop or warn on the bracket.
+        flip = (a * np.sign(b) < 0.0) & np.isfinite(a) & np.isfinite(b)
         u, k = np.nonzero(flip)
         states.append(s[u])
         js.append(first[c[u]] + k)

@@ -40,20 +40,21 @@ BLOCK_RUNS = 4096
 
 @dataclass(frozen=True)
 class BatchRuns:
-    """Column-wise stack of simulated runs (one row per run)."""
+    """Column-wise stack of simulated runs (one row per run).
+
+    world is the drawn world state, types the (runs, n) movers' types,
+    actions whether each mover invested, L_end the public odds after the
+    last mover, and completed whether the drive filled.
+    """
 
     world: np.ndarray
     types: np.ndarray
     actions: np.ndarray
-    paths: np.ndarray
+    L_end: np.ndarray
     completed: np.ndarray
 
     def __len__(self) -> int:
         return len(self.world)
-
-    @property
-    def L_end(self) -> np.ndarray:
-        return self.paths[:, -1]
 
 
 def _simulate_block(policy: PolicyTable, state: GameState, count: int, seed_seq):
@@ -70,8 +71,6 @@ def _simulate_block(policy: PolicyTable, state: GameState, count: int, seed_seq)
     L = np.full(count, state.L)
     need = np.full(count, state.B, dtype=np.int64)
     actions = np.zeros((count, n), dtype=bool)
-    paths = np.empty((count, n + 1))
-    paths[:, 0] = L
     for k in range(n):
         left = n - k
         sigma = np.empty(count)
@@ -88,8 +87,7 @@ def _simulate_block(policy: PolicyTable, state: GameState, count: int, seed_seq)
         L = L * ratio
         need -= act
         actions[:, k] = act
-        paths[:, k + 1] = L
-    return world, types, actions, paths, need <= 0
+    return world, types, actions, L, need <= 0
 
 
 def simulate_runs(
@@ -103,18 +101,18 @@ def simulate_runs(
         sizes.append(runs % BLOCK_RUNS)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
     parts = [_simulate_block(policy, state, c, s) for c, s in zip(sizes, seeds)]
-    world, types, actions, paths, completed = (
+    world, types, actions, L_end, completed = (
         np.concatenate(cols) for cols in zip(*parts)
     )
-    return BatchRuns(world, types, actions, paths, completed)
+    return BatchRuns(world, types, actions, L_end, completed)
 
 
 @dataclass(frozen=True)
 class CompletionEstimate:
     """Conditional completion frequencies by world, with binomial errors.
 
-    A world with no conditional sample comes back unavailable (NaN
-    estimate).  Settled states (nothing needed, or more needed than
+    A world with no conditional sample comes back with count 0 and a NaN
+    estimate.  Settled states (nothing needed, or more needed than
     players) short-circuit to their exact values.
     """
 
@@ -124,10 +122,6 @@ class CompletionEstimate:
     se1: float
     count0: int
     count1: int
-
-    @property
-    def available(self) -> tuple[bool, bool]:
-        return self.count0 > 0, self.count1 > 0
 
 
 def completion_from_batch(batch: BatchRuns) -> CompletionEstimate:

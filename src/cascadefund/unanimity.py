@@ -54,14 +54,12 @@ __all__ = [
     "asymmetric_profiles",
     "completion_prob_unanimity",
     "delegation_analysis",
-    "delegation_pattern",
     "hazard_J",
     "J_monotone_segments",
     "profile_discriminator",
     "profile_utility",
     "social_insurance_check",
     "solve_unanimity",
-    "symmetric_threshold",
     "sweep_profiles",
 ]
 
@@ -100,20 +98,6 @@ class ThresholdProfile:
     utility: float
     residuals: tuple[float, ...]
     discriminators: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.thresholds)
-
-    def to_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "thresholds": list(self.thresholds),
-            "kinds": list(self.kinds),
-            "pi0": self.pi0,
-            "pi1": self.pi1,
-            "utility": self.utility,
-        }
 
 
 def completion_prob_unanimity(dist: TypeDistribution, thresholds) -> tuple[float, float]:
@@ -155,28 +139,6 @@ def _member_residual(dist, L, xs, i):
     rhs = float(np.prod(_psi(dist, xs[others]))) if others.any() else 1.0
     xi = float(xs[i])
     return L * xi / (1.0 - xi) - rhs
-
-
-def symmetric_threshold(L: float, dist: TypeDistribution, n: int) -> float:
-    """The unique all-equal threshold: L*x/(1-x) = psi(x)^(n-1).
-
-    The left side rises and the right side falls in x, so the interior
-    root is unique; outside the cascade window the threshold pins to the
-    relevant support edge.
-    """
-    if n < 1:
-        raise DomainError("need at least one player")
-    lo, hi = dist.lo, dist.hi
-
-    def g(x):
-        return L * x / (1.0 - x) - _psi(dist, x) ** (n - 1)
-
-    if g(lo) >= 0.0:
-        return lo
-    if g(hi) <= 0.0:
-        return hi
-    a, b = roots.bisect(lambda m: g(m) <= 0.0, lo, hi, ROOT_XTOL)
-    return 0.5 * (a + b)
 
 
 # -- exact recursive ladder ---------------------------------------------------
@@ -515,14 +477,6 @@ def delegation_analysis(dist: TypeDistribution) -> DelegationReport:
         earliest_only=bool(np.all(allm > 0.0)),
         latest_only=bool(np.all(allm < 0.0)),
     )
-
-
-def delegation_pattern(dist: TypeDistribution, n: int, Ls):
-    """Delegation flags (x_i at the bottom edge) along solved profiles."""
-    Ls = np.atleast_1d(np.asarray(Ls, dtype=float))
-    xs, _ = _ladder_walk(dist, Ls, n)
-    flags = xs <= dist.lo + 1e-9
-    return tuple((L, tuple(row)) for L, row in zip(Ls.tolist(), flags.tolist()))
 
 
 def social_insurance_check(dist: TypeDistribution, profile: ThresholdProfile) -> bool:

@@ -32,7 +32,6 @@ from cascadefund.engine import (
     completion_prob,
     find_roots,
     pi_ordering_scan,
-    select_equilibrium,
 )
 from cascadefund.simulate import simulate_runs
 from cascadefund.unanimity import (
@@ -181,7 +180,8 @@ def test_04_screening_never_exceeds_stand_alone_cut():
             Lc = float(L)
             for m in range(4, 0, -1):
                 st = GameState(Lc, m, m)
-                x, _ = select_equilibrium(find_roots(st, pol))
+                rs = find_roots(st, pol)
+                x = rs.candidates[rs.selected].x
                 xs.append(x)
                 Lc *= float(d.lr_upper_tail(x))
             shim = types.SimpleNamespace(thresholds=np.asarray(xs), L=float(L))

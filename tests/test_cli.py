@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cascadefund import cli
+from cascadefund import cli, engine
 from cascadefund.beliefs import QualitySpec
 from cascadefund.engine import GameState
 from cascadefund.simulate import (
@@ -250,6 +250,20 @@ class TestNumericFailure:
         monkeypatch.setattr(cli, "backward_induction", boom)
         assert run(workdir, "solve") == 3
         assert "numeric failure (RuntimeError)" in capsys.readouterr().err
+
+    def test_underflowing_dead_bound_exits_3_before_any_row(self, workdir, monkeypatch, capsys):
+        def no_row(*args):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr(engine, "_solve_row", no_row)
+        cfgfile = workdir / "cfg.json"
+        cfgfile.write_text(
+            json.dumps({"quality": {"kind": "uniform", "R": 0.5, "Q": 0.9999999}, "B": 50, "n": 50})
+        )
+        assert run(workdir, "solve", "--config", str(cfgfile)) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure (DomainError): dead bound" in err
+        assert "Q=0.9999999, B0=50" in err
 
 
 def _cell(v) -> str:

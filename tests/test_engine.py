@@ -17,6 +17,7 @@ from cascadefund.beliefs import (
     QualitySpec,
     TypeDistribution,
 )
+from cascadefund import engine
 from cascadefund.engine import (
     GameState,
     ModelViolationError,
@@ -26,7 +27,6 @@ from cascadefund.engine import (
     completion_prob,
     find_roots,
     pi_ordering_scan,
-    select_equilibrium,
 )
 from cascadefund.roots import CELL_MARGIN, select
 from conftest import interior_zero_spec
@@ -117,7 +117,8 @@ def test_every_state_answers_one_query_contract(solved, B, n):
 class TestTwoPlayerAnchors:
     def test_threshold_at_even_odds(self, pol58):
         st = GameState(L=1.0, B=2, n=2)
-        x, irregular = select_equilibrium(find_roots(st, pol58))
+        rs = find_roots(st, pol58)
+        x, irregular = rs.candidates[rs.selected].x, rs.tie
         assert x == pytest.approx(0.4, abs=1e-6)
         assert not irregular
 
@@ -138,8 +139,8 @@ class TestTwoPlayerAnchors:
             for (b, m), row in sorted(pol.rows.items()):
                 for k in range(0, row.L.size, 8):
                     st = GameState(L=float(row.L[k]), B=b, n=m)
-                    x, _ = select_equilibrium(find_roots(st, pol))
-                    assert x == row.sigma[k], (R, b, m, k)
+                    rs = find_roots(st, pol)
+                    assert rs.candidates[rs.selected].x == row.sigma[k], (R, b, m, k)
                     assert completion_prob(st, pol) == (row.pi0[k], row.pi1[k]), (R, b, m, k)
 
     def test_expected_utility_values(self, pol58):
@@ -172,7 +173,7 @@ class TestCandidateKinds:
         rs = find_roots(st, pol58)
         kinds = [c.kind for c in rs.candidates]
         assert kind in kinds
-        sel, _ = select_equilibrium(rs)
+        sel = rs.candidates[rs.selected].x
         if edge is not None:
             assert sel == getattr(pol58.dist, edge)
 
@@ -311,6 +312,17 @@ class TestTableShape:
     def test_bad_requirement_rejected(self, pol58):
         with pytest.raises(DomainError):
             backward_induction(pol58.dist, 3, 2)
+
+    def test_underflowing_dead_bound_rejected_before_any_row(self, monkeypatch):
+        # ((1-Q)/Q)^50 / 10 underflows to 0 at Q = 0.9999999, so the log
+        # odds of the grid's first point would be -inf.
+        def no_row(*args):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr(engine, "_solve_row", no_row)
+        dist = TypeDistribution(QualitySpec.uniform(0.5, 0.9999999))
+        with pytest.raises(DomainError, match=r"Q=0\.9999999, B0=50"):
+            backward_induction(dist, 50, 50)
 
     def test_settled_state_completion(self, pol58):
         assert completion_prob(GameState(L=1.0, B=0, n=2), pol58) == (1.0, 1.0)

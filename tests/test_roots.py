@@ -368,3 +368,19 @@ def test_coarse_to_fine_certificate_makes_few_bound_queries(solved):
 
         found = roots.scan_roots(table.dist, inv.ratio_at, row.L, SCAN_POINTS, 8_192, bounds)
         assert found.queried == sum(queried) <= 30 * row.L.size, (B, n)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-170, 1e160])
+def test_scan_sign_test_holds_at_tiny_and_huge_gaps(s):
+    # G = s * (x/(1-x) - 1.2345) has one root at 1.2345/2.2345 at every
+    # scale; a product of neighbouring G values underflows to zero below
+    # |G| ~ 1e-160 and overflows above ~1e154, a sign comparison does not.
+    dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = roots.scan_roots(
+            dist, lambda q: np.full(np.shape(q), 1.2345 * s), np.array([s]), SCAN_POINTS, 8_192
+        )
+    assert found.zeros.size == 0
+    assert found.state.tolist() == [0]
+    assert found.lo[0] < 1.2345 / 2.2345 < found.hi[0]

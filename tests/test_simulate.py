@@ -38,7 +38,7 @@ def _batch_equal(a: BatchRuns, b: BatchRuns) -> bool:
         np.array_equal(a.world, b.world)
         and np.array_equal(a.types, b.types)
         and np.array_equal(a.actions, b.actions)
-        and np.array_equal(a.paths, b.paths)
+        and np.array_equal(a.L_end, b.L_end)
         and np.array_equal(a.completed, b.completed)
     )
 
@@ -58,15 +58,15 @@ class TestDeterminism:
         st = GameState(L=1.0, B=2, n=2)
         big = simulate_runs(pol58, st, BLOCK_RUNS * 2 + 100, seed=3)
         small = simulate_runs(pol58, st, BLOCK_RUNS, seed=3)
-        cols = (big.world, big.types, big.actions, big.paths, big.completed)
+        cols = (big.world, big.types, big.actions, big.L_end, big.completed)
         assert _batch_equal(BatchRuns(*(c[:BLOCK_RUNS] for c in cols)), small)
 
     def test_single_run_record(self, pol58):
         batch = simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 1, seed=5)
         assert len(batch) == 1
         assert batch.types[0].shape == (2,)
-        assert batch.paths[0].shape == (3,)
-        assert batch.paths[0, 0] == 1.0
+        assert batch.actions[0].shape == (2,)
+        assert batch.L_end.shape == (1,)
 
     def test_rejects_zero_runs(self, pol58):
         with pytest.raises(DomainError):
@@ -79,13 +79,13 @@ class TestCascadeStates:
         assert np.all(batch.actions == 1)
         assert np.all(batch.completed)
         # Threshold at the support bottom is uninformative: odds frozen.
-        assert np.all(batch.paths == 4.5)
+        assert np.all(batch.L_end == 4.5)
 
     def test_down_cascade_nobody_invests(self, pol58):
         batch = simulate_runs(pol58, GameState(L=0.05, B=2, n=2), 300, seed=1)
         assert np.all(batch.actions == 0)
         assert not np.any(batch.completed)
-        assert np.all(batch.paths == 0.05)
+        assert np.all(batch.L_end == 0.05)
 
 
 class TestPathConsistency:
@@ -101,7 +101,7 @@ class TestPathConsistency:
                 assert act == bool(batch.actions[i, k])
                 L = update_on_invest(L, dist, x) if act else update_on_decline(L, dist, x)
                 need -= int(act)
-                assert batch.paths[i, k + 1] == pytest.approx(L, rel=1e-12)
+            assert batch.L_end[i] == pytest.approx(L, rel=1e-12)
             assert batch.completed[i] == (need <= 0)
 
     def test_types_match_world_frequencies(self, pol58):
@@ -119,7 +119,7 @@ class TestEstimates:
         est = estimate_completion(pol58, st, 40000, seed=2)
         assert abs(est.pi0_hat - 64.0 / 225.0) <= 3 * est.se0
         assert abs(est.pi1_hat - 0.64) <= 3 * est.se1
-        assert est.available == (True, True)
+        assert est.count0 > 0 and est.count1 > 0
 
     def test_settled_states_exact(self, pol58):
         won = estimate_completion(pol58, GameState(L=1.0, B=0, n=2), 10, seed=0)
@@ -130,7 +130,7 @@ class TestEstimates:
     def test_empty_world_cell_is_unavailable(self, pol58):
         # Odds this long against the good world never sample it.
         est = estimate_completion(pol58, GameState(L=1e-8, B=2, n=2), 200, seed=4)
-        assert est.available == (True, False)
+        assert est.count0 > 0 and est.count1 == 0
         assert np.isnan(est.pi1_hat)
         assert est.pi0_hat == 0.0
 

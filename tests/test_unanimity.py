@@ -22,7 +22,6 @@ from cascadefund.unanimity import (
     asymmetric_profiles,
     completion_prob_unanimity,
     delegation_analysis,
-    delegation_pattern,
     hazard_J,
     J_monotone_segments,
     profile_discriminator,
@@ -30,7 +29,6 @@ from cascadefund.unanimity import (
     social_insurance_check,
     solve_unanimity,
     sweep_profiles,
-    symmetric_threshold,
 )
 from cascadefund.unanimity import _level_brackets, _member_residual, _profile_valid
 
@@ -62,9 +60,6 @@ class TestReferenceProfile:
         assert prof.pi1 == pytest.approx(0.64, abs=1e-9)
         assert prof.utility == pytest.approx(16.0 / 90.0, abs=1e-9)
 
-    def test_symmetric_root(self, dist_u58):
-        assert symmetric_threshold(1.0, dist_u58, 2) == pytest.approx(0.4, abs=1e-10)
-
     def test_interior_residuals_vanish(self, dist_u58):
         prof = solve_unanimity(1.0, dist_u58, 2)
         for r in prof.residuals:
@@ -80,10 +75,6 @@ class TestReferenceProfile:
             prof = solve_unanimity(L, dist_u58, 1)
             want = float(np.clip(1.0 / (1.0 + L), dist_u58.lo, dist_u58.hi))
             assert prof.thresholds == (want,)
-
-    def test_to_dict_round_trip_fields(self, dist_u58):
-        doc = solve_unanimity(1.0, dist_u58, 2).to_dict()
-        assert set(doc) == {"L", "thresholds", "kinds", "pi0", "pi1", "utility"}
 
 
 class TestHerdRegions:
@@ -306,10 +297,9 @@ class TestDelegation:
         assert b == pytest.approx(0.4626866, abs=1e-3)
 
     def test_pattern_flags(self, dist_u658):
-        ((_, flags_on),) = delegation_pattern(dist_u658, 2, 1.6)
-        ((_, flags_off),) = delegation_pattern(dist_u658, 2, 1.0)
-        assert flags_on == (True, False)
-        assert flags_off == (False, False)
+        flags_on, flags_off = sweep_profiles(dist_u658, 2, [1.6, 1.0])["delegate"].tolist()
+        assert flags_on == [True, False]
+        assert flags_off == [False, False]
 
     def test_social_insurance_on_equilibrium_path(self, dist_u58, dist_u658):
         assert social_insurance_check(dist_u58, solve_unanimity(1.0, dist_u58, 2))
@@ -366,25 +356,17 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", ["dist_u658", "dist_triangular", "dist_bimodal"])
     def test_one_walk_equals_per_point_solves(self, name, request):
-        # The sweep and the delegation pattern solve every odds point in
-        # one ladder walk; each row must equal the profile solved alone.
+        # The sweep solves every odds point in one ladder walk; each row
+        # must equal the profile solved alone.
         dist = request.getfixturevalue(name)
         Ls = np.concatenate([np.geomspace(0.2, 5.0, 17), [1.6]])
         per_L = np.array([solve_unanimity(float(L), dist, 2).thresholds for L in Ls])
-        assert np.array_equal(sweep_profiles(dist, 2, Ls)["x"], per_L)
+        sw = sweep_profiles(dist, 2, Ls)
+        assert np.array_equal(sw["x"], per_L)
         flags = per_L <= dist.lo + 1e-9
-        want = tuple((float(L), tuple(map(bool, row))) for L, row in zip(Ls, flags))
-        assert delegation_pattern(dist, 2, Ls) == want
+        assert np.array_equal(sw["delegate"], flags)
         if name == "dist_u658":
             assert flags.any()  # the delegation band is on the path
-
-    def test_three_player_walk_equals_per_point_solves(self, dist_u658):
-        Ls = [0.8, 1.6, 3.0]
-        per_L = [solve_unanimity(L, dist_u658, 3).thresholds for L in Ls]
-        want = tuple(
-            (L, tuple(x <= dist_u658.lo + 1e-9 for x in xs)) for L, xs in zip(Ls, per_L)
-        )
-        assert delegation_pattern(dist_u658, 3, Ls) == want
 
     def test_sweep_memory_stays_flat(self, dist_bimodal):
         # One ladder walk serves all 321 points; the scan works through a
