@@ -50,7 +50,7 @@ def main() -> None:
         validate(policy, state)
 
         batch = simulate_runs(policy, state, RUNS, seed=SEED)
-        stats = end_likelihood_stats(batch, dist)
+        stats = end_likelihood_stats(batch, dist, L0)
         print(
             f"    end-odds summary: {stats['n_completed']} completed, "
             f"q90 = {stats['q90']:.4f}, max = {stats['max']:.4f}, "

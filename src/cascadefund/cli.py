@@ -522,7 +522,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         },
         "grid_pi": {"pi0": p0_grid, "pi1": p1_grid},
         "completed_fraction": float(np.mean(batch.completed)),
-        "end_stats": end_likelihood_stats(batch, dist),
+        "end_stats": end_likelihood_stats(batch, dist, cfg["L0"]),
     }
     _dump_json(prefix + ".json", summary)
     return 0

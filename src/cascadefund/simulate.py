@@ -1,9 +1,9 @@
 """Forward simulation of funding drives under a solved policy table.
 
 Worlds, qualities, and signals are drawn with a counter-based Philox
-generator so runs are reproducible from the seed alone: work is split
-into fixed blocks of BLOCK_RUNS runs, each block gets its own child seed,
-and results are concatenated in block order.
+generator so runs are reproducible from the seed alone: the draws are
+split into fixed blocks of BLOCK_RUNS runs, each block gets its own child
+seed, and the draws are concatenated in block order.
 
 The simulated protocol follows the solved policy exactly: each player
 invests iff her type reaches the threshold for the current public state
@@ -11,6 +11,13 @@ invests iff her type reaches the threshold for the current public state
 the invest/decline likelihood factors of that same threshold.  Play
 continues through all players even once the outcome is settled, since
 later actions still carry information.
+
+Later players see earlier actions and nothing else, so after k movers the
+public state depends only on the action history.  The whole batch is
+played once on its tree of histories: thresholds and odds factors are
+evaluated once per history node some run reached, at most
+min(runs, 2^k) of them, with the same elementwise arithmetic a per-run
+loop would do, so the results are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cascadefund.beliefs import DomainError, TypeDistribution
-from cascadefund.cascades import learning_bound
+from cascadefund.cascades import learning_bound, up_cascade_bound
 from cascadefund.engine import GameState, PolicyTable
 
 __all__ = [
@@ -58,36 +65,54 @@ class BatchRuns:
 
 
 def _simulate_block(policy: PolicyTable, state: GameState, count: int, seed_seq):
-    dist = policy.dist
-    n = state.n
+    """Draw one block's worlds and its (count, n) movers' types."""
     rng = np.random.Generator(np.random.Philox(seed_seq))
     lam = state.L / (1.0 + state.L)
     world = (rng.random(count) < lam).astype(np.int8)
-    q = dist.quality_quantile(rng.random((count, n)))
-    match = rng.random((count, n)) < q
-    s = np.where(match, world[:, None], 1 - world[:, None])
-    types = np.where(s == 1, q, 1.0 - q)
+    q = policy.dist.quality_quantile(rng.random((count, state.n)))
+    match = rng.random((count, state.n)) < q
+    # The signal names the good world when it matches a good world or misses
+    # a bad one; the mover's type is then q, and 1 - q otherwise.
+    types = np.where(match == (world == 1)[:, None], q, 1.0 - q)
+    return world, types
 
-    L = np.full(count, state.L)
-    need = np.full(count, state.B, dtype=np.int64)
-    actions = np.zeros((count, n), dtype=bool)
+
+def _play(policy: PolicyTable, state: GameState, types: np.ndarray):
+    """Play every run on the tree of public action histories.
+
+    Runs with the same history share their public odds and need, so the
+    policy and the odds factors are evaluated once per history node that
+    some run reached, and each run carries only the index of its node.
+    Children of node i are numbered in (i, action) order.
+    """
+    dist = policy.dist
+    runs, n = types.shape
+    node = np.zeros(runs, dtype=np.intp)
+    L = np.array([float(state.L)])
+    need = np.array([state.B], dtype=np.int64)
+    actions = np.empty((runs, n), dtype=bool)
     for k in range(n):
-        left = n - k
-        sigma = np.empty(count)
-        # After k movers a run still needs between B - k and B investments.
+        sigma = np.empty(len(L))
+        # After k movers a node still needs between B - k and B investments.
         for b in range(state.B - k, state.B + 1):
             m = need == b
             if m.any():
-                sigma[m] = policy.sigma(L[m], b, left)
-        act = types[:, k] >= sigma
-        # Each run needs only the odds factor of the action it took.
-        ratio = np.empty(count)
-        ratio[act] = dist.lr_upper_tail(sigma[act])
-        ratio[~act] = dist.lr_lower_tail(sigma[~act])
-        L = L * ratio
-        need -= act
+                sigma[m] = policy.sigma(L[m], b, n - k)
+        act = types[:, k] >= sigma[node]
         actions[:, k] = act
-    return world, types, actions, L, need <= 0
+        child = 2 * node + act
+        reached = np.zeros(2 * len(L), dtype=bool)
+        reached[child] = True
+        slots = np.flatnonzero(reached)
+        parent, up = slots >> 1, (slots & 1).astype(bool)
+        # Each child needs only the odds factor of the action that made it.
+        ratio = np.empty(len(slots))
+        ratio[up] = dist.lr_upper_tail(sigma[parent[up]])
+        ratio[~up] = dist.lr_lower_tail(sigma[parent[~up]])
+        L = L[parent] * ratio
+        need = need[parent] - up
+        node = (np.cumsum(reached) - 1)[child]
+    return actions, L[node], need[node] <= 0
 
 
 def simulate_runs(
@@ -101,9 +126,9 @@ def simulate_runs(
         sizes.append(runs % BLOCK_RUNS)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
     parts = [_simulate_block(policy, state, c, s) for c, s in zip(sizes, seeds)]
-    world, types, actions, L_end, completed = (
-        np.concatenate(cols) for cols in zip(*parts)
-    )
+    world, types = [np.concatenate(cols) for cols in zip(*parts)]
+    del parts
+    actions, L_end, completed = _play(policy, state, types)
     return BatchRuns(world, types, actions, L_end, completed)
 
 
@@ -159,13 +184,16 @@ def estimate_completion(
     return completion_from_batch(simulate_runs(policy, state, runs, seed))
 
 
-def end_likelihood_stats(batch: BatchRuns, dist: TypeDistribution) -> dict:
+def end_likelihood_stats(batch: BatchRuns, dist: TypeDistribution, L0: float) -> dict:
     """Terminal-odds summary over completed runs, against the learning cap.
 
-    Once a drive completes, public odds can never have climbed past
-    (Q/(1-Q))^2: an up-cascade freezes learning before that.  Violations
-    are reported with a warning rather than raised, so summaries stay
-    usable while the caller's tests decide how hard to fail.
+    A drive that starts below the up-cascade bound Q/(1-Q) can never
+    complete with public odds at or past (Q/(1-Q))^2: an up-cascade
+    freezes learning before that.  A drive that starts at or above Q/(1-Q)
+    is in an up-cascade from the first mover, so there every completed run
+    must end at the starting odds L0 instead.  Violations are reported
+    with a warning rather than raised, so summaries stay usable while the
+    caller's tests decide how hard to fail.
     """
     bound = learning_bound(dist.Q)
     ends = np.asarray(batch.L_end)[np.asarray(batch.completed, dtype=bool)]
@@ -173,12 +201,14 @@ def end_likelihood_stats(batch: BatchRuns, dist: TypeDistribution) -> dict:
         return {"n_completed": 0, "learning_bound": bound}
     q50, q90, q99 = np.quantile(ends, [0.5, 0.9, 0.99])
     top = float(np.max(ends))
-    within = bool(top < bound)
+    if L0 < up_cascade_bound(dist.Q):
+        within = bool(top < bound)
+        fault = f"terminal odds {top} reached the learning bound {bound}"
+    else:
+        within = bool(np.all(ends == L0))
+        fault = f"terminal odds moved from {L0} inside an up-cascade"
     if not within:
-        warnings.warn(
-            f"terminal odds {top} reached the learning bound {bound}",
-            RuntimeWarning,
-        )
+        warnings.warn(fault, RuntimeWarning)
     return {
         "n_completed": int(ends.size),
         "max": top,

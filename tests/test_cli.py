@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,17 @@ class TestSimulate:
         assert est["count0"] + est["count1"] == 250
         assert 0.0 <= doc["completed_fraction"] <= 1.0
         assert doc["end_stats"]["learning_bound"] == pytest.approx(16.0, abs=1e-9)
+
+    def test_start_past_the_learning_cap_is_within_bound(self, workdir):
+        # Odds that start in an up-cascade never move, so ending above
+        # (Q/(1-Q))^2 = 16 there is no violation and raises no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(workdir, "simulate", "--L0", "1e6", "--B", "2", "--n", "3",
+                       "--grid-size", "129", "--runs", "500", "--out", "up") == 0
+        stats = json.loads((workdir / "up.json").read_text())["end_stats"]
+        assert stats["within_bound"] is True
+        assert stats["max"] == 1e6 > stats["learning_bound"]
 
     def test_seed_changes_draws(self, workdir):
         base = ("simulate", "--runs", "100", "--grid-size", "301")

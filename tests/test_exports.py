@@ -33,6 +33,21 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def test_every_trace_target_is_a_library_attribute(monkeypatch):
+    # A target the tracer wraps must be defined on its module or class
+    # itself; a renamed one otherwise only shows as a failed traced run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    missing = []
+    for mod_name, cls_name, attr, *_ in tracing.TARGETS:
+        owner = importlib.import_module(f"cascadefund.{mod_name}")
+        if cls_name:
+            owner = vars(owner).get(cls_name)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{mod_name}.{cls_name + '.' if cls_name else ''}{attr}")
+    assert missing == []
+
+
 def test_benchmark_trace_targets_resolve(monkeypatch):
     # The benchmark's tracer refuses to start when a function it wraps is
     # gone from the library, and puts every function back on exit.

@@ -1,9 +1,10 @@
 """Monte Carlo driver tests.
 
 Runs are deterministic in the seed and block-wise (a batch's leading
-blocks do not depend on how many runs follow), cascade states reproduce
-their closed forms exactly, and the estimates land inside standard-error
-bands of the solved probabilities.
+blocks do not depend on how many runs follow), the play on the tree of
+public histories equals the per-run mover loop bit for bit, cascade
+states reproduce their closed forms exactly, and the estimates land
+inside standard-error bands of the solved probabilities.
 """
 
 import numpy as np
@@ -12,10 +13,11 @@ import pytest
 from cascadefund.beliefs import (
     DomainError,
     QualitySpec,
+    TypeDistribution,
     update_on_decline,
     update_on_invest,
 )
-from cascadefund.engine import GameState, pi_ordering_scan
+from cascadefund.engine import GameState, PolicyTable, pi_ordering_scan
 from cascadefund.simulate import (
     BLOCK_RUNS,
     BatchRuns,
@@ -24,6 +26,8 @@ from cascadefund.simulate import (
     estimate_completion,
     simulate_runs,
 )
+
+from conftest import bimodal_spec
 
 U58 = QualitySpec.uniform(0.5, 0.8)
 
@@ -71,6 +75,91 @@ class TestDeterminism:
     def test_rejects_zero_runs(self, pol58):
         with pytest.raises(DomainError):
             simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 0, seed=0)
+
+
+def _per_run_reference(policy, state, runs, seed):
+    """Block-by-block draws and a mover loop in which every run queries the
+    policy and the odds factors at its own public state."""
+    dist = policy.dist
+    n = state.n
+    sizes = [BLOCK_RUNS] * (runs // BLOCK_RUNS)
+    if runs % BLOCK_RUNS:
+        sizes.append(runs % BLOCK_RUNS)
+    parts = []
+    for count, seed_seq in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        rng = np.random.Generator(np.random.Philox(seed_seq))
+        lam = state.L / (1.0 + state.L)
+        world = (rng.random(count) < lam).astype(np.int8)
+        q = dist.quality_quantile(rng.random((count, n)))
+        match = rng.random((count, n)) < q
+        s = np.where(match, world[:, None], 1 - world[:, None])
+        types = np.where(s == 1, q, 1.0 - q)
+
+        L = np.full(count, state.L)
+        need = np.full(count, state.B, dtype=np.int64)
+        actions = np.zeros((count, n), dtype=bool)
+        for k in range(n):
+            left = n - k
+            sigma = np.empty(count)
+            for b in range(state.B - k, state.B + 1):
+                m = need == b
+                if m.any():
+                    sigma[m] = policy.sigma(L[m], b, left)
+            act = types[:, k] >= sigma
+            ratio = np.empty(count)
+            ratio[act] = dist.lr_upper_tail(sigma[act])
+            ratio[~act] = dist.lr_lower_tail(sigma[~act])
+            L = L * ratio
+            need -= act
+            actions[:, k] = act
+        parts.append((world, types, actions, L, need <= 0))
+    return BatchRuns(*(np.concatenate(cols) for cols in zip(*parts)))
+
+
+ORACLE_CASES = {
+    "uniform-2-3-three-blocks": (U58, 129, GameState(L=1.0, B=2, n=3), 2 * BLOCK_RUNS + 17),
+    "uniform-3-8": (U58, 513, GameState(L=1.0, B=3, n=8), 3000),
+    "bimodal-5-12": (bimodal_spec(), 129, GameState(L=0.8, B=5, n=12), 3000),
+    "up-cascade-start": (U58, 2001, GameState(L=4.5, B=2, n=2), 500),
+    "down-cascade-start": (U58, 2001, GameState(L=0.05, B=2, n=2), 500),
+    "one-of-one": (U58, 129, GameState(L=0.7, B=1, n=1), 500),
+}
+
+
+class TestHistoryTree:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_equals_per_run_loop(self, solved, case):
+        spec, grid, st, runs = ORACLE_CASES[case]
+        policy = solved(spec, st.B, st.n, grid_size=grid)
+        got = simulate_runs(policy, st, runs, seed=13)
+        want = _per_run_reference(policy, st, runs, seed=13)
+        for name in ("world", "types", "actions", "L_end", "completed"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+    def test_policy_and_tails_evaluated_once_per_history_node(self, solved, monkeypatch):
+        # Before mover k at most 2^k histories exist, so n = 3 movers read
+        # at most 1 + 2 + 4 = 7 thresholds and 2 + 4 + 8 = 14 odds factors,
+        # however many runs share them.
+        policy = solved(U58, 2, 3, grid_size=129)
+        elems = {"sigma": 0, "tail": 0}
+
+        def count(cls, name, key):
+            orig = getattr(cls, name)
+
+            def counted(self, x, *args):
+                elems[key] += np.size(x)
+                return orig(self, x, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(PolicyTable, "sigma", "sigma")
+        count(TypeDistribution, "lr_upper_tail", "tail")
+        count(TypeDistribution, "lr_lower_tail", "tail")
+        simulate_runs(policy, GameState(L=1.0, B=2, n=3), 20000, seed=4)
+        assert 3 <= elems["sigma"] <= 2**3 - 1
+        assert 6 <= elems["tail"] <= 2**4 - 2
 
 
 class TestCascadeStates:
@@ -151,19 +240,27 @@ class TestEstimates:
 class TestEndOdds:
     def test_completed_runs_respect_learning_cap(self, pol58):
         batch = simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 20000, seed=8)
-        stats = end_likelihood_stats(batch, pol58.dist)
+        stats = end_likelihood_stats(batch, pol58.dist, 1.0)
         assert stats["within_bound"]
         assert stats["max"] < stats["learning_bound"]
         assert stats["q50"] <= stats["q90"] <= stats["q99"] <= stats["max"]
 
     def test_empty_batch_short_summary(self, pol58):
         batch = simulate_runs(pol58, GameState(L=0.05, B=2, n=2), 50, seed=8)
-        stats = end_likelihood_stats(batch, pol58.dist)
+        stats = end_likelihood_stats(batch, pol58.dist, 0.05)
         Q = pol58.dist.Q
         assert stats == {
             "n_completed": 0,
             "learning_bound": (Q / (1.0 - Q)) ** 2,
         }
+
+    def test_moved_odds_inside_up_cascade_are_flagged(self, pol58):
+        batch = simulate_runs(pol58, GameState(L=4.5, B=2, n=2), 50, seed=8)
+        moved = BatchRuns(batch.world, batch.types, batch.actions, batch.L_end * 1.5, batch.completed)
+        # A drive starting in an up-cascade must end at its starting odds.
+        with pytest.warns(RuntimeWarning, match="moved from 4.5"):
+            stats = end_likelihood_stats(moved, pol58.dist, 4.5)
+        assert not stats["within_bound"]
 
     def test_ordering_scan_finds_no_violations(self, pol58):
         assert pi_ordering_scan(pol58)["violations"] == []
