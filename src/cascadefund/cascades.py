@@ -147,17 +147,6 @@ class CascadeReport:
     startable: bool
     witness_x: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "Q": self.Q,
-            "B": self.B,
-            "up_bound": self.up_bound,
-            "down_bound": self.down_bound,
-            "learning_bound": self.learning_bound,
-            "startable": self.startable,
-            "witness_x": self.witness_x,
-        }
-
 
 def analyze(dist: TypeDistribution, B: int) -> CascadeReport:
     startable, witness = cascade_startable(dist)

@@ -18,13 +18,15 @@ Config keys (flags of the same name override):
   grid_size   likelihood grid resolution for the table solver
   seed        RNG seed (counter-based Philox; reproducible by seed alone)
   runs        simulation count
-  format      "csv" (payload CSV + JSON summary) | "json" (all JSON)
+  format      "csv" (payload CSV + JSON summary) | "json" (payload in the
+              JSON; simulate writes only its summary, with no runs)
   out         output path prefix
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -78,6 +80,8 @@ def _nine(value):
 
 
 def _clean(doc):
+    if dataclasses.is_dataclass(doc):
+        return _clean(dataclasses.asdict(doc))
     if isinstance(doc, dict):
         return {k: _clean(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -486,7 +490,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     policy = backward_induction(dist, cfg["B"], cfg["n"], grid_size=cfg["grid_size"])
     state = GameState(cfg["L0"], cfg["B"], cfg["n"])
     batch = simulate_runs(policy, state, cfg["runs"], cfg["seed"])
-    est = completion_from_batch(batch)
     prefix = _out_prefix(cfg, "simulate")
     config = _public_config(cfg)
     n = cfg["n"]
@@ -512,14 +515,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "command": "simulate",
         "config": config,
         "version": __version__,
-        "estimate": {
-            "pi0_hat": est.pi0_hat,
-            "pi1_hat": est.pi1_hat,
-            "se0": est.se0,
-            "se1": est.se1,
-            "count0": est.count0,
-            "count1": est.count1,
-        },
+        "estimate": completion_from_batch(batch),
         "grid_pi": {"pi0": p0_grid, "pi1": p1_grid},
         "completed_fraction": float(np.mean(batch.completed)),
         "end_stats": end_likelihood_stats(batch, dist, cfg["L0"]),
@@ -530,14 +526,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     dist = TypeDistribution(cfg.spec)
-    report = cascade_analyze(dist, cfg["B"])
-    delegation = delegation_analysis(dist)
     doc = {
         "command": "analyze",
         "config": _public_config(cfg),
         "version": __version__,
-        "cascades": report.to_dict(),
-        "delegation": delegation.to_dict(),
+        "cascades": cascade_analyze(dist, cfg["B"]),
+        "delegation": delegation_analysis(dist),
         "min_R_for_cascades": min_R_for_cascades(dist.Q),
     }
     _dump_json(_out_prefix(cfg, "analyze") + ".json", doc)

@@ -331,16 +331,13 @@ class _LastMover(_Settled):
 
 
 def _trace_signatures(rows, dist, xflat, Lp_flat, n):
-    """Continuation multiset for each candidate of a B = n row."""
-    F = len(xflat)
-    sig = np.empty((F, n))
-    sig[:, 0] = xflat
-    Lc = Lp_flat.copy()
-    for col, m in enumerate(range(n - 1, 0, -1), start=1):
-        xm = rows[(m, m)].sigma_at(Lc)
-        sig[:, col] = xm
-        Lc = Lc * dist.lr_upper_tail(xm)
-    return np.sort(sig, axis=1)
+    """Continuation multiset for each candidate of a B = n row: the
+    candidate, then the all-invest path of the stored diagonal rows from
+    its invest child's odds."""
+    path, _ = roots.invest_path(
+        dist, Lp_flat, range(n - 1, 0, -1), lambda L, m: (rows[(m, m)].sigma_at(L), False)
+    )
+    return np.sort(np.column_stack((xflat, path)), axis=1)
 
 
 def _solve_states(table, B, n, Ls):

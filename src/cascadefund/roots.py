@@ -15,7 +15,9 @@ What a solver supplies is how the invest child is evaluated: a
 child-ratio callable giving pi_0/pi_1 at child odds (+inf where the child
 cannot complete) and a child-pi callable giving (pi_0, pi_1).  The grid
 engine passes interpolated table rows, the must-fill ladder exact
-recursive solves.
+recursive solves.  On a must-fill drive both are steps of one walk down
+the all-invest path, `invest_path`: the ladder's solve and the engine's
+diagonal rows give each mover's threshold at the odds left before it.
 
 A solver may also supply bounds on its child ratio: a callable mapping
 arrays of child-odds intervals [lo, hi] to (rmin, rmax), bounds on every
@@ -65,6 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cascadefund.beliefs import DomainError
+
 __all__ = [
     "Choice",
     "KIND_HERD_DECLINE",
@@ -79,6 +83,7 @@ __all__ = [
     "discriminator",
     "gap",
     "herd_flags",
+    "invest_path",
     "pivotal_threshold",
     "scan_roots",
     "select",
@@ -291,26 +296,22 @@ def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
     M = len(Ls)
     cells = np.arange(0, scan - 1, CELL_POINTS - 1)
     if bounds is None:
-        # Every cell is evaluated, as one span of the whole scan per state.
-        first = np.zeros(1, dtype=int)
+        # Every cell is evaluated, as one cell spanning the whole scan.
+        first, pts = np.zeros(1, dtype=int), np.arange(scan)[None, :]
         open_s, open_c = np.arange(M), np.zeros(M, dtype=int)
         queried, evaluated = 0, M * cells.size
         unbounded = evaluated
-        step = max(1, budget // scan)
     else:
         first = cells
         pts = np.minimum(first[:, None] + np.arange(CELL_POINTS), scan - 1)
         levels = _cell_levels(uxs[pts], lhs[first], lhs[pts[:, -1]])
         open_s, open_c, queried, unbounded = _open_cells(Ls, bounds, levels, budget)
         evaluated = open_s.size
-        step = max(1, budget // CELL_POINTS)
+    step = max(1, budget // pts.shape[1])
     zstates, zjs, states, js, glo_pos = [], [], [], [], []
     for i in range(0, open_s.size, step):
         s, c = open_s[i : i + step], open_c[i : i + step]
-        if bounds is None:
-            ux, lh = uxs[None, :], lhs[None, :]
-        else:
-            ux, lh = uxs[pts[c]], lhs[pts[c]]
+        ux, lh = uxs[pts[c]], lhs[pts[c]]
         Lu = Ls[s][:, None]
         r = child_ratio(Lu * ux)
         G = np.where(np.isfinite(r), Lu * lh - r, np.nan)
@@ -577,3 +578,23 @@ def choose(dist, Ls, cands, child_pi, signatures=None):
         )
         sel[s] = lo + local
     return Choice(x, kinds, T0, T1, Lp, p0c, p1c, U, sel, tie)
+
+
+def invest_path(dist, Ls, ms, step):
+    """(xs, irregular) along the all-invest path of a must-fill drive.
+
+    Row i of xs is the playing-order profile from odds Ls[i]: mover j
+    faces state ms[j] at the odds the investments before it left, and
+    `step(L, m)` gives its (thresholds, irregular flags), which irregular
+    ORs.  A decline kills a must-fill drive: this is the live continuation.
+    """
+    if not len(ms):
+        raise DomainError("need at least one player")
+    L = np.asarray(Ls, dtype=float)
+    xs = np.empty((len(L), len(ms)))
+    irregular = np.zeros(len(L), dtype=bool)
+    for j, m in enumerate(ms):
+        xs[:, j], flags = step(L, m)
+        irregular |= flags
+        L = L * dist.lr_upper_tail(xs[:, j])
+    return xs, irregular

@@ -21,8 +21,10 @@ utility-then-discriminator selection all come from cascadefund.roots, so
 that code is not cross-checked by comparing the two solvers.  What stays
 independent is how a child state is evaluated: exact recursion here,
 interpolation in solved table rows there, and that is what the
-grid-versus-exact comparison checks.  Nothing here builds an engine
-table: the sweep helper walks one its caller solved, for n >= 3.
+grid-versus-exact comparison checks.  The ladder and the engine diagonal
+are two steps of one walk down the all-invest path (roots.invest_path);
+nothing here builds an engine table, the sweep walks one its caller
+solved, for n >= 3.
 
 Nothing here is a setting: the scan sizes are module constants, and the
 root, residual and tie tolerances are those of cascadefund.roots, the
@@ -34,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -100,20 +103,18 @@ class ThresholdProfile:
     discriminators: tuple[float, ...]
 
 
-def completion_prob_unanimity(dist: TypeDistribution, thresholds) -> tuple[float, float]:
-    """Completion probability by world: products of invest tails."""
-    xs = np.asarray(thresholds, dtype=float)
-    return (
-        float(np.prod(dist.sf(0, xs))),
-        float(np.prod(dist.sf(1, xs))),
-    )
+def completion_prob_unanimity(dist: TypeDistribution, thresholds):
+    """Completion probability by world: products of invest tails along the last axis."""
+    T0, T1 = dist.sf_pair(thresholds)
+    pi0, pi1 = np.prod(T0, axis=-1), np.prod(T1, axis=-1)
+    return (float(pi0), float(pi1)) if pi0.ndim == 0 else (pi0, pi1)
 
 
-def profile_utility(dist: TypeDistribution, L: float, thresholds) -> float:
-    """First mover's ex-ante utility; permutation invariant."""
+def profile_utility(dist: TypeDistribution, L, thresholds):
+    """First mover's ex-ante utility, per profile along the last axis; permutation invariant."""
     pi0, pi1 = completion_prob_unanimity(dist, thresholds)
     lam = L / (1.0 + L)
-    return float(lam * pi1 - (1.0 - lam) * pi0)
+    return lam * pi1 - (1.0 - lam) * pi0
 
 
 def profile_discriminator(dist: TypeDistribution, L: float, thresholds, i: int) -> float:
@@ -191,31 +192,15 @@ def _ladder_solve(dist, Ls, m, depth=0):
     return ch.x[sel], ch.T0[sel] * ch.p0c[sel], ch.T1[sel] * ch.p1c[sel], ch.tie
 
 
-def _ladder_walk(dist, Ls, n):
-    """Thresholds along the all-invest path from each starting odds point.
-
-    Returns (xs, irregular).  Row i of xs holds the playing-order profile
-    that starts at Ls[i]: mover j faces the (n-j)-player must-fill game at
-    the odds the investments before it left.  irregular[i] flags a
-    discriminator tie at some mover of that path; the decline child of a
-    must-fill state is dead, so the path is the whole live continuation.
-    One _ladder_solve call per mover serves every row.
-    """
-    if n < 1:
-        raise DomainError("need at least one player")
-    Lc = np.asarray(Ls, dtype=float)
-    xs = np.empty((len(Lc), n))
-    irregular = np.zeros(len(Lc), dtype=bool)
-    for j, m in enumerate(range(n, 0, -1)):
-        xs[:, j], _, _, tie = _ladder_solve(dist, Lc, m)
-        irregular |= tie
-        Lc = Lc * dist.lr_upper_tail(xs[:, j])
-    return xs, irregular
+def _ladder_step(dist, Ls, m):
+    """The exact ladder's step of the all-invest walk: (x_first, tie)."""
+    return _ladder_solve(dist, Ls, m)[::3]
 
 
 def solve_unanimity(L: float, dist: TypeDistribution, n: int) -> ThresholdProfile:
     """Exact equilibrium of the n-player must-fill game, in playing order."""
-    thresholds = _ladder_walk(dist, [float(L)], n)[0][0]
+    step = partial(_ladder_step, dist)
+    thresholds = roots.invest_path(dist, [float(L)], range(n, 0, -1), step)[0][0]
     return _finish_profile(dist, float(L), thresholds)
 
 
@@ -441,14 +426,6 @@ class DelegationReport:
     earliest_only: bool
     latest_only: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "startable": self.startable,
-            "witness_intervals": [list(w) for w in self.witness_intervals],
-            "earliest_only": self.earliest_only,
-            "latest_only": self.latest_only,
-        }
-
 
 def delegation_analysis(dist: TypeDistribution) -> DelegationReport:
     """Thresholds below 1/2 whose invest update starts a cascade.
@@ -514,29 +491,21 @@ def social_insurance_check(dist: TypeDistribution, profile: ThresholdProfile) ->
 def sweep_profiles(dist: TypeDistribution, n: int, Ls, policy=None):
     """Solved profiles across an odds range, as columnar arrays.
 
-    Games of up to two players run one exact ladder walk over all odds
-    points; larger games walk the diagonal of the grid-engine table
-    `policy`, one array query per mover.
+    One walk down the all-invest path from every odds point at once: up
+    to two players step with the exact ladder, more with the diagonal of
+    the grid-engine table `policy`.
     """
     Ls = np.asarray(Ls, dtype=float)
     if n <= 2:
-        xcols, irregular = _ladder_walk(dist, Ls, n)
+        step = partial(_ladder_step, dist)
+    elif policy is None:
+        raise DomainError(f"a {n}-player sweep needs a solved policy table")
     else:
-        if policy is None:
-            raise DomainError(f"a {n}-player sweep needs a solved policy table")
-        irregular = np.zeros(len(Ls), dtype=bool)
-        xcols = np.empty((len(Ls), n))
-        Lc = Ls
-        for j, m in enumerate(range(n, 0, -1)):
-            xcols[:, j] = policy.sigma(Lc, m, m)
-            irregular |= policy.irregular_at(Lc, m, m)
-            Lc = Lc * dist.lr_upper_tail(xcols[:, j])
-    T0 = dist.sf(0, xcols)
-    T1 = dist.sf(1, xcols)
-    pi0 = np.prod(T0, axis=1)
-    pi1 = np.prod(T1, axis=1)
-    lam = Ls / (1.0 + Ls)
-    utility = lam * pi1 - (1.0 - lam) * pi0
+        def step(L, m):
+            return policy.sigma(L, m, m), policy.irregular_at(L, m, m)
+    xcols, irregular = roots.invest_path(dist, Ls, range(n, 0, -1), step)
+    pi0, pi1 = completion_prob_unanimity(dist, xcols)
+    utility = profile_utility(dist, Ls, xcols)
     delegate = xcols <= dist.lo + 1e-9
     return {
         "L": Ls,

@@ -150,12 +150,11 @@ class TestHerdPredicates:
 class TestReport:
     def test_analyze_fields(self, dist_u658):
         rep = analyze(dist_u658, 2)
-        doc = rep.to_dict()
-        assert doc["up_bound"] == pytest.approx(4.0)
-        assert doc["down_bound"] == pytest.approx(0.0625)
-        assert doc["learning_bound"] == pytest.approx(16.0)
-        assert doc["startable"] is True
-        assert 0.2 < doc["witness_x"] < 0.5
+        assert rep.up_bound == pytest.approx(4.0)
+        assert rep.down_bound == pytest.approx(0.0625)
+        assert rep.learning_bound == pytest.approx(16.0)
+        assert rep.startable is True
+        assert 0.2 < rep.witness_x < 0.5
 
     def test_analyze_not_startable(self, dist_u58):
         rep = analyze(dist_u58, 1)

@@ -421,7 +421,10 @@ TABULATED = {
 # configs have startable cascades, so the witness bisection runs) were
 # recorded after the report dropped its always-null delegation "pattern"
 # key; the rest of both documents is unchanged since before the
-# root-finding loops moved onto one bisection helper.
+# root-finding loops moved onto one bisection helper.  The four-member
+# sweep and solve digests were recorded before the exact ladder, the
+# sweep and the B = n continuation multisets shared one all-invest walk;
+# they cover a three-member continuation in each B = 4 row's grouping.
 GOLDEN = [
     (["solve", "--B", "2", "--n", "3", "--grid-size", "129", "--out", "solve"], {
         "solve.csv": "578c251bf4fc4950f41812ef3e8b101cb1b46b5a4c0467e125b6a2a840fdcd65",
@@ -438,6 +441,15 @@ GOLDEN = [
     }),
     (["sweep", "--B", "3", "--n", "3", "--L-points", "21", "--out", "sweep3"], {
         "sweep3.csv": "8aadd1df2b88726df89320e6d35c11057116da1297318fcebe524666263816f6",
+    }),
+    (["sweep", "--config", "analyze.config.json", "--B", "4", "--n", "4",
+      "--grid-size", "257", "--L-points", "21", "--out", "sweep4"], {
+        "sweep4.csv": "b09d7feb4b9faa559a3df7e2396faf861f648b840174d4730c7fcb1bdbe715af",
+    }),
+    (["solve", "--config", "analyze.config.json", "--B", "4", "--n", "4",
+      "--grid-size", "129", "--out", "solve4"], {
+        "solve4.csv": "3837714fd057ce3ffc921c24f80cdb6924ae2dffb1c2bd80002ba107614e4365",
+        "solve4.json": "808e514eb0c550a0a2b5cbdc4e6c1cebd45fea38be79795c22b0f239a4999a94",
     }),
     (["simulate", "--B", "2", "--n", "3", "--grid-size", "129", "--runs", "5000",
       "--seed", "7", "--out", "simulate"], {

@@ -344,6 +344,13 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep_profiles(dist_u658, 3, np.geomspace(0.5, 3.5, 11))
 
+    def test_no_player_is_a_domain_error(self, dist_u658):
+        # A walk down the must-fill diagonal needs at least one mover.
+        with pytest.raises(DomainError, match="at least one player"):
+            solve_unanimity(1.0, dist_u658, 0)
+        with pytest.raises(DomainError, match="at least one player"):
+            sweep_profiles(dist_u658, 0, np.geomspace(0.5, 3.5, 11))
+
     def test_empty_sweep(self, dist_u658):
         sw = sweep_profiles(dist_u658, 2, np.array([]))
         assert sw["x"].shape == (0, 2)
