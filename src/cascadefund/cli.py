@@ -355,9 +355,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         v = cfg[key]
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
             raise ConfigError(f"{key} must be an integer, got {v!r}")
-    if not 1 <= cfg["B"] <= cfg["n"]:
+    if args.command == "analyze":
+        # The report reads B alone (its down-cascade bound), never n.
+        if not 1 <= cfg["B"] <= MAX_PLAYERS:
+            raise ConfigError(f"need 1 <= B <= {MAX_PLAYERS}, got B={cfg['B']}")
+    elif not 1 <= cfg["B"] <= cfg["n"]:
         raise ConfigError(f"need 1 <= B <= n, got B={cfg['B']}, n={cfg['n']}")
-    if cfg["n"] > MAX_PLAYERS:
+    elif cfg["n"] > MAX_PLAYERS:
         raise ConfigError(f"player counts above {MAX_PLAYERS} are not supported")
     for key in ("L0", "L_min", "L_max"):
         try:

@@ -24,10 +24,11 @@ cascade bounds so the all-invest and all-decline plateaus are resolved
 sharply.  Every state answers the same five queries (`sigma_at`,
 `pi_at`, `ratio_at`, `ratio_bounds`, `irregular_at`): a stored
 `PolicyRow` interpolates linearly in log odds, `_Settled` holds the
-conventions of a filled or unfillable drive, and `_LastMover` reads the
-state (1, 1) in closed form, for table queries and parent rows alike,
-except where a B = n row groups its candidates.  `PolicyTable.view`
-picks the one for a state.
+conventions of a filled or unfillable drive, and the state (1, 1) is the
+closed-form last mover of cascadefund.roots (`roots.LastMover`, which
+the exact ladder's two-player steps read too), for table queries and
+parent rows alike, except where a B = n row groups its candidates.
+`PolicyTable.view` picks the one for a state.
 The only setting is the number of grid points (`backward_induction`);
 the root tolerances are those of cascadefund.roots.
 
@@ -272,64 +273,6 @@ class _Settled:
         return bool(out) if out.ndim == 0 else out
 
 
-# Largest relative rounding error bound on the last mover's two tails at
-# which `_LastMover` still bounds that mover's ratio; the ratio then errs by
-# at most twice this, far inside the scan's roots.CELL_MARGIN.
-LAST_TAIL_GUARD = roots.CELL_MARGIN / 16
-
-
-class _LastMover(_Settled):
-    """The sole pivotal last mover at (1, 1), in closed form.
-
-    Her investment fills the drive, so she cuts as a filled drive's movers
-    do, at the clipped 1/(1+L); completion is her own investment,
-    pi_w = sf_w at that cut.  Neither parents of this state nor queries at
-    it carry interpolation error.
-    """
-
-    def __init__(self, dist):
-        super().__init__(dist, filled=True)
-
-    def _pi(self, La):
-        return self.dist.sf_pair(roots.pivotal_threshold(self.dist, La))
-
-    def pi_at(self, L):
-        La = np.asarray(L, dtype=float)
-        p0, p1 = self._pi(La)
-        return (p0, p1) if La.ndim else (float(p0), float(p1))
-
-    def ratio_at(self, L):
-        out = roots.completion_ratio(*self._pi(np.asarray(L, dtype=float)))
-        return float(out) if np.ndim(out) == 0 else out
-
-    def ratio_bounds(self, lo, hi):
-        """(rmin, rmax) of the last mover's ratio over odds intervals [lo, hi].
-
-        The ratio is h(s) = sf_0(s)/sf_1(s) at s = clip(1/(1+L), lo, hi).
-        Exactly, h is nonincreasing in s below Q: f_1/f_0 = y/(1-y)
-        increases, so the upper-tail ratio sf_1/sf_0 does too.  The
-        computed map from L to s is nonincreasing, since IEEE +, / and clip
-        are monotone, so over [lo, hi] the exact h lies between h(s(lo))
-        and h(s(hi)).  The computed tails are off by at most
-        TypeDistribution.sf_error, which falls in s, while the tails fall
-        too, so at every s of the interval both are off relatively by at
-        most e = sf_error(s(hi)) / min(sf_0(s(lo)), sf_1(s(lo))), and the
-        computed ratio by about 2e.  Where e is within LAST_TAIL_GUARD the
-        computed end values bound the computed ratio to within 4e, well
-        inside roots.CELL_MARGIN; elsewhere (near a tail that rounding
-        swamps) the bound is NaN, as it is where only part of the interval
-        is dead.  An interval whose top is dead, s(hi) = Q, is dead
-        throughout: (inf, inf).
-        """
-        dist = self.dist
-        s = roots.pivotal_threshold(dist, np.stack((lo, hi)))
-        p0, p1 = dist.sf_pair(s)
-        r = roots.completion_ratio(p0, p1)
-        err = dist.sf_error(s[1])
-        keep = (err <= LAST_TAIL_GUARD * np.minimum(p0[0], p1[0])) | (s[1] >= dist.hi)
-        return np.where(keep, r[0], np.nan), np.where(keep, r[1], np.nan)
-
-
 def _trace_signatures(rows, dist, xflat, Lp_flat, n):
     """Continuation multiset for each candidate of a B = n row: the
     candidate, then the all-invest path of the stored diagonal rows from
@@ -401,7 +344,7 @@ class PolicyTable:
     means the drive has already filled, so movers bet on private beliefs
     alone (sigma = 1/(1+L), pi = 1); B > n means the drive cannot fill,
     nobody invests (sigma = Q, pi = 0).  At (1, 1) it is the closed-form
-    last mover (`_LastMover`), for the table's queries and for a parent
+    last mover (`roots.LastMover`), for the table's queries and for a parent
     row's solve alike, with one exception: the continuation multisets
     that group a B = n row's candidates (_trace_signatures) interpolate
     the stored (1, 1) row's sigma, as they do the other rows of the
@@ -421,12 +364,12 @@ class PolicyTable:
         except KeyError:
             raise ModelViolationError(f"row (B={B}, n={n}) is not in the table") from None
 
-    def view(self, B: int, n: int) -> PolicyRow | _Settled:
+    def view(self, B: int, n: int) -> PolicyRow | _Settled | roots.LastMover:
         """What answers the queries at state (B, n) (class docstring)."""
         if B <= 0 or B > n:
             return _Settled(self.dist, B <= 0)
         if (B, n) == (1, 1):
-            return _LastMover(self.dist)
+            return roots.LastMover(self.dist)
         return self.row(B, n)
 
     def sigma(self, L, B: int, n: int):

@@ -15,9 +15,11 @@ What a solver supplies is how the invest child is evaluated: a
 child-ratio callable giving pi_0/pi_1 at child odds (+inf where the child
 cannot complete) and a child-pi callable giving (pi_0, pi_1).  The grid
 engine passes interpolated table rows, the must-fill ladder exact
-recursive solves.  On a must-fill drive both are steps of one walk down
-the all-invest path, `invest_path`: the ladder's solve and the engine's
-diagonal rows give each mover's threshold at the odds left before it.
+recursive solves; where the child is the last mover at (1, 1), both pass
+the one closed form here, `LastMover`.  On a must-fill drive both are
+steps of one walk down the all-invest path, `invest_path`: the ladder's
+solve and the engine's diagonal rows give each mover's threshold at the
+odds left before it.
 
 A solver may also supply bounds on its child ratio: a callable mapping
 arrays of child-odds intervals [lo, hi] to (rmin, rmax), bounds on every
@@ -35,17 +37,19 @@ each state bounds its whole scan first, and a group that fails is split
 into its halves, down to single cells.  A certified group drops no
 bracket and no zero, since G has one sign on every point of it.  And by
 containment, every cell under a certified group would certify on its
-own: a cell's child odds lie inside its group's, the engine's bounds only
-tighten on a sub-interval (a row's range-table span nests, and the last
-mover's guard holds on it if on the group, its end values to within the
+own: a cell's child odds lie inside its group's, the bounds only tighten
+on a sub-interval (a row's range-table span nests, and the last mover's
+guard holds on it if on the group, its end values to within the
 rounding of its monotone tails), and x/(1-x) at the cell's first point
 is no lower and at its last no higher.  So the cells evaluated are those
 a cell-by-cell certificate leaves open (the tests compare the two), at a
 fraction of its bound queries.  They are evaluated with the same
 expression at the same points as the full scan, so every bracket, and
-hence every root, is the same bit for bit.  The engine's bounds come from
-child rows' range tables and from the closed-form last mover's monotone
-tails (engine._LastMover); the exact must-fill ladder scans densely.
+hence every root, is the same bit for bit.  Bounds come from the range
+tables of the engine's child rows and from the closed-form last mover's
+monotone tails (`LastMover.ratio_bounds`), so every engine row and every
+two-player step of the exact must-fill ladder takes this scan; only the
+ladder's deeper steps, whose child is a recursive solve, scan densely.
 
 A state left with no candidate by the scan and the herd thresholds has a
 playable window narrower than a scan cell (see _rescue); its window is
@@ -74,6 +78,7 @@ __all__ = [
     "KIND_HERD_DECLINE",
     "KIND_HERD_INVEST",
     "KIND_INTERIOR",
+    "LastMover",
     "ModelViolationError",
     "Scan",
     "bisect",
@@ -175,6 +180,73 @@ def pivotal_threshold(dist, L):
 def completion_ratio(p0, p1):
     """The child ratio pi_0/pi_1 from completion probabilities; +inf where p1 = 0."""
     return np.divide(p0, p1, out=np.full_like(p1, np.inf), where=p1 > 0.0)
+
+
+# Largest relative rounding error bound on the last mover's two tails at
+# which `LastMover` still bounds that mover's ratio; the ratio then errs by
+# at most twice this, far inside the scan's CELL_MARGIN.
+LAST_TAIL_GUARD = CELL_MARGIN / 16
+
+
+class LastMover:
+    """The sole pivotal last mover at state (1, 1), in closed form.
+
+    Her investment fills the drive, so she cuts at the clipped 1/(1+L)
+    (`pivotal_threshold`); completion is her own investment, pi_w = sf_w
+    at that cut, and the child ratio is sf_0/sf_1 there (+inf where the cut
+    clips to Q, at the dead frontier (1-Q)/Q or below).  Both solvers read
+    this state here: the grid engine's `PolicyTable.view(1, 1)` and the
+    exact ladder's two-player steps.  It answers the five queries of an
+    engine row; it is never irregular, and nothing carries interpolation
+    error.
+    """
+
+    def __init__(self, dist):
+        self.dist = dist
+
+    def sigma_at(self, L):
+        out = pivotal_threshold(self.dist, L)
+        return float(out) if out.ndim == 0 else out
+
+    def pi_at(self, L):
+        La = np.asarray(L, dtype=float)
+        p0, p1 = self.dist.sf_pair(pivotal_threshold(self.dist, La))
+        return (p0, p1) if La.ndim else (float(p0), float(p1))
+
+    def ratio_at(self, L):
+        out = completion_ratio(*self.dist.sf_pair(pivotal_threshold(self.dist, L)))
+        return float(out) if out.ndim == 0 else out
+
+    def ratio_bounds(self, lo, hi):
+        """(rmin, rmax) of the last mover's ratio over odds intervals [lo, hi].
+
+        The ratio is h(s) = sf_0(s)/sf_1(s) at s = clip(1/(1+L), lo, hi).
+        Exactly, h is nonincreasing in s below Q: f_1/f_0 = y/(1-y)
+        increases, so the upper-tail ratio sf_1/sf_0 does too.  The
+        computed map from L to s is nonincreasing, since IEEE +, / and clip
+        are monotone, so over [lo, hi] the exact h lies between h(s(lo))
+        and h(s(hi)).  The computed tails are off by at most
+        TypeDistribution.sf_error, which falls in s, while the tails fall
+        too, so at every s of the interval both are off relatively by at
+        most e = sf_error(s(hi)) / min(sf_0(s(lo)), sf_1(s(lo))), and the
+        computed ratio by about 2e.  Where e is within LAST_TAIL_GUARD the
+        computed end values bound the computed ratio to within 4e, well
+        inside CELL_MARGIN; elsewhere (near a tail that rounding swamps)
+        the bound is NaN, as it is where only part of the interval is
+        dead.  An interval whose top is dead, s(hi) = Q, is dead
+        throughout: (inf, inf).
+        """
+        dist = self.dist
+        s = pivotal_threshold(dist, np.stack((lo, hi)))
+        p0, p1 = dist.sf_pair(s)
+        r = completion_ratio(p0, p1)
+        err = dist.sf_error(s[1])
+        keep = (err <= LAST_TAIL_GUARD * np.minimum(p0[0], p1[0])) | (s[1] >= dist.hi)
+        return np.where(keep, r[0], np.nan), np.where(keep, r[1], np.nan)
+
+    def irregular_at(self, L):
+        out = np.zeros(np.shape(L), dtype=bool)
+        return bool(out) if out.ndim == 0 else out
 
 
 def gap(dist, child_ratio, L, x):

@@ -21,10 +21,13 @@ utility-then-discriminator selection all come from cascadefund.roots, so
 that code is not cross-checked by comparing the two solvers.  What stays
 independent is how a child state is evaluated: exact recursion here,
 interpolation in solved table rows there, and that is what the
-grid-versus-exact comparison checks.  The ladder and the engine diagonal
-are two steps of one walk down the all-invest path (roots.invest_path);
-nothing here builds an engine table, the sweep walks one its caller
-solved, for n >= 3.
+grid-versus-exact comparison checks.  The one exception is the last mover
+at (1, 1): both solvers read her closed form, roots.LastMover, and a
+two-player step here takes the same certified scan, on her ratio bounds,
+as every engine row.  The ladder and the engine diagonal are two steps of
+one walk down the all-invest path (roots.invest_path); nothing here
+builds an engine table, the sweep walks one its caller solved, for
+n >= 3.
 
 Nothing here is a setting: the scan sizes are module constants, and the
 root, residual and tie tolerances are those of cascadefund.roots, the
@@ -154,9 +157,9 @@ def _ladder_solve(dist, Ls, m, depth=0):
     geometrically in m and stay practical for m <= 4.
     """
     Ls = np.asarray(Ls, dtype=float)
+    last = roots.LastMover(dist)
     if m == 1:
-        x = roots.pivotal_threshold(dist, Ls)
-        return x, dist.sf(0, x), dist.sf(1, x), np.zeros(np.shape(x), dtype=bool)
+        return (last.sigma_at(Ls), *last.pi_at(Ls), np.zeros(Ls.shape, dtype=bool))
 
     if depth == 0:
         scan = SCAN_TOP
@@ -164,27 +167,40 @@ def _ladder_solve(dist, Ls, m, depth=0):
         scan = SCAN_REC
     else:
         scan = SCAN_DEEP
-    # Below this the child subgame declines for every type, with certainty;
-    # shrink the analytic bound a hair so boundary queries still get the
-    # exact recursive answer.
-    dead_child = down_cascade_bound(dist.Q, m - 1) * (1.0 - 1e-12)
+    if m == 2:
+        # The child is the closed-form last mover, whose ratio bounds let
+        # the scan skip every cell they certify (cascadefund.roots).
+        child_ratio, child_pi, bounds = last.ratio_at, last.pi_at, last.ratio_bounds
+    else:
+        # Below this the child subgame declines for every type, with
+        # certainty; shrink the analytic bound a hair so boundary queries
+        # still get the exact recursive answer.
+        dead_child = down_cascade_bound(dist.Q, m - 1) * (1.0 - 1e-12)
 
-    def child_pi(Lq):
-        return _ladder_solve(dist, Lq, m - 1, depth + 1)[1:3]
+        def child_pi(Lq):
+            return _ladder_solve(dist, Lq, m - 1, depth + 1)[1:3]
 
-    def child_ratio(Lq):
-        Lq = np.asarray(Lq, dtype=float)
-        out = np.full(Lq.shape, np.inf)
-        live = Lq > dead_child
-        if live.any():
-            out[live] = roots.completion_ratio(*child_pi(Lq[live]))
-        return out
+        def child_ratio(Lq):
+            Lq = np.asarray(Lq, dtype=float)
+            out = np.full(Lq.shape, np.inf)
+            live = Lq > dead_child
+            if live.any():
+                out[live] = roots.completion_ratio(*child_pi(Lq[live]))
+            return out
 
-    # A block of 5,120 (state, scan point) elements, four states at the top
-    # scan, keeps the temporaries of the scan and of the child solves small.
-    # At five states they sit at glibc's heap-trim threshold, and in some
-    # heap layouts every block returns its pages and faults them back in.
-    cands = roots.candidates(dist, child_ratio, Ls, scan, 5_120)
+        bounds = None
+
+    # A block of 5,120 elements keeps the temporaries of the scan and of
+    # the child evaluations small: a two-player step bounds 5,120 groups of
+    # cells at a time and evaluates its open cells 128 at a time, and a
+    # dense deeper step takes four states of the top scan at a time (at
+    # five they sat at glibc's heap-trim threshold, and in some heap
+    # layouts every block returned its pages and faulted them back in).
+    # With the certified two-player scan a sweep-exact benchmark child
+    # takes ~5,150 minor faults at each of 8 checkout path lengths (the
+    # dense scan took as many at 7 of them and 7,630 at one); 8,192-element
+    # blocks take ~5,780.
+    cands = roots.candidates(dist, child_ratio, Ls, scan, 5_120, bounds)
     ch = roots.choose(dist, Ls, cands, child_pi)
     sel = ch.sel
     # One decline kills a must-fill drive: completion runs through the

@@ -149,6 +149,16 @@ class TestAnalyze:
         assert doc["delegation"]["startable"] is True
         assert doc["min_R_for_cascades"] == pytest.approx(0.620204103, abs=1e-9)
 
+    def test_player_count_is_not_checked(self, workdir, capsys):
+        # analyze reads B alone, so B above the default n = 2 is valid.
+        assert run(workdir, "analyze", "--B", "3", "--out", "b3") == 0
+        assert run(workdir, "analyze", "--B", "3", "--n", "3", "--out", "b3n3") == 0
+        got, want = (json.loads((workdir / f"{name}.json").read_text()) for name in ("b3", "b3n3"))
+        for block in ("cascades", "delegation"):
+            assert got[block] == want[block]
+        assert run(workdir, "analyze", "--B", "0") == 2
+        assert "need 1 <= B <= 50" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_flags_override_config_file(self, workdir):
@@ -425,6 +435,9 @@ TABULATED = {
 # sweep and solve digests were recorded before the exact ladder, the
 # sweep and the B = n continuation multisets shared one all-invest walk;
 # they cover a three-member continuation in each B = 4 row's grouping.
+# The 161-point two-player sweep digest was recorded before the exact
+# ladder's two-player steps read the shared closed-form last mover and
+# took the certified scan.
 GOLDEN = [
     (["solve", "--B", "2", "--n", "3", "--grid-size", "129", "--out", "solve"], {
         "solve.csv": "578c251bf4fc4950f41812ef3e8b101cb1b46b5a4c0467e125b6a2a840fdcd65",
@@ -445,6 +458,10 @@ GOLDEN = [
     (["sweep", "--config", "analyze.config.json", "--B", "4", "--n", "4",
       "--grid-size", "257", "--L-points", "21", "--out", "sweep4"], {
         "sweep4.csv": "b09d7feb4b9faa559a3df7e2396faf861f648b840174d4730c7fcb1bdbe715af",
+    }),
+    (["sweep", "--config", "analyze.config.json", "--B", "2", "--n", "2",
+      "--L-points", "161", "--out", "sweep161"], {
+        "sweep161.csv": "ff0123d56ea469ae47f65b38af624632f0f9794abf71c12d9e7b89ee40087f05",
     }),
     (["solve", "--config", "analyze.config.json", "--B", "4", "--n", "4",
       "--grid-size", "129", "--out", "solve4"], {

@@ -22,13 +22,12 @@ from cascadefund.engine import (
     GameState,
     ModelViolationError,
     PolicyTable,
-    _LastMover,
     backward_induction,
     completion_prob,
     find_roots,
     pi_ordering_scan,
 )
-from cascadefund.roots import CELL_MARGIN, select
+from cascadefund.roots import CELL_MARGIN, LastMover, select
 from conftest import interior_zero_spec
 
 U58 = (64.0 / 225.0, 0.64)  # (pi0, pi1) at L = 1 for uniform [0.5, 0.8]
@@ -63,7 +62,7 @@ class TestLastMover:
         # convention, at the stored odds and between them; the stored
         # (1, 1) row is output only.
         table = solved(QualitySpec.uniform(0.5, 0.8), 2, 3, grid_size=129)
-        last = _LastMover(table.dist)
+        last = LastMover(table.dist)
         stored = table.row(1, 1).L
         L = np.concatenate((stored, np.sqrt(stored[:-1] * stored[1:])))
         want = (last.sigma_at(L), *last.pi_at(L), last.ratio_at(L), last.irregular_at(L))

@@ -1,8 +1,10 @@
 """The certified root scan finds exactly the dense scan's roots.
 
-A group of scan cells is skipped only when the child row's range bounds
-prove G has one sign on it, so the zeros, the brackets and the candidates
-with and without bounds must be equal bit for bit, not merely close.
+A group of scan cells is skipped only when the child's bounds (a row's
+range tables, or the closed-form last mover's tails in the engine and the
+exact ladder alike) prove G has one sign on it, so the zeros, the brackets
+and the candidates with and without bounds must be equal bit for bit, not
+merely close.
 """
 
 import logging
@@ -13,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cascadefund import roots
+from cascadefund import roots, unanimity
 from cascadefund.beliefs import OutOfSupportWarning, QualitySpec, TypeDistribution
-from cascadefund.engine import SCAN_POINTS, _LastMover, backward_induction
+from cascadefund.cascades import down_cascade_bound
+from cascadefund.engine import SCAN_POINTS, backward_induction
 from conftest import bimodal_spec, interior_zero_spec, triangular_spec
 
 
@@ -70,7 +73,7 @@ def test_certified_scan_equals_dense_scan(name, solved):
 @pytest.mark.parametrize("name", sorted(SPECS) + ["vanishing-end"])
 def test_last_mover_bounds_hold_the_ratio(name):
     spec = vanishing_end_spec() if name == "vanishing-end" else SPECS[name]()
-    view = _LastMover(TypeDistribution(spec))
+    view = roots.LastMover(TypeDistribution(spec))
     frontier = (1.0 - spec.Q) / spec.Q
     rng = np.random.default_rng(5)
     # Intervals anywhere on the child odds a scan reaches, and intervals
@@ -97,7 +100,7 @@ def test_last_mover_bounds_hold_the_ratio(name):
 
 def test_last_mover_bound_gives_way_where_rounding_swamps_the_tails():
     dist = TypeDistribution(vanishing_end_spec())
-    view = _LastMover(dist)
+    view = roots.LastMover(dist)
     frontier = (1.0 - dist.Q) / dist.Q
     lo = frontier * (1.0 + np.geomspace(1e-9, 1e-6, 10))
     rmin, rmax = view.ratio_bounds(lo, 1.01 * lo)
@@ -138,6 +141,98 @@ def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
     for rec in records:
         states, queried, certified, evaluated, unbounded, brackets, rescued = rec.args
         assert evaluated < 0.05 * (certified + evaluated)
+
+
+def ladder_odds(dist):
+    """Odds a two-player ladder step meets: from below the two-player dead
+    bound to above the up-cascade bound, plus a band around the last
+    mover's dead frontier (1-Q)/Q."""
+    Q = dist.Q
+    frontier = (1.0 - Q) / Q
+    return np.concatenate(
+        (
+            np.geomspace(0.1 * frontier**2, 10.0 * Q / (1.0 - Q), 240),
+            frontier * (1.0 + np.geomspace(1e-12, 1e-1, 40)),
+            frontier * (1.0 - np.geomspace(1e-12, 1e-1, 40)),
+        )
+    )
+
+
+@pytest.mark.parametrize("scan", [unanimity.SCAN_TOP, unanimity.SCAN_REC, unanimity.SCAN_DEEP])
+@pytest.mark.parametrize("name", sorted(SPECS) + ["vanishing-end"])
+def test_ladder_certified_scan_equals_dense_scan(name, scan):
+    # Each scan size the exact ladder's two-player steps use, at its block
+    # of 5,120 elements, against the closed-form last mover's bounds.
+    spec = vanishing_end_spec() if name == "vanishing-end" else SPECS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OutOfSupportWarning)
+        dist = TypeDistribution(spec)
+        last = roots.LastMover(dist)
+        dense, _ = assert_scans_alike(
+            dist, last.ratio_at, ladder_odds(dist), scan, 5_120, last.ratio_bounds
+        )
+    assert dense.state.size > 0
+
+
+@pytest.mark.parametrize("name", sorted(SPECS) + ["vanishing-end"])
+def test_last_mover_is_the_ladders_old_two_player_child(name):
+    # The ladder's two-player child was a recursive one-player solve behind
+    # a dead cut just below (1-Q)/Q, with one `sf` call per world.
+    spec = vanishing_end_spec() if name == "vanishing-end" else SPECS[name]()
+    dist = TypeDistribution(spec)
+    frontier = (1.0 - dist.Q) / dist.Q
+    near = frontier * (1.0 + np.concatenate(([0.0], np.geomspace(1e-15, 1e-9, 60))))
+    L = np.concatenate(
+        (
+            np.geomspace(1e-3 * frontier, 1e3 / frontier, 20_001),
+            near,
+            frontier * (1.0 - np.geomspace(1e-15, 1e-9, 60)),
+            frontier * (1.0 + np.array([-1e-12, 1e-12])),
+            np.nextafter(frontier * (1.0 - 1e-12), [0.0, np.inf]),
+        )
+    )
+    x = roots.pivotal_threshold(dist, L)
+    old_pi = dist.sf(0, x), dist.sf(1, x)
+    old_ratio = np.where(
+        L > down_cascade_bound(dist.Q, 1) * (1.0 - 1e-12), roots.completion_ratio(*old_pi), np.inf
+    )
+    last = roots.LastMover(dist)
+    assert np.array_equal(last.ratio_at(L), old_ratio)
+    for got, want in zip(last.pi_at(L), old_pi):
+        assert np.array_equal(got, want)
+    assert np.isinf(old_ratio).any() and np.isfinite(old_ratio).any()
+
+
+def test_every_ladder_two_player_step_takes_the_certified_scan(monkeypatch, caplog):
+    # Mirrors test_every_engine_row_takes_the_certified_scan: each scan
+    # whose child is the last mover has its bounds, and only deeper steps
+    # (a recursive child) scan densely.
+    seen = []
+    scan_roots = roots.scan_roots
+
+    def recording(*args, **kwargs):
+        bounds = args[5] if len(args) > 5 else kwargs.get("bounds")
+        seen.append((isinstance(getattr(args[1], "__self__", None), roots.LastMover), bounds))
+        return scan_roots(*args, **kwargs)
+
+    monkeypatch.setattr(roots, "scan_roots", recording)
+    dist = TypeDistribution(QualitySpec.uniform(0.65, 0.8))
+    unanimity.solve_unanimity(0.75, dist, 3)
+    assert {last for last, _ in seen} == {True, False}
+    for last, bounds in seen:
+        assert (bounds is not None) == last
+    monkeypatch.undo()
+    # Deterministic counts: a 161-point two-player sweep evaluates under
+    # 10% of its cells (5.8% and 8.4% here); a dense scan evaluates all.
+    for R in (0.5, 0.65):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cascadefund"):
+            dist = TypeDistribution(QualitySpec.uniform(R, 0.8))
+            unanimity.sweep_profiles(dist, 2, np.geomspace(0.05, 5.0, 161))
+        (rec,) = [r for r in caplog.records if r.name == "cascadefund"]
+        states, queried, certified, evaluated, unbounded, brackets, rescued = rec.args
+        assert states == 161
+        assert evaluated < 0.1 * (certified + evaluated)
 
 
 @st.composite
@@ -223,7 +318,7 @@ def test_each_row_logs_its_scan(caplog):
     # A scan without bounds evaluates every cell, and none has a bound.
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cascadefund"):
-        roots.candidates(dist, _LastMover(dist).ratio_at, row.L, 4001, 8_192)
+        roots.candidates(dist, roots.LastMover(dist).ratio_at, row.L, 4001, 8_192)
     states, queried, certified, evaluated, unbounded, brackets, rescued = caplog.records[-1].args
     assert queried == certified == 0 and evaluated == unbounded == states * cells
 
