@@ -56,11 +56,16 @@ playable window narrower than a scan cell (see _rescue); its window is
 found for all such states at once.  Its bracket then joins the scan's,
 and `candidates` bisects every bracket of a call in one elementwise
 `bisect` call.  Each element stops on its own bracket, so the roots are
-the bits a bisection per bracket would give.
+the bits a bisection per bracket would give.  A call of G costs a fixed
+~45-90 us plus ~0.13-0.2 us per element, so on the few brackets of a row
+(and the one or two states of a rescue) `bisect` evaluates the midpoints
+of several halvings per call and walks each bracket down them, with the
+same midpoints and hence the same bits as one halving per call.
 
 With the DEBUG level on the "cascadefund" logger, `candidates` logs one
 record per call: states, bound queries, cells certified, cells evaluated
-(and of those, cells without a bound), scan brackets and rescued states.
+(and of those, cells without a bound), scan brackets, rescued states,
+and the predicate calls of the bracket bisection and of the rescue.
 """
 
 from __future__ import annotations
@@ -102,6 +107,18 @@ __all__ = [
 CELL_POINTS = 40
 CELL_MARGIN = 1e-9
 
+# `bisect` on arrays asks its predicate for the midpoints of d halvings at
+# once (2**d - 1 per element), the most levels d up to BISECT_DEPTH that
+# keep a call within BISECT_ELEMENTS midpoints.  A `gap` call on an engine
+# row costs a fixed ~45-90 us plus ~0.13-0.2 us per element, so depth 2
+# pays on arrays of up to about 300 elements.  On solve-partial's (3, 8)
+# build, against one halving per call, budgets of 512, 1,024, 2,048 and
+# 4,096 took 0.93, 0.81, 0.85 and 0.90 of the bracket bisection's time,
+# and depth caps of 4 to 8 took 0.58, 0.53, 0.46, 0.49 and 0.58 of the
+# rescue's (2 cores, numpy 2.4.6).
+BISECT_ELEMENTS = 1024
+BISECT_DEPTH = 6
+
 ROOT_XTOL = 1e-12  # bisection tolerance on a root
 RESIDUAL_TOL = 1e-9  # bound on an interior root's |G| / max(1, L)
 TIE_REL_TOL = 1e-9  # relative tolerance of utility and discriminator ties
@@ -131,6 +148,74 @@ class ModelViolationError(RuntimeError):
     """The solver produced or met a state violating a structural contract."""
 
 
+def _subtree_depth(size):
+    """The most levels d, up to BISECT_DEPTH, with (2**d - 1) * size <=
+    BISECT_ELEMENTS, and at least one."""
+    return max(1, min(BISECT_DEPTH, (BISECT_ELEMENTS // max(size, 1) + 1).bit_length() - 1))
+
+
+def _midpoint_tree(a, b, depth):
+    """a, the midpoints of `depth` levels of halving [a, b], and b, in order.
+
+    Row 0 is a and row n = 2**depth is b.  Each other row k is the
+    midpoint 0.5 * (lo + hi) of its bracket [lo, hi] = rows k - h, k + h,
+    h = k & -k, and rows k - h/2 and k + h/2 halve the bracket's lower and
+    upper halves.  So each row is the midpoint the one-level loop computes
+    on reaching that bracket, from the same float operations.
+    """
+    n = 2**depth
+    tree = np.empty((n + 1, *a.shape))
+    tree[0], tree[n] = a, b
+    for j in range(depth):
+        s = n >> j
+        m = tree[s // 2 :: s]
+        np.add(tree[:-1:s], tree[s::s], out=m)
+        m *= 0.5
+    return tree
+
+
+def _walk(left, a, b, tol, depth, open_):
+    """`depth` steps of the one-level loop on arrays, from one call of `left`.
+
+    `left` answers at every midpoint of a `_midpoint_tree`.  Each element
+    keeps a window on the tree, the rows of its bracket, and each step
+    reads the window's middle row and keeps the half the answer picks.
+    The rules are the one-level loop's: an element halves while open_
+    (checked before each step) and the walk ends once none is.  Returns
+    (a, b, undefined), the last None or a mask of the elements whose
+    answer is undefined at a midpoint the one-level loop evaluates.
+    """
+    tree = _midpoint_tree(a, b, depth)
+    go = left(tree[1:-1])
+    go, undefined = go if isinstance(go, tuple) else (go, None)
+    if undefined is not None and not undefined.any():
+        undefined = None
+    # Whose window middle is their midpoint: every element's at the first
+    # step, then those open at the step before.  A stopped element's window
+    # drifts, but its frozen midpoint was read at the step it stopped at.
+    read = True
+    for level in range(depth):
+        if level:
+            read = open_
+            open_ = ~(b - a <= tol)
+            if not open_.any():
+                break
+        mid = tree.shape[0] // 2
+        m, g = tree[mid], go[mid - 1]
+        if undefined is not None:
+            bad = undefined[mid - 1] & read
+            if bad.any():
+                return a, b, bad
+        up = open_ & g
+        a, b = np.where(up, m, a), np.where(open_ ^ up, m, b)
+        if level + 1 < depth:
+            tree = np.where(g, tree[mid:], tree[: mid + 1])
+            go = np.where(g, go[mid:], go[: mid - 1])
+            if undefined is not None:
+                undefined = np.where(g, undefined[mid:], undefined[: mid - 1])
+    return a, b, None
+
+
 def bisect(left, a, b, tol=0.0, max_iter=None):
     """Halve [a, b] towards the point where the predicate `left` switches.
 
@@ -139,14 +224,28 @@ def bisect(left, a, b, tol=0.0, max_iter=None):
     steps (None: no cap).  Works on scalars and elementwise on arrays: an
     array element stops on its own bracket, as its scalar call would, so
     an array call gives the same bits as the scalar calls run side by
-    side.  `left` still sees every element at each step (a stopped one at
-    its frozen midpoint), and the loop ends once every element has
-    stopped (an empty array at once).  Returns (a, b), so each caller
-    picks its own answer: the midpoint or an end.
+    side.  The loop ends once every element has stopped (an empty array
+    at once).  Returns (a, b), so each caller picks its own answer: the
+    midpoint or an end.
+
+    On arrays, one call of `left` serves several steps: it gets the
+    midpoints of the next d halvings of every element, 2**d - 1 of them
+    along a new leading axis (`_midpoint_tree`), and each element then
+    walks down its own tree (`_walk`).  d is the largest depth up to
+    BISECT_DEPTH whose trees hold at most BISECT_ELEMENTS midpoints in all
+    (at least 1), and no more than the steps max_iter leaves.  At d = 1
+    this is the one-level loop, and `left` sees the midpoints alone.  The
+    walk takes the one-level loop's steps, with its midpoints and its
+    stopping rule, so the bits are the same at every depth.
+
+    On arrays `left` may also answer (go, undefined).  Where an element's
+    answer is undefined at a midpoint the one-level loop evaluates (a
+    stopped element's frozen midpoint included, while others halve), the
+    call stops after that step and the element comes back as (nan, nan);
+    an undefined answer at a midpoint no step reads changes nothing.
     """
-    steps = itertools.count() if max_iter is None else range(max_iter)
     if np.ndim(a) == 0:
-        for _ in steps:
+        for _ in itertools.count() if max_iter is None else range(max_iter):
             if b - a <= tol:
                 break
             m = 0.5 * (a + b)
@@ -155,14 +254,25 @@ def bisect(left, a, b, tol=0.0, max_iter=None):
             else:
                 b = m
         return a, b
-    for _ in steps:
+    a, b = np.broadcast_arrays(a, b)
+    depth = _subtree_depth(a.size)
+    done = 0
+    while max_iter is None or done < max_iter:
         # Not b - a > tol: a NaN width keeps halving, as in the scalar loop.
         open_ = ~(b - a <= tol)
         if not open_.any():
             break
-        m = 0.5 * (a + b)
-        go = left(m)
-        a, b = np.where(open_ & go, m, a), np.where(open_ & ~go, m, b)
+        d = depth if max_iter is None else min(depth, max_iter - done)
+        if d == 1:  # the one-level loop: `left` sees the midpoints alone
+            m = 0.5 * (a + b)
+            go = left(m)
+            go, undefined = go if isinstance(go, tuple) else (go, None)
+            a, b = np.where(open_ & go, m, a), np.where(open_ & ~go, m, b)
+        else:
+            a, b, undefined = _walk(left, a, b, tol, d, open_)
+        if undefined is not None and undefined.any():
+            return np.where(undefined, np.nan, a), np.where(undefined, np.nan, b)
+        done += d
     return a, b
 
 
@@ -172,9 +282,9 @@ def pivotal_threshold(dist, L):
     That holds once the drive has filled and for a mover whose investment
     fills it.  Declining pays zero whatever follows, so she invests iff
     her full posterior favors the good world: 1/(1+L), clipped to the
-    support.
+    support (np.clip's bits, at half its call overhead on small arrays).
     """
-    return np.clip(1.0 / (1.0 + np.asarray(L, dtype=float)), dist.lo, dist.hi)
+    return np.minimum(np.maximum(dist.lo, 1.0 / (1.0 + np.asarray(L, dtype=float))), dist.hi)
 
 
 def completion_ratio(p0, p1):
@@ -258,16 +368,22 @@ def gap(dist, child_ratio, L, x):
 
 
 def _bisect_brackets(g, lo, hi, glo_pos):
-    """Vectorised bisection of g on sign-change brackets [lo, hi] to ROOT_XTOL."""
+    """Vectorised bisection of g on sign-change brackets [lo, hi] to ROOT_XTOL.
+
+    Returns (roots, calls of g).
+    """
+    calls = 0
 
     def left(mid):
+        nonlocal calls
+        calls += 1
         gm = g(mid)
-        if np.any(np.isnan(gm)):
-            raise ModelViolationError("indifference gap undefined inside a bracket")
-        return (gm > 0.0) == glo_pos
+        return (gm > 0.0) == glo_pos, np.isnan(gm)
 
     lo, hi = bisect(left, lo, hi, ROOT_XTOL, 80)
-    return 0.5 * (lo + hi)
+    if np.isnan(lo).any():
+        raise ModelViolationError("indifference gap undefined inside a bracket")
+    return 0.5 * (lo + hi), calls
 
 
 @dataclass(frozen=True)
@@ -431,16 +547,18 @@ def _rescue(dist, child_ratio, Ls):
     one finite G value and finds no bracket even though a root exists.
     Where G is undefined at x = 1-Q, the window's lower edge is bisected
     for (to ROOT_XTOL/4, at most 200 steps), all states at once.  Returns
-    (lo, edge): the window's lower end, which is the reply itself where
-    `edge` (every playable type prefers investing), and otherwise the low
-    end of a bracket [lo, Q] on which G rises through zero.
+    (lo, edge, calls): the window's lower end, which is the reply itself
+    where `edge` (every playable type prefers investing), and otherwise
+    the low end of a bracket [lo, Q] on which G rises through zero; and
+    the predicate calls of that bisection.
     """
 
     def g(x):
         return gap(dist, child_ratio, Ls, x)
 
+    calls = 0
     if not len(Ls):  # most calls rescue no state
-        return np.empty(0), np.empty(0, dtype=bool)
+        return np.empty(0), np.empty(0, dtype=bool), calls
     lo = np.full(len(Ls), dist.lo)
     hi = np.full(len(Ls), dist.hi)
     g_lo = g(lo)
@@ -448,13 +566,13 @@ def _rescue(dist, child_ratio, Ls):
     if dead.any():
         # Bisect for the lowest threshold whose invest child is alive.
         Ld = Ls[dead]
-        _, lo[dead] = bisect(
-            lambda m: np.isnan(gap(dist, child_ratio, Ld, m)),
-            lo[dead],
-            hi[dead],
-            ROOT_XTOL / 4,
-            200,
-        )
+
+        def left(m):
+            nonlocal calls
+            calls += 1
+            return np.isnan(gap(dist, child_ratio, Ld, m))
+
+        _, lo[dead] = bisect(left, lo[dead], hi[dead], ROOT_XTOL / 4, 200)
         g_lo[dead] = gap(dist, child_ratio, Ld, lo[dead])
     g_hi = g(hi)
     no_window = np.isnan(g_lo) | np.isnan(g_hi)
@@ -465,7 +583,7 @@ def _rescue(dist, child_ratio, Ls):
         if no_window[bad[0]]:
             raise ModelViolationError(f"no playable threshold window at L={L!r}")
         raise ModelViolationError(f"herd-decline condition missed by the scan at L={L!r}")
-    return lo, g_lo >= 0.0
+    return lo, g_lo >= 0.0, calls
 
 
 def herd_flags(dist, child_ratio, Ls):
@@ -500,12 +618,12 @@ def candidates(dist, child_ratio, Ls, scan, budget, bounds=None):
     found_any = herd_inv | herd_dec
     found_any[found.zero_state] = found_any[found.state] = True
     rescued = np.flatnonzero(~found_any)
-    lo, edge = _rescue(dist, child_ratio, Ls[rescued])
+    lo, edge, rescue_calls = _rescue(dist, child_ratio, Ls[rescued])
     # A rescue bracket [lo, Q] has G negative at lo.
     k = rescued[~edge]
     state = np.concatenate((found.state, k))
     bL = Ls[state]
-    xr = _bisect_brackets(
+    xr, bisect_calls = _bisect_brackets(
         lambda x: gap(dist, child_ratio, bL, x),
         np.concatenate((found.lo, lo[~edge])),
         np.concatenate((found.hi, np.full(k.size, dist.hi))),
@@ -519,9 +637,10 @@ def candidates(dist, child_ratio, Ls, scan, budget, bounds=None):
         roots[s].append(float(x))
     _debug(
         "root scan of %d states: %d bound queries, %d cells certified, %d evaluated "
-        "(%d without a bound), %d brackets, %d rescued",
+        "(%d without a bound), %d brackets, %d rescued; %d bisection and %d rescue "
+        "predicate calls",
         len(Ls), found.queried, found.certified, found.evaluated, found.unbounded,
-        found.state.size, rescued.size,
+        found.state.size, rescued.size, bisect_calls, rescue_calls,
     )
 
     cands: list[list[tuple[float, str]]] = []

@@ -306,16 +306,15 @@ def asymmetric_profiles(L: float, dist: TypeDistribution, n: int) -> list[Thresh
     S = a.size
 
     def members(x, on):
-        """Each piece's member at the level J(x), x on piece `on`: the
+        """Each piece's member at the level J(x), x on piece `on` (along
+        x's last axis; leading axes, such as bisect's, broadcast): the
         level's crossing, or the piece's nearer end where it misses."""
-        v, shape = hazard_J(dist, x)[:, None], (len(x), S)
+        v, shape = hazard_J(dist, x)[..., None], (*np.shape(x), S)
         p, q = roots.bisect(
             lambda m: (hazard_J(dist, m) < v) == (signs > 0),
             np.broadcast_to(a, shape), np.broadcast_to(b, shape), 0.0, 60,
         )
-        X = 0.5 * (p + q)
-        X[np.arange(len(x)), on] = x
-        return X
+        return np.where(np.arange(S) == on[:, None], x[..., None], 0.5 * (p + q))
 
     # Level equation of count vector m: F = log(L*J) - sum_s m_s log psi(x_s).
     pts = [np.r_[p, xs[(xs > p) & (xs < q)], q] for p, q in zip(a, b)]
@@ -336,7 +335,7 @@ def asymmetric_profiles(L: float, dist: TypeDistribution, n: int) -> list[Thresh
 
     def positive(x):
         lp = np.log(_psi(dist, members(x, first)))
-        return np.log(L * hazard_J(dist, x)) - np.sum(M * lp, axis=1) > 0.0
+        return np.log(L * hazard_J(dist, x)) - np.sum(M * lp, axis=-1) > 0.0
 
     pos = F0[k] - np.sum(M * lpsi[k], axis=1) > 0.0
     p, q = roots.bisect(lambda x: positive(x) == pos, x1[k], x1[k + 1], ROOT_XTOL, 100)
@@ -461,8 +460,7 @@ def delegation_analysis(dist: TypeDistribution) -> DelegationReport:
     # Open interiors: the defining margin vanishes in the limit at the
     # bottom edge of the support, which tells us nothing.
     w = np.concatenate([np.linspace(a, b, 259)[1:-1] for a, b in intervals])
-    T1 = dist.sf(1, w)
-    T0 = dist.sf(0, w)
+    T0, T1 = dist.sf_pair(w)
     allm = (1.0 - w) * T1 * T1 - w * T0 * T0 - (1.0 - 2.0 * w)
     return DelegationReport(
         startable=True,

@@ -17,6 +17,7 @@ from cascadefund.beliefs import (
     OutOfSupportWarning,
     QualitySpec,
     TypeDistribution,
+    _clamp,
     _seg_int_f1,
     _seg_int_g,
     private_likelihood,
@@ -289,6 +290,41 @@ TAIL_SPECS = [
 TAIL_IDS = ["uniform-R0.5", "uniform-Q0.999", "bimodal", "interior-zero", "vanishing-end"]
 
 
+def _edge_queries(dist, rng):
+    """Breakpoints, the support edges and their neighbouring floats, zeros
+    of both signs, NaN, points outside the support, and random points."""
+    edges = np.array([dist.lo, dist.hi])
+    return np.concatenate(
+        (
+            dist._breaks,
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, 1.0),
+            [0.0, -0.0, 1.0, np.nan, -np.inf, np.inf, dist.lo - 0.1, dist.hi + 0.1],
+            rng.uniform(dist.lo, dist.hi, 2000),
+        )
+    )
+
+
+@pytest.mark.filterwarnings("ignore::cascadefund.beliefs.OutOfSupportWarning")
+@pytest.mark.parametrize("make", TAIL_SPECS, ids=TAIL_IDS)
+def test_clamp_is_np_clip_bit_for_bit(make):
+    # On dense arrays of every length up to 40 (numpy's vector loops and
+    # their tails), on 0-d arrays and on scalars.
+    dist = TypeDistribution(make())
+    rng = np.random.default_rng(14)
+    for lo, hi in ((dist.lo, dist.hi), (0.0, 1.0)):
+        base = np.concatenate((_edge_queries(dist, rng)[:-2000], [lo, hi], np.nextafter([lo, hi], 2.0)))
+        base = np.concatenate((base, np.nextafter([lo, hi], -1.0), -base))
+        for n in range(1, 41):
+            x = rng.permutation(np.tile(base, 2))[:n]
+            assert np.array_equal(_clamp(x, lo, hi).view(np.int64), np.clip(x, lo, hi).view(np.int64))
+        for v in base:
+            for x in (v, np.float64(v), np.array(v)):
+                got, want = np.float64(_clamp(x, lo, hi)), np.float64(np.clip(x, lo, hi))
+                assert got.view(np.int64) == want.view(np.int64), (lo, hi, v)
+
+
 @pytest.mark.filterwarnings("ignore::cascadefund.beliefs.OutOfSupportWarning")
 @pytest.mark.parametrize("make", TAIL_SPECS, ids=TAIL_IDS)
 class TestUpperTailPair:
@@ -308,6 +344,31 @@ class TestUpperTailPair:
         p0, p1 = dist.sf_pair(ys)
         assert np.array_equal(p0, dist.sf(0, ys))
         assert np.array_equal(p1, dist.sf(1, ys))
+
+    def test_cdf_pair_is_two_cdf_calls_bit_for_bit(self, make):
+        dist = TypeDistribution(make())
+        ys = _edge_queries(dist, np.random.default_rng(13))
+        f0, f1 = dist.cdf_pair(ys)
+        # Bit for bit: NaN and signs of zero too, and each query alone alike.
+        for pair, single in ((f0, dist.cdf(0, ys)), (f1, dist.cdf(1, ys))):
+            assert np.array_equal(pair.view(np.int64), single.view(np.int64))
+        inside = ys[(ys >= dist.lo) & (ys <= dist.hi)]
+        for y in inside[::97]:
+            assert tuple(map(float, dist.cdf_pair(y))) == (dist.cdf(0, y), dist.cdf(1, y))
+        t0, t1 = dist.sf_pair(ys)
+        for pair, single in ((t0, dist.sf(0, ys)), (t1, dist.sf(1, ys))):
+            assert np.array_equal(pair.view(np.int64), single.view(np.int64))
+
+    def test_cdf_pair_warns_where_cdf_does(self, make):
+        dist = TypeDistribution(make())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist.cdf_pair(np.array([dist.lo, 0.5 * (dist.lo + dist.hi), dist.hi]))
+        for y in (np.nextafter(dist.lo, 0.0), np.nextafter(dist.hi, 1.0)):
+            with pytest.warns(OutOfSupportWarning):
+                f0, f1 = dist.cdf_pair(np.array([y]))
+            want = (0.0, 0.0) if y < dist.lo else (1.0, 1.0)
+            assert (float(f0[0]), float(f1[0])) == want
 
     def test_sf_error_bounds_the_rounding(self, make):
         dist = TypeDistribution(make())

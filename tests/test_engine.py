@@ -7,7 +7,11 @@ and grid-refinement behavior pin the solver down.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +357,27 @@ class TestRefinement:
         d1 = np.max(np.abs(sig[501] - sig[1001]))
         d2 = np.max(np.abs(sig[1001] - sig[2001]))
         assert d2 <= d1 * 1.05 + 1e-12
+
+
+def test_a_table_build_leaves_numpy_ma_unimported():
+    # np.unique's first call imports numpy.ma, 10-30 ms of a cold solve;
+    # the row points come from a sort instead.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        "import sys\n"
+        "from cascadefund.beliefs import QualitySpec, TypeDistribution\n"
+        "from cascadefund.engine import backward_induction\n"
+        "backward_induction(TypeDistribution(QualitySpec.uniform(0.5, 0.8)), 2, 3, grid_size=65)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"
+
+
+def test_row_points_are_the_sorted_distinct_points():
+    grid = engine._spanning_grid(0.8, 3, 129)
+    for B in (1, 2, 3):
+        pts = engine._row_points(grid, 0.8, B)
+        assert np.array_equal(pts, np.unique(pts)) and pts.size > grid.size
+        assert np.isin(grid, pts).all()

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cascadefund import roots, unanimity
 from cascadefund.beliefs import OutOfSupportWarning, QualitySpec, TypeDistribution
 from cascadefund.cascades import down_cascade_bound
-from cascadefund.engine import SCAN_POINTS, backward_induction
+from cascadefund.engine import SCAN_POINTS, GameState, backward_induction, find_roots
 from conftest import bimodal_spec, interior_zero_spec, triangular_spec
 
 
@@ -115,6 +115,22 @@ def test_last_mover_bound_gives_way_where_rounding_swamps_the_tails():
     assert assert_rows_scan_alike(table) == 2
 
 
+def test_pivotal_threshold_is_the_clipped_cut_bit_for_bit():
+    # Odds whose cut 1/(1+L) lands on, next to and beyond both support
+    # edges, NaN and infinities among them.
+    dist = TypeDistribution(QualitySpec.uniform(0.55, 0.999))
+    edges = np.array([dist.lo, dist.hi])
+    cuts = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)))
+    L = np.concatenate(
+        (1.0 / cuts - 1.0, [0.0, -0.0, np.nan, np.inf, 1e-300, 1e300], np.geomspace(1e-4, 1e4, 999))
+    )
+    for n in range(1, L.size + 1, 7):
+        want = np.clip(1.0 / (1.0 + L[:n]), dist.lo, dist.hi)
+        assert np.array_equal(roots.pivotal_threshold(dist, L[:n]).view(np.int64), want.view(np.int64))
+    for v in L[:20]:
+        assert roots.pivotal_threshold(dist, v) == np.clip(1.0 / (1.0 + v), dist.lo, dist.hi) or np.isnan(v)
+
+
 def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
     seen = []
     scan_roots = roots.scan_roots
@@ -139,7 +155,7 @@ def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
     records = [r for r in caplog.records if r.name == "cascadefund"]
     assert len(records) == len(table.rows) == 9
     for rec in records:
-        states, queried, certified, evaluated, unbounded, brackets, rescued = rec.args
+        states, queried, certified, evaluated, unbounded, *_, calls, rescue_calls = rec.args
         assert evaluated < 0.05 * (certified + evaluated)
 
 
@@ -230,7 +246,7 @@ def test_every_ladder_two_player_step_takes_the_certified_scan(monkeypatch, capl
             dist = TypeDistribution(QualitySpec.uniform(R, 0.8))
             unanimity.sweep_profiles(dist, 2, np.geomspace(0.05, 5.0, 161))
         (rec,) = [r for r in caplog.records if r.name == "cascadefund"]
-        states, queried, certified, evaluated, unbounded, brackets, rescued = rec.args
+        states, queried, certified, evaluated, unbounded, *_, calls, rescue_calls = rec.args
         assert states == 161
         assert evaluated < 0.1 * (certified + evaluated)
 
@@ -303,8 +319,10 @@ def test_each_row_logs_its_scan(caplog):
     records = [r for r in caplog.records if r.name == "cascadefund"]
     assert len(records) == len(table.rows)
     cells = len(range(0, SCAN_POINTS - 1, roots.CELL_POINTS - 1))
+    rescue_total = 0
     for ((B, n), row), rec in zip(sorted(table.rows.items(), key=lambda kv: kv[0][::-1]), records):
-        states, queried, certified, evaluated, unbounded, brackets, rescued = rec.args
+        (states, queried, certified, evaluated, unbounded, brackets, rescued, calls,
+         rescue_calls) = rec.args
         assert rec.levelno == logging.DEBUG
         assert states == row.L.size
         # Each state bounds its whole scan at least once, and far fewer
@@ -315,11 +333,17 @@ def test_each_row_logs_its_scan(caplog):
         assert brackets >= 0
         assert 0 <= rescued < states
         assert certified > evaluated
+        # One predicate call serves several bisection steps: a bracket
+        # bisection takes about 28 steps, a rescue 42 (to ROOT_XTOL / 4).
+        assert brackets == 0 or 0 < calls <= 14
+        assert rescue_calls <= 7 and (rescue_calls == 0 or rescued > 0)
+        rescue_total += rescue_calls
+    assert rescue_total > 0
     # A scan without bounds evaluates every cell, and none has a bound.
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cascadefund"):
         roots.candidates(dist, roots.LastMover(dist).ratio_at, row.L, 4001, 8_192)
-    states, queried, certified, evaluated, unbounded, brackets, rescued = caplog.records[-1].args
+    states, queried, certified, evaluated, unbounded, *_ = caplog.records[-1].args
     assert queried == certified == 0 and evaluated == unbounded == states * cells
 
 
@@ -353,6 +377,217 @@ def test_bisect_on_an_empty_array_returns_at_once():
     calls = []
     a, b = roots.bisect(lambda m: calls.append(m) or m < 0.0, np.empty(0), np.empty(0), 0.0)
     assert a.size == b.size == 0 and not calls
+
+
+# The smallest and largest array size at which `bisect` takes each depth.
+DEPTH_SIZES = sorted(
+    {
+        f(s for s in range(1, 2001) if roots._subtree_depth(s) == d)
+        for d in range(1, roots.BISECT_DEPTH + 1)
+        for f in (min, max)
+    }
+)
+
+
+def test_depth_sizes_cover_every_depth():
+    assert {roots._subtree_depth(s) for s in DEPTH_SIZES} == set(range(1, roots.BISECT_DEPTH + 1))
+    for s in range(1, 2001):
+        d = roots._subtree_depth(s)
+        assert d == 1 or (2**d - 1) * s <= roots.BISECT_ELEMENTS
+        assert d == roots.BISECT_DEPTH or (2 ** (d + 1) - 1) * s > roots.BISECT_ELEMENTS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.one_of(st.sampled_from(DEPTH_SIZES), st.integers(1, 2000)),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([0.0, roots.ROOT_XTOL, roots.ROOT_XTOL / 4]),
+    max_iter=st.sampled_from([None, 0, 1, 5, 7, 13, 41, 80, 200]),
+    nan_widths=st.booleans(),
+)
+def test_bisect_subtrees_equal_scalar_calls(size, seed, tol, max_iter, nan_widths):
+    # Every depth the rule picks, step caps that are no multiple of it and
+    # brackets of widths 1e-14 to 10 that stop at different steps: each
+    # element stops where its scalar call does, with fewer `left` calls.
+    if max_iter is None and (tol == 0.0 or nan_widths):
+        max_iter = 200  # halving to a zero width, or a NaN one, need not end
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-10.0, 10.0, size)
+    b = a + 10.0 ** rng.uniform(-14.0, 1.0, size)
+    if nan_widths:
+        b[rng.random(size) < 0.1] = np.nan
+    switch = a + (b - a) * rng.random(size)
+    shapes = []
+
+    def left(m):
+        shapes.append(m.shape)
+        return m < switch
+
+    got_a, got_b = roots.bisect(left, a, b, tol, max_iter)
+    assert got_a.shape == got_b.shape == a.shape
+    steps = 0
+    for i in range(size):
+        calls = 0
+
+        def one(m, s=float(switch[i])):
+            nonlocal calls
+            calls += 1
+            return m < s
+
+        want_a, want_b = roots.bisect(one, float(a[i]), float(b[i]), tol, max_iter)
+        assert (float(got_a[i]).hex(), float(got_b[i]).hex()) == (want_a.hex(), want_b.hex()), i
+        steps = max(steps, calls)
+    # The one-level loop calls `left` once per step, until every element
+    # has stopped; a call now serves d steps.
+    d = roots._subtree_depth(size)
+    assert len(shapes) == -(-steps // d)
+    if d > 1 and steps > 1:
+        assert len(shapes) < steps
+    for shape in shapes:
+        assert shape == (size,) or shape[1:] == (size,) and shape[0] * size <= roots.BISECT_ELEMENTS
+
+
+def test_bisect_takes_a_leading_node_axis_on_nd_arrays():
+    # An (8, 3) array goes down subtrees of depth 5 as (31, 8, 3) arrays.
+    rng = np.random.default_rng(7)
+    a = rng.uniform(0.0, 1.0, (8, 3))
+    b = a + 10.0 ** rng.uniform(-6.0, 0.0, (8, 3))
+    switch = a + (b - a) * rng.random((8, 3))
+    shapes = []
+    got = roots.bisect(lambda m: shapes.append(m.shape) or m < switch, a, b, 1e-12, 80)
+    assert {s[1:] for s in shapes} == {(8, 3)} and shapes[0][0] == 2**5 - 1
+    for i, j in np.ndindex(8, 3):
+        want = roots.bisect(lambda m: m < switch[i, j], a[i, j], b[i, j], 1e-12, 80)
+        assert (got[0][i, j], got[1][i, j]) == want
+
+
+def _one_level_bisect_brackets(g, lo, hi, glo_pos):
+    """The bracket bisection as one step per call of g: it evaluates every
+    element's midpoint at each step, a stopped one's frozen midpoint too,
+    and raises on a NaN there."""
+    for _ in range(80):
+        open_ = ~(hi - lo <= roots.ROOT_XTOL)
+        if not open_.any():
+            break
+        m = 0.5 * (lo + hi)
+        gm = g(m)
+        if np.any(np.isnan(gm)):
+            raise roots.ModelViolationError("indifference gap undefined inside a bracket")
+        go = (gm > 0.0) == glo_pos
+        lo, hi = np.where(open_ & go, m, lo), np.where(open_ & ~go, m, hi)
+    return 0.5 * (lo + hi)
+
+
+def _holed_line(root, slope, hole_lo, hole_hi):
+    """g(x) = slope * (x - root) elementwise, NaN on [hole_lo, hole_hi]."""
+
+    def g(x):
+        return np.where((x >= hole_lo) & (x <= hole_hi), np.nan, slope * (x - root))
+
+    return g
+
+
+def _raises(f, *args):
+    try:
+        return False, f(*args)
+    except roots.ModelViolationError as err:
+        assert str(err) == "indifference gap undefined inside a bracket"
+        return True, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.sampled_from([1, 2, 3, 9, 40, 150, 400]),
+    seed=st.integers(0, 2**32 - 1),
+    holes=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+)
+def test_bracket_bisection_raises_exactly_where_the_one_level_loop_does(size, seed, holes):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.2, 0.7, size)
+    width = 10.0 ** rng.uniform(-13.0, -0.5, size)
+    hi = lo + width
+    root = lo + width * rng.random(size)
+    slope = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    # NaN holes on a share of the brackets: anywhere in them, a few
+    # around the root, which every walk reaches, and some empty.
+    at = lo + width * rng.random(size)
+    at = np.where(rng.random(size) < 0.2, root, at)
+    half = width * 10.0 ** rng.uniform(-4.0, -1.0, size)
+    half = np.where(rng.random(size) < holes, half, -1.0)
+    g = _holed_line(root, slope, at - half, at + half)
+    glo_pos = slope * (lo - root) > 0.0
+    want = _raises(_one_level_bisect_brackets, g, lo, hi, glo_pos)
+    got = _raises(lambda *args: roots._bisect_brackets(*args)[0], g, lo, hi, glo_pos)
+    assert got[0] == want[0]
+    if not want[0]:
+        assert np.array_equal(got[1], want[1])
+
+
+def test_bracket_bisection_ignores_nan_off_every_walked_path():
+    # Root 0.3 on [0, 1]: the walk goes left of 0.5 at once, so a hole on
+    # (0.6, 1) holds subtree nodes (0.75, 0.625, 0.875, ...) it never reads.
+    seen = []
+    g = _holed_line(np.array([0.3]), np.array([1.0]), 0.6, 1.0)
+
+    def recording(x):
+        seen.append(np.isnan(g(x)).any())
+        return g(x)
+
+    one = (np.array([0.0]), np.array([1.0]), np.array([False]))
+    x, calls = roots._bisect_brackets(recording, *one)
+    assert any(seen) and calls == len(seen) < 40
+    assert x.tolist() == _one_level_bisect_brackets(g, *one).tolist()
+    # A hole on the walk's path raises.
+    with pytest.raises(roots.ModelViolationError, match="undefined inside a bracket"):
+        roots._bisect_brackets(_holed_line(np.array([0.3]), np.array([1.0]), 0.29, 0.31), *one)
+
+
+def test_bracket_bisection_reads_a_stopped_brackets_frozen_midpoint():
+    # Bracket 1 is narrower than ROOT_XTOL from the start, and G is NaN at
+    # its midpoint: the one-level loop evaluates it while bracket 0 halves,
+    # and never once bracket 1 is alone.
+    lo, hi = np.array([0.0, 0.5]), np.array([1.0, 0.5 + 1e-13])
+    g = _holed_line(np.array([0.3, 0.5]), np.array([1.0, 1.0]), 0.5 + 2e-14, 0.5 + 8e-14)
+    with pytest.raises(roots.ModelViolationError, match="undefined inside a bracket"):
+        roots._bisect_brackets(g, lo, hi, np.array([False, False]))
+    x, calls = roots._bisect_brackets(g, lo[1:], hi[1:], np.array([False]))
+    assert calls == 0 and x.tolist() == [0.5 + 5e-14]
+
+
+def test_bracket_bisection_reads_a_midpoint_frozen_inside_a_subtree():
+    # Bracket 1 stops after two steps, inside the first subtree, and G is
+    # NaN at its frozen midpoint alone: the one-level loop evaluates it at
+    # the third step while bracket 0 still halves, and never once bracket 1
+    # is alone, since then there is no third step.
+    lo, hi = np.array([0.0, 0.5]), np.array([1.0, 0.5 + 3e-12])
+    a, b = roots.bisect(lambda m: m < 0.5 + 2e-12, 0.5, 0.5 + 3e-12, roots.ROOT_XTOL, 80)
+    frozen = 0.5 * (a + b)
+    root = np.array([0.3, 0.5 + 2e-12])
+    g = _holed_line(root, np.array([1.0, 1.0]), frozen, frozen)
+    alone = _holed_line(root[1:], np.array([1.0]), frozen, frozen)
+    glo_pos = np.array([False, False])
+    for f in (_one_level_bisect_brackets, lambda *args: roots._bisect_brackets(*args)[0]):
+        with pytest.raises(roots.ModelViolationError, match="undefined inside a bracket"):
+            f(g, lo, hi, glo_pos)
+        assert f(alone, lo[1:], hi[1:], glo_pos[1:]).tolist() == [frozen]
+
+
+def test_rescue_case_with_nan_inside_its_bracket_still_raises():
+    # The knot-1e-6 density just above row (2, 2)'s dead frontier: G is NaN
+    # at a midpoint inside the rescue bracket [window edge, Q].
+    table = backward_induction(TypeDistribution(vanishing_end_spec()), 2, 2, grid_size=129)
+    with pytest.raises(roots.ModelViolationError, match="indifference gap undefined inside a bracket"):
+        find_roots(GameState(0.11111111240090928, 2, 2), table)
+
+
+def test_partial_build_makes_few_gap_calls(monkeypatch):
+    # solve-partial's (3, 8) grid-513 build made 1,062 `gap` calls with
+    # one bisection step per call; with subtrees of midpoints it makes 390.
+    calls = []
+    gap = roots.gap
+    monkeypatch.setattr(roots, "gap", lambda *args: calls.append(1) or gap(*args))
+    backward_induction(TypeDistribution(QualitySpec.uniform(0.5, 0.8)), 3, 8, grid_size=513)
+    assert len(calls) <= 410
 
 
 def _rescued_states(dist, ratio, Ls, bounds):
@@ -440,7 +675,7 @@ def test_coarse_to_fine_certificate_evaluates_the_flat_certificates_cells(name, 
         seen = []
 
         def ratio(q):
-            if np.ndim(q) == 2:  # a block of cells; herd flags and bisection pass 1-D odds
+            if np.ndim(q) == 2:  # a block of cells, the only odds scan_roots passes
                 seen.append(np.array(q))
             return inv.ratio_at(q)
 
