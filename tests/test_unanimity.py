@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bimodal_spec, triangular_spec
+from conftest import bimodal_spec, interior_zero_spec, triangular_spec
 
 from cascadefund import roots
 from cascadefund.beliefs import DomainError, QualitySpec, TypeDistribution
@@ -30,7 +30,7 @@ from cascadefund.unanimity import (
     solve_unanimity,
     sweep_profiles,
 )
-from cascadefund.unanimity import _level_brackets, _member_residual, _profile_valid
+from cascadefund.unanimity import _ladder_solve, _level_brackets, _member_residual, _profile_valid
 
 EXACT_SPECS = {
     "uniform-0.5-0.8": lambda: QualitySpec.uniform(0.5, 0.8),
@@ -38,6 +38,61 @@ EXACT_SPECS = {
     "uniform-0.75-0.8": lambda: QualitySpec.uniform(0.75, 0.8),
     "triangular": triangular_spec,
     "bimodal": bimodal_spec,
+}
+
+
+# Bits of the exact ladder, recorded as float.hex: solve_unanimity at
+# n = 3, each odds of PIN_PROFILE_ODDS giving its thresholds, pi0 and pi1,
+# and one _ladder_solve(m = 3) call on PIN_LADDER_ODDS giving x_first, pi0
+# and pi1 per odds (no tie at any of them).
+PIN_PROFILE_ODDS = (0.4, 0.9, 2.0)
+PIN_LADDER_ODDS = (0.02, 0.05, 0.3, 1.0, 2.5, 6.0)
+LADDER_PIN = {
+    "uniform-0.5-0.8": (
+        [
+            ("0x1.d88ac8a4020c5p-2", "0x1.d88ac8a4020c5p-2", "0x1.d88ac8a403b86p-2", "0x1.285c20cf0f35ep-4", "0x1.713690450a05fp-2"),
+            ("0x1.74e8cc1e4fdf2p-2", "0x1.74e8cc1e4fdf2p-2", "0x1.74e8cc1e528ccp-2", "0x1.ca563029ab405p-3", "0x1.359cba5550d2fp-1"),
+            ("0x1.16d99f1a4fdf2p-2", "0x1.16d99f1a4fdf2p-2", "0x1.16d99f1a50848p-2", "0x1.16103c5614361p-1", "0x1.ad721486996e6p-1"),
+        ],
+        [
+            ("0x1.8f3583889893ap-1", "0x1.81a262d75beb3p-19", "0x1.3fef5559edf69p-13"),
+            ("0x1.63ea7c546978ep-1", "0x1.680682ef4977fp-11", "0x1.243e514c0aff1p-6"),
+            ("0x1.fbd65b205c28ep-2", "0x1.741cd64d03afep-5", "0x1.2210ac35da8aep-2"),
+            ("0x1.6825be219fbe7p-2", "0x1.04b7f7940ac50p-2", "0x1.463bde0598a72p-1"),
+            ("0x1.fc180e18c0830p-3", "0x1.57b70520948aep-1", "0x1.caca292c7ca16p-1"),
+            ("0x1.9999999999998p-3", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ],
+    ),
+    "uniform-0.65-0.8": (
+        [
+            ("0x1.0ee33b7047ae0p-2", "0x1.a79b536a4bc6ap-2", "0x1.a79b536a4abbfp-2", "0x1.9ee0f6d50a7fbp-5", "0x1.e47359aa6de50p-2"),
+            ("0x1.015cc48b5a1cap-2", "0x1.015cc48b3d709p-2", "0x1.a7660716db795p-2", "0x1.3045857c7d13fp-3", "0x1.3c154284c2c77p-1"),
+            ("0x1.9999999999998p-3", "0x1.9999999999998p-3", "0x1.5555555555555p-2", "0x1.6480f2b9d647dp-2", "0x1.86a314dbf86a5p-1"),
+        ],
+        [
+            ("0x1.8f3583889893ap-1", "0x1.81a262d75beb3p-16", "0x1.3fef5559edf69p-10"),
+            ("0x1.63ea7c546978ep-1", "0x1.680682ef4977fp-8", "0x1.243e514c0aff1p-3"),
+            ("0x1.4bea5459b4394p-2", "0x1.e25dde21a977cp-6", "0x1.a58192f705957p-2"),
+            ("0x1.eda3e84ba1cabp-3", "0x1.5c9d3eeb057c3p-3", "0x1.47c3adfb355d1p-1"),
+            ("0x1.dc669052ccccdp-3", "0x1.24514423798f4p-1", "0x1.bb18e09f65b46p-1"),
+            ("0x1.9999999999998p-3", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ],
+    ),
+    "interior-zero": (
+        [
+            ("0x1.e2dc78e341894p-2", "0x1.e2dc78e341894p-2", "0x1.e2dc78e341adap-2", "0x1.58ae4f9237da0p-4", "0x1.941b7aaa7b77dp-2"),
+            ("0x1.71af6db720c48p-2", "0x1.71af6db720c48p-2", "0x1.71af6db722671p-2", "0x1.efd93ec28121bp-3", "0x1.55ddf3a9d753cp-1"),
+            ("0x1.044b671e0a3d7p-2", "0x1.044b671e0a3d7p-2", "0x1.044b671e0b655p-2", "0x1.d49a661c22315p-2", "0x1.a0507cae2169ep-1"),
+        ],
+        [
+            ("0x1.8f13ec10b3334p-1", "0x1.4312d1f0194d6p-16", "0x1.0ca1f8ac810b6p-10"),
+            ("0x1.5cd611166978ep-1", "0x1.acccfd6bc8488p-10", "0x1.7f66d0f237711p-5"),
+            ("0x1.d6e4993b20c4ap-2", "0x1.68f832e5673c2p-5", "0x1.1e08f30333781p-2"),
+            ("0x1.5ace8f9120c4ap-2", "0x1.f8822a01e17ecp-3", "0x1.5825fb3f94228p-1"),
+            ("0x1.e1d1c794b851ep-3", "0x1.2ccbcc0d43bb3p-1", "0x1.bdf66adeb3eafp-1"),
+            ("0x1.9999999999998p-3", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ],
+    ),
 }
 
 
@@ -147,6 +202,20 @@ class TestLadderDepth:
     def test_three_player_pi_ordering(self, dist_u58):
         prof = solve_unanimity(2.0, dist_u58, 3)
         assert prof.pi1 > prof.pi0
+
+    @pytest.mark.parametrize("name", sorted(LADDER_PIN))
+    def test_three_player_ladder_bits_are_pinned(self, name):
+        # The CLI goldens reach the ladder at m <= 2 only; this pins the
+        # m = 3 ladder, the engine's reference, bit for bit.
+        spec = interior_zero_spec() if name == "interior-zero" else EXACT_SPECS[name]()
+        dist = TypeDistribution(spec)
+        profiles, ladder = LADDER_PIN[name]
+        for L, want in zip(PIN_PROFILE_ODDS, profiles):
+            prof = solve_unanimity(L, dist, 3)
+            assert tuple(v.hex() for v in (*prof.thresholds, prof.pi0, prof.pi1)) == want
+        x, pi0, pi1, tie = _ladder_solve(dist, np.array(PIN_LADDER_ODDS), 3)
+        assert [tuple(map(float.hex, map(float, r))) for r in zip(x, pi0, pi1)] == ladder
+        assert not tie.any()
 
     @given(L=st.floats(0.3, 3.9))
     @settings(max_examples=20, deadline=None)
