@@ -6,9 +6,6 @@ from cascadefund.beliefs import (
     OutOfSupportWarning,
     QualitySpec,
     TypeDistribution,
-    private_likelihood,
-    update_on_decline,
-    update_on_invest,
 )
 
 __version__ = "0.1.0"
@@ -19,8 +16,5 @@ __all__ = [
     "OutOfSupportWarning",
     "QualitySpec",
     "TypeDistribution",
-    "private_likelihood",
-    "update_on_decline",
-    "update_on_invest",
     "__version__",
 ]

@@ -19,8 +19,8 @@ Conditional on the world state w in {0, 1}, the type density is
 
 so the point likelihood ratio is f_1/f_0 = y/(1-y) exactly.  Observers
 who know a player's investment threshold x update the public odds of a
-good world with the tail ratios of these distributions; those update
-rules and the private-likelihood rule live here.
+good world by the tail ratios of these distributions: an invest at x
+multiplies them by `lr_upper_tail(x)`, a decline by `lr_lower_tail(x)`.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ __all__ = [
     "OutOfSupportWarning",
     "QualitySpec",
     "TypeDistribution",
-    "private_likelihood",
-    "update_on_decline",
-    "update_on_invest",
 ]
 
 # Absolute half-width of the band around the support edges inside which the
@@ -449,33 +446,3 @@ class TypeDistribution:
         if omega not in (0, 1):
             raise DomainError(f"world state must be 0 or 1, got {omega!r}")
 
-
-def _check_likelihood(L) -> np.ndarray:
-    La = np.asarray(L, dtype=float)
-    if np.any(~np.isfinite(La)) or np.any(La <= 0.0):
-        raise DomainError("likelihood must be finite and positive")
-    return La
-
-
-def update_on_invest(L, dist: TypeDistribution, x):
-    """Public odds after seeing a threshold-x player invest."""
-    La = _check_likelihood(L)
-    out = La * dist.lr_upper_tail(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def update_on_decline(L, dist: TypeDistribution, x):
-    """Public odds after seeing a threshold-x player decline."""
-    La = _check_likelihood(L)
-    out = La * dist.lr_lower_tail(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def private_likelihood(L, t):
-    """Odds of a good world for a type-t player facing public odds L."""
-    La = _check_likelihood(L)
-    ta, _ = _as_float_array(t)
-    if np.any((ta <= 0.0) | (ta >= 1.0)):
-        raise DomainError("type must lie strictly inside (0, 1)")
-    out = La * ta / (1.0 - ta)
-    return float(out) if out.ndim == 0 else out

@@ -15,27 +15,29 @@ recurrence
 with pi_w = 1 once B <= 0 and pi_w = 0 when B > n.  Multiple candidate
 thresholds are ranked by the mover's expected utility; exact ties go to
 the candidate a vanishing tremble favors (the discriminator), and a tie
-there too marks the state irregular.  Root finding and selection live in
-cascadefund.roots; this module supplies the child rows they evaluate.
+there too marks the state irregular.  Root finding, selection and the
+recurrence live in cascadefund.roots; this module supplies the child
+rows they evaluate.
 
 Tables are solved bottom-up in n on a log-odds grid wide enough to hold
 every reachable state, with extra grid points pinned at the analytic
 cascade bounds so the all-invest and all-decline plateaus are resolved
 sharply.  Every state answers the same five queries (`sigma_at`,
 `pi_at`, `ratio_at`, `ratio_bounds`, `irregular_at`): a stored
-`PolicyRow` interpolates linearly in log odds, `_Settled` holds the
-conventions of a filled or unfillable drive, and the state (1, 1) is the
-closed-form last mover of cascadefund.roots (`roots.LastMover`, which
-the exact ladder's two-player steps read too), for table queries and
-parent rows alike, except where a B = n row groups its candidates.
-`PolicyTable.view` picks the one for a state.
-The only setting is the number of grid points (`backward_induction`);
-the root tolerances are those of cascadefund.roots.
+`PolicyRow` interpolates linearly in log odds, and a terminal state
+answers with the conventions the exact ladder reads too
+(`roots.terminal`): a filled or unfillable drive, and the closed-form
+last mover at (1, 1), for table queries and parent rows alike, except
+where a B = n row groups its candidates.  `PolicyTable.view` picks the
+one for a state.  The only setting is the number of grid points
+(`backward_induction`); the root tolerances are those of
+cascadefund.roots.
 
-One path solves live states, `_solve_states`: candidates and selection
-from cascadefund.roots, then the completion recurrence and the irregular
-flags, for a whole table row or for one state.  `find_roots` and
-`completion_prob` are that solve at one state.
+Live states are solved by `roots.solve_states` from the views of their
+two children, the solve the exact ladder runs on exact children; this
+module supplies its scan size, block budget and B = n grouping
+(`_solve_states`), for a whole table row or for one state.  `find_roots`
+and `completion_prob` are that solve at one state.
 """
 
 from __future__ import annotations
@@ -238,41 +240,6 @@ def _range_tables(v):
     return np.array(lo), np.array(hi)
 
 
-class _Settled:
-    """A drive that has settled, answering the queries of a `PolicyRow`.
-
-    Filled (B <= 0): movers bet on private beliefs alone and completion is
-    certain.  Unfillable (B > n): nobody invests and completion is
-    impossible.
-    """
-
-    def __init__(self, dist, filled: bool):
-        self.dist = dist
-        self.filled = filled
-
-    def sigma_at(self, L):
-        La = np.asarray(L, dtype=float)
-        Q = self.dist.Q
-        out = roots.pivotal_threshold(self.dist, La) if self.filled else np.full_like(La, Q)
-        return float(out) if out.ndim == 0 else out
-
-    def pi_at(self, L):
-        p = 1.0 if self.filled else 0.0
-        z = np.full_like(np.asarray(L, dtype=float), p)
-        return (z, z.copy()) if z.ndim else (p, p)
-
-    def ratio_at(self, L):
-        out = np.full_like(np.asarray(L, dtype=float), 1.0 if self.filled else np.inf)
-        return float(out) if out.ndim == 0 else out
-
-    def ratio_bounds(self, lo, hi):
-        return self.ratio_at(lo), self.ratio_at(hi)
-
-    def irregular_at(self, L):
-        out = np.zeros(np.shape(L), dtype=bool)
-        return bool(out) if out.ndim == 0 else out
-
-
 def _trace_signatures(rows, dist, xflat, Lp_flat, n):
     """Continuation multiset for each candidate of a B = n row: the
     candidate, then the all-invest path of the stored diagonal rows from
@@ -284,15 +251,11 @@ def _trace_signatures(rows, dist, xflat, Lp_flat, n):
 
 
 def _solve_states(table, B, n, Ls):
-    """Solve live state (B, n) at each odds point of Ls.
-
-    Candidates and selection come from roots.candidates and roots.choose,
-    with B = n candidates grouped by their continuation multisets; then
-    the completion recurrence and the irregular flags.  Returns
-    (choice, pi0, pi1, irregular), the choice as roots.choose gives it.
-    """
+    """Solve live state (B, n) at each odds point of Ls (roots.solve_states),
+    with B = n candidates grouped by their continuation multisets."""
     dist = table.dist
     inv, dec = table.view(B - 1, n - 1), table.view(B, n - 1)
+    signatures = partial(_trace_signatures, table.rows, dist, n=n) if B == n and n >= 2 else None
     # A scan budget of 8,192 elements keeps every scan temporary under
     # glibc's 128 KiB mmap threshold, so the blocks reuse heap memory
     # instead of mapping fresh pages: the certificate bounds 8,192 groups
@@ -300,22 +263,7 @@ def _solve_states(table, B, n, Ls):
     # in all on a (3, 8) grid-513 build), and open cells are evaluated 204
     # at a time.  Dense 512-state blocks took ~60k minor page faults and
     # 240 MB on that build.
-    cands = roots.candidates(dist, inv.ratio_at, Ls, SCAN_POINTS, 8_192, inv.ratio_bounds)
-    signatures = partial(_trace_signatures, table.rows, dist, n=n) if B == n and n >= 2 else None
-    ch = roots.choose(dist, Ls, cands, inv.pi_at, signatures)
-    sel = ch.sel
-    sigma = ch.x[sel]
-    T0, T1 = ch.T0[sel], ch.T1[sel]
-    F0, F1 = dist.cdf_pair(sigma)
-    Lm = Ls * dist.lr_lower_tail(sigma)
-    p0m, p1m = dec.pi_at(Lm)
-    pi0 = T0 * ch.p0c[sel] + F0 * p0m
-    pi1 = T1 * ch.p1c[sel] + F1 * p1m
-
-    irregular = ch.tie.copy()
-    irregular |= ((T0 + T1) > 0.0) & np.asarray(inv.irregular_at(ch.Lp[sel]))
-    irregular |= ((F0 + F1) > 0.0) & np.asarray(dec.irregular_at(Lm))
-    return ch, pi0, pi1, irregular
+    return roots.solve_states(dist, inv, dec, Ls, SCAN_POINTS, 8_192, signatures)
 
 
 def _solve_row(table, B, n, Lpts):
@@ -339,19 +287,20 @@ def _solve_row(table, B, n, Lpts):
 class PolicyTable:
     """Solved policy rows for every (B, n) reachable from (B0, n0).
 
-    `view(B, n)` gives what answers the queries at a state: the stored
-    row, or outside stored rows a terminal convention (`_Settled`).  B <= 0
-    means the drive has already filled, so movers bet on private beliefs
-    alone (sigma = 1/(1+L), pi = 1); B > n means the drive cannot fill,
-    nobody invests (sigma = Q, pi = 0).  At (1, 1) it is the closed-form
-    last mover (`roots.LastMover`), for the table's queries and for a parent
-    row's solve alike, with one exception: the continuation multisets
-    that group a B = n row's candidates (_trace_signatures) interpolate
-    the stored (1, 1) row's sigma, as they do the other rows of the
-    multiset.  `sigma` takes the closed form at every B = 1: the mover's
-    own investment fills the drive, so she bets on the world alone.  Her
-    pi and ratio at n >= 2 still depend on later movers and come from the
-    stored row.  Every query gives Python scalars for a scalar L.
+    `view(B, n)` gives what answers the queries at a state: at a terminal
+    state the convention `roots.terminal` gives, and otherwise the stored
+    row.  B <= 0 means the drive has already filled, so movers bet on
+    private beliefs alone (sigma = 1/(1+L), pi = 1); B > n means the drive
+    cannot fill, nobody invests (sigma = Q, pi = 0).  At (1, 1) it is the
+    closed-form last mover (`roots.LastMover`), for the table's queries
+    and for a parent row's solve alike, with one exception: the
+    continuation multisets that group a B = n row's candidates
+    (_trace_signatures) interpolate the stored (1, 1) row's sigma, as they
+    do the other rows of the multiset.  `sigma` takes the closed form at
+    every B = 1: the mover's own investment fills the drive, so she bets
+    on the world alone.  Her pi and ratio at n >= 2 still depend on later
+    movers and come from the stored row.  Every query gives Python scalars
+    for a scalar L.
     """
 
     def __init__(self, dist, rows):
@@ -364,13 +313,9 @@ class PolicyTable:
         except KeyError:
             raise ModelViolationError(f"row (B={B}, n={n}) is not in the table") from None
 
-    def view(self, B: int, n: int) -> PolicyRow | _Settled | roots.LastMover:
+    def view(self, B: int, n: int) -> PolicyRow | roots.Settled:
         """What answers the queries at state (B, n) (class docstring)."""
-        if B <= 0 or B > n:
-            return _Settled(self.dist, B <= 0)
-        if (B, n) == (1, 1):
-            return roots.LastMover(self.dist)
-        return self.row(B, n)
+        return roots.terminal(self.dist, B, n) or self.row(B, n)
 
     def sigma(self, L, B: int, n: int):
         if B == 1 and n >= 1:

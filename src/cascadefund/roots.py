@@ -11,18 +11,23 @@ type (x = Q).  The candidate with the highest expected utility wins;
 utility ties go to the candidate a vanishing tremble favors (the
 discriminator), and a tie there too marks the state irregular.
 
-What a solver supplies is how the invest child is evaluated: a
-child-ratio callable giving pi_0/pi_1 at child odds (+inf where the child
-cannot complete) and a child-pi callable giving (pi_0, pi_1).  The grid
-engine passes interpolated table rows, the must-fill ladder exact
-recursive solves; where the child is the last mover at (1, 1), both pass
-the one closed form here, `LastMover`.  On a must-fill drive both are
-steps of one walk down the all-invest path, `invest_path`: the ladder's
-solve and the engine's diagonal rows give each mover's threshold at the
-odds left before it.
+A solver supplies a state's two children as objects answering the
+queries of a solved state: `pi_at` gives (pi_0, pi_1) at child odds,
+`ratio_at` pi_0/pi_1 (+inf where the child cannot complete),
+`irregular_at` the child's irregular flags, and `ratio_bounds` is None
+or bounds the ratio (below).  `solve_states` solves live states from them:
+candidates, selection, the completion recurrence pi_w = T_w *
+pi_w(invest child) + F_w * pi_w(decline child), and the irregular flags.
+Both solvers take their terminal children from `terminal`: a filled or
+unfillable drive (`Settled`) and the last mover at (1, 1) in closed form
+(`LastMover`).  Live children are interpolated table rows in the grid
+engine and exact recursive solves in the must-fill ladder.  On a
+must-fill drive both are steps of one walk down the all-invest path,
+`invest_path`: the ladder's solve and the engine's diagonal rows give
+each mover's threshold at the odds left before it.
 
-A solver may also supply bounds on its child ratio: a callable mapping
-arrays of child-odds intervals [lo, hi] to (rmin, rmax), bounds on every
+An invest child may also bound its ratio: `ratio_bounds` maps arrays
+of child-odds intervals [lo, hi] to (rmin, rmax), bounds on every
 finite value the child ratio takes at odds in the interval ((inf, inf)
 where it takes none, NaN where there is no bound).  The scan then splits
 its points into cells of CELL_POINTS points, neighbouring cells sharing
@@ -86,6 +91,7 @@ __all__ = [
     "LastMover",
     "ModelViolationError",
     "Scan",
+    "Settled",
     "bisect",
     "candidates",
     "choose",
@@ -97,6 +103,8 @@ __all__ = [
     "pivotal_threshold",
     "scan_roots",
     "select",
+    "solve_states",
+    "terminal",
 ]
 
 # Scan points per certified cell (neighbouring cells share an end point),
@@ -298,25 +306,53 @@ def completion_ratio(p0, p1):
 LAST_TAIL_GUARD = CELL_MARGIN / 16
 
 
-class LastMover:
+class Settled:
+    """A drive that has settled, answering the queries of a solved state.
+
+    Filled (B <= 0): movers bet on private beliefs alone and completion is
+    certain.  Unfillable (B > n): nobody invests and completion is
+    impossible.  Neither is ever irregular.
+    """
+
+    def __init__(self, dist, filled: bool):
+        self.dist = dist
+        self.filled = filled
+
+    def sigma_at(self, L):
+        La = np.asarray(L, dtype=float)
+        out = pivotal_threshold(self.dist, La) if self.filled else np.full_like(La, self.dist.Q)
+        return float(out) if out.ndim == 0 else out
+
+    def pi_at(self, L):
+        p = 1.0 if self.filled else 0.0
+        z = np.full_like(np.asarray(L, dtype=float), p)
+        return (z, z.copy()) if z.ndim else (p, p)
+
+    def ratio_at(self, L):
+        out = np.full_like(np.asarray(L, dtype=float), 1.0 if self.filled else np.inf)
+        return float(out) if out.ndim == 0 else out
+
+    def ratio_bounds(self, lo, hi):
+        return self.ratio_at(lo), self.ratio_at(hi)
+
+    def irregular_at(self, L):
+        out = np.zeros(np.shape(L), dtype=bool)
+        return bool(out) if out.ndim == 0 else out
+
+
+class LastMover(Settled):
     """The sole pivotal last mover at state (1, 1), in closed form.
 
     Her investment fills the drive, so she cuts at the clipped 1/(1+L)
-    (`pivotal_threshold`); completion is her own investment, pi_w = sf_w
-    at that cut, and the child ratio is sf_0/sf_1 there (+inf where the cut
-    clips to Q, at the dead frontier (1-Q)/Q or below).  Both solvers read
-    this state here: the grid engine's `PolicyTable.view(1, 1)` and the
-    exact ladder's two-player steps.  It answers the five queries of an
-    engine row; it is never irregular, and nothing carries interpolation
-    error.
+    (`pivotal_threshold`), as a mover of a filled drive does; completion
+    is her own investment, pi_w = sf_w at that cut, and the child ratio is
+    sf_0/sf_1 there (+inf where the cut clips to Q, at the dead frontier
+    (1-Q)/Q or below).  It is never irregular, and nothing carries
+    interpolation error.
     """
 
     def __init__(self, dist):
-        self.dist = dist
-
-    def sigma_at(self, L):
-        out = pivotal_threshold(self.dist, L)
-        return float(out) if out.ndim == 0 else out
+        super().__init__(dist, True)
 
     def pi_at(self, L):
         La = np.asarray(L, dtype=float)
@@ -354,9 +390,15 @@ class LastMover:
         keep = (err <= LAST_TAIL_GUARD * np.minimum(p0[0], p1[0])) | (s[1] >= dist.hi)
         return np.where(keep, r[0], np.nan), np.where(keep, r[1], np.nan)
 
-    def irregular_at(self, L):
-        out = np.zeros(np.shape(L), dtype=bool)
-        return bool(out) if out.ndim == 0 else out
+
+def terminal(dist, B, n):
+    """What answers at a terminal state (B, n): a filled (B <= 0) or
+    unfillable (B > n) drive, or the last mover at (1, 1); None if live."""
+    if B <= 0 or B > n:
+        return Settled(dist, B <= 0)
+    if (B, n) == (1, 1):
+        return LastMover(dist)
+    return None
 
 
 def gap(dist, child_ratio, L, x):
@@ -769,6 +811,29 @@ def choose(dist, Ls, cands, child_pi, signatures=None):
         )
         sel[s] = lo + local
     return Choice(x, kinds, T0, T1, Lp, p0c, p1c, U, sel, tie)
+
+
+def solve_states(dist, inv, dec, Ls, scan, budget, signatures=None):
+    """Solve a live state at each odds point of Ls from its invest and
+    decline children inv and dec (module docstring): `candidates` with
+    `scan` and `budget`, `choose` with `signatures`, the recurrence, and
+    the flags of a tie or a reachable irregular child.  Returns (choice,
+    pi0, pi1, irregular), the choice as `choose` gives it."""
+    cands = candidates(dist, inv.ratio_at, Ls, scan, budget, inv.ratio_bounds)
+    ch = choose(dist, Ls, cands, inv.pi_at, signatures)
+    sel = ch.sel
+    sigma = ch.x[sel]
+    T0, T1 = ch.T0[sel], ch.T1[sel]
+    F0, F1 = dist.cdf_pair(sigma)
+    Lm = Ls * dist.lr_lower_tail(sigma)
+    p0m, p1m = dec.pi_at(Lm)
+    pi0 = T0 * ch.p0c[sel] + F0 * p0m
+    pi1 = T1 * ch.p1c[sel] + F1 * p1m
+
+    irregular = ch.tie.copy()
+    irregular |= ((T0 + T1) > 0.0) & np.asarray(inv.irregular_at(ch.Lp[sel]))
+    irregular |= ((F0 + F1) > 0.0) & np.asarray(dec.irregular_at(Lm))
+    return ch, pi0, pi1, irregular
 
 
 def invest_path(dist, Ls, ms, step):

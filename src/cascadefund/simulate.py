@@ -184,6 +184,23 @@ def estimate_completion(
     return completion_from_batch(simulate_runs(policy, state, runs, seed))
 
 
+def _quantiles(a, qs):
+    """np.quantile(a, qs) of a 1-D array, bit for bit, from a sort.
+
+    numpy's linear rule: at the virtual index v = (n-1) q, between the
+    order statistics lo at i = floor(v) and hi at i + 1, with t = v - i,
+    it is lo + (hi-lo) t, or hi - (hi-lo)(1-t) where t >= 0.5.  np.quantile
+    itself calls np.unique, whose first call imports numpy.ma, which
+    nothing else in a `simulate` run loads.
+    """
+    s = np.sort(a)
+    v = (s.size - 1) * np.asarray(qs, dtype=float)
+    i = np.floor(v).astype(np.intp)
+    lo, hi = s[i], s[np.minimum(i + 1, s.size - 1)]
+    t, d = v - i, hi - lo
+    return np.where(t >= 0.5, hi - d * (1 - t), lo + d * t)
+
+
 def end_likelihood_stats(batch: BatchRuns, dist: TypeDistribution, L0: float) -> dict:
     """Terminal-odds summary over completed runs, against the learning cap.
 
@@ -199,7 +216,7 @@ def end_likelihood_stats(batch: BatchRuns, dist: TypeDistribution, L0: float) ->
     ends = np.asarray(batch.L_end)[np.asarray(batch.completed, dtype=bool)]
     if ends.size == 0:
         return {"n_completed": 0, "learning_bound": bound}
-    q50, q90, q99 = np.quantile(ends, [0.5, 0.9, 0.99])
+    q50, q90, q99 = _quantiles(ends, [0.5, 0.9, 0.99])
     top = float(np.max(ends))
     if L0 < up_cascade_bound(dist.Q):
         within = bool(top < bound)

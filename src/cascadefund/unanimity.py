@@ -15,19 +15,19 @@ and asymmetric_profiles finds every one, exhaustively, from C(n+S, S)
 count vectors over the S monotone pieces of the hazard J.  It also owns
 the delegation analysis: profiles where some player invests for every type.
 
-The exact ladder shares its per-state rule with the grid engine: the
-candidate scan, root bisection, herd candidates, rescue and the
-utility-then-discriminator selection all come from cascadefund.roots, so
-that code is not cross-checked by comparing the two solvers.  What stays
-independent is how a child state is evaluated: exact recursion here,
-interpolation in solved table rows there, and that is what the
-grid-versus-exact comparison checks.  The one exception is the last mover
-at (1, 1): both solvers read her closed form, roots.LastMover, and a
-two-player step here takes the same certified scan, on her ratio bounds,
-as every engine row.  The ladder and the engine diagonal are two steps of
-one walk down the all-invest path (roots.invest_path); nothing here
-builds an engine table, the sweep walks one its caller solved, for
-n >= 3.
+The exact ladder solves each state with the grid engine's own state
+solve, roots.solve_states: the candidate scan, root bisection, herd
+candidates, rescue, the utility-then-discriminator selection and the
+completion recurrence, so that code is not cross-checked by comparing
+the two solvers.  The terminal children are shared too (roots.terminal):
+the last mover at (1, 1), whose ratio bounds give a two-player step the
+same certified scan as every engine row, and the dead decline child of a
+must-fill state.  What stays independent is how a live child is
+evaluated: exact recursion here (`_ExactChild`), interpolation in solved
+table rows there, and that is what the grid-versus-exact comparison
+checks.  The ladder and the engine diagonal are two steps of one walk
+down the all-invest path (roots.invest_path); nothing here builds an
+engine table, the sweep walks one its caller solved, for n >= 3.
 
 Nothing here is a setting: the scan sizes are module constants, and the
 root, residual and tie tolerances are those of cascadefund.roots, the
@@ -148,48 +148,52 @@ def _member_residual(dist, L, xs, i):
 # -- exact recursive ladder ---------------------------------------------------
 
 
+class _ExactChild:
+    """The exact m-player must-fill state as an invest child: the ladder's
+    recursive solve at `depth`, behind a dead cut (below it the state
+    declines for every type, with certainty) at the analytic bound shrunk
+    a hair, so boundary queries still get the exact recursive answer.  It
+    has no ratio bounds, so its parent scans densely, and it is never
+    irregular: the ladder flags only its first mover's ties.
+    """
+
+    ratio_bounds = None
+    irregular_at = roots.Settled.irregular_at
+
+    def __init__(self, dist, m, depth):
+        self.dist, self.m, self.depth = dist, m, depth
+        self.dead = down_cascade_bound(dist.Q, m) * (1.0 - 1e-12)
+
+    def pi_at(self, L):
+        La = np.asarray(L, dtype=float)
+        _, p0, p1, _ = _ladder_solve(self.dist, La.reshape(-1), self.m, self.depth)
+        p0, p1 = p0.reshape(La.shape), p1.reshape(La.shape)
+        return (p0, p1) if La.ndim else (float(p0), float(p1))
+
+    def ratio_at(self, L):
+        La = np.asarray(L, dtype=float)
+        out = np.full(La.shape, np.inf)
+        live = La > self.dead
+        if live.any():
+            out[live] = roots.completion_ratio(*self.pi_at(La[live]))
+        return float(out) if out.ndim == 0 else out
+
+
 def _ladder_solve(dist, Ls, m, depth=0):
     """Solve the m-player must-fill game exactly at each odds point.
 
     Returns (x_first, pi0, pi1, tie), where tie flags a discriminator tie
-    in the first mover's selection.  Child states are solved recursively
-    by the same routine, so no interpolation enters anywhere; costs grow
+    in the first mover's selection.  roots.solve_states solves it from
+    exact children, so no interpolation enters anywhere; costs grow
     geometrically in m and stay practical for m <= 4.
     """
     Ls = np.asarray(Ls, dtype=float)
-    last = roots.LastMover(dist)
     if m == 1:
+        last = roots.terminal(dist, 1, 1)
         return (last.sigma_at(Ls), *last.pi_at(Ls), np.zeros(Ls.shape, dtype=bool))
 
-    if depth == 0:
-        scan = SCAN_TOP
-    elif depth == 1:
-        scan = SCAN_REC
-    else:
-        scan = SCAN_DEEP
-    if m == 2:
-        # The child is the closed-form last mover, whose ratio bounds let
-        # the scan skip every cell they certify (cascadefund.roots).
-        child_ratio, child_pi, bounds = last.ratio_at, last.pi_at, last.ratio_bounds
-    else:
-        # Below this the child subgame declines for every type, with
-        # certainty; shrink the analytic bound a hair so boundary queries
-        # still get the exact recursive answer.
-        dead_child = down_cascade_bound(dist.Q, m - 1) * (1.0 - 1e-12)
-
-        def child_pi(Lq):
-            return _ladder_solve(dist, Lq, m - 1, depth + 1)[1:3]
-
-        def child_ratio(Lq):
-            Lq = np.asarray(Lq, dtype=float)
-            out = np.full(Lq.shape, np.inf)
-            live = Lq > dead_child
-            if live.any():
-                out[live] = roots.completion_ratio(*child_pi(Lq[live]))
-            return out
-
-        bounds = None
-
+    scan = SCAN_TOP if depth == 0 else SCAN_REC if depth == 1 else SCAN_DEEP
+    inv = roots.terminal(dist, m - 1, m - 1) or _ExactChild(dist, m - 1, depth + 1)
     # A block of 5,120 elements keeps the temporaries of the scan and of
     # the child evaluations small: a two-player step bounds 5,120 groups of
     # cells at a time and evaluates its open cells 128 at a time, and a
@@ -200,12 +204,9 @@ def _ladder_solve(dist, Ls, m, depth=0):
     # takes ~5,150 minor faults at each of 8 checkout path lengths (the
     # dense scan took as many at 7 of them and 7,630 at one); 8,192-element
     # blocks take ~5,780.
-    cands = roots.candidates(dist, child_ratio, Ls, scan, 5_120, bounds)
-    ch = roots.choose(dist, Ls, cands, child_pi)
-    sel = ch.sel
-    # One decline kills a must-fill drive: completion runs through the
-    # invest child alone.
-    return ch.x[sel], ch.T0[sel] * ch.p0c[sel], ch.T1[sel] * ch.p1c[sel], ch.tie
+    dec = roots.terminal(dist, m, m - 1)  # dead: one decline kills a must-fill drive
+    ch, pi0, pi1, tie = roots.solve_states(dist, inv, dec, Ls, scan, 5_120)
+    return ch.x[ch.sel], pi0, pi1, tie
 
 
 def _ladder_step(dist, Ls, m):

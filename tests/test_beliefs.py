@@ -20,9 +20,6 @@ from cascadefund.beliefs import (
     _clamp,
     _seg_int_f1,
     _seg_int_g,
-    private_likelihood,
-    update_on_decline,
-    update_on_invest,
 )
 from conftest import bimodal_spec, triangular_spec
 
@@ -198,6 +195,14 @@ class TestLikelihoodRatios:
     def test_frozen_values(self, dist_u58):
         assert_allclose(dist_u58.lr_upper_tail(0.4), 1.5, rtol=1e-12)
         assert_allclose(dist_u58.lr_lower_tail(0.4), 0.2 / (0.28 / 0.6), rtol=1e-12)
+        # The posteriors after an invest and after a decline, weighted by
+        # how likely each action is, average back to the prior.
+        L, x = 1.7, 0.45
+        up, dn = L * dist_u58.lr_upper_tail(x), L * dist_u58.lr_lower_tail(x)
+        lam = L / (1 + L)
+        p_invest = lam * dist_u58.sf(1, x) + (1 - lam) * dist_u58.sf(0, x)
+        post_mean = p_invest * up / (1 + up) + (1 - p_invest) * dn / (1 + dn)
+        assert_allclose(post_mean, lam, rtol=1e-12)
 
     def test_limits_at_support_edges(self, dist_u58):
         Q = 0.8
@@ -419,36 +424,3 @@ class TestDistributionLaws:
         ys = np.linspace(dist.lo, dist.hi, 200)
         for omega in (0, 1):
             assert_allclose(dist.cdf(omega, ys) + dist.sf(omega, ys), 1.0, atol=1e-12)
-
-
-class TestBeliefUpdates:
-    def test_invest_update(self, dist_u58):
-        assert_allclose(update_on_invest(1.0, dist_u58, 0.4), 1.5, rtol=1e-12)
-        assert_allclose(update_on_invest(2.0, dist_u58, 0.2), 2.0, rtol=1e-12)
-
-    def test_decline_update(self, dist_u58):
-        assert_allclose(update_on_decline(1.0, dist_u58, 0.4), 0.2 / (0.28 / 0.6), rtol=1e-12)
-        assert_allclose(update_on_decline(2.0, dist_u58, 0.8), 2.0, rtol=1e-12)
-
-    def test_private_likelihood(self):
-        assert private_likelihood(2.0, 0.8) == pytest.approx(8.0)
-        assert private_likelihood(1.0, 0.5) == pytest.approx(1.0)
-        with pytest.raises(DomainError):
-            private_likelihood(1.0, 1.0)
-        with pytest.raises(DomainError):
-            private_likelihood(1.0, 0.0)
-        with pytest.raises(DomainError):
-            private_likelihood(-1.0, 0.5)
-
-    def test_updates_multiply_to_prior_mean(self, dist_u58):
-        # E over actions of the posterior given world w reproduces the
-        # conditional action split: sanity identity
-        # sf_w * lr_upper-part + cdf_w * lr_lower-part telescopes.
-        L, x = 1.7, 0.45
-        up = update_on_invest(L, dist_u58, x)
-        dn = update_on_decline(L, dist_u58, x)
-        lam = L / (1 + L)
-        p_invest = lam * dist_u58.sf(1, x) + (1 - lam) * dist_u58.sf(0, x)
-        p_decline = 1 - p_invest
-        post_mean = p_invest * up / (1 + up) + p_decline * dn / (1 + dn)
-        assert_allclose(post_mean, lam, rtol=1e-12)

@@ -21,7 +21,7 @@ from cascadefund.beliefs import (
     QualitySpec,
     TypeDistribution,
 )
-from cascadefund import engine
+from cascadefund import engine, roots, unanimity
 from cascadefund.engine import (
     GameState,
     ModelViolationError,
@@ -115,6 +115,50 @@ def test_every_state_answers_one_query_contract(solved, B, n):
     assert rmin.shape == rmax.shape == L.shape
     r = view.ratio_at(L)
     assert np.all(r >= rmin * (1.0 - CELL_MARGIN)) and np.all(r <= rmax * (1.0 + CELL_MARGIN))
+
+
+SOLVE_CHILDREN = {
+    "filled": lambda dist: roots.terminal(dist, 0, 2),
+    "unfillable": lambda dist: roots.terminal(dist, 3, 2),
+    "last-mover": lambda dist: roots.terminal(dist, 1, 1),
+    "exact-2": lambda dist: unanimity._ExactChild(dist, 2, 2),
+    "exact-3": lambda dist: unanimity._ExactChild(dist, 3, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVE_CHILDREN))
+def test_every_solve_child_answers_one_query_contract(kind):
+    # What roots.solve_states reads of a child, for every terminal
+    # convention and the exact ladder's recursive child alike: an array
+    # query gives arrays of its shape, elementwise what scalar queries give
+    # as Python scalars; the ratio bounds hold the ratio, or are None.
+    dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
+    child = SOLVE_CHILDREN[kind](dist)
+    L = np.geomspace(0.01, 5.0, 6).reshape(2, 3)
+    pi, r, irregular = child.pi_at(L), child.ratio_at(L), child.irregular_at(L)
+    assert [p.shape for p in pi] == [L.shape, L.shape] and r.shape == L.shape
+    assert irregular.dtype == bool and irregular.shape == L.shape and not irregular.any()
+    for k in np.ndindex(L.shape):
+        p = child.pi_at(float(L[k]))
+        assert [type(v) for v in p] == [float, float] and p == (pi[0][k], pi[1][k])
+        assert type(child.ratio_at(float(L[k]))) is float and child.ratio_at(float(L[k])) == r[k]
+        assert child.irregular_at(float(L[k])) is False
+    if kind not in ("filled", "unfillable"):
+        assert np.isinf(r).any() and np.isfinite(r).any()  # dead and live odds
+    if child.ratio_bounds is None:
+        assert kind.startswith("exact")
+        return
+    rmin, rmax = child.ratio_bounds(L, 1.1 * L)
+    assert rmin.shape == rmax.shape == L.shape
+    assert np.all(r >= rmin * (1.0 - CELL_MARGIN)) and np.all(r <= rmax * (1.0 + CELL_MARGIN))
+
+
+def test_only_terminal_states_have_a_terminal_convention():
+    dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
+    for B, n in ((1, 2), (2, 2), (2, 3)):
+        assert roots.terminal(dist, B, n) is None
+    assert type(roots.terminal(dist, 1, 1)) is LastMover and issubclass(LastMover, roots.Settled)
+    assert [roots.terminal(dist, B, 2).filled for B in (-1, 0, 3)] == [True, True, False]
 
 
 class TestTwoPlayerAnchors:

@@ -65,8 +65,14 @@ def _references(path):
     """Identifiers a source file loads, imports or reads as an attribute.
 
     A reference inside a definition of the same name (recursion) does not
-    count, nor do strings, docstrings or assignment targets.
+    count, nor do strings, docstrings or assignment targets, nor the import
+    of a name the file lists in its own `__all__` (a re-export).
     """
+    tree = ast.parse(path.read_text())
+    reexported = set()
+    for node in tree.body:
+        if [getattr(t, "id", None) for t in getattr(node, "targets", ())] == ["__all__"]:
+            reexported = set(ast.literal_eval(node.value))
     found = set()
 
     def visit(node, inside):
@@ -76,7 +82,7 @@ def _references(path):
             name = node.id
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             name = node.attr
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and (node.asname or node.name) not in reexported:
             name = node.name
         else:
             name = None
@@ -85,13 +91,14 @@ def _references(path):
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    visit(ast.parse(path.read_text()), frozenset())
+    visit(tree, frozenset())
     return found
 
 
 def test_every_export_has_a_user_outside_the_tests(monkeypatch):
     # A name is used when the library, a demo or the benchmark's tracer
-    # refers to it; a name only the tests call is surface to delete.
+    # refers to it, other than by re-exporting it; a name only the tests
+    # call is surface to delete.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     used = {name for entry in tracing.TARGETS for name in entry[1:3] if name}

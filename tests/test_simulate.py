@@ -7,21 +7,21 @@ states reproduce their closed forms exactly, and the estimates land
 inside standard-error bands of the solved probabilities.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cascadefund.beliefs import (
-    DomainError,
-    QualitySpec,
-    TypeDistribution,
-    update_on_decline,
-    update_on_invest,
-)
+from cascadefund.beliefs import DomainError, QualitySpec, TypeDistribution
 from cascadefund.engine import GameState, PolicyTable, pi_ordering_scan
 from cascadefund.simulate import (
     BLOCK_RUNS,
     BatchRuns,
     CompletionEstimate,
+    _quantiles,
     end_likelihood_stats,
     estimate_completion,
     simulate_runs,
@@ -188,7 +188,7 @@ class TestPathConsistency:
                 x = pol58.sigma(L, need, st.n - k)
                 act = batch.types[i, k] >= x
                 assert act == bool(batch.actions[i, k])
-                L = update_on_invest(L, dist, x) if act else update_on_decline(L, dist, x)
+                L *= dist.lr_upper_tail(x) if act else dist.lr_lower_tail(x)
                 need -= int(act)
             assert batch.L_end[i] == pytest.approx(L, rel=1e-12)
             assert batch.completed[i] == (need <= 0)
@@ -264,3 +264,28 @@ class TestEndOdds:
 
     def test_ordering_scan_finds_no_violations(self, pol58):
         assert pi_ordering_scan(pol58)["violations"] == []
+
+    def test_quantiles_are_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        arrays = [rng.lognormal(0.0, 2.0, k) for k in (3, 17, 200, 20_001)]
+        arrays += [rng.choice([0.25, 1.5, 4.0], 301), np.full(9, 2.5)]  # ties
+        arrays += [np.array([3.0]), np.array([0.7, 0.2]), np.array([1.0, 1.0])]
+        for a in arrays:
+            for qs in ([0.5, 0.9, 0.99], [0.0, 0.25, 0.75, 1.0]):
+                got, want = _quantiles(a, qs), np.quantile(a, qs)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_a_cli_simulate_leaves_numpy_ma_unimported(tmp_path):
+    # np.quantile calls np.unique, whose first call imports numpy.ma.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        "import sys\n"
+        "from cascadefund.cli import main\n"
+        "main(['simulate', '--B', '2', '--n', '3', '--grid-size', '65', '--runs', '2000',\n"
+        f"      '--out', {str(tmp_path / 'sim')!r}])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip().splitlines()[-1] == "False"
