@@ -37,7 +37,10 @@ Live states are solved by `roots.solve_states` from the views of their
 two children, the solve the exact ladder runs on exact children; this
 module supplies its scan size, block budget and B = n grouping
 (`_solve_states`), for a whole table row or for one state.  `find_roots`
-and `completion_prob` are that solve at one state.
+and `completion_prob` are that solve at one state.  A pivotal state
+(B = 1: the mover's investment fills the drive) is solved there in closed
+form, the clipped cut 1/(1+L) with no root search, so the stored (1, n)
+rows, `find_roots`, `completion_prob` and the table's queries give one cut.
 """
 
 from __future__ import annotations
@@ -269,7 +272,7 @@ def _solve_states(table, B, n, Ls):
 def _solve_row(table, B, n, Lpts):
     ch, pi0, pi1, irregular = _solve_states(table, B, n, Lpts)
     sigma = ch.x[ch.sel]
-    interior = np.array([ch.kinds[i] == KIND_INTERIOR for i in ch.sel])
+    interior = ch.kind[ch.sel] == roots.KINDS.index(KIND_INTERIOR)
     if np.any(interior):
         inv = table.view(B - 1, n - 1)
         res = roots.gap(table.dist, inv.ratio_at, Lpts[interior], sigma[interior])
@@ -296,11 +299,13 @@ class PolicyTable:
     and for a parent row's solve alike, with one exception: the
     continuation multisets that group a B = n row's candidates
     (_trace_signatures) interpolate the stored (1, 1) row's sigma, as they
-    do the other rows of the multiset.  `sigma` takes the closed form at
-    every B = 1: the mover's own investment fills the drive, so she bets
-    on the world alone.  Her pi and ratio at n >= 2 still depend on later
-    movers and come from the stored row.  Every query gives Python scalars
-    for a scalar L.
+    do the other rows of the multiset.  At every B = 1 the mover's own
+    investment fills the drive, so she bets on the world alone: a stored
+    (1, n) row holds the closed-form cut at its points (roots.solve_states
+    solves a pivotal state in closed form), and `sigma` takes the closed
+    form between them too.  Her pi and ratio at n >= 2 still depend on
+    later movers and come from the stored row.  Every query gives Python
+    scalars for a scalar L.
     """
 
     def __init__(self, dist, rows):
@@ -399,8 +404,8 @@ def find_roots(state: GameState, policy: PolicyTable) -> RootSet:
     g = roots.gap(policy.dist, inv.ratio_at, state.L, ch.x)
     res = np.where(np.isnan(g), np.inf, g)
     cands = tuple(
-        Candidate(x=float(x), kind=kind, utility=float(u), residual=float(r))
-        for x, kind, u, r in zip(ch.x, ch.kinds, ch.U, res)
+        Candidate(x=float(x), kind=roots.KINDS[k], utility=float(u), residual=float(r))
+        for x, k, u, r in zip(ch.x, ch.kind, ch.U, res)
     )
     return RootSet(state, cands, int(ch.sel[0]), bool(ch.tie[0]), (float(pi0[0]), float(pi1[0])))
 

@@ -9,15 +9,21 @@ root, and the playable herd thresholds join the candidates: investing for
 every type (x = 1-Q, which keeps the odds at L) and declining for every
 type (x = Q).  The candidate with the highest expected utility wins;
 utility ties go to the candidate a vanishing tremble favors (the
-discriminator), and a tie there too marks the state irregular.
+discriminator), and a tie there too marks the state irregular.  A
+pivotal mover, whose investment fills the drive, needs no search: she
+cuts at the clipped 1/(1+L) (`pivotal_threshold`) whatever later movers
+do, and that is her state's one candidate.  `candidates` gives a set of
+states' candidates as flat arrays, with kind codes into KINDS.
 
 A solver supplies a state's two children as objects answering the
 queries of a solved state: `pi_at` gives (pi_0, pi_1) at child odds,
 `ratio_at` pi_0/pi_1 (+inf where the child cannot complete),
 `irregular_at` the child's irregular flags, and `ratio_bounds` is None
 or bounds the ratio (below).  `solve_states` solves live states from them:
-candidates, selection, the completion recurrence pi_w = T_w *
-pi_w(invest child) + F_w * pi_w(decline child), and the irregular flags.
+candidates (in closed form where the invest child is a filled drive, so
+at every B = 1 state of the engine, stored rows included), selection, the
+completion recurrence pi_w = T_w * pi_w(invest child) + F_w * pi_w(decline
+child), and the irregular flags.
 Both solvers take their terminal children from `terminal`: a filled or
 unfillable drive (`Settled`) and the last mover at (1, 1) in closed form
 (`LastMover`).  Live children are interpolated table rows in the grid
@@ -52,9 +58,13 @@ fraction of its bound queries.  They are evaluated with the same
 expression at the same points as the full scan, so every bracket, and
 hence every root, is the same bit for bit.  Bounds come from the range
 tables of the engine's child rows and from the closed-form last mover's
-monotone tails (`LastMover.ratio_bounds`), so every engine row and every
-two-player step of the exact must-fill ladder takes this scan; only the
-ladder's deeper steps, whose child is a recursive solve, scan densely.
+monotone tails (`LastMover.ratio_bounds`), so every engine row with
+B >= 2 and every two-player step of the exact must-fill ladder takes this
+scan; only the ladder's deeper steps, whose child is a recursive solve,
+scan densely.  The scan points, their upper-tail ratios and x/(1-x), and
+the cell tables depend on the distribution and the scan size alone, so
+they are built once, on first use (`_scan_table`), and every scan of
+that size reads them, the dense one too.
 
 A state left with no candidate by the scan and the herd thresholds has a
 playable window narrower than a scan cell (see _rescue); its window is
@@ -77,6 +87,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +99,7 @@ __all__ = [
     "KIND_HERD_DECLINE",
     "KIND_HERD_INVEST",
     "KIND_INTERIOR",
+    "KINDS",
     "LastMover",
     "ModelViolationError",
     "Scan",
@@ -150,6 +162,9 @@ def _debug(msg, *args):
 KIND_INTERIOR = "interior"
 KIND_HERD_INVEST = "herd_invest"
 KIND_HERD_DECLINE = "herd_decline"
+# A candidate's kind code indexes KINDS, in the order a state lists its
+# candidates: herd invest at 1-Q, interior roots upwards, herd decline at Q.
+KINDS = (KIND_HERD_INVEST, KIND_INTERIOR, KIND_HERD_DECLINE)
 
 
 class ModelViolationError(RuntimeError):
@@ -451,6 +466,43 @@ class Scan:
     unbounded: int
 
 
+@dataclass(frozen=True)
+class _ScanTable:
+    """The half of a scan that no state changes, for one distribution and
+    scan size: the points xs, their upper-tail likelihood ratio uxs and
+    x/(1-x) lhs, and the cells' first points, points and `_cell_levels`.
+    """
+
+    xs: np.ndarray
+    uxs: np.ndarray
+    lhs: np.ndarray
+    first: np.ndarray
+    pts: np.ndarray
+    levels: list
+
+
+# Scan tables by distribution, then scan size, built on first use; an
+# entry goes with its distribution.
+_SCAN_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _scan_table(dist, scan):
+    """The `_ScanTable` of `scan` points over dist's support, built once."""
+    tables = _SCAN_TABLES.setdefault(dist, {})
+    table = tables.get(scan)
+    if table is None:
+        xs = np.linspace(dist.lo, dist.hi, scan)
+        uxs = dist.lr_upper_tail(xs)
+        lhs = xs / (1.0 - xs)
+        first = np.arange(0, scan - 1, CELL_POINTS - 1)
+        pts = np.minimum(first[:, None] + np.arange(CELL_POINTS), scan - 1)
+        levels = _cell_levels(uxs[pts], lhs[first], lhs[pts[:, -1]])
+        for a in (xs, uxs, lhs, first, pts, *itertools.chain(*levels)):
+            a.flags.writeable = False  # shared by every later scan
+        table = tables[scan] = _ScanTable(xs, uxs, lhs, first, pts, levels)
+    return table
+
+
 def _cell_levels(ucell, lhs_first, lhs_last):
     """Tables over power-of-two groups of cells, cells first and one group last.
 
@@ -520,22 +572,19 @@ def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
     cannot certify are evaluated; the zeros and brackets are the same as
     without.
     """
-    xs = np.linspace(dist.lo, dist.hi, scan)
-    uxs = dist.lr_upper_tail(xs)
-    lhs = xs / (1.0 - xs)
+    table = _scan_table(dist, scan)
+    xs, uxs, lhs = table.xs, table.uxs, table.lhs
     M = len(Ls)
-    cells = np.arange(0, scan - 1, CELL_POINTS - 1)
+    cells = table.first.size
     if bounds is None:
         # Every cell is evaluated, as one cell spanning the whole scan.
         first, pts = np.zeros(1, dtype=int), np.arange(scan)[None, :]
         open_s, open_c = np.arange(M), np.zeros(M, dtype=int)
-        queried, evaluated = 0, M * cells.size
+        queried, evaluated = 0, M * cells
         unbounded = evaluated
     else:
-        first = cells
-        pts = np.minimum(first[:, None] + np.arange(CELL_POINTS), scan - 1)
-        levels = _cell_levels(uxs[pts], lhs[first], lhs[pts[:, -1]])
-        open_s, open_c, queried, unbounded = _open_cells(Ls, bounds, levels, budget)
+        first, pts = table.first, table.pts
+        open_s, open_c, queried, unbounded = _open_cells(Ls, bounds, table.levels, budget)
         evaluated = open_s.size
     step = max(1, budget // pts.shape[1])
     zstates, zjs, states, js, glo_pos = [], [], [], [], []
@@ -575,7 +624,7 @@ def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
         xs[j + 1],
         joined(glo_pos, bool),
         queried,
-        M * cells.size - evaluated,
+        M * cells - evaluated,
         evaluated,
         unbounded,
     )
@@ -648,13 +697,49 @@ def herd_flags(dist, child_ratio, Ls):
     return herd_inv, herd_dec
 
 
+def _assemble(Q, herd_inv, herd_dec, root_state, root_x):
+    """Flat candidates (offsets, x, kind) of states with the given herd
+    flags and interior roots (root_x[k] at state root_state[k], any order).
+
+    Candidates of state s are x[offsets[s] : offsets[s + 1]], kind codes
+    into KINDS alongside: herd invest (1-Q) where playable, the roots in
+    ascending order, herd decline (Q) where playable.  A root is dropped
+    within 1e-9 of the candidate kept before it, and within 1e-9 of Q
+    where herd decline is playable.  No earlier candidate is nearer a root
+    than its predecessor, so a root farther than 1e-9 from its predecessor
+    passes the first rule; only the rare roots within 1e-9 of theirs (a
+    chain of close roots, or one at 1-Q) walk back, one by one, to the
+    candidate kept before them.
+    """
+    inv, dec = np.flatnonzero(herd_inv), np.flatnonzero(herd_dec)
+    state = np.concatenate((inv, root_state, dec))
+    kind = np.repeat(np.arange(len(KINDS), dtype=np.int8), (inv.size, root_state.size, dec.size))
+    x = np.concatenate((np.full(inv.size, 1.0 - Q), root_x, np.full(dec.size, Q)))
+    order = np.lexsort((x, kind, state))
+    state, kind, x = state[order], kind[order], x[order]
+    root = kind == KINDS.index(KIND_INTERIOR)
+    near_q = root & herd_dec[state] & (np.abs(x - Q) <= 1e-9)
+    close = np.zeros(x.size, dtype=bool)
+    close[1:] = root[1:] & (state[1:] == state[:-1]) & (np.abs(x[1:] - x[:-1]) <= 1e-9)
+    keep = ~near_q & ~close
+    for i in np.flatnonzero(close):
+        k = i - 1
+        while k >= 0 and state[k] == state[i] and not keep[k]:
+            k -= 1
+        kept_before = k >= 0 and state[k] == state[i]
+        keep[i] = not near_q[i] and not (kept_before and abs(x[i] - x[k]) <= 1e-9)
+    state = state[keep]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(state, minlength=herd_inv.size))))
+    return offsets, x[keep], kind[keep]
+
+
 def candidates(dist, child_ratio, Ls, scan, budget, bounds=None):
-    """Interior roots plus playable herd thresholds, as (x, kind) per state.
+    """Interior roots plus playable herd thresholds at each state, as flat
+    arrays (offsets, x, kind) (see `_assemble`).
 
     The scan's brackets and the rescue brackets of the states left with
     no candidate are bisected in one call (module docstring).
     """
-    Q = dist.Q
     found = scan_roots(dist, child_ratio, Ls, scan, budget, bounds)
     herd_inv, herd_dec = herd_flags(dist, child_ratio, Ls)
     found_any = herd_inv | herd_dec
@@ -671,12 +756,6 @@ def candidates(dist, child_ratio, Ls, scan, budget, bounds=None):
         np.concatenate((found.hi, np.full(k.size, dist.hi))),
         np.concatenate((found.glo_pos, np.zeros(k.size, dtype=bool))),
     )
-    roots: list[list[float]] = [[] for _ in range(len(Ls))]
-    for s, x in zip(
-        np.concatenate((found.zero_state, rescued[edge], state)),
-        np.concatenate((found.zeros, lo[edge], xr)),
-    ):
-        roots[s].append(float(x))
     _debug(
         "root scan of %d states: %d bound queries, %d cells certified, %d evaluated "
         "(%d without a bound), %d brackets, %d rescued; %d bisection and %d rescue "
@@ -684,22 +763,13 @@ def candidates(dist, child_ratio, Ls, scan, budget, bounds=None):
         len(Ls), found.queried, found.certified, found.evaluated, found.unbounded,
         found.state.size, rescued.size, bisect_calls, rescue_calls,
     )
-
-    cands: list[list[tuple[float, str]]] = []
-    for s in range(len(Ls)):
-        got: list[tuple[float, str]] = []
-        if herd_inv[s]:
-            got.append((1.0 - Q, KIND_HERD_INVEST))
-        for x in sorted(roots[s]):
-            if got and abs(x - got[-1][0]) <= 1e-9:
-                continue
-            if herd_dec[s] and abs(x - Q) <= 1e-9:
-                continue
-            got.append((x, KIND_INTERIOR))
-        if herd_dec[s]:
-            got.append((Q, KIND_HERD_DECLINE))
-        cands.append(got)
-    return cands
+    return _assemble(
+        dist.Q,
+        herd_inv,
+        herd_dec,
+        np.concatenate((found.zero_state, rescued[edge], state)),
+        np.concatenate((found.zeros, lo[edge], xr)),
+    )
 
 
 def discriminator(L, p0c, p1c, T0_rivals, T1_rivals):
@@ -758,13 +828,14 @@ def select(xs, U, L, T1, T0, p0c, p1c, sigs=None):
 class Choice:
     """Every candidate of a set of states, with the one selected per state.
 
-    Candidate arrays are flat in state order; U holds each candidate's
-    expected utility, sel[s] indexes the candidate chosen at state s and
-    tie[s] flags a discriminator tie there.
+    Candidate arrays are flat in state order, as `candidates` gives them
+    (kind holds codes into KINDS); U holds each candidate's expected
+    utility, sel[s] indexes the candidate chosen at state s and tie[s]
+    flags a discriminator tie there.
     """
 
     x: np.ndarray
-    kinds: list[str]
+    kind: np.ndarray
     T0: np.ndarray
     T1: np.ndarray
     Lp: np.ndarray
@@ -778,14 +849,12 @@ class Choice:
 def choose(dist, Ls, cands, child_pi, signatures=None):
     """Score every candidate by expected utility and select one per state.
 
-    child_pi maps invest-child odds to (pi_0, pi_1); signatures, when
-    given, maps (x, child odds) to the continuation multisets `select`
-    groups by.
+    cands is (offsets, x, kind) as `candidates` gives it; child_pi maps
+    invest-child odds to (pi_0, pi_1); signatures, when given, maps (x,
+    child odds) to the continuation multisets `select` groups by.
     """
-    counts = np.array([len(c) for c in cands], dtype=int)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    x = np.array([x for per in cands for x, _ in per])
-    kinds = [kind for per in cands for _, kind in per]
+    offsets, x, kind = cands
+    counts = np.diff(offsets)
     Lflat = np.repeat(Ls, counts)
     T0, T1 = dist.sf_pair(x)
     Lp = Lflat * dist.lr_upper_tail(x)
@@ -810,7 +879,18 @@ def choose(dist, Ls, cands, child_pi, signatures=None):
             None if sigs is None else sigs[lo:hi],
         )
         sel[s] = lo + local
-    return Choice(x, kinds, T0, T1, Lp, p0c, p1c, U, sel, tie)
+    return Choice(x, kind, T0, T1, Lp, p0c, p1c, U, sel, tie)
+
+
+def _pivotal_candidates(dist, Ls):
+    """The one candidate per state of a mover whose investment fills the
+    drive, (offsets, x, kind) as `candidates` gives them: the closed-form
+    `pivotal_threshold`, herd invest at 1-Q, herd decline at Q."""
+    x = pivotal_threshold(dist, Ls)
+    kind = np.full(x.size, KINDS.index(KIND_INTERIOR), dtype=np.int8)
+    kind[x == dist.lo] = KINDS.index(KIND_HERD_INVEST)
+    kind[x == dist.hi] = KINDS.index(KIND_HERD_DECLINE)
+    return np.arange(x.size + 1), x, kind
 
 
 def solve_states(dist, inv, dec, Ls, scan, budget, signatures=None):
@@ -818,8 +898,17 @@ def solve_states(dist, inv, dec, Ls, scan, budget, signatures=None):
     decline children inv and dec (module docstring): `candidates` with
     `scan` and `budget`, `choose` with `signatures`, the recurrence, and
     the flags of a tie or a reachable irregular child.  Returns (choice,
-    pi0, pi1, irregular), the choice as `choose` gives it."""
-    cands = candidates(dist, inv.ratio_at, Ls, scan, budget, inv.ratio_bounds)
+    pi0, pi1, irregular), the choice as `choose` gives it.
+
+    Where the invest child is a filled drive the mover is pivotal and the
+    candidates are the closed form (`_pivotal_candidates`), with no scan.
+    The last mover subclasses a filled `Settled`, but a mover before her
+    does not fill the drive, so that state keeps the search.
+    """
+    if type(inv) is Settled and inv.filled:
+        cands = _pivotal_candidates(dist, Ls)
+    else:
+        cands = candidates(dist, inv.ratio_at, Ls, scan, budget, inv.ratio_bounds)
     ch = choose(dist, Ls, cands, inv.pi_at, signatures)
     sel = ch.sel
     sigma = ch.x[sel]

@@ -21,8 +21,8 @@ candidates, rescue, the utility-then-discriminator selection and the
 completion recurrence, so that code is not cross-checked by comparing
 the two solvers.  The terminal children are shared too (roots.terminal):
 the last mover at (1, 1), whose ratio bounds give a two-player step the
-same certified scan as every engine row, and the dead decline child of a
-must-fill state.  What stays independent is how a live child is
+same certified scan as every engine row with B >= 2, and the dead decline
+child of a must-fill state.  What stays independent is how a live child is
 evaluated: exact recursion here (`_ExactChild`), interpolation in solved
 table rows there, and that is what the grid-versus-exact comparison
 checks.  The ladder and the engine diagonal are two steps of one walk

@@ -81,6 +81,20 @@ class TestLastMover:
         # A scalar query gives plain floats, as every other view does.
         assert [type(p) for p in table.pi(1.0, 1, 1)] == [float, float]
 
+    def test_one_state_solve_at_one_one_is_the_closed_form(self, solved):
+        # find_roots and completion_prob solve a pivotal state in closed
+        # form too, so at (1, 1) they answer as the table's queries do.
+        table = solved(QualitySpec.uniform(0.5, 0.8), 2, 3, grid_size=129)
+        st = GameState(0.7, 1, 1)
+        rs = find_roots(st, table)
+        assert rs.candidates[rs.selected].x == table.sigma(0.7, 1, 1)
+        assert completion_prob(st, table) == table.pi(0.7, 1, 1)
+        # At any B = 1 state the one candidate is the closed-form cut.
+        for L in (0.01, 0.25 * (1.0 + 1e-9), 0.7, 1.0, 4.0, 40.0):
+            for n in (1, 3):
+                (cand,) = find_roots(GameState(L, 1, n), table).candidates
+                assert cand.x == table.sigma(L, 1, n), (L, n)
+
 
 @pytest.mark.parametrize(
     "B, n",

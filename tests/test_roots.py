@@ -41,14 +41,23 @@ def vanishing_end_spec():
 SCAN_FIELDS = ("zero_state", "zeros", "state", "lo", "hi", "glo_pos")
 
 
+def per_state(cands):
+    """Flat candidates (offsets, x, kind) as one list of (x, kind name) per state."""
+    offsets, x, kind = cands
+    return [
+        [(float(x[i]), roots.KINDS[kind[i]]) for i in range(lo, hi)]
+        for lo, hi in zip(offsets[:-1], offsets[1:])
+    ]
+
+
 def assert_scans_alike(dist, ratio, Ls, scan, budget, bounds):
     """Zeros, brackets and candidates are the same with and without bounds."""
     dense = roots.scan_roots(dist, ratio, Ls, scan, budget)
     cert = roots.scan_roots(dist, ratio, Ls, scan, budget, bounds)
     for field in SCAN_FIELDS:
         assert np.array_equal(getattr(dense, field), getattr(cert, field)), field
-    cands = roots.candidates(dist, ratio, Ls, scan, budget, bounds)
-    assert roots.candidates(dist, ratio, Ls, scan, budget) == cands
+    cands = per_state(roots.candidates(dist, ratio, Ls, scan, budget, bounds))
+    assert per_state(roots.candidates(dist, ratio, Ls, scan, budget)) == cands
     return dense, cands
 
 
@@ -132,6 +141,8 @@ def test_pivotal_threshold_is_the_clipped_cut_bit_for_bit():
 
 
 def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
+    # Rows with B >= 2 scan with bounds; a B = 1 row, whose mover's
+    # investment fills the drive, scans nothing and stores the closed form.
     seen = []
     scan_roots = roots.scan_roots
 
@@ -143,9 +154,14 @@ def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
     for name in sorted(SPECS):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OutOfSupportWarning)
-            table = backward_induction(TypeDistribution(SPECS[name]()), 3, 5, grid_size=129)
-        assert len(seen) == len(table.rows), name
+            dist = TypeDistribution(SPECS[name]())
+            table = backward_induction(dist, 3, 5, grid_size=129)
+        assert len(seen) == sum(B >= 2 for B, _ in table.rows), name
         assert all(b is not None for b in seen), name
+        for (B, n), row in table.rows.items():
+            if B == 1:
+                want = roots.pivotal_threshold(dist, row.L)
+                assert np.array_equal(row.sigma.view(np.int64), want.view(np.int64)), (name, n)
         seen.clear()
     # Deterministic counts: no row of a well-conditioned table evaluates as
     # much as 5% of its cells, which a dense row (all of them) would.
@@ -153,7 +169,7 @@ def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="cascadefund"):
         table = backward_induction(dist, 3, 5, grid_size=257)
     records = [r for r in caplog.records if r.name == "cascadefund"]
-    assert len(records) == len(table.rows) == 9
+    assert len(records) == sum(B >= 2 for B, _ in table.rows) == 6
     for rec in records:
         states, queried, certified, evaluated, unbounded, *_, calls, rescue_calls = rec.args
         assert evaluated < 0.05 * (certified + evaluated)
@@ -298,6 +314,90 @@ def test_zero_at_shared_cell_end_is_reported_once():
     assert cands == [[(float(xs[W - 1]), roots.KIND_INTERIOR)]]
 
 
+def _per_state_rule(Q, herd_inv, herd_dec, root_state, root_x):
+    """The candidate assembly as a loop over states, one list per state."""
+    per = [[] for _ in herd_inv]
+    for s, x in zip(root_state, root_x):
+        per[s].append(float(x))
+    cands = []
+    for s in range(len(herd_inv)):
+        got = []
+        if herd_inv[s]:
+            got.append((1.0 - Q, roots.KIND_HERD_INVEST))
+        for x in sorted(per[s]):
+            if got and abs(x - got[-1][0]) <= 1e-9:
+                continue
+            if herd_dec[s] and abs(x - Q) <= 1e-9:
+                continue
+            got.append((x, roots.KIND_INTERIOR))
+        if herd_dec[s]:
+            got.append((Q, roots.KIND_HERD_DECLINE))
+        cands.append(got)
+    return cands
+
+
+def _adversarial_roots(rng, Q, states):
+    """Root sets of each kind the assembly must keep or drop, per state:
+    chains each within 1e-9 of the one before, roots within 1e-9 of Q and
+    of 1-Q, exact duplicates (a scan zero that is also a bracket root),
+    lone roots, and no root at all."""
+    lo = 1.0 - Q
+    root_state, root_x = [], []
+    for s in range(states):
+        case = s % 6
+        if case == 0:  # a chain of steps at, below and above 1e-9
+            start = rng.uniform(lo, Q)
+            steps = rng.choice([0.3e-9, 0.6e-9, 1e-9, 1.0000001e-9, 0.99999e-9, 2e-9], 6)
+            xs = start + np.cumsum(np.concatenate(([0.0], steps)))
+        elif case == 1:  # near Q, and a chain walking up to it
+            xs = Q - np.array([0.0, 0.4e-9, 1e-9, 1.2e-9, 2.5e-9, 1e-3])
+        elif case == 2:  # near 1-Q, and a chain walking up from it
+            xs = lo + np.array([0.0, 0.4e-9, 1e-9, 1.5e-9, 2.1e-9, 0.2])
+        elif case == 3:  # a scan zero duplicating a bracket root, twice
+            x = rng.uniform(lo, Q)
+            xs = np.array([x, x, x + 0.5e-9, x + 0.5e-9, rng.uniform(lo, Q)])
+        elif case == 4:  # no root
+            xs = np.empty(0)
+        else:  # well separated roots
+            xs = rng.uniform(lo, Q, rng.integers(1, 4))
+        root_state += [s] * xs.size
+        root_x += list(xs)
+    order = rng.permutation(len(root_x))  # the scan's order is no sorted order
+    return np.array(root_state, dtype=int)[order], np.array(root_x)[order]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_array_assembly_equals_the_per_state_rule(seed):
+    rng = np.random.default_rng(seed)
+    Q = float(rng.choice([0.8, 0.9, 0.55, 0.999]))
+    states = 120
+    herd_inv = rng.random(states) < 0.5
+    herd_dec = rng.random(states) < 0.5
+    root_state, root_x = _adversarial_roots(rng, Q, states)
+    got = roots._assemble(Q, herd_inv, herd_dec, root_state, root_x)
+    offsets, x, kind = got
+    assert offsets.size == states + 1 and x.size == kind.size == offsets[-1]
+    want = _per_state_rule(Q, herd_inv, herd_dec, root_state, root_x)
+    assert per_state(got) == want
+    # The reference drops roots in each case: chains, near Q where herd
+    # decline is playable, near 1-Q where herd invest is, and duplicates.
+    kept = [sum(k == roots.KIND_INTERIOR for _, k in c) for c in want]
+    dropped = np.bincount(root_state, minlength=states) > kept
+    for case, flag in ((0, None), (1, herd_dec), (2, herd_inv), (3, None)):
+        assert any(dropped[s] and (flag is None or flag[s]) for s in range(case, states, 6)), case
+    assert [] in want
+
+
+def test_array_assembly_of_no_state_and_of_no_root():
+    empty = np.empty(0, dtype=int), np.empty(0)
+    offsets, x, kind = roots._assemble(0.8, np.zeros(0, bool), np.zeros(0, bool), *empty)
+    assert offsets.tolist() == [0] and x.size == kind.size == 0
+    flags = np.array([True, False, False]), np.array([True, True, False])
+    got = per_state(roots._assemble(0.8, *flags, *empty))
+    assert got == _per_state_rule(0.8, *flags, *empty)
+    assert got[2] == [] and got[1] == [(0.8, roots.KIND_HERD_DECLINE)]
+
+
 def test_engine_scan_memory_stays_small():
     # 8,192-element scan blocks peak near 1.3 MB here; 512-state blocks of
     # the 4,001-point scan reached about 109 MB.
@@ -313,14 +413,21 @@ def test_engine_scan_memory_stays_small():
 
 
 def test_each_row_logs_its_scan(caplog):
+    # Each row with B >= 2 logs its scan; a B = 1 row scans nothing and
+    # stores the closed-form cut.
     dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
     with caplog.at_level(logging.DEBUG, logger="cascadefund"):
         table = backward_induction(dist, 2, 3, grid_size=65)
     records = [r for r in caplog.records if r.name == "cascadefund"]
-    assert len(records) == len(table.rows)
+    scanned = sorted(((B, n), row) for (B, n), row in table.rows.items() if B >= 2)
+    assert len(records) == len(scanned) == 2 < len(table.rows)
+    for (B, n), row in table.rows.items():
+        if B == 1:
+            want = roots.pivotal_threshold(dist, row.L)
+            assert np.array_equal(row.sigma.view(np.int64), want.view(np.int64)), n
     cells = len(range(0, SCAN_POINTS - 1, roots.CELL_POINTS - 1))
     rescue_total = 0
-    for ((B, n), row), rec in zip(sorted(table.rows.items(), key=lambda kv: kv[0][::-1]), records):
+    for ((B, n), row), rec in zip(sorted(scanned, key=lambda kv: kv[0][::-1]), records):
         (states, queried, certified, evaluated, unbounded, brackets, rescued, calls,
          rescue_calls) = rec.args
         assert rec.levelno == logging.DEBUG
@@ -582,12 +689,13 @@ def test_rescue_case_with_nan_inside_its_bracket_still_raises():
 
 def test_partial_build_makes_few_gap_calls(monkeypatch):
     # solve-partial's (3, 8) grid-513 build made 1,062 `gap` calls with
-    # one bisection step per call; with subtrees of midpoints it makes 390.
+    # one bisection step per call; with subtrees of midpoints it made 390,
+    # and with its six B = 1 rows in closed form it makes 306.
     calls = []
     gap = roots.gap
     monkeypatch.setattr(roots, "gap", lambda *args: calls.append(1) or gap(*args))
     backward_induction(TypeDistribution(QualitySpec.uniform(0.5, 0.8)), 3, 8, grid_size=513)
-    assert len(calls) <= 410
+    assert len(calls) <= 320
 
 
 def _rescued_states(dist, ratio, Ls, bounds):
@@ -612,11 +720,13 @@ def test_batched_rescue_equals_the_one_state_call(solved):
     for table, B, n, Ls in cases:
         inv = table.view(B - 1, n - 1)
         args = (table.dist, inv.ratio_at)
-        cands = roots.candidates(*args, Ls, SCAN_POINTS, 8_192, inv.ratio_bounds)
+        cands = per_state(roots.candidates(*args, Ls, SCAN_POINTS, 8_192, inv.ratio_bounds))
         rescued = _rescued_states(*args, Ls, inv.ratio_bounds)
         rescued_total += rescued.size
         for s in rescued:
-            one = roots.candidates(*args, Ls[s : s + 1], SCAN_POINTS, 8_192, inv.ratio_bounds)
+            one = per_state(
+                roots.candidates(*args, Ls[s : s + 1], SCAN_POINTS, 8_192, inv.ratio_bounds)
+            )
             assert one == [cands[s]], (B, n, s)
             assert len(cands[s]) == 1 and cands[s][0][1] == roots.KIND_INTERIOR
     assert rescued_total >= 40
