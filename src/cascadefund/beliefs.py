@@ -275,13 +275,12 @@ class TypeDistribution:
 
     # -- CDF / survival ----------------------------------------------------
 
-    def _tails(self, ya: np.ndarray, upper: bool, omega: int | None = None):
-        """Survival (upper) or CDF at ya, which lies in the support.
+    def _tails(self, ya: np.ndarray, upper: bool):
+        """Survival (upper) or CDF at ya, which lies in the support, as the
+        pair (world 0, world 1).
 
-        Returns world omega's values, or the pair (world 0, world 1) when
-        omega is None.  One segment lookup serves both worlds, and only the
-        part of the segment integral on the requested side of ya is
-        evaluated.
+        One segment lookup serves both worlds, and only the part of the
+        segment integral on the requested side of ya is evaluated.
         """
         b, c0, c1 = self._breaks, self._c0, self._c1
         # Segment index: interior breakpoints at or below ya.
@@ -292,64 +291,50 @@ class TypeDistribution:
         else:
             a, e, at, acc0, acc1 = b[idx], ya, idx, self._cum0, self._cum1
         f1 = _seg_int_f1(a, e, k0, k1)
-        if omega == 1:
-            return acc1[at] + f1
-        w0 = acc0[at] + (_seg_int_g(a, e, k0, k1) - f1)
-        return w0 if omega == 0 else (w0, acc1[at] + f1)
+        return acc0[at] + (_seg_int_g(a, e, k0, k1) - f1), acc1[at] + f1
 
-    def _cdf_tails(self, ya, omega=None):
-        """CDF tails at ya as `_tails` gives them; outside the support they
-        clamp to {0, 1} with a warning (to the caller of a public method)."""
-        if np.any(ya < self.lo) or np.any(ya > self.hi):
+    def _pair(self, ya, upper: bool):
+        """(world 0, world 1) survival (upper) or CDF at any ya.
+
+        Each is exact by definition at the support edges, immune to the
+        last ulp of normalization rounding.  A CDF query outside the
+        support clamps to {0, 1} with a warning (to the caller of a public
+        method).
+        """
+        if not upper and (np.any(ya < self.lo) or np.any(ya > self.hi)):
             warnings.warn(
                 "CDF query outside the type support was clamped",
                 OutOfSupportWarning,
                 stacklevel=3,
             )
-        return self._tails(_clamp(ya, self.lo, self.hi), False, omega)
-
-    def _cdf_at(self, ya, tail):
-        # Exact by definition at the support edges, immune to the last ulp
-        # of normalization rounding.
-        out = _clamp(tail, 0.0, 1.0)
-        return np.where(ya <= self.lo, 0.0, np.where(ya >= self.hi, 1.0, out))
+        below, above = (1.0, 0.0) if upper else (0.0, 1.0)
+        return tuple(
+            np.where(ya <= self.lo, below, np.where(ya >= self.hi, above, _clamp(t, 0.0, 1.0)))
+            for t in self._tails(_clamp(ya, self.lo, self.hi), upper)
+        )
 
     def cdf(self, omega: int, y):
         """F_omega(y); queries outside the support clamp to {0, 1} with a warning."""
         self._check_world(omega)
         ya, scalar = _as_float_array(y)
-        out = self._cdf_at(ya, self._cdf_tails(ya, omega))
+        out = self._pair(ya, False)[omega]
         return float(out) if scalar else out
 
     def cdf_pair(self, y):
-        """(cdf(0, y), cdf(1, y)) as arrays, from one segment lookup.
-
-        Bit for bit the values of the two `cdf` calls, warning as they do.
-        """
-        ya = np.asarray(y, dtype=float)
-        t0, t1 = self._cdf_tails(ya)
-        return self._cdf_at(ya, t0), self._cdf_at(ya, t1)
-
-    def _sf_at(self, ya, tail):
-        # Exact by definition at the support edges.
-        out = _clamp(tail, 0.0, 1.0)
-        return np.where(ya <= self.lo, 1.0, np.where(ya >= self.hi, 0.0, out))
+        """(cdf(0, y), cdf(1, y)) as arrays, from one segment lookup, warning
+        as `cdf` does."""
+        return self._pair(np.asarray(y, dtype=float), False)
 
     def sf(self, omega: int, y):
         """Survival 1 - F_omega(y), computed from the right for precision."""
         self._check_world(omega)
         ya, scalar = _as_float_array(y)
-        out = self._sf_at(ya, self._tails(_clamp(ya, self.lo, self.hi), True, omega))
+        out = self._pair(ya, True)[omega]
         return float(out) if scalar else out
 
     def sf_pair(self, y):
-        """(sf(0, y), sf(1, y)) as arrays, from one segment lookup.
-
-        Bit for bit the values of the two `sf` calls.
-        """
-        ya = np.asarray(y, dtype=float)
-        t0, t1 = self._tails(_clamp(ya, self.lo, self.hi), True)
-        return self._sf_at(ya, t0), self._sf_at(ya, t1)
+        """(sf(0, y), sf(1, y)) as arrays, from one segment lookup."""
+        return self._pair(np.asarray(y, dtype=float), True)
 
     def sf_error(self, y):
         """Bound on the absolute rounding error of sf(0, y) and sf(1, y).
@@ -386,14 +371,7 @@ class TypeDistribution:
         good world when a player with threshold x invests.  Strictly
         increasing from 1 at the bottom of the support to Q/(1-Q).
         """
-        xa, scalar = _as_float_array(x)
-        xc = _clamp(xa, self.lo, self.hi)
-        sf0, sf1 = self._tails(xc, True)
-        at_top = xa >= self.Q - BOUNDARY_BAND
-        safe0 = np.where(sf0 > 0.0, sf0, 1.0)
-        out = np.where(at_top, self.Q / (1.0 - self.Q), sf1 / safe0)
-        out = np.where(xa <= self.lo, 1.0, out)
-        return float(out) if scalar else out
+        return self._tail_ratio(x, True)
 
     def lr_lower_tail(self, x):
         """F_1(x) / F_0(x) with its limit (1-Q)/Q near x = 1-Q.
@@ -401,13 +379,21 @@ class TypeDistribution:
         Odds factor applied when a player with threshold x declines.
         Strictly increasing from (1-Q)/Q up to 1 at the top of the support.
         """
+        return self._tail_ratio(x, False)
+
+    def _tail_ratio(self, x, upper: bool):
+        """The upper (lower) tail ratio world 1 over world 0 at x: 1 where
+        the tails span the whole support, and its limit within
+        BOUNDARY_BAND of the edge where they vanish."""
         xa, scalar = _as_float_array(x)
-        xc = _clamp(xa, self.lo, self.hi)
-        cdf0, cdf1 = self._tails(xc, False)
-        at_bottom = xa <= self.lo + BOUNDARY_BAND
-        safe0 = np.where(cdf0 > 0.0, cdf0, 1.0)
-        out = np.where(at_bottom, (1.0 - self.Q) / self.Q, cdf1 / safe0)
-        out = np.where(xa >= self.hi, 1.0, out)
+        t0, t1 = self._tails(_clamp(xa, self.lo, self.hi), upper)
+        Q = self.Q
+        if upper:
+            vanish, limit, whole = xa >= Q - BOUNDARY_BAND, Q / (1.0 - Q), xa <= self.lo
+        else:
+            vanish, limit, whole = xa <= self.lo + BOUNDARY_BAND, (1.0 - Q) / Q, xa >= self.hi
+        out = np.where(vanish, limit, t1 / np.where(t0 > 0.0, t0, 1.0))
+        out = np.where(whole, 1.0, out)
         return float(out) if scalar else out
 
     # -- sampling support ----------------------------------------------------

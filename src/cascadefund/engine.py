@@ -146,9 +146,18 @@ class RootSet:
 
 
 class PolicyRow:
-    """Solved thresholds and completion probabilities for one (B, n)."""
+    """Solved thresholds and completion probabilities for one (B, n).
 
-    def __init__(self, B, n, L, sigma, pi0, pi1, irregular, Q):
+    Queries interpolate the knots L linearly in log odds and clamp beyond
+    the end knots.  The plateau invariant: the row holds a knot exactly at
+    the up-cascade bound Q/(1-Q) (`_row_points`), and every knot at or
+    above it holds sigma = 1-Q and pi0 = pi1 = 1.0 exactly (investing for
+    every type keeps the odds there, with tails 1 and 0 and a child that
+    completes surely), so queries at or above the bound read pi (1, 1)
+    and ratio 1.0 from the knots alone.
+    """
+
+    def __init__(self, B, n, L, sigma, pi0, pi1, irregular):
         self.B = B
         self.n = n
         self.L = L
@@ -157,8 +166,6 @@ class PolicyRow:
         self.pi0 = pi0
         self.pi1 = pi1
         self.irregular = irregular
-        self.Q = Q
-        self.up_bound = up_cascade_bound(Q)
         # Highest stored odds with zero completion chance; queries at or
         # below it are dead states.  The solver places a grid point at the
         # analytic bound, so this frontier is sharp, and every row has one.
@@ -178,9 +185,6 @@ class PolicyRow:
         logq = np.log(La)
         p0 = np.interp(logq, self.logL, self.pi0)
         p1 = np.interp(logq, self.logL, self.pi1)
-        up = La >= self.up_bound
-        p0 = np.where(up, 1.0, p0)
-        p1 = np.where(up, 1.0, p1)
         if p0.ndim == 0:
             return float(p0), float(p1)
         return p0, p1
@@ -189,7 +193,6 @@ class PolicyRow:
         """Completion-odds ratio pi0/pi1; +inf where completion is impossible."""
         La = np.asarray(L, dtype=float)
         out = np.exp(np.interp(np.log(La), self._live_logL, self._live_logratio))
-        out = np.where(La >= self.up_bound, 1.0, out)
         out = np.where(La <= self.dead_frontier, np.inf, out)
         return float(out) if out.ndim == 0 else out
 
@@ -199,9 +202,8 @@ class PolicyRow:
         The interpolated log ratio at a query lies between the knot values
         that enclose it, so a range min/max over the enclosing knots, widened
         by one knot each side against rounding in the log and the search,
-        bounds it; 1.0 joins where the interval reaches the up-cascade bound.
-        An interval at or below the dead frontier holds no live query and
-        gives (inf, inf).
+        bounds it.  An interval at or below the dead frontier holds no live
+        query and gives (inf, inf).
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -213,9 +215,6 @@ class PolicyRow:
         i2 = i1 - (1 << t) + 1
         rmin = np.exp(np.minimum(self._logratio_lo[t, i0], self._logratio_lo[t, i2]))
         rmax = np.exp(np.maximum(self._logratio_hi[t, i0], self._logratio_hi[t, i2]))
-        up = hi >= self.up_bound
-        rmin = np.where(up, np.minimum(rmin, 1.0), rmin)
-        rmax = np.where(up, np.maximum(rmax, 1.0), rmax)
         dead = hi <= self.dead_frontier
         return np.where(dead, np.inf, rmin), np.where(dead, np.inf, rmax)
 
@@ -275,7 +274,8 @@ def _solve_row(table, B, n, Lpts):
     interior = ch.kind[ch.sel] == roots.KINDS.index(KIND_INTERIOR)
     if np.any(interior):
         inv = table.view(B - 1, n - 1)
-        res = roots.gap(table.dist, inv.ratio_at, Lpts[interior], sigma[interior])
+        at = ch.sel[interior]
+        res = roots.gap_at(inv.ratio_at, Lpts[interior], ch.x[at], ch.Lp[at])
         scale = np.maximum(1.0, Lpts[interior])
         if np.any(~(np.abs(res) <= RESIDUAL_TOL * scale)):
             worst = float(np.nanmax(np.abs(res) / scale))
@@ -284,7 +284,7 @@ def _solve_row(table, B, n, Lpts):
                 f"(B={B}, n={n})"
             )
 
-    return PolicyRow(B, n, Lpts, sigma, pi0, pi1, irregular, table.dist.Q)
+    return PolicyRow(B, n, Lpts, sigma, pi0, pi1, irregular)
 
 
 class PolicyTable:
@@ -401,7 +401,7 @@ def find_roots(state: GameState, policy: PolicyTable) -> RootSet:
         raise DomainError("find_roots needs a live state with 1 <= B <= n")
     ch, pi0, pi1, _ = _solve_states(policy, state.B, state.n, np.array([state.L]))
     inv = policy.view(state.B - 1, state.n - 1)
-    g = roots.gap(policy.dist, inv.ratio_at, state.L, ch.x)
+    g = roots.gap_at(inv.ratio_at, state.L, ch.x, ch.Lp)
     res = np.where(np.isnan(g), np.inf, g)
     cands = tuple(
         Candidate(x=float(x), kind=roots.KINDS[k], utility=float(u), residual=float(r))

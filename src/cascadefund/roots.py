@@ -69,13 +69,16 @@ that size reads them, the dense one too.
 A state left with no candidate by the scan and the herd thresholds has a
 playable window narrower than a scan cell (see _rescue); its window is
 found for all such states at once.  Its bracket then joins the scan's,
-and `candidates` bisects every bracket of a call in one elementwise
-`bisect` call.  Each element stops on its own bracket, so the roots are
-the bits a bisection per bracket would give.  A call of G costs a fixed
-~45-90 us plus ~0.13-0.2 us per element, so on the few brackets of a row
-(and the one or two states of a rescue) `bisect` evaluates the midpoints
-of several halvings per call and walks each bracket down them, with the
-same midpoints and hence the same bits as one halving per call.
+and `candidates` bisects every bracket of a call in one `bisect` call.
+`bisect` is the one bracket-and-bisect of the package, with one
+contract: arrays of brackets in and out, a step cap on every call, and a
+predicate that answers at the midpoints of d halvings at once, along a
+leading node axis of 2**d - 1 (d >= 1).  Each element stops on its own
+bracket, so the roots are the bits a bisection per bracket would give.
+A call of G costs a fixed ~45-90 us plus ~0.13-0.2 us per element, so on
+the few brackets of a row (and the one or two states of a rescue) d
+halvings per call pay, with the same midpoints and hence the same bits
+as one halving per call.
 
 With the DEBUG level on the "cascadefund" logger, `candidates` logs one
 record per call: states, bound queries, cells certified, cells evaluated
@@ -110,6 +113,7 @@ __all__ = [
     "completion_ratio",
     "discriminator",
     "gap",
+    "gap_at",
     "herd_flags",
     "invest_path",
     "pivotal_threshold",
@@ -183,8 +187,8 @@ def _midpoint_tree(a, b, depth):
     Row 0 is a and row n = 2**depth is b.  Each other row k is the
     midpoint 0.5 * (lo + hi) of its bracket [lo, hi] = rows k - h, k + h,
     h = k & -k, and rows k - h/2 and k + h/2 halve the bracket's lower and
-    upper halves.  So each row is the midpoint the one-level loop computes
-    on reaching that bracket, from the same float operations.
+    upper halves.  So each row is the midpoint a halving computes on
+    reaching that bracket, from the same float operations.
     """
     n = 2**depth
     tree = np.empty((n + 1, *a.shape))
@@ -198,15 +202,15 @@ def _midpoint_tree(a, b, depth):
 
 
 def _walk(left, a, b, tol, depth, open_):
-    """`depth` steps of the one-level loop on arrays, from one call of `left`.
+    """`depth` halving steps of `bisect`, from one call of `left`.
 
     `left` answers at every midpoint of a `_midpoint_tree`.  Each element
     keeps a window on the tree, the rows of its bracket, and each step
     reads the window's middle row and keeps the half the answer picks.
-    The rules are the one-level loop's: an element halves while open_
-    (checked before each step) and the walk ends once none is.  Returns
-    (a, b, undefined), the last None or a mask of the elements whose
-    answer is undefined at a midpoint the one-level loop evaluates.
+    An element halves while open_ (checked before each step) and the walk
+    ends once none is.  Returns (a, b, undefined), the last None or a
+    mask of the elements whose answer is undefined at a midpoint a step
+    reads.
     """
     tree = _midpoint_tree(a, b, depth)
     go = left(tree[1:-1])
@@ -239,61 +243,43 @@ def _walk(left, a, b, tol, depth, open_):
     return a, b, None
 
 
-def bisect(left, a, b, tol=0.0, max_iter=None):
-    """Halve [a, b] towards the point where the predicate `left` switches.
+def bisect(left, a, b, tol, max_iter):
+    """Halve the brackets [a, b] towards where the predicate `left` switches.
 
-    `left(m)` true moves a up to m, false moves b down to it.  Halving
-    stops once b - a <= tol (checked before each step) or after max_iter
-    steps (None: no cap).  Works on scalars and elementwise on arrays: an
-    array element stops on its own bracket, as its scalar call would, so
-    an array call gives the same bits as the scalar calls run side by
-    side.  The loop ends once every element has stopped (an empty array
-    at once).  Returns (a, b), so each caller picks its own answer: the
-    midpoint or an end.
+    a and b are arrays, halved elementwise: `left` true at an element's
+    midpoint moves its a up to it, false moves its b down to it.  An
+    element halves until b - a <= tol (checked before each step) or
+    max_iter steps are done, so each stops on its own bracket; the call
+    returns once every element has stopped (an empty array at once).
+    Returns (a, b), so each caller picks its own answer: the midpoint or
+    an end.
 
-    On arrays, one call of `left` serves several steps: it gets the
-    midpoints of the next d halvings of every element, 2**d - 1 of them
-    along a new leading axis (`_midpoint_tree`), and each element then
-    walks down its own tree (`_walk`).  d is the largest depth up to
-    BISECT_DEPTH whose trees hold at most BISECT_ELEMENTS midpoints in all
-    (at least 1), and no more than the steps max_iter leaves.  At d = 1
-    this is the one-level loop, and `left` sees the midpoints alone.  The
-    walk takes the one-level loop's steps, with its midpoints and its
-    stopping rule, so the bits are the same at every depth.
+    One call of `left` serves several steps: it gets the midpoints of the
+    next d halvings of every element, 2**d - 1 of them along a leading
+    node axis (`_midpoint_tree`), and each element then walks down its
+    own tree (`_walk`).  d is the largest depth up to BISECT_DEPTH whose
+    trees hold at most BISECT_ELEMENTS midpoints in all (at least 1), and
+    no more than the steps max_iter leaves.  The walk takes the steps of
+    a loop that halves once per call, with its midpoints, so the bits are
+    the same at every depth.
 
-    On arrays `left` may also answer (go, undefined).  Where an element's
-    answer is undefined at a midpoint the one-level loop evaluates (a
-    stopped element's frozen midpoint included, while others halve), the
-    call stops after that step and the element comes back as (nan, nan);
-    an undefined answer at a midpoint no step reads changes nothing.
+    `left` may also answer (go, undefined).  Where an element's answer is
+    undefined at a midpoint a step reads (a stopped element's frozen
+    midpoint included, while others halve), the call stops after that
+    step and the element comes back as (nan, nan); an undefined answer at
+    a midpoint no step reads changes nothing.
     """
-    if np.ndim(a) == 0:
-        for _ in itertools.count() if max_iter is None else range(max_iter):
-            if b - a <= tol:
-                break
-            m = 0.5 * (a + b)
-            if left(m):
-                a = m
-            else:
-                b = m
-        return a, b
     a, b = np.broadcast_arrays(a, b)
     depth = _subtree_depth(a.size)
     done = 0
-    while max_iter is None or done < max_iter:
-        # Not b - a > tol: a NaN width keeps halving, as in the scalar loop.
+    while done < max_iter:
+        # Not b - a > tol: a NaN width keeps halving.
         open_ = ~(b - a <= tol)
         if not open_.any():
             break
-        d = depth if max_iter is None else min(depth, max_iter - done)
-        if d == 1:  # the one-level loop: `left` sees the midpoints alone
-            m = 0.5 * (a + b)
-            go = left(m)
-            go, undefined = go if isinstance(go, tuple) else (go, None)
-            a, b = np.where(open_ & go, m, a), np.where(open_ & ~go, m, b)
-        else:
-            a, b, undefined = _walk(left, a, b, tol, d, open_)
-        if undefined is not None and undefined.any():
+        d = min(depth, max_iter - done)
+        a, b, undefined = _walk(left, a, b, tol, d, open_)
+        if undefined is not None:
             return np.where(undefined, np.nan, a), np.where(undefined, np.nan, b)
         done += d
     return a, b
@@ -420,8 +406,14 @@ def gap(dist, child_ratio, L, x):
     """Indifference gap G at threshold x; NaN where the invest child is dead."""
     La = np.asarray(L, dtype=float)
     xa = np.asarray(x, dtype=float)
-    r = np.asarray(child_ratio(La * dist.lr_upper_tail(xa)), dtype=float)
-    return np.where(np.isfinite(r), La * xa / (1.0 - xa) - r, np.nan)
+    return gap_at(child_ratio, La, xa, La * dist.lr_upper_tail(xa))
+
+
+def gap_at(child_ratio, L, x, Lp):
+    """G at threshold x from its invest child's odds Lp = L * lr_upper_tail(x),
+    as `Choice.Lp` holds them; NaN where that child is dead."""
+    r = np.asarray(child_ratio(Lp), dtype=float)
+    return np.where(np.isfinite(r), L * x / (1.0 - x) - r, np.nan)
 
 
 def _bisect_brackets(g, lo, hi, glo_pos):
@@ -793,11 +785,8 @@ def select(xs, U, L, T1, T0, p0c, p1c, sigs=None):
     groups uses the group max.  The trembling discriminator ranks the
     candidates inside the surviving pool.
     """
-    k = len(xs)
-    if k == 1:
-        return 0, False
     groups: list[list[int]] = []
-    for i in range(k):
+    for i in range(len(xs)):
         for g in groups:
             if sigs is not None and np.max(np.abs(sigs[i] - sigs[g[0]])) <= MULTISET_TOL:
                 g.append(i)

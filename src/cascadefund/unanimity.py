@@ -20,14 +20,16 @@ solve, roots.solve_states: the candidate scan, root bisection, herd
 candidates, rescue, the utility-then-discriminator selection and the
 completion recurrence, so that code is not cross-checked by comparing
 the two solvers.  The terminal children are shared too (roots.terminal):
-the last mover at (1, 1), whose ratio bounds give a two-player step the
-same certified scan as every engine row with B >= 2, and the dead decline
-child of a must-fill state.  What stays independent is how a live child is
-evaluated: exact recursion here (`_ExactChild`), interpolation in solved
-table rows there, and that is what the grid-versus-exact comparison
-checks.  The ladder and the engine diagonal are two steps of one walk
-down the all-invest path (roots.invest_path); nothing here builds an
-engine table, the sweep walks one its caller solved, for n >= 3.
+the filled drive, under which a one-player step is the pivotal closed
+form of every B = 1 state; the last mover at (1, 1), whose ratio bounds
+give a two-player step the same certified scan as every engine row with
+B >= 2; and the dead decline child of a must-fill state.  What stays
+independent is how a live child is evaluated: exact recursion here
+(`_ExactChild`), interpolation in solved table rows there, and that is
+what the grid-versus-exact comparison checks.  The ladder and the engine
+diagonal are two steps of one walk down the all-invest path
+(roots.invest_path); nothing here builds an engine table, the sweep walks
+one its caller solved, for n >= 3.
 
 Nothing here is a setting: the scan sizes are module constants, and the
 root, residual and tie tolerances are those of cascadefund.roots, the
@@ -188,10 +190,6 @@ def _ladder_solve(dist, Ls, m, depth=0):
     geometrically in m and stay practical for m <= 4.
     """
     Ls = np.asarray(Ls, dtype=float)
-    if m == 1:
-        last = roots.terminal(dist, 1, 1)
-        return (last.sigma_at(Ls), *last.pi_at(Ls), np.zeros(Ls.shape, dtype=bool))
-
     scan = SCAN_TOP if depth == 0 else SCAN_REC if depth == 1 else SCAN_DEEP
     inv = roots.terminal(dist, m - 1, m - 1) or _ExactChild(dist, m - 1, depth + 1)
     # A block of 5,120 elements keeps the temporaries of the scan and of

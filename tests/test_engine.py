@@ -6,6 +6,7 @@ probabilities (8/15)^2 and 0.8^2.  Those anchors, the cascade plateaus,
 and grid-refinement behavior pin the solver down.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -31,8 +32,9 @@ from cascadefund.engine import (
     find_roots,
     pi_ordering_scan,
 )
+from cascadefund.cascades import up_cascade_bound
 from cascadefund.roots import CELL_MARGIN, LastMover, select
-from conftest import interior_zero_spec
+from conftest import bimodal_spec, interior_zero_spec
 
 U58 = (64.0 / 225.0, 0.64)  # (pi0, pi1) at L = 1 for uniform [0.5, 0.8]
 U58_UTIL = 16.0 / 90.0
@@ -278,7 +280,7 @@ class TestPlateaus:
         # An interior mover shades up relative to the myopic rule, never
         # down: sigma >= 1/(1+L) would mean declining against the pivot.
         row = pol58.row(2, 2)
-        live = (row.pi1 > 0) & (row.L < row.up_bound)
+        live = (row.pi1 > 0) & (row.L < up_cascade_bound(pol58.dist.Q))
         assert np.all(row.sigma[live] <= 1.0 / (1.0 + row.L[live]) + 1e-9)
 
 
@@ -439,3 +441,41 @@ def test_row_points_are_the_sorted_distinct_points():
         pts = engine._row_points(grid, 0.8, B)
         assert np.array_equal(pts, np.unique(pts)) and pts.size > grid.size
         assert np.isin(grid, pts).all()
+
+
+# SHA-256 of every stored row's arrays and of its pi_at, ratio_at and
+# ratio_bounds answers at 1,001 odds running a decade past both ends of
+# the row.  A refactor below the CLI keeps these bits; a change that moves
+# them on purpose re-records them and says which and why.
+ROW_DIGESTS = {
+    "uniform-0.5-0.8": (
+        lambda: QualitySpec.uniform(0.5, 0.8), 3, 8, 513,
+        "9c4848ee9a08864b92f0a75aad059c33adbdb2ff4391f6653347ff6978b8bd9c",
+    ),
+    "bimodal": (
+        bimodal_spec, 3, 5, 257,
+        "d05a1c994b2efb4295bf646f65f94ffcb4e1b01f408508c9a6f3eb53072a1315",
+    ),
+    "interior-zero": (
+        interior_zero_spec, 2, 4, 257,
+        "3848342a631013363f337470332be894dee4eee69ebd5fbb4dd23529cef859ef",
+    ),
+}
+
+
+def row_digest(table):
+    h = hashlib.sha256()
+    for B, n, row in table.iter_rows():
+        h.update(repr((B, n)).encode())
+        for a in (row.L, row.sigma, row.pi0, row.pi1, row.irregular):
+            h.update(np.ascontiguousarray(a).tobytes())
+        odds = np.geomspace(row.L[0] / 10, row.L[-1] * 10, 1001)
+        for a in (*row.pi_at(odds), row.ratio_at(odds), *row.ratio_bounds(odds, odds * 4.0)):
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
+def test_rows_and_their_queries_keep_their_bits(name, solved):
+    make, B, n, grid, digest = ROW_DIGESTS[name]
+    assert row_digest(solved(make(), B, n, grid_size=grid)) == digest

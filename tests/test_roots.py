@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cascadefund import roots, unanimity
 from cascadefund.beliefs import OutOfSupportWarning, QualitySpec, TypeDistribution
-from cascadefund.cascades import down_cascade_bound
+from cascadefund.cascades import down_cascade_bound, up_cascade_bound
 from cascadefund.engine import SCAN_POINTS, GameState, backward_induction, find_roots
 from conftest import bimodal_spec, interior_zero_spec, triangular_spec
 
@@ -30,6 +30,27 @@ SPECS = {
     "bimodal": bimodal_spec,
     "tabulated-interior-zero": interior_zero_spec,
 }
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_rows_hold_the_up_cascade_plateau_on_their_knots(name, solved):
+    # The plateau invariant PolicyRow's queries rest on: a knot exactly at
+    # Q/(1-Q), and every knot from it up holding the plateau exactly, so
+    # interpolation alone reads it there.
+    spec = SPECS[name]()
+    Q = spec.Q
+    up = up_cascade_bound(Q)
+    for B, n in [(2, 3), (3, 5), (4, 6)]:
+        for (b, m), row in sorted(solved(spec, B, n, grid_size=257).rows.items()):
+            assert up in row.L, (b, m)
+            at = row.L >= up
+            assert np.all(row.sigma[at] == 1.0 - Q), (b, m)
+            assert np.all(row.pi0[at] == 1.0) and np.all(row.pi1[at] == 1.0), (b, m)
+            odds = np.concatenate((row.L[at], np.geomspace(up, row.L[-1], 301)))
+            p0, p1 = row.pi_at(odds)
+            assert np.all(p0 == 1.0) and np.all(p1 == 1.0), (b, m)
+            assert np.all(row.ratio_at(odds) == 1.0), (b, m)
+            assert np.all(row.sigma_at(odds) == 1.0 - Q), (b, m)
 
 
 def vanishing_end_spec():
@@ -454,6 +475,20 @@ def test_each_row_logs_its_scan(caplog):
     assert queried == certified == 0 and evaluated == unbounded == states * cells
 
 
+def one_level_bisect(left, a, b, tol, max_iter):
+    """Bisection of one scalar bracket, one halving per call of `left`:
+    the loop whose bits `bisect` keeps on every element."""
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        m = 0.5 * (a + b)
+        if left(m):
+            a = m
+        else:
+            b = m
+    return a, b
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     brackets=st.lists(
@@ -461,20 +496,18 @@ def test_each_row_logs_its_scan(caplog):
         max_size=12,
     ),
     tol=st.sampled_from([0.0, roots.ROOT_XTOL, roots.ROOT_XTOL / 4]),
-    max_iter=st.sampled_from([None, 0, 1, 7, 80, 200]),
+    max_iter=st.sampled_from([0, 1, 7, 80, 200]),
 )
 def test_bisect_elementwise_equals_scalar_calls(brackets, tol, max_iter):
     # Brackets of widths from 1e-14 to 10 stop after different numbers of
     # steps; each must stop where its own scalar call does.
-    if tol == 0.0 and max_iter is None:
-        max_iter = 200  # halving to a zero width need not end
     a = np.array([lo for lo, _, _ in brackets], dtype=float)
     b = a + np.array([10.0**e for _, e, _ in brackets], dtype=float)
     switch = a + (b - a) * np.array([u for _, _, u in brackets], dtype=float)
     got_a, got_b = roots.bisect(lambda m: m < switch, a, b, tol, max_iter)
     assert got_a.shape == got_b.shape == a.shape
     for i in range(a.size):
-        want_a, want_b = roots.bisect(
+        want_a, want_b = one_level_bisect(
             lambda m: m < switch[i], float(a[i]), float(b[i]), tol, max_iter
         )
         assert (float(got_a[i]).hex(), float(got_b[i]).hex()) == (want_a.hex(), want_b.hex()), i
@@ -482,7 +515,7 @@ def test_bisect_elementwise_equals_scalar_calls(brackets, tol, max_iter):
 
 def test_bisect_on_an_empty_array_returns_at_once():
     calls = []
-    a, b = roots.bisect(lambda m: calls.append(m) or m < 0.0, np.empty(0), np.empty(0), 0.0)
+    a, b = roots.bisect(lambda m: calls.append(m) or m < 0.0, np.empty(0), np.empty(0), 0.0, 80)
     assert a.size == b.size == 0 and not calls
 
 
@@ -509,15 +542,13 @@ def test_depth_sizes_cover_every_depth():
     size=st.one_of(st.sampled_from(DEPTH_SIZES), st.integers(1, 2000)),
     seed=st.integers(0, 2**32 - 1),
     tol=st.sampled_from([0.0, roots.ROOT_XTOL, roots.ROOT_XTOL / 4]),
-    max_iter=st.sampled_from([None, 0, 1, 5, 7, 13, 41, 80, 200]),
+    max_iter=st.sampled_from([0, 1, 5, 7, 13, 41, 80, 200]),
     nan_widths=st.booleans(),
 )
 def test_bisect_subtrees_equal_scalar_calls(size, seed, tol, max_iter, nan_widths):
     # Every depth the rule picks, step caps that are no multiple of it and
     # brackets of widths 1e-14 to 10 that stop at different steps: each
     # element stops where its scalar call does, with fewer `left` calls.
-    if max_iter is None and (tol == 0.0 or nan_widths):
-        max_iter = 200  # halving to a zero width, or a NaN one, need not end
     rng = np.random.default_rng(seed)
     a = rng.uniform(-10.0, 10.0, size)
     b = a + 10.0 ** rng.uniform(-14.0, 1.0, size)
@@ -541,7 +572,7 @@ def test_bisect_subtrees_equal_scalar_calls(size, seed, tol, max_iter, nan_width
             calls += 1
             return m < s
 
-        want_a, want_b = roots.bisect(one, float(a[i]), float(b[i]), tol, max_iter)
+        want_a, want_b = one_level_bisect(one, float(a[i]), float(b[i]), tol, max_iter)
         assert (float(got_a[i]).hex(), float(got_b[i]).hex()) == (want_a.hex(), want_b.hex()), i
         steps = max(steps, calls)
     # The one-level loop calls `left` once per step, until every element
@@ -550,8 +581,14 @@ def test_bisect_subtrees_equal_scalar_calls(size, seed, tol, max_iter, nan_width
     assert len(shapes) == -(-steps // d)
     if d > 1 and steps > 1:
         assert len(shapes) < steps
-    for shape in shapes:
-        assert shape == (size,) or shape[1:] == (size,) and shape[0] * size <= roots.BISECT_ELEMENTS
+    # A leading node axis of 2**d - 1 on every call, or of fewer levels
+    # on a last call capped by max_iter.
+    for k, shape in enumerate(shapes):
+        assert shape[1:] == (size,)
+        if k < len(shapes) - 1:
+            assert shape[0] == 2**d - 1
+        else:
+            assert shape[0] in {2**e - 1 for e in range(1, d + 1)}
 
 
 def test_bisect_takes_a_leading_node_axis_on_nd_arrays():
@@ -564,8 +601,25 @@ def test_bisect_takes_a_leading_node_axis_on_nd_arrays():
     got = roots.bisect(lambda m: shapes.append(m.shape) or m < switch, a, b, 1e-12, 80)
     assert {s[1:] for s in shapes} == {(8, 3)} and shapes[0][0] == 2**5 - 1
     for i, j in np.ndindex(8, 3):
-        want = roots.bisect(lambda m: m < switch[i, j], a[i, j], b[i, j], 1e-12, 80)
+        want = one_level_bisect(lambda m: m < switch[i, j], a[i, j], b[i, j], 1e-12, 80)
         assert (got[0][i, j], got[1][i, j]) == want
+
+
+@pytest.mark.parametrize("size", [*DEPTH_SIZES, 513, 1500])
+def test_bisect_gives_left_a_leading_node_axis_at_every_depth(size):
+    # Above 341 elements the rule picks depth 1, and `left` still gets
+    # its one midpoint per element along a leading axis of one node.
+    a = np.linspace(0.0, 1.0, size)
+    switch = a + 0.3
+    shapes = []
+    got = roots.bisect(lambda m: shapes.append(m.shape) or m < switch, a, a + 1.0, 0.0, 12)
+    d = roots._subtree_depth(size)
+    assert shapes and all(s == (2**d - 1, size) for s in shapes[:-1])
+    assert shapes[-1][1:] == (size,) and len(shapes) == -(-12 // d)
+    for i in (0, size // 2, size - 1):
+        assert (got[0][i], got[1][i]) == one_level_bisect(
+            lambda m: m < switch[i], a[i], a[i] + 1.0, 0.0, 12
+        )
 
 
 def _one_level_bisect_brackets(g, lo, hi, glo_pos):
@@ -667,7 +721,7 @@ def test_bracket_bisection_reads_a_midpoint_frozen_inside_a_subtree():
     # the third step while bracket 0 still halves, and never once bracket 1
     # is alone, since then there is no third step.
     lo, hi = np.array([0.0, 0.5]), np.array([1.0, 0.5 + 3e-12])
-    a, b = roots.bisect(lambda m: m < 0.5 + 2e-12, 0.5, 0.5 + 3e-12, roots.ROOT_XTOL, 80)
+    a, b = one_level_bisect(lambda m: m < 0.5 + 2e-12, 0.5, 0.5 + 3e-12, roots.ROOT_XTOL, 80)
     frozen = 0.5 * (a + b)
     root = np.array([0.3, 0.5 + 2e-12])
     g = _holed_line(root, np.array([1.0, 1.0]), frozen, frozen)
