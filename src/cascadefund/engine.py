@@ -35,8 +35,8 @@ cascadefund.roots.
 
 Live states are solved by `roots.solve_states` from the views of their
 two children, the solve the exact ladder runs on exact children; this
-module supplies its scan size, block budget and B = n grouping
-(`_solve_states`), for a whole table row or for one state.  `find_roots`
+module supplies its scan size and B = n grouping (`_solve_states`), for a
+whole table row or for one state.  `find_roots`
 and `completion_prob` are that solve at one state.  A pivotal state
 (B = 1: the mover's investment fills the drive) is solved there in closed
 form, the clipped cut 1/(1+L) with no root search, so the stored (1, n)
@@ -258,14 +258,7 @@ def _solve_states(table, B, n, Ls):
     dist = table.dist
     inv, dec = table.view(B - 1, n - 1), table.view(B, n - 1)
     signatures = partial(_trace_signatures, table.rows, dist, n=n) if B == n and n >= 2 else None
-    # A scan budget of 8,192 elements keeps every scan temporary under
-    # glibc's 128 KiB mmap threshold, so the blocks reuse heap memory
-    # instead of mapping fresh pages: the certificate bounds 8,192 groups
-    # of cells at a time (a row of 531 states makes 2,600-8,700 queries
-    # in all on a (3, 8) grid-513 build), and open cells are evaluated 204
-    # at a time.  Dense 512-state blocks took ~60k minor page faults and
-    # 240 MB on that build.
-    return roots.solve_states(dist, inv, dec, Ls, SCAN_POINTS, 8_192, signatures)
+    return roots.solve_states(dist, inv, dec, Ls, SCAN_POINTS, signatures)
 
 
 def _solve_row(table, B, n, Lpts):

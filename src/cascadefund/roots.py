@@ -5,15 +5,17 @@ Both solvers apply one rule at every state.  The mover's indifference gap
     G(x) = L * x/(1-x) - pi_0/pi_1(L * (1-F_1(x))/(1-F_0(x)))
 
 is scanned on the support for sign changes, each bracket is bisected to a
-root, and the playable herd thresholds join the candidates: investing for
-every type (x = 1-Q, which keeps the odds at L) and declining for every
-type (x = Q).  The candidate with the highest expected utility wins;
-utility ties go to the candidate a vanishing tremble favors (the
-discriminator), and a tie there too marks the state irregular.  A
-pivotal mover, whose investment fills the drive, needs no search: she
-cuts at the clipped 1/(1+L) (`pivotal_threshold`) whatever later movers
-do, and that is her state's one candidate.  `candidates` gives a set of
-states' candidates as flat arrays, with kind codes into KINDS.
+root (a scan point where G is exactly zero is a zero-width bracket), and
+the playable herd thresholds join the candidates: investing for every
+type (x = 1-Q, which keeps the odds at L) and declining for every type
+(x = Q).  The candidate with the highest expected utility wins; utility
+ties go to the candidate a vanishing tremble favors (the discriminator),
+and a tie there too marks the state irregular.  A pivotal mover, whose
+investment fills the drive, needs no search: she cuts at the clipped
+1/(1+L) (`pivotal_threshold`) whatever later movers do, and that is her
+state's one candidate.  Every set of states' candidates, the pivotal
+ones included, is assembled by `_assemble` as flat arrays, with kind
+codes into KINDS.
 
 A solver supplies a state's two children as objects answering the
 queries of a solved state: `pi_at` gives (pi_0, pi_1) at child odds,
@@ -64,12 +66,16 @@ scan; only the ladder's deeper steps, whose child is a recursive solve,
 scan densely.  The scan points, their upper-tail ratios and x/(1-x), and
 the cell tables depend on the distribution and the scan size alone, so
 they are built once, on first use (`_scan_table`), and every scan of
-that size reads them, the dense one too.
+that size reads them, the dense one too.  A scan goes SCAN_BLOCK
+elements at a time, whatever its caller; the block size moves no bits.
 
 A state left with no candidate by the scan and the herd thresholds has a
 playable window narrower than a scan cell (see _rescue); its window is
-found for all such states at once.  Its bracket then joins the scan's,
-and `candidates` bisects every bracket of a call in one `bisect` call.
+found for all such states at once, as a bracket: [lo, Q], or [lo, lo]
+where every playable type prefers investing.  `candidates` bisects these
+and the scan's brackets in one `bisect` call, the one road of every
+interior root; a zero-width bracket is closed from the start and comes
+back unchanged, though its point is read once (G is finite there).
 `bisect` is the one bracket-and-bisect of the package, with one
 contract: arrays of brackets in and out, a step cap on every call, and a
 predicate that answers at the midpoints of d halvings at once, along a
@@ -82,8 +88,9 @@ as one halving per call.
 
 With the DEBUG level on the "cascadefund" logger, `candidates` logs one
 record per call: states, bound queries, cells certified, cells evaluated
-(and of those, cells without a bound), scan brackets, rescued states,
-and the predicate calls of the bracket bisection and of the rescue.
+(and of those, cells without a bound), scan brackets (zero-width ones
+included), rescued states, and the predicate calls of the bracket
+bisection and of the rescue.
 """
 
 from __future__ import annotations
@@ -95,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cascadefund.beliefs import DomainError
+from cascadefund.beliefs import DomainError, _clamp
 
 __all__ = [
     "Choice",
@@ -130,6 +137,21 @@ __all__ = [
 # NaN where a written bound on that rounding is not far below the margin.
 CELL_POINTS = 40
 CELL_MARGIN = 1e-9
+
+# A scan evaluates a block of about SCAN_BLOCK (state, scan point) elements
+# at a time, and bounds SCAN_BLOCK groups of cells at a time, so the
+# temporaries of the scan and of the child evaluations stay small however
+# many states one call serves.  At 5,120 elements every float temporary is
+# 40 KiB, under glibc's 128 KiB mmap threshold, so the blocks reuse heap
+# memory instead of mapping fresh pages; a certified scan evaluates its
+# open cells 128 at a time, and a dense scan of the exact ladder's top
+# step takes four states at a time (at five they sat at glibc's heap-trim
+# threshold, and in some heap layouts every block returned its pages and
+# faulted them back in).  A sweep-exact benchmark child took ~5,150 minor
+# faults with this block and ~5,780 with 8,192-element blocks; dense
+# 512-state blocks took ~60k and 240 MB on a (3, 8) grid-513 engine build.
+# The block size moves no bits: every child answers elementwise.
+SCAN_BLOCK = 5_120
 
 # `bisect` on arrays asks its predicate for the midpoints of d halvings at
 # once (2**d - 1 per element), the most levels d up to BISECT_DEPTH that
@@ -291,9 +313,9 @@ def pivotal_threshold(dist, L):
     That holds once the drive has filled and for a mover whose investment
     fills it.  Declining pays zero whatever follows, so she invests iff
     her full posterior favors the good world: 1/(1+L), clipped to the
-    support (np.clip's bits, at half its call overhead on small arrays).
+    support.
     """
-    return np.minimum(np.maximum(dist.lo, 1.0 / (1.0 + np.asarray(L, dtype=float))), dist.hi)
+    return _clamp(1.0 / (1.0 + np.asarray(L, dtype=float)), dist.lo, dist.hi)
 
 
 def completion_ratio(p0, p1):
@@ -439,15 +461,13 @@ def _bisect_brackets(g, lo, hi, glo_pos):
 class Scan:
     """What a root scan finds at a set of states, before any bisection.
 
-    G is exactly zero at scan point zeros[k] of state zero_state[k].
     Bracket k is [lo[k], hi[k]] at state[k]: G changes sign across it and
-    is positive at lo[k] where glo_pos[k]; the brackets run in (state,
-    scan point) order.  The counts are the bound queries made and the
-    cells certified, evaluated and evaluated without a bound.
+    is positive at lo[k] where glo_pos[k], or lo[k] = hi[k] is a scan point
+    where G is exactly zero (glo_pos[k] false).  The brackets run in
+    (state, scan point) order.  The counts are the bound queries made and
+    the cells certified, evaluated and evaluated without a bound.
     """
 
-    zero_state: np.ndarray
-    zeros: np.ndarray
     state: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -514,11 +534,11 @@ def _cell_levels(ucell, lhs_first, lhs_last):
     return levels
 
 
-def _open_cells(Ls, bounds, levels, budget):
+def _open_cells(Ls, bounds, levels):
     """The (state, cell) pairs the bounds cannot certify, coarse to fine.
 
     Each state's one top group is bounded first; a group that fails splits
-    into its two halves, down to single cells.  Queries go `budget` at a
+    into its two halves, down to single cells.  Queries go SCAN_BLOCK at a
     time.  Returns (states, cells, queried, unbounded), the pairs in
     (state, cell) order and the unbounded count over the cells queried.
     """
@@ -528,13 +548,13 @@ def _open_cells(Ls, bounds, levels, budget):
     for k in range(len(levels) - 1, -1, -1):
         umin, umax, lhs_first, lhs_last = levels[k]
         fails = np.empty(s.size, dtype=bool)
-        for i in range(0, s.size, budget):
-            gi = g[i : i + budget]
-            Lb = Ls[s[i : i + budget]]
+        for i in range(0, s.size, SCAN_BLOCK):
+            gi = g[i : i + SCAN_BLOCK]
+            Lb = Ls[s[i : i + SCAN_BLOCK]]
             rmin, rmax = bounds(Lb * umin[gi], Lb * umax[gi])
             if k == 0:
                 unbounded += np.count_nonzero(np.isnan(rmin) | np.isnan(rmax))
-            fails[i : i + budget] = ~(
+            fails[i : i + SCAN_BLOCK] = ~(
                 (Lb * lhs_first[gi] > rmax * (1.0 + CELL_MARGIN))
                 | (Lb * lhs_last[gi] < rmin * (1.0 - CELL_MARGIN))
             )
@@ -550,19 +570,17 @@ def _open_cells(Ls, bounds, levels, budget):
     return s, g, queried, unbounded
 
 
-def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
-    """Exact zeros and sign-change brackets of G at each odds point (a `Scan`).
+def scan_roots(dist, child_ratio, Ls, scan, bounds=None):
+    """Sign-change brackets of G at each odds point (a `Scan`).
 
-    The scan has `scan` points over the support.  Scan points where G is
-    exactly zero count as zeros, except x = 1-Q, which is the herd-invest
-    candidate.  Evaluation goes a block of about `budget` (state, scan
-    point) elements at a time, so the temporaries of the scan and of the
-    child evaluations stay small however many odds points one call
-    serves; bound queries go `budget` at a time.
+    The scan has `scan` points over the support.  A scan point where G is
+    exactly zero is the zero-width bracket [x, x], except at the ends
+    1-Q and Q, which are the herd candidates.  Evaluation goes a block of
+    about SCAN_BLOCK (state, scan point) elements at a time, and bound
+    queries go SCAN_BLOCK at a time.
 
     With `bounds` (see the module docstring) only the cells the bounds
-    cannot certify are evaluated; the zeros and brackets are the same as
-    without.
+    cannot certify are evaluated; the brackets are the same as without.
     """
     table = _scan_table(dist, scan)
     xs, uxs, lhs = table.xs, table.uxs, table.lhs
@@ -576,10 +594,10 @@ def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
         unbounded = evaluated
     else:
         first, pts = table.first, table.pts
-        open_s, open_c, queried, unbounded = _open_cells(Ls, bounds, table.levels, budget)
+        open_s, open_c, queried, unbounded = _open_cells(Ls, bounds, table.levels)
         evaluated = open_s.size
-    step = max(1, budget // pts.shape[1])
-    zstates, zjs, states, js, glo_pos = [], [], [], [], []
+    step = max(1, SCAN_BLOCK // pts.shape[1])
+    states, los, his, glo_pos = [], [], [], []
     for i in range(0, open_s.size, step):
         s, c = open_s[i : i + step], open_c[i : i + step]
         ux, lh = uxs[pts[c]], lhs[pts[c]]
@@ -587,33 +605,33 @@ def scan_roots(dist, child_ratio, Ls, scan, budget, bounds=None):
         r = child_ratio(Lu * ux)
         G = np.where(np.isfinite(r), Lu * lh - r, np.nan)
         a, b = G[:, :-1], G[:, 1:]
-        # Times the sign of b, not b: a product of two tiny (huge) gaps
-        # underflows to zero (overflows) and would drop or warn on the bracket.
-        flip = (a * np.sign(b) < 0.0) & np.isfinite(a) & np.isfinite(b)
-        u, k = np.nonzero(flip)
+        # A bracket's lower point: a sign change to the next point, or a
+        # zero.  Times the sign of b, not b: a product of two tiny (huge)
+        # gaps underflows to zero (overflows) and would drop or warn on the
+        # bracket.  A zero at a cell's first point is the previous cell's
+        # last point (or x = 1-Q), so a cell reports zeros from its second.
+        hit = np.zeros(G.shape, dtype=bool)
+        hit[:, :-1] = (a * np.sign(b) < 0.0) & np.isfinite(a) & np.isfinite(b)
+        hit[:, 1:] |= b == 0.0
+        u, k = np.nonzero(hit)
+        j, g = first[c[u]] + k, G[u, k]
+        keep = (g != 0.0) | (j < scan - 1)  # a zero at x = Q is herd decline
+        u, j, g = u[keep], j[keep], g[keep]
         states.append(s[u])
-        js.append(first[c[u]] + k)
-        glo_pos.append(a[u, k] > 0.0)
-        # A zero at a cell's first point is the previous cell's last
-        # point (or x = 1-Q), so a cell reports zeros from its second.
-        u, k = np.nonzero(b == 0.0)
-        j = first[c[u]] + k + 1
-        zstates.append(s[u][j < scan - 1])
-        zjs.append(j[j < scan - 1])
+        los.append(j)
+        his.append(j + (g != 0.0))
+        glo_pos.append(g > 0.0)
         # Only one block's arrays are alive while the next block's
         # child evaluation allocates its own.
-        del r, G, a, b, flip, ux, lh
+        del r, G, a, b, hit, ux, lh
 
     def joined(parts, dtype=int):
         return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
-    j = joined(js)
     return Scan(
-        joined(zstates),
-        xs[joined(zjs)],
         joined(states),
-        xs[j],
-        xs[j + 1],
+        xs[joined(los)],
+        xs[joined(his)],
         joined(glo_pos, bool),
         queried,
         M * cells - evaluated,
@@ -630,10 +648,11 @@ def _rescue(dist, child_ratio, Ls):
     one finite G value and finds no bracket even though a root exists.
     Where G is undefined at x = 1-Q, the window's lower edge is bisected
     for (to ROOT_XTOL/4, at most 200 steps), all states at once.  Returns
-    (lo, edge, calls): the window's lower end, which is the reply itself
-    where `edge` (every playable type prefers investing), and otherwise
-    the low end of a bracket [lo, Q] on which G rises through zero; and
-    the predicate calls of that bisection.
+    (lo, hi, calls): a bracket per state and the predicate calls of that
+    bisection.  The bracket is [lo, Q], on which G rises through zero from
+    the window's lower end lo, or [lo, lo] where G >= 0 at lo (every
+    playable type prefers investing), a zero-width bracket holding the
+    reply itself.
     """
 
     def g(x):
@@ -641,7 +660,7 @@ def _rescue(dist, child_ratio, Ls):
 
     calls = 0
     if not len(Ls):  # most calls rescue no state
-        return np.empty(0), np.empty(0, dtype=bool), calls
+        return np.empty(0), np.empty(0), calls
     lo = np.full(len(Ls), dist.lo)
     hi = np.full(len(Ls), dist.hi)
     g_lo = g(lo)
@@ -666,7 +685,7 @@ def _rescue(dist, child_ratio, Ls):
         if no_window[bad[0]]:
             raise ModelViolationError(f"no playable threshold window at L={L!r}")
         raise ModelViolationError(f"herd-decline condition missed by the scan at L={L!r}")
-    return lo, g_lo >= 0.0, calls
+    return lo, np.where(g_lo >= 0.0, lo, hi), calls
 
 
 def herd_flags(dist, child_ratio, Ls):
@@ -725,28 +744,28 @@ def _assemble(Q, herd_inv, herd_dec, root_state, root_x):
     return offsets, x[keep], kind[keep]
 
 
-def candidates(dist, child_ratio, Ls, scan, budget, bounds=None):
+def candidates(dist, child_ratio, Ls, scan, bounds=None):
     """Interior roots plus playable herd thresholds at each state, as flat
     arrays (offsets, x, kind) (see `_assemble`).
 
     The scan's brackets and the rescue brackets of the states left with
-    no candidate are bisected in one call (module docstring).
+    no candidate are bisected in one call, zero-width ones included, and
+    every interior root is a bisected bracket (module docstring).
     """
-    found = scan_roots(dist, child_ratio, Ls, scan, budget, bounds)
+    found = scan_roots(dist, child_ratio, Ls, scan, bounds)
     herd_inv, herd_dec = herd_flags(dist, child_ratio, Ls)
     found_any = herd_inv | herd_dec
-    found_any[found.zero_state] = found_any[found.state] = True
+    found_any[found.state] = True
     rescued = np.flatnonzero(~found_any)
-    lo, edge, rescue_calls = _rescue(dist, child_ratio, Ls[rescued])
-    # A rescue bracket [lo, Q] has G negative at lo.
-    k = rescued[~edge]
-    state = np.concatenate((found.state, k))
+    lo, hi, rescue_calls = _rescue(dist, child_ratio, Ls[rescued])
+    # A rescue bracket has G negative at lo, or zero width.
+    state = np.concatenate((found.state, rescued))
     bL = Ls[state]
     xr, bisect_calls = _bisect_brackets(
         lambda x: gap(dist, child_ratio, bL, x),
-        np.concatenate((found.lo, lo[~edge])),
-        np.concatenate((found.hi, np.full(k.size, dist.hi))),
-        np.concatenate((found.glo_pos, np.zeros(k.size, dtype=bool))),
+        np.concatenate((found.lo, lo)),
+        np.concatenate((found.hi, hi)),
+        np.concatenate((found.glo_pos, np.zeros(rescued.size, dtype=bool))),
     )
     _debug(
         "root scan of %d states: %d bound queries, %d cells certified, %d evaluated "
@@ -755,13 +774,7 @@ def candidates(dist, child_ratio, Ls, scan, budget, bounds=None):
         len(Ls), found.queried, found.certified, found.evaluated, found.unbounded,
         found.state.size, rescued.size, bisect_calls, rescue_calls,
     )
-    return _assemble(
-        dist.Q,
-        herd_inv,
-        herd_dec,
-        np.concatenate((found.zero_state, rescued[edge], state)),
-        np.concatenate((found.zeros, lo[edge], xr)),
-    )
+    return _assemble(dist.Q, herd_inv, herd_dec, state, xr)
 
 
 def discriminator(L, p0c, p1c, T0_rivals, T1_rivals):
@@ -871,33 +884,26 @@ def choose(dist, Ls, cands, child_pi, signatures=None):
     return Choice(x, kind, T0, T1, Lp, p0c, p1c, U, sel, tie)
 
 
-def _pivotal_candidates(dist, Ls):
-    """The one candidate per state of a mover whose investment fills the
-    drive, (offsets, x, kind) as `candidates` gives them: the closed-form
-    `pivotal_threshold`, herd invest at 1-Q, herd decline at Q."""
-    x = pivotal_threshold(dist, Ls)
-    kind = np.full(x.size, KINDS.index(KIND_INTERIOR), dtype=np.int8)
-    kind[x == dist.lo] = KINDS.index(KIND_HERD_INVEST)
-    kind[x == dist.hi] = KINDS.index(KIND_HERD_DECLINE)
-    return np.arange(x.size + 1), x, kind
-
-
-def solve_states(dist, inv, dec, Ls, scan, budget, signatures=None):
+def solve_states(dist, inv, dec, Ls, scan, signatures=None):
     """Solve a live state at each odds point of Ls from its invest and
     decline children inv and dec (module docstring): `candidates` with
-    `scan` and `budget`, `choose` with `signatures`, the recurrence, and
-    the flags of a tie or a reachable irregular child.  Returns (choice,
-    pi0, pi1, irregular), the choice as `choose` gives it.
+    `scan`, `choose` with `signatures`, the recurrence, and the flags of a
+    tie or a reachable irregular child.  Returns (choice, pi0, pi1,
+    irregular), the choice as `choose` gives it.
 
-    Where the invest child is a filled drive the mover is pivotal and the
-    candidates are the closed form (`_pivotal_candidates`), with no scan.
-    The last mover subclasses a filled `Settled`, but a mover before her
-    does not fill the drive, so that state keeps the search.
+    Where the invest child is a filled drive the mover is pivotal and her
+    one candidate per state is the closed-form `pivotal_threshold`, with
+    no scan: herd invest where it clips to 1-Q, herd decline where it
+    clips to Q, else an interior root (`_assemble`).  The last mover
+    subclasses a filled `Settled`, but a mover before her does not fill
+    the drive, so that state keeps the search.
     """
     if type(inv) is Settled and inv.filled:
-        cands = _pivotal_candidates(dist, Ls)
+        x = pivotal_threshold(dist, Ls)
+        cut = np.flatnonzero((x != dist.lo) & (x != dist.hi))
+        cands = _assemble(dist.Q, x == dist.lo, x == dist.hi, cut, x[cut])
     else:
-        cands = candidates(dist, inv.ratio_at, Ls, scan, budget, inv.ratio_bounds)
+        cands = candidates(dist, inv.ratio_at, Ls, scan, inv.ratio_bounds)
     ch = choose(dist, Ls, cands, inv.pi_at, signatures)
     sel = ch.sel
     sigma = ch.x[sel]

@@ -192,18 +192,8 @@ def _ladder_solve(dist, Ls, m, depth=0):
     Ls = np.asarray(Ls, dtype=float)
     scan = SCAN_TOP if depth == 0 else SCAN_REC if depth == 1 else SCAN_DEEP
     inv = roots.terminal(dist, m - 1, m - 1) or _ExactChild(dist, m - 1, depth + 1)
-    # A block of 5,120 elements keeps the temporaries of the scan and of
-    # the child evaluations small: a two-player step bounds 5,120 groups of
-    # cells at a time and evaluates its open cells 128 at a time, and a
-    # dense deeper step takes four states of the top scan at a time (at
-    # five they sat at glibc's heap-trim threshold, and in some heap
-    # layouts every block returned its pages and faulted them back in).
-    # With the certified two-player scan a sweep-exact benchmark child
-    # takes ~5,150 minor faults at each of 8 checkout path lengths (the
-    # dense scan took as many at 7 of them and 7,630 at one); 8,192-element
-    # blocks take ~5,780.
     dec = roots.terminal(dist, m, m - 1)  # dead: one decline kills a must-fill drive
-    ch, pi0, pi1, tie = roots.solve_states(dist, inv, dec, Ls, scan, 5_120)
+    ch, pi0, pi1, tie = roots.solve_states(dist, inv, dec, Ls, scan)
     return ch.x[ch.sel], pi0, pi1, tie
 
 

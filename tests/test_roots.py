@@ -2,11 +2,12 @@
 
 A group of scan cells is skipped only when the child's bounds (a row's
 range tables, or the closed-form last mover's tails in the engine and the
-exact ladder alike) prove G has one sign on it, so the zeros, the brackets
-and the candidates with and without bounds must be equal bit for bit, not
-merely close.
+exact ladder alike) prove G has one sign on it, so the brackets (the
+zero-width ones at exact zeros included) and the candidates with and
+without bounds must be equal bit for bit, not merely close.
 """
 
+import inspect
 import logging
 import tracemalloc
 import warnings
@@ -59,7 +60,7 @@ def vanishing_end_spec():
     return QualitySpec.tabulated(0.5, 0.75, [(0.5, 8.0), (0.75, 1e-6)], normalize=True)
 
 
-SCAN_FIELDS = ("zero_state", "zeros", "state", "lo", "hi", "glo_pos")
+SCAN_FIELDS = ("state", "lo", "hi", "glo_pos")
 
 
 def per_state(cands):
@@ -71,14 +72,24 @@ def per_state(cands):
     ]
 
 
-def assert_scans_alike(dist, ratio, Ls, scan, budget, bounds):
-    """Zeros, brackets and candidates are the same with and without bounds."""
-    dense = roots.scan_roots(dist, ratio, Ls, scan, budget)
-    cert = roots.scan_roots(dist, ratio, Ls, scan, budget, bounds)
+SCAN_SIGNATURE = inspect.signature(roots.scan_roots)
+
+
+def scan_args(args, kwargs):
+    """The arguments of a `scan_roots` call by name, defaults applied."""
+    bound = SCAN_SIGNATURE.bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments
+
+
+def assert_scans_alike(dist, ratio, Ls, scan, bounds):
+    """Brackets and candidates are the same with and without bounds."""
+    dense = roots.scan_roots(dist, ratio, Ls, scan)
+    cert = roots.scan_roots(dist, ratio, Ls, scan, bounds)
     for field in SCAN_FIELDS:
         assert np.array_equal(getattr(dense, field), getattr(cert, field)), field
-    cands = per_state(roots.candidates(dist, ratio, Ls, scan, budget, bounds))
-    assert per_state(roots.candidates(dist, ratio, Ls, scan, budget)) == cands
+    cands = per_state(roots.candidates(dist, ratio, Ls, scan, bounds))
+    assert per_state(roots.candidates(dist, ratio, Ls, scan)) == cands
     return dense, cands
 
 
@@ -86,7 +97,7 @@ def assert_rows_scan_alike(table):
     """Every row of the table scans to the same brackets and candidates either way."""
     for (B, n), row in sorted(table.rows.items()):
         inv = table.view(B - 1, n - 1)
-        assert_scans_alike(table.dist, inv.ratio_at, row.L, SCAN_POINTS, 8_192, inv.ratio_bounds)
+        assert_scans_alike(table.dist, inv.ratio_at, row.L, SCAN_POINTS, inv.ratio_bounds)
     return len(table.rows)
 
 
@@ -168,7 +179,7 @@ def test_every_engine_row_takes_the_certified_scan(monkeypatch, caplog):
     scan_roots = roots.scan_roots
 
     def recording(*args, **kwargs):
-        seen.append(args[5] if len(args) > 5 else kwargs.get("bounds"))
+        seen.append(scan_args(args, kwargs)["bounds"])
         return scan_roots(*args, **kwargs)
 
     monkeypatch.setattr(roots, "scan_roots", recording)
@@ -214,16 +225,15 @@ def ladder_odds(dist):
 @pytest.mark.parametrize("scan", [unanimity.SCAN_TOP, unanimity.SCAN_REC, unanimity.SCAN_DEEP])
 @pytest.mark.parametrize("name", sorted(SPECS) + ["vanishing-end"])
 def test_ladder_certified_scan_equals_dense_scan(name, scan):
-    # Each scan size the exact ladder's two-player steps use, at its block
-    # of 5,120 elements, against the closed-form last mover's bounds.
+    # Each scan size the exact ladder's two-player steps use, against the
+    # closed-form last mover's bounds.
     spec = vanishing_end_spec() if name == "vanishing-end" else SPECS[name]()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OutOfSupportWarning)
         dist = TypeDistribution(spec)
         last = roots.LastMover(dist)
-        dense, _ = assert_scans_alike(
-            dist, last.ratio_at, ladder_odds(dist), scan, 5_120, last.ratio_bounds
-        )
+        Ls = ladder_odds(dist)
+        dense, _ = assert_scans_alike(dist, last.ratio_at, Ls, scan, last.ratio_bounds)
     assert dense.state.size > 0
 
 
@@ -264,8 +274,9 @@ def test_every_ladder_two_player_step_takes_the_certified_scan(monkeypatch, capl
     scan_roots = roots.scan_roots
 
     def recording(*args, **kwargs):
-        bounds = args[5] if len(args) > 5 else kwargs.get("bounds")
-        seen.append((isinstance(getattr(args[1], "__self__", None), roots.LastMover), bounds))
+        bound = scan_args(args, kwargs)
+        last = isinstance(getattr(bound["child_ratio"], "__self__", None), roots.LastMover)
+        seen.append((last, bound["bounds"]))
         return scan_roots(*args, **kwargs)
 
     monkeypatch.setattr(roots, "scan_roots", recording)
@@ -329,9 +340,10 @@ def test_zero_at_shared_cell_end_is_reported_once():
     def bounds(lo, hi):
         return np.full(np.shape(lo), c), np.full(np.shape(hi), c)
 
-    dense, cands = assert_scans_alike(dist, ratio, L, scan, 10 * scan, bounds)
-    assert dense.zero_state.tolist() == [0] and dense.zeros.tolist() == [xs[W - 1]]
-    assert dense.state.size == 0
+    dense, cands = assert_scans_alike(dist, ratio, L, scan, bounds)
+    # A zero-width bracket, which the bisection returns unchanged.
+    assert dense.state.tolist() == [0]
+    assert dense.lo.tolist() == dense.hi.tolist() == [xs[W - 1]]
     assert cands == [[(float(xs[W - 1]), roots.KIND_INTERIOR)]]
 
 
@@ -420,8 +432,8 @@ def test_array_assembly_of_no_state_and_of_no_root():
 
 
 def test_engine_scan_memory_stays_small():
-    # 8,192-element scan blocks peak near 1.3 MB here; 512-state blocks of
-    # the 4,001-point scan reached about 109 MB.
+    # Scan blocks of roots.SCAN_BLOCK elements peak near 0.7 MB here (1.0 MB
+    # at 8,192); 512-state blocks of the 4,001-point scan reached about 109 MB.
     dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
     backward_induction(dist, 2, 2, grid_size=257)
     tracemalloc.start()
@@ -470,7 +482,7 @@ def test_each_row_logs_its_scan(caplog):
     # A scan without bounds evaluates every cell, and none has a bound.
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="cascadefund"):
-        roots.candidates(dist, roots.LastMover(dist).ratio_at, row.L, 4001, 8_192)
+        roots.candidates(dist, roots.LastMover(dist).ratio_at, row.L, 4001)
     states, queried, certified, evaluated, unbounded, *_ = caplog.records[-1].args
     assert queried == certified == 0 and evaluated == unbounded == states * cells
 
@@ -544,16 +556,22 @@ def test_depth_sizes_cover_every_depth():
     tol=st.sampled_from([0.0, roots.ROOT_XTOL, roots.ROOT_XTOL / 4]),
     max_iter=st.sampled_from([0, 1, 5, 7, 13, 41, 80, 200]),
     nan_widths=st.booleans(),
+    zero_widths=st.sampled_from([0.0, 0.1, 1.0]),
 )
-def test_bisect_subtrees_equal_scalar_calls(size, seed, tol, max_iter, nan_widths):
+def test_bisect_subtrees_equal_scalar_calls(size, seed, tol, max_iter, nan_widths, zero_widths):
     # Every depth the rule picks, step caps that are no multiple of it and
     # brackets of widths 1e-14 to 10 that stop at different steps: each
     # element stops where its scalar call does, with fewer `left` calls.
+    # A share of the brackets (all of them at 1.0) have zero width, as a
+    # scan zero or a rescue edge reply does.
     rng = np.random.default_rng(seed)
     a = rng.uniform(-10.0, 10.0, size)
     b = a + 10.0 ** rng.uniform(-14.0, 1.0, size)
+    b = np.where(rng.random(size) < zero_widths, a, b)
+    closed = b == a
     if nan_widths:
         b[rng.random(size) < 0.1] = np.nan
+        closed &= ~np.isnan(b)
     switch = a + (b - a) * rng.random(size)
     shapes = []
 
@@ -563,6 +581,11 @@ def test_bisect_subtrees_equal_scalar_calls(size, seed, tol, max_iter, nan_width
 
     got_a, got_b = roots.bisect(left, a, b, tol, max_iter)
     assert got_a.shape == got_b.shape == a.shape
+    # A closed bracket comes back unchanged while open ones halve beside
+    # it, and a call whose brackets are all closed makes no `left` call.
+    assert np.array_equal(got_a[closed], a[closed]) and np.array_equal(got_b[closed], b[closed])
+    if closed.all():
+        assert not shapes
     steps = 0
     for i in range(size):
         calls = 0
@@ -754,10 +777,10 @@ def test_partial_build_makes_few_gap_calls(monkeypatch):
 
 def _rescued_states(dist, ratio, Ls, bounds):
     """States the scan and the herd flags leave without a candidate."""
-    found = roots.scan_roots(dist, ratio, Ls, SCAN_POINTS, 8_192, bounds)
+    found = roots.scan_roots(dist, ratio, Ls, SCAN_POINTS, bounds)
     herd_inv, herd_dec = roots.herd_flags(dist, ratio, Ls)
     has = herd_inv | herd_dec
-    has[found.zero_state] = has[found.state] = True
+    has[found.state] = True
     return np.flatnonzero(~has)
 
 
@@ -774,16 +797,39 @@ def test_batched_rescue_equals_the_one_state_call(solved):
     for table, B, n, Ls in cases:
         inv = table.view(B - 1, n - 1)
         args = (table.dist, inv.ratio_at)
-        cands = per_state(roots.candidates(*args, Ls, SCAN_POINTS, 8_192, inv.ratio_bounds))
+        cands = per_state(roots.candidates(*args, Ls, SCAN_POINTS, inv.ratio_bounds))
         rescued = _rescued_states(*args, Ls, inv.ratio_bounds)
         rescued_total += rescued.size
         for s in rescued:
             one = per_state(
-                roots.candidates(*args, Ls[s : s + 1], SCAN_POINTS, 8_192, inv.ratio_bounds)
+                roots.candidates(*args, Ls[s : s + 1], SCAN_POINTS, inv.ratio_bounds)
             )
             assert one == [cands[s]], (B, n, s)
             assert len(cands[s]) == 1 and cands[s][0][1] == roots.KIND_INTERIOR
     assert rescued_total >= 40
+
+
+def test_rescue_edge_reply_is_the_bisected_window_edge():
+    # A child dead below odds 2 and of ratio 1e-3 above: at L = 1 neither
+    # herd threshold is playable (the child is dead at odds L, and
+    # L * Q/(1-Q) = 4 clears 1e-3), and G = x/(1-x) - 1e-3 > 0 wherever it
+    # is defined, so the scan finds no bracket, the rescue bisects for the
+    # window's lower edge and every playable type prefers investing there.
+    dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
+    Ls = np.array([1.0])
+
+    def ratio(q):
+        return np.where(np.asarray(q, dtype=float) < 2.0, np.inf, 1e-3)
+
+    herd_inv, herd_dec = roots.herd_flags(dist, ratio, Ls)
+    assert not herd_inv[0] and not herd_dec[0]
+    assert roots.scan_roots(dist, ratio, Ls, 257).state.size == 0
+    edge = roots._rescue(dist, ratio, Ls)[0]
+    assert dist.lo < edge[0] < dist.hi
+    assert roots.gap(dist, ratio, Ls, edge)[0] >= 0.0
+    offsets, x, kind = roots.candidates(dist, ratio, Ls, 257)
+    assert offsets.tolist() == [0, 1] and roots.KINDS[kind[0]] == roots.KIND_INTERIOR
+    assert x.view(np.int64).tolist() == edge.view(np.int64).tolist()
 
 
 def test_rescue_names_the_first_failing_state(monkeypatch):
@@ -804,7 +850,7 @@ def test_rescue_names_the_first_failing_state(monkeypatch):
         ([60.0, 1.0], "herd-decline condition missed by the scan at L=60.0"),
     ]:
         with pytest.raises(roots.ModelViolationError, match=message):
-            roots.candidates(dist, ratio, np.array(Ls), 257, 8_192)
+            roots.candidates(dist, ratio, np.array(Ls), 257)
 
 
 def _flat_certificate(dist, Ls, scan, bounds):
@@ -844,7 +890,7 @@ def test_coarse_to_fine_certificate_evaluates_the_flat_certificates_cells(name, 
             return inv.ratio_at(q)
 
         want, unbounded = _flat_certificate(table.dist, row.L, SCAN_POINTS, inv.ratio_bounds)
-        found = roots.scan_roots(table.dist, ratio, row.L, SCAN_POINTS, 8_192, inv.ratio_bounds)
+        found = roots.scan_roots(table.dist, ratio, row.L, SCAN_POINTS, inv.ratio_bounds)
         got = np.concatenate(seen) if seen else np.empty((0, roots.CELL_POINTS))
         assert np.array_equal(got, want), (name, B, n)
         assert found.evaluated == len(want) and found.unbounded == unbounded, (name, B, n)
@@ -860,7 +906,7 @@ def test_coarse_to_fine_certificate_makes_few_bound_queries(solved):
             queried.append(lo.size)
             return inv.ratio_bounds(lo, hi)
 
-        found = roots.scan_roots(table.dist, inv.ratio_at, row.L, SCAN_POINTS, 8_192, bounds)
+        found = roots.scan_roots(table.dist, inv.ratio_at, row.L, SCAN_POINTS, bounds)
         assert found.queried == sum(queried) <= 30 * row.L.size, (B, n)
 
 
@@ -873,8 +919,7 @@ def test_scan_sign_test_holds_at_tiny_and_huge_gaps(s):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         found = roots.scan_roots(
-            dist, lambda q: np.full(np.shape(q), 1.2345 * s), np.array([s]), SCAN_POINTS, 8_192
+            dist, lambda q: np.full(np.shape(q), 1.2345 * s), np.array([s]), SCAN_POINTS
         )
-    assert found.zeros.size == 0
-    assert found.state.tolist() == [0]
+    assert found.state.tolist() == [0] and found.lo[0] < found.hi[0]
     assert found.lo[0] < 1.2345 / 2.2345 < found.hi[0]
