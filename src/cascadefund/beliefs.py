@@ -118,6 +118,9 @@ class QualitySpec:
             self, "knots", tuple((float(q), float(d)) for q, d in self.knots)
         )
         qs, ds, piece_mass = _knot_arrays(self.knots)
+        # Every check below compares, and a comparison with NaN is false.
+        if not (np.isfinite(qs).all() and np.isfinite(ds).all()):
+            raise ConfigError("knot positions and densities must be finite")
         if np.any(np.diff(qs) <= 0):
             raise ConfigError("knot positions must be strictly increasing")
         if abs(qs[0] - R) > 1e-12 or abs(qs[-1] - Q) > 1e-12:

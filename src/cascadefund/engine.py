@@ -173,7 +173,7 @@ class PolicyRow:
         live = pi1 > 0.0
         self._live_logL = self.logL[live]
         self._live_logratio = np.log(np.maximum(pi0[live], 1e-300) / pi1[live])
-        self._logratio_lo, self._logratio_hi = _range_tables(self._live_logratio)
+        self._logratio_lo, self._logratio_hi = roots._range_tables(self._live_logratio)
 
     def sigma_at(self, L):
         La = np.asarray(L, dtype=float)
@@ -202,15 +202,14 @@ class PolicyRow:
         The interpolated log ratio at a query lies between the knot values
         that enclose it, so a range min/max over the enclosing knots, widened
         by one knot each side against rounding in the log and the search,
-        bounds it.  An interval at or below the dead frontier holds no live
-        query and gives (inf, inf).
+        bounds it (two spans of the row's `roots._range_tables`).  An
+        interval at or below the dead frontier gives (inf, inf).
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         K = self._live_logL.size
         i0 = np.clip(np.searchsorted(self._live_logL, np.log(lo), side="right") - 2, 0, K - 1)
         i1 = np.clip(np.searchsorted(self._live_logL, np.log(hi), side="left") + 1, 0, K - 1)
-        # Sparse-table query: two overlapping power-of-two spans cover [i0, i1].
         t = np.frexp(i1 - i0 + 1)[1] - 1
         i2 = i1 - (1 << t) + 1
         rmin = np.exp(np.minimum(self._logratio_lo[t, i0], self._logratio_lo[t, i2]))
@@ -225,21 +224,6 @@ class PolicyRow:
         )
         out = self.irregular[idx]
         return bool(out) if out.ndim == 0 else out
-
-
-def _range_tables(v):
-    """Sparse tables of running minima and maxima of v over power-of-two spans.
-
-    Row t holds the min (max) of v[i : i + 2**t]; entries whose span runs
-    past the end are padding that no query reads.
-    """
-    lo, hi = [v], [v]
-    w = 1
-    while 2 * w <= v.size:
-        lo.append(np.concatenate((np.minimum(lo[-1][:-w], lo[-1][w:]), v[-w:])))
-        hi.append(np.concatenate((np.maximum(hi[-1][:-w], hi[-1][w:]), v[-w:])))
-        w *= 2
-    return np.array(lo), np.array(hi)
 
 
 def _trace_signatures(rows, dist, xflat, Lp_flat, n):

@@ -47,8 +47,10 @@ sign change and no exact zero.
 
 The certificate runs coarse to fine over power-of-two groups of cells:
 each state bounds its whole scan first, and a group that fails is split
-into its halves, down to single cells.  A certified group drops no
-bracket and no zero, since G has one sign on every point of it.  And by
+into its halves, down to single cells.  Group g of level k is entry
+g * 2**k of row k of one sparse table over the cells (`_range_tables`,
+which a stored row's `ratio_bounds` reads too).  A certified group drops
+no bracket and no zero, since G has one sign on every point of it.  And by
 containment, every cell under a certified group would certify on its
 own: a cell's child odds lie inside its group's, the bounds only tighten
 on a sub-interval (a row's range-table span nests, and the last mover's
@@ -64,7 +66,7 @@ monotone tails (`LastMover.ratio_bounds`), so every engine row with
 B >= 2 and every two-player step of the exact must-fill ladder takes this
 scan; only the ladder's deeper steps, whose child is a recursive solve,
 scan densely.  The scan points, their upper-tail ratios and x/(1-x), and
-the cell tables depend on the distribution and the scan size alone, so
+the cells' range table depend on the distribution and scan size alone, so
 they are built once, on first use (`_scan_table`), and every scan of
 that size reads them, the dense one too.  A scan goes SCAN_BLOCK
 elements at a time, whatever its caller; the block size moves no bits.
@@ -95,7 +97,6 @@ bisection and of the rescue.
 
 from __future__ import annotations
 
-import itertools
 import sys
 import weakref
 from dataclasses import dataclass
@@ -478,19 +479,35 @@ class Scan:
     unbounded: int
 
 
+def _range_tables(v):
+    """Sparse tables (lo, hi) of the minima and maxima of v over power-of-two spans.
+
+    Entry i of row t is the min (max) of v[i : min(i + 2**t, v.size)], so
+    the last row's entry 0 spans v, and rows t <= log2(m) cover any run of
+    m entries with two spans.
+    """
+    lo, hi = [v], [v]
+    w = 1
+    while w < v.size:
+        lo.append(np.concatenate((np.minimum(lo[-1][:-w], lo[-1][w:]), lo[-1][-w:])))
+        hi.append(np.concatenate((np.maximum(hi[-1][:-w], hi[-1][w:]), hi[-1][-w:])))
+        w *= 2
+    return np.array(lo), np.array(hi)
+
+
 @dataclass(frozen=True)
 class _ScanTable:
     """The half of a scan that no state changes, for one distribution and
     scan size: the points xs, their upper-tail likelihood ratio uxs and
-    x/(1-x) lhs, and the cells' first points, points and `_cell_levels`.
+    x/(1-x) lhs, the cells' points pts, and `_range_tables` (umin, umax)
+    over the cells' min and max of uxs.
     """
 
     xs: np.ndarray
     uxs: np.ndarray
     lhs: np.ndarray
-    first: np.ndarray
     pts: np.ndarray
-    levels: list
+    ranges: tuple
 
 
 # Scan tables by distribution, then scan size, built on first use; an
@@ -508,66 +525,53 @@ def _scan_table(dist, scan):
         lhs = xs / (1.0 - xs)
         first = np.arange(0, scan - 1, CELL_POINTS - 1)
         pts = np.minimum(first[:, None] + np.arange(CELL_POINTS), scan - 1)
-        levels = _cell_levels(uxs[pts], lhs[first], lhs[pts[:, -1]])
-        for a in (xs, uxs, lhs, first, pts, *itertools.chain(*levels)):
+        ucell = uxs[pts]
+        umin, umax = _range_tables(ucell.min(axis=1))[0], _range_tables(ucell.max(axis=1))[1]
+        for a in (xs, uxs, lhs, pts, umin, umax):
             a.flags.writeable = False  # shared by every later scan
-        table = tables[scan] = _ScanTable(xs, uxs, lhs, first, pts, levels)
+        table = tables[scan] = _ScanTable(xs, uxs, lhs, pts, (umin, umax))
     return table
 
 
-def _cell_levels(ucell, lhs_first, lhs_last):
-    """Tables over power-of-two groups of cells, cells first and one group last.
-
-    Level k holds, for each group of 2**k neighbouring cells, the min and
-    max of the scan's upper-tail likelihood ratio over its points and
-    x/(1-x) at its first and last point.  Group g of level k + 1 joins
-    groups 2g and 2g + 1 (where there is one) of level k.
-    """
-    levels = [(ucell.min(axis=1), ucell.max(axis=1), lhs_first, lhs_last)]
-    while levels[-1][0].size > 1:
-        umin, umax, lf, ll = levels[-1]
-        i = np.arange(0, umin.size, 2)
-        last = np.minimum(i + 1, umin.size - 1)
-        levels.append(
-            (np.minimum.reduceat(umin, i), np.maximum.reduceat(umax, i), lf[i], ll[last])
-        )
-    return levels
-
-
-def _open_cells(Ls, bounds, levels):
+def _open_cells(Ls, bounds, table):
     """The (state, cell) pairs the bounds cannot certify, coarse to fine.
 
+    Group g of level k, held by its first cell c = g * 2**k, is the cells
+    [c, c + 2**k) cut at the last: entry c of row k of the table's ranges.
     Each state's one top group is bounded first; a group that fails splits
     into its two halves, down to single cells.  Queries go SCAN_BLOCK at a
     time.  Returns (states, cells, queried, unbounded), the pairs in
     (state, cell) order and the unbounded count over the cells queried.
     """
+    umin, umax = table.ranges
+    lhs_first, lhs_last = table.lhs[table.pts[:, 0]], table.lhs[table.pts[:, -1]]
+    cells = lhs_first.size
     s = np.arange(len(Ls))
-    g = np.zeros(len(Ls), dtype=int)
+    c = np.zeros(len(Ls), dtype=int)
     queried = unbounded = 0
-    for k in range(len(levels) - 1, -1, -1):
-        umin, umax, lhs_first, lhs_last = levels[k]
+    for k in range(umin.shape[0] - 1, -1, -1):
         fails = np.empty(s.size, dtype=bool)
         for i in range(0, s.size, SCAN_BLOCK):
-            gi = g[i : i + SCAN_BLOCK]
+            ci = c[i : i + SCAN_BLOCK]
+            last = np.minimum(ci + (1 << k), cells) - 1
             Lb = Ls[s[i : i + SCAN_BLOCK]]
-            rmin, rmax = bounds(Lb * umin[gi], Lb * umax[gi])
+            rmin, rmax = bounds(Lb * umin[k][ci], Lb * umax[k][ci])
             if k == 0:
                 unbounded += np.count_nonzero(np.isnan(rmin) | np.isnan(rmax))
             fails[i : i + SCAN_BLOCK] = ~(
-                (Lb * lhs_first[gi] > rmax * (1.0 + CELL_MARGIN))
-                | (Lb * lhs_last[gi] < rmin * (1.0 - CELL_MARGIN))
+                (Lb * lhs_first[ci] > rmax * (1.0 + CELL_MARGIN))
+                | (Lb * lhs_last[last] < rmin * (1.0 - CELL_MARGIN))
             )
         queried += s.size
-        s, g = s[fails], g[fails]
+        s, c = s[fails], c[fails]
         if k:
             # Each failed group splits into its halves, in (state, group)
             # order; the last group of a level may have one half only.
             s = np.repeat(s, 2)
-            g = (2 * g[:, None] + np.arange(2)).ravel()
-            has = g < levels[k - 1][0].size
-            s, g = s[has], g[has]
-    return s, g, queried, unbounded
+            c = (c[:, None] + np.array([0, 1 << (k - 1)])).ravel()
+            has = c < cells
+            s, c = s[has], c[has]
+    return s, c, queried, unbounded
 
 
 def scan_roots(dist, child_ratio, Ls, scan, bounds=None):
@@ -585,16 +589,16 @@ def scan_roots(dist, child_ratio, Ls, scan, bounds=None):
     table = _scan_table(dist, scan)
     xs, uxs, lhs = table.xs, table.uxs, table.lhs
     M = len(Ls)
-    cells = table.first.size
+    cells = table.pts.shape[0]
     if bounds is None:
         # Every cell is evaluated, as one cell spanning the whole scan.
-        first, pts = np.zeros(1, dtype=int), np.arange(scan)[None, :]
+        pts = np.arange(scan)[None, :]
         open_s, open_c = np.arange(M), np.zeros(M, dtype=int)
         queried, evaluated = 0, M * cells
         unbounded = evaluated
     else:
-        first, pts = table.first, table.pts
-        open_s, open_c, queried, unbounded = _open_cells(Ls, bounds, table.levels)
+        pts = table.pts
+        open_s, open_c, queried, unbounded = _open_cells(Ls, bounds, table)
         evaluated = open_s.size
     step = max(1, SCAN_BLOCK // pts.shape[1])
     states, los, his, glo_pos = [], [], [], []
@@ -614,7 +618,7 @@ def scan_roots(dist, child_ratio, Ls, scan, bounds=None):
         hit[:, :-1] = (a * np.sign(b) < 0.0) & np.isfinite(a) & np.isfinite(b)
         hit[:, 1:] |= b == 0.0
         u, k = np.nonzero(hit)
-        j, g = first[c[u]] + k, G[u, k]
+        j, g = pts[c[u], 0] + k, G[u, k]
         keep = (g != 0.0) | (j < scan - 1)  # a zero at x = Q is herd decline
         u, j, g = u[keep], j[keep], g[keep]
         states.append(s[u])

@@ -104,6 +104,13 @@ class TestQualitySpec:
         with pytest.raises(ConfigError):
             QualitySpec.tabulated(0.5, 0.8, [(0.5, 0.0), (0.8, 1.0)], normalize=True)
 
+    @pytest.mark.parametrize("knot", [(0.65, math.nan), (math.nan, 3.33)])
+    def test_non_finite_knot_rejected_after_normalizing(self, knot):
+        # NaN passes every comparison check, and normalizing by a NaN mass
+        # spreads it to every density.
+        with pytest.raises(ConfigError, match="finite"):
+            QualitySpec.tabulated(0.5, 0.8, [(0.5, 3.33), knot, (0.8, 3.33)], normalize=True)
+
     def test_interior_zero_density_warns_but_builds(self):
         with pytest.warns(OutOfSupportWarning):
             spec = QualitySpec.tabulated(

@@ -235,9 +235,14 @@ class TestConfigHandling:
             {"L_max": True},
             {"quality": {"kind": "tabulated", "R": 0.5, "Q": 0.8,
                          "knots": [[0.5, True], [0.6, 4.0], [0.8, 3.5]]}},
+            {"quality": {"kind": "tabulated", "R": 0.5, "Q": 0.8,
+                         "knots": [[0.5, float("nan")], [0.65, 3.33], [0.8, 3.33]]}},
+            {"quality": {"kind": "tabulated", "R": 0.5, "Q": 0.8,
+                         "knots": [[0.5, 3.33], [float("nan"), 3.33], [0.8, 3.33]]}},
         ],
         ids=["R-above-Q", "R-not-a-number", "L0-not-a-number", "L0-a-list", "out-not-a-path",
-             "L0-a-boolean", "L_max-a-boolean", "knot-a-boolean"],
+             "L0-a-boolean", "L_max-a-boolean", "knot-a-boolean", "knot-density-NaN",
+             "knot-position-NaN"],
     )
     def test_bad_quality_values_exit_2(self, workdir, doc):
         cfgfile = workdir / "cfg.json"

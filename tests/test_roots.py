@@ -853,6 +853,31 @@ def test_rescue_names_the_first_failing_state(monkeypatch):
             roots.candidates(dist, ratio, np.array(Ls), 257)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    v=st.one_of(
+        st.integers(1, 70),
+        st.sampled_from([2**k + d for k in range(7) for d in (-1, 0, 1) if 2**k + d >= 1]),
+    ).flatmap(
+        lambda size: st.lists(
+            st.floats(-1e3, 1e3, allow_subnormal=False), min_size=size, max_size=size
+        )
+    ),
+)
+def test_range_tables_hold_the_extremes_of_every_span(v):
+    # Every entry, padding included, is the extreme of its span cut at the
+    # end of v: the scan's descent reads the last group of each level there.
+    v = np.array(v)
+    lo, hi = roots._range_tables(v)
+    n = v.size
+    for t in range(lo.shape[0]):
+        for i in range(n):
+            span = v[i : min(i + 2**t, n)]
+            assert lo[t, i] == span.min() and hi[t, i] == span.max(), (t, i)
+    assert 2 ** (lo.shape[0] - 1) >= n and (lo.shape[0] == 1 or 2 ** (lo.shape[0] - 2) < n)
+    assert lo[-1, 0] == v.min() and hi[-1, 0] == v.max()
+
+
 def _flat_certificate(dist, Ls, scan, bounds):
     """The one-level certificate: every cell of every state bounded at once.
 
