@@ -6,7 +6,8 @@ no timestamps), and embed the fully resolved config and tool version in
 every file so a result can be traced back to its inputs.  Reruns with
 the same config and seed are byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+Exit codes: 0 success, 2 config error or unwritable output, 3 numeric
+failure.
 
 Config keys (flags of the same name override):
   quality     {"kind": "uniform", "R": .., "Q": ..} |
@@ -129,74 +130,93 @@ def _records(cols):
     return zip(*(c.tolist() for c in cols))
 
 
-# Powers of ten: exact doubles up to 1e12 (every 10**k with k <= 22 is)
-# and every uint64 place value.
-_POW10 = np.array([float(10**k) for k in range(13)])
-_PLACES = np.array([10**k for k in range(20)], dtype=np.uint64)
+# 10**(12 - k) for k = e + 4 in [0, 12]: exact doubles (every 10**j with
+# j <= 22 is), the scale that puts the 9 significant digits of a number
+# with decimal exponent e before the point.
+_SCALE = np.array([float(10 ** (12 - k)) for k in range(13)])
 
 
 def _float_tables():
     """Byte tables of the float cell layout.
 
-    A float cell is 32 bytes, read as four uint64 words: (character,
-    point) byte pairs holding the sign and then the 13-character text
-    "0000" + the 9 mantissa digits, with two empty pairs so that each
-    3-digit group of the mantissa fills one table word:
+    A float cell is 16 bytes, read as two uint64 words: a sign byte and
+    then the fixed-notation text, at most 14 characters ("0.000" and 9
+    digits at e = -4).  Mantissa digit i sits at byte 1 + i, or 2 + i past
+    the point when i > e >= 0; at e < 0 it sits at 2 - e + i, after "0."
+    and -e - 1 zeros.  Returns:
 
-        word 0: sign '0' '0' '0'    word 1: '0' d0 d1 d2
-        word 2: d3 d4 d5 --         word 3: d6 d7 d8 --
-
-    Text character 4 + e is the ones digit; its point byte takes '.' when
-    a later character prints.  Returns the words of every 3-digit group
-    (in word 1 and in words 2-3), the last nonzero digit of each group
-    (-10 for none), and an AND and an OR mask per (sign, e, last) key,
-    where `last` is the text index of the last nonzero digit; the extra
-    final mask row blanks a cell.
+    - the cell words of each (e, group, value) row, indexed 3000 (e + 4) +
+      1000 group + value: the 3 digits of that 3-digit group of the
+      mantissa, at their bytes for exponent e;
+    - the key of each row: 9 (e + 4) plus the mantissa index of the
+      group's last nonzero digit, or plus 0 for a zero group (no more than
+      the leading group gives, and m = 0 prints its ones digit).  The max
+      over a cell's three rows, plus 117 for a set sign bit, is the cell's
+      (sign, e, last nonzero digit) mask key;
+    - an AND and an OR mask per key: they clear the digits after the last
+      nonzero one (keeping those up to the ones digit) and set the sign,
+      the point and the leading "0." and zeros; the extra final row blanks
+      a cell;
+    - the end of each key's text: one past its last used byte.
     """
-    v = np.arange(1000.0)
-    tens, hundreds = np.floor(v / 10), np.floor(v / 100)
-    digits = np.stack([hundreds, tens - 10 * hundreds, v - 10 * tens], axis=1)
-    lead, rest = np.zeros((2, 1000, 8), np.uint8)
-    lead[:, 0] = 48
-    lead[:, 2::2] = digits + 48
-    rest[:, 0:6:2] = digits + 48
-    nonzero = digits != 0
-    last_digit = np.where(nonzero[:, 2], 2, np.where(nonzero[:, 1], 1, np.where(v != 0, 0, -10)))
+    e = np.arange(-4, 9)[:, None]
+    i = np.arange(9)
+    place = np.where(e >= 0, 1 + i + (i > e), 2 - e + i)  # (e + 4, i) -> byte
+    v = np.arange(1000)
+    digits = np.stack([v // 100, v // 10 % 10, v % 10], axis=1)
+    cells = np.zeros((13, 3, 1000, 16), np.uint8)
+    for j in range(9):
+        cells[np.arange(13), j // 3, :, place[:, j]] = digits[:, j % 3] + 48
+    last = np.where(digits[:, 2] != 0, 2, np.where(digits[:, 1] != 0, 1, 0))
+    keyed = np.where(v != 0, last + 3 * np.arange(3)[:, None], 0).astype(np.uint8)
+    keyed = keyed + (9 * np.arange(13, dtype=np.uint8))[:, None, None]
 
-    sign, e, last = (k.ravel() for k in np.meshgrid(
-        [0, 1], np.arange(-4, 9), np.arange(4, 13), indexing="ij"))
-    text = np.arange(13)
-    point = 4 + e
-    keep = (text >= 4 + np.minimum(e, 0)[:, None]) & (text <= np.maximum(last, point)[:, None])
-    dot = (text == point[:, None]) & (last > point)[:, None]
-    char_at = np.array([2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 24, 26, 28])
-    and_mask, or_mask = np.zeros((2, sign.size + 1, 32), np.uint8)
-    and_mask[:-1, 0] = 255 * sign
-    and_mask[:-1, char_at] = 255 * keep
-    or_mask[:-1, char_at + 1] = 46 * dot
-    words = [t.view(np.uint64) for t in (lead, rest, and_mask, or_mask)]
-    return words[0].ravel(), words[1].ravel(), last_digit, words[2], words[3]
+    sign, e, last = (k.ravel() for k in np.meshgrid([0, 1], e.ravel(), i, indexing="ij"))
+    at = place[e + 4]
+    keep = i <= np.maximum(last, e)[:, None]
+    byte = np.arange(16)
+    keys = np.arange(sign.size)
+    and_mask, or_mask = np.zeros((2, sign.size + 1, 16), np.uint8)
+    and_mask[keys[:, None], at] = 255 * keep
+    # At e < 0 the text opens with "0." and -e - 1 zeros; byte 2 is the point.
+    or_mask[:-1] = 48 * ((e < 0)[:, None] & (byte >= 1) & (byte <= 1 - e[:, None]))
+    or_mask[keys, np.where(e >= 0, 2 + e, 2)] = 46 * (last > e)
+    or_mask[:-1, 0] = 45 * sign
+    end = np.zeros(sign.size + 1, np.intp)
+    end[:-1] = np.max(at * keep, axis=1) + 1
+    words = [t.reshape(-1, 16).view(np.uint64) for t in (cells, and_mask, or_mask)]
+    return words[0], keyed.ravel(), words[1], words[2], end
 
 
-_LEAD_WORD, _REST_WORD, _LAST_DIGIT, _FLOAT_AND, _FLOAT_OR = _float_tables()
-_SIGN_WORD = np.array([45, 0, 48, 0, 48, 0, 48, 0], np.uint8).view(np.uint64)[0]
+_DIGITS, _DIGITS_KEY, _FLOAT_AND, _FLOAT_OR, _FLOAT_END = _float_tables()
 
 
 def _int_cells(col: np.ndarray) -> np.ndarray:
-    """The %d text of an integer or boolean column: one NUL-padded row per cell."""
+    """The %d text of an integer or boolean column: one NUL-padded row per cell.
+
+    The cells are as wide as the column's widest magnitude, with a sign
+    byte only if the column holds a negative.  Digits come from
+    q - 10 (q // 10): numpy divides uint64 by a constant far faster than it
+    takes a uint64 remainder.
+    """
     if col.dtype.kind == "b":
         return (col.astype(np.uint8) + 48)[:, None]
     neg = col < 0
+    sign = int(neg.any())
     mag = col.astype(np.uint64)
-    # Negating in uint64 gives |v| exactly, even for the most negative int64.
-    mag = np.where(neg, -mag, mag)
-    width = len(str(int(mag.max())))
-    cells = np.zeros((col.size, width + 1), np.uint8)
-    cells[:, 0] = 45 * neg
-    for j in range(width):
-        place = _PLACES[width - 1 - j]
-        digit = (mag // place % 10).astype(np.uint8) + 48
-        cells[:, j + 1] = digit if place == 1 else digit * (mag >= place)
+    if sign:
+        # Negating in uint64 gives |v| exactly, even for the most negative int64.
+        mag = np.where(neg, -mag, mag)
+    width = sign + len(str(int(mag.max())))
+    cells = np.empty((col.size, width), np.uint8)
+    if sign:
+        cells[:, 0] = 45 * neg
+    q = mag
+    for j in range(width - 1, sign - 1, -1):
+        r = q // 10
+        digit = (q - 10 * r).astype(np.uint8) + 48
+        cells[:, j] = digit if j == width - 1 else digit * (q != 0)
+        q = r
     return cells
 
 
@@ -204,6 +224,8 @@ def _float_cells(col: np.ndarray) -> tuple[np.ndarray, int]:
     """The %.9g text of a float column: one NUL-padded row per cell.
 
     Returns the cells and how many of them were formatted by Python's `%`.
+    The cells are cut to the widest text of the column, and lose the sign
+    byte if no cell is negative.
 
     A finite nonzero x with e = floor(log10|x|) in [-4, 8] prints in fixed
     notation as the 9-digit mantissa m = round(S), S = |x|·10^(8-e), with
@@ -211,51 +233,52 @@ def _float_cells(col: np.ndarray) -> tuple[np.ndarray, int]:
     vector path computes s = |x|·10^(8-e) in doubles: 10^k is exact for
     k <= 12, so s is S correctly rounded and |s - S| <= ulp(s)/2 < 1.2e-7
     for s < 1e9.  A cell keeps the vector path only when s lies in
-    [1e8, 1e9), m = rint(s) < 1e9 and |frac(s) - 1/2| > 1e-6.  Then:
+    [1e8, 1e9), m = rint(s) < 1e9 and |s - m| < 1/2 - 1e-6.  The
+    difference s - m is exact (Sterbenz: m is within 1 of s >= 1e8), so
+    this is the test |frac(s) - 1/2| > 1e-6.  Then:
 
-    - m is the correctly rounded mantissa: |s - m| < 1/2 - 1e-6, so
-      |S - m| < 1/2 and m is the unique integer nearest S (no tie, so the
-      half-even rule never decides);
+    - m is the correctly rounded mantissa: |S - m| < 1/2, so m is the
+      unique integer nearest S (no tie, so the half-even rule never
+      decides);
     - e is the exponent %.9g uses.  If log10 misjudged e, S is outside
       [1e8, 1e9) while s is inside, so S is within 1.2e-7 of an end.  At
       the top end rint(s) = 1e9 and the cell falls back.  At the bottom
       end S·10 rounds up to 1e9, which %.9g prints as m = 1e8 at exponent
       e, the vector path's text.
 
-    Every other cell (NaN, inf, a value needing scientific notation, a
-    near tie, a carry, or a misjudged e) is formatted by `'%.9g' % v`.
-    Exact zeros stay on the vector path as "0" and "-0".
+    Each cell is the OR of the `_float_tables` words of m's three 3-digit
+    groups at exponent e, then one AND and one OR mask picked by (sign, e,
+    last nonzero digit).  Every other cell (NaN, inf, a value needing
+    scientific notation, a near tie, a carry, or a misjudged e) is
+    formatted by `'%.9g' % v`.  Exact zeros stay on the vector path as "0"
+    and "-0".
     """
     x = col.astype(np.float64)
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.floor(np.log10(a))
         fixed = (e >= -4) & (e <= 8)  # False for 0, NaN and inf
-        e[~fixed] = 0.0
-        s = a * _POW10[(8 - e).astype(np.intp)]
+        k = np.where(fixed, e, 0.0).astype(np.intp) + 4
+        s = a * _SCALE.take(k)
         m = np.rint(s)
-        fixed &= (s >= 1e8) & (m < 1e9) & (np.abs(s - np.floor(s) - 0.5) > 1e-6)
+        fixed &= (s >= 1e8) & (m < 1e9) & (np.abs(s - m) < 0.5 - 1e-6)
     ok = fixed | (a == 0.0)
-    m[~fixed] = 0.0
-    # The three 3-digit groups of m; float arithmetic on integers below
-    # 2**53 is exact, and a quotient floors right since m is an integer.
-    g0 = np.floor(m / 1e6)
-    g1 = np.floor(m / 1e3) - 1e3 * g0
-    g2 = m - 1e3 * np.floor(m / 1e3)
-    g0, g1, g2 = g0.astype(np.intp), g1.astype(np.intp), g2.astype(np.intp)
-    # Text index of the last nonzero digit; a zero prints its ones digit.
-    last = np.maximum(np.maximum(_LAST_DIGIT.take(g0), 0), _LAST_DIGIT.take(g1) + 3)
-    last = np.maximum(last, _LAST_DIGIT.take(g2) + 6) + 4
-    key = (13 * np.signbit(x) + e.astype(np.intp) + 4) * 9 + last - 4
-    key[~ok] = len(_FLOAT_AND) - 1
-    words = np.empty((x.size, 4), np.uint64)
-    words[:, 0] = _SIGN_WORD
-    words[:, 1] = _LEAD_WORD.take(g0)
-    words[:, 2] = _REST_WORD.take(g1)
-    words[:, 3] = _REST_WORD.take(g2)
+    # The three 3-digit groups of m < 1e9 < 2**31, as digit table rows.
+    m = np.where(fixed, m, 0.0).astype(np.int32)
+    hi, top = m // 1000, m // 1000000
+    k *= 3000
+    rows = [top + k, hi - 1000 * top + (k + 1000), m - 1000 * hi + (k + 2000)]
+    key = np.maximum(np.maximum(_DIGITS_KEY.take(rows[0]), _DIGITS_KEY.take(rows[1])),
+                     _DIGITS_KEY.take(rows[2]))
+    neg = np.signbit(x)
+    key += neg * np.uint8(117)
+    key[~ok] = len(_FLOAT_END) - 1
+    words = _DIGITS.take(rows[0], axis=0)
+    words |= _DIGITS.take(rows[1], axis=0)
+    words |= _DIGITS.take(rows[2], axis=0)
     words &= _FLOAT_AND.take(key, axis=0)
     words |= _FLOAT_OR.take(key, axis=0)
-    cells = words.view(np.uint8)
+    cells = words.view(np.uint8)[:, 0 if neg.any() else 1 : _FLOAT_END.take(key).max()]
     slow = np.flatnonzero(~ok)
     if slow.size:
         strs = np.array(["%.9g" % v for v in x[slow].tolist()], dtype="S")
@@ -274,9 +297,14 @@ def _block_text(cols: list[np.ndarray]) -> tuple[bytes, int]:
             slow += k
         else:
             text = _int_cells(c)
-        cells += [text, np.full((c.size, 1), 44, np.uint8)]
-    cells[-1][:] = 10
-    mat = np.concatenate(cells, axis=1)
+        cells.append(text)
+    ends = np.cumsum([t.shape[1] + 1 for t in cells])
+    mat = np.full((len(cols[0]), ends[-1]), 44, np.uint8)
+    for text, end in zip(cells, ends):
+        # One void item per cell: a row-by-row uint8 copy costs twice as much.
+        item = f"V{text.shape[1]}"
+        mat[:, end - 1 - text.shape[1] : end - 1].view(item)[...] = text.view(item)
+    mat[:, -1] = 10
     del cells  # only the matrix and its text are alive from here
     return mat.tobytes().translate(None, b"\0"), slow
 
@@ -286,12 +314,16 @@ def _write_csv(path: str, config: dict, names: list[str], parts) -> None:
 
     Integer and boolean columns print as %d would, float columns as %.9g
     would, byte for byte.  Each block of at most BLOCK_RUNS rows becomes
-    one uint8 matrix: every cell a fixed-width field padded with NUL
-    bytes, then a ',' or '\\n' column; dropping the NULs gives the block's
-    text.  Integers are exact in uint64.  Floats take the vector path of
-    `_float_cells`, whose docstring proves it exact, and fall back to `%`
-    cell by cell where that proof does not hold.  Only one block's arrays
-    are alive at a time, so memory stays flat however many rows there are.
+    one uint8 matrix: each column a field as wide as that block's widest
+    cell in it, padded with NUL bytes, with a sign byte only if the block
+    has a negative there, then a ',' or '\\n' column; dropping the NULs
+    gives the block's text.  Integers are exact in uint64, their digits
+    taken by division by 10.  Floats take the vector path of
+    `_float_cells`: 16-byte cells from digit-table words and masks, kept
+    only where the near-tie test |s - m| < 1/2 - 1e-6 and the exponent
+    checks of its docstring prove them exact, with a fall back to `%` cell
+    by cell elsewhere.  Only one block's arrays are alive at a time, so
+    memory stays flat however many rows there are.
     One DEBUG record on the "cascadefund" logger gives the rows, the cells
     and the cells formatted by `%`.
     """
@@ -590,6 +622,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be written
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numeric or model failure
         kind = type(exc).__name__

@@ -210,12 +210,15 @@ def end_likelihood_stats(batch: BatchRuns, dist: TypeDistribution, L0: float) ->
     is in an up-cascade from the first mover, so there every completed run
     must end at the starting odds L0 instead.  Violations are reported
     with a warning rather than raised, so summaries stay usable while the
-    caller's tests decide how hard to fail.
+    caller's tests decide how hard to fail.  Every key is always present:
+    with no completed run the statistics are None.
     """
     bound = learning_bound(dist.Q)
     ends = np.asarray(batch.L_end)[np.asarray(batch.completed, dtype=bool)]
     if ends.size == 0:
-        return {"n_completed": 0, "learning_bound": bound}
+        # No completed run can breach the cap.
+        return {"n_completed": 0, "max": None, "q50": None, "q90": None, "q99": None,
+                "learning_bound": bound, "within_bound": True}
     q50, q90, q99 = _quantiles(ends, [0.5, 0.9, 0.99])
     top = float(np.max(ends))
     if L0 < up_cascade_bound(dist.Q):

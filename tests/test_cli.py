@@ -130,6 +130,22 @@ class TestSimulate:
         assert stats["within_bound"] is True
         assert stats["max"] == 1e6 > stats["learning_bound"]
 
+    def test_dead_start_reports_every_end_stat(self, workdir):
+        # At L0 = 0.01 no drive completes; the summary keeps every key.
+        assert run(workdir, "simulate", "--L0", "0.01", "--B", "2", "--n", "3",
+                   "--grid-size", "129", "--runs", "200", "--out", "dead") == 0
+        doc = json.loads((workdir / "dead.json").read_text())
+        assert doc["completed_fraction"] == 0.0
+        assert doc["end_stats"] == {
+            "learning_bound": pytest.approx(16.0, abs=1e-9),
+            "max": None,
+            "n_completed": 0,
+            "q50": None,
+            "q90": None,
+            "q99": None,
+            "within_bound": True,
+        }
+
     def test_seed_changes_draws(self, workdir):
         base = ("simulate", "--runs", "100", "--grid-size", "301")
         assert run(workdir, *base, "--seed", "1", "--out", "a") == 0
@@ -268,6 +284,16 @@ class TestConfigHandling:
     def test_unknown_flag_exit_2(self):
         assert cli.main(["solve", "--bogus"]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_unwritable_out_exit_2(self, workdir, command, capsys):
+        # The prefix's directory is a regular file, so no output can be opened.
+        (workdir / "err.txt").write_text("")
+        argv = [command, "--out", "err.txt/x"] + (["--grid-size", "129"] if command == "solve" else [])
+        assert run(workdir, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ")
+        assert "numeric failure" not in err
+
 
 class TestNumericFailure:
     def test_solver_blowup_exits_3(self, workdir, monkeypatch, capsys):
@@ -395,6 +421,33 @@ class TestCsvWriter:
             np.asarray([i % 2 == 0 for i in range(256)]),
         ]
         assert _render("i.csv", cols) == _oracle(cols)
+
+    def test_every_mask_key_matches_per_cell_rule(self, workdir, caplog):
+        # One value per (sign, exponent, last nonzero digit) key of the float
+        # masks: the digits 1..9 cut after the last one, at each fixed-notation
+        # exponent, so every table row is read and no cell falls back to %.
+        values = np.array([float(f"{sign}{'123456789'[:last + 1]}e{e - last}")
+                           for sign in ("", "-") for e in range(-4, 9) for last in range(9)])
+        assert values.size == 2 * 13 * 9
+        with caplog.at_level(logging.DEBUG, logger="cascadefund"):
+            assert _render("k.csv", [values]) == _oracle([values])
+        (record,) = [r for r in caplog.records if r.name == "cascadefund"]
+        assert record.args[1:] == (234, 234, 0)
+
+    def test_widths_change_across_blocks(self, workdir):
+        # Each block is cut to its own widest cell, with a sign byte only
+        # where it holds a negative: 11-character positive floats and short
+        # positive integers next to blocks with a 15-character negative float,
+        # a negative integer and a wider integer.
+        rows = 3 * BLOCK_RUNS
+        fl = np.resize([0.123456789, 0.987654321, 0.5], rows)
+        fl[BLOCK_RUNS + 7] = -0.000123456789
+        fl[2 * BLOCK_RUNS + 1] = 0.000123456789
+        ints = np.arange(rows, dtype=np.int64) % 10
+        ints[BLOCK_RUNS + 3] = -123456789012
+        ints[2 * BLOCK_RUNS :] += 1_000_000
+        cols = [fl, ints, fl[::-1], -ints]
+        assert _render("b.csv", cols) == _oracle(cols)
 
     def test_exact_zeros_stay_on_the_vector_path(self, workdir, caplog):
         # Like a policy table's pi columns: mostly exact zeros, a few cells

@@ -245,13 +245,18 @@ class TestEndOdds:
         assert stats["max"] < stats["learning_bound"]
         assert stats["q50"] <= stats["q90"] <= stats["q99"] <= stats["max"]
 
-    def test_empty_batch_short_summary(self, pol58):
+    def test_empty_batch_keeps_every_key(self, pol58):
         batch = simulate_runs(pol58, GameState(L=0.05, B=2, n=2), 50, seed=8)
         stats = end_likelihood_stats(batch, pol58.dist, 0.05)
         Q = pol58.dist.Q
         assert stats == {
             "n_completed": 0,
+            "max": None,
+            "q50": None,
+            "q90": None,
+            "q99": None,
             "learning_bound": (Q / (1.0 - Q)) ** 2,
+            "within_bound": True,
         }
 
     def test_moved_odds_inside_up_cascade_are_flagged(self, pol58):
