@@ -26,6 +26,7 @@ multiplies them by `lr_upper_tail(x)`, a decline by `lr_lower_tail(x)`.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -71,10 +72,12 @@ def _clamp(x, lo, hi):
 
 
 def _number(v) -> float:
-    """float(v) for a number; a JSON boolean is not one, though float(True) is 1.0."""
-    if isinstance(v, bool):
+    """float(v), but a string or boolean is no number even where float() takes it
+    ("2", True); what float() itself refuses keeps float()'s error."""
+    x = float(v)
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise TypeError(f"expected a number, got {v!r}")
-    return float(v)
+    return x
 
 
 def _knot_arrays(knots):
@@ -137,7 +140,7 @@ class QualitySpec:
             warnings.warn(
                 "tabulated density vanishes at an interior knot",
                 OutOfSupportWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, at the code building the spec
             )
 
     @classmethod

@@ -1,10 +1,13 @@
 """Command line front end: solve, sweep, simulate, analyze.
 
-All subcommands read an optional JSON config file plus flag overrides,
-write deterministic outputs (stable key order, 9 significant digits,
-no timestamps), and embed the fully resolved config and tool version in
-every file so a result can be traced back to its inputs.  Reruns with
-the same config and seed are byte-identical.
+All subcommands read an optional JSON config file plus flag overrides.
+`main` resolves a run once: it checks the whole config (the sweep's
+B = n rule with the rest) and hands the subcommand that config, its type
+distribution and its output prefix.  Outputs are deterministic (stable
+key order, 9 significant digits, no timestamps) and embed the fully
+resolved config and tool version in every file so a result can be
+traced back to its inputs.  Reruns with the same config and seed are
+byte-identical.
 
 Exit codes: 0 success, 2 config error or unwritable output, 3 numeric
 failure.
@@ -340,14 +343,6 @@ def _write_csv(path: str, config: dict, names: list[str], parts) -> None:
     _debug("csv %s: %d rows, %d cells, %d formatted by %%", path, rows, rows * len(cols), slow)
 
 
-class RunConfig(dict):
-    """Resolved run settings; validated up front so errors exit with 2."""
-
-    @property
-    def spec(self) -> QualitySpec:
-        return self["_spec"]
-
-
 def _read_json(path: str, what: str):
     """Parse the JSON file at `path`; errors name `what` and the path."""
     try:
@@ -359,7 +354,12 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"bad {what} JSON in {path}: {exc}") from exc
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: argparse.Namespace) -> tuple[dict, QualitySpec]:
+    """Resolve and check a run's settings before any command starts.
+
+    Returns the config, the plain dict every output embeds, and its quality
+    spec.  The sweep's B = n rule is checked last, after all the others.
+    """
     doc = dict(DEFAULTS)
     if args.config:
         loaded = _read_json(args.config, "config")
@@ -380,9 +380,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         quality = _read_json(quality, "quality spec")
     spec = QualitySpec.from_dict(quality)
 
-    cfg = RunConfig(doc)
-    cfg["quality"] = spec.to_dict()
-    cfg["_spec"] = spec
+    cfg = dict(doc, quality=spec.to_dict())
     for key in ("B", "n", "L_points", "grid_size", "seed", "runs"):
         v = cfg[key]
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
@@ -419,32 +417,30 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
     if cfg["out"] is not None and not isinstance(cfg["out"], str):
         raise ConfigError(f"out must be a path prefix or null, got {cfg['out']!r}")
-    return cfg
+    if args.command == "sweep" and cfg["B"] != cfg["n"]:
+        raise ConfigError(
+            "sweep emits per-player threshold profiles, which only exist "
+            "for must-fill games; set B = n"
+        )
+    return cfg, spec
 
 
-def _public_config(cfg: RunConfig) -> dict:
-    return {k: v for k, v in cfg.items() if not k.startswith("_")}
-
-
-def _L_grid(cfg: RunConfig) -> np.ndarray:
+def _L_grid(cfg: dict) -> np.ndarray:
     if cfg["L_scale"] == "log":
         return np.geomspace(cfg["L_min"], cfg["L_max"], cfg["L_points"])
     return np.linspace(cfg["L_min"], cfg["L_max"], cfg["L_points"])
 
 
-def _out_prefix(cfg: RunConfig, command: str) -> str:
-    return cfg["out"] or f"cascadefund_{command}"
+def _head(command: str, cfg: dict) -> dict:
+    """The keys every JSON output opens with."""
+    return {"command": command, "config": cfg, "version": __version__}
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    dist = TypeDistribution(cfg.spec)
+def cmd_solve(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
     policy = backward_induction(dist, cfg["B"], cfg["n"], grid_size=cfg["grid_size"])
-    prefix = _out_prefix(cfg, "solve")
-    config = _public_config(cfg)
-
     rows = list(policy.iter_rows())
     rows_meta = [
         {
@@ -463,14 +459,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     ]
 
     if cfg["format"] == "csv":
-        _write_csv(prefix + ".csv", config, names, cols)
+        _write_csv(prefix + ".csv", cfg, names, cols)
 
     x0 = policy.sigma(cfg["L0"], cfg["B"], cfg["n"])
     p0, p1 = policy.pi(cfg["L0"], cfg["B"], cfg["n"])
     summary = {
-        "command": "solve",
-        "config": config,
-        "version": __version__,
+        **_head("solve", cfg),
         "rows": rows_meta,
         "at_L0": {"L": cfg["L0"], "sigma": x0, "pi0": p0, "pi1": p1},
         "ordering_scan": pi_ordering_scan(policy),
@@ -481,20 +475,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg["B"] != cfg["n"]:
-        raise ConfigError(
-            "sweep emits per-player threshold profiles, which only exist "
-            "for must-fill games; set B = n"
-        )
-    dist = TypeDistribution(cfg.spec)
+def cmd_sweep(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
     n = cfg["n"]
     Ls = _L_grid(cfg)
     # Larger games walk the diagonal of an engine table at the run's grid.
     policy = backward_induction(dist, n, n, grid_size=cfg["grid_size"]) if n >= 3 else None
     sweep = sweep_profiles(dist, n, Ls, policy=policy)
-    prefix = _out_prefix(cfg, "sweep")
-    config = _public_config(cfg)
 
     cols = (
         ["L"]
@@ -506,28 +492,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
     parts = [sweep[k] for k in ("L", "x", "pi0", "pi1", "utility", "delegate", "irregular")]
 
     if cfg["format"] == "csv":
-        _write_csv(prefix + ".csv", config, cols, parts)
+        _write_csv(prefix + ".csv", cfg, cols, parts)
     else:
-        _dump_json(
-            prefix + ".json",
-            {
-                "command": "sweep",
-                "config": config,
-                "version": __version__,
-                "columns": cols,
-                "rows": [list(rec) for rec in _records(_columns(parts))],
-            },
-        )
+        rows = [list(rec) for rec in _records(_columns(parts))]
+        _dump_json(prefix + ".json", {**_head("sweep", cfg), "columns": cols, "rows": rows})
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    dist = TypeDistribution(cfg.spec)
+def cmd_simulate(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
     policy = backward_induction(dist, cfg["B"], cfg["n"], grid_size=cfg["grid_size"])
     state = GameState(cfg["L0"], cfg["B"], cfg["n"])
     batch = simulate_runs(policy, state, cfg["runs"], cfg["seed"])
-    prefix = _out_prefix(cfg, "simulate")
-    config = _public_config(cfg)
     n = cfg["n"]
 
     if cfg["format"] == "csv":
@@ -544,13 +519,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
             batch.actions,
             batch.types,
         ]
-        _write_csv(prefix + ".csv", config, cols, parts)
+        _write_csv(prefix + ".csv", cfg, cols, parts)
 
     p0_grid, p1_grid = policy.pi(cfg["L0"], cfg["B"], cfg["n"])
     summary = {
-        "command": "simulate",
-        "config": config,
-        "version": __version__,
+        **_head("simulate", cfg),
         "estimate": completion_from_batch(batch),
         "grid_pi": {"pi0": p0_grid, "pi1": p1_grid},
         "completed_fraction": float(np.mean(batch.completed)),
@@ -560,17 +533,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    dist = TypeDistribution(cfg.spec)
+def cmd_analyze(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
     doc = {
-        "command": "analyze",
-        "config": _public_config(cfg),
-        "version": __version__,
+        **_head("analyze", cfg),
         "cascades": cascade_analyze(dist, cfg["B"]),
         "delegation": delegation_analysis(dist),
         "min_R_for_cascades": min_R_for_cascades(dist.Q),
     }
-    _dump_json(_out_prefix(cfg, "analyze") + ".json", doc)
+    _dump_json(prefix + ".json", doc)
     return 0
 
 
@@ -618,8 +588,9 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        cfg = _load_config(args)
-        return COMMANDS[args.command](cfg)
+        cfg, spec = _load_config(args)
+        prefix = cfg["out"] or f"cascadefund_{args.command}"
+        return COMMANDS[args.command](cfg, TypeDistribution(spec), prefix)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

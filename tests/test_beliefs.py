@@ -118,6 +118,13 @@ class TestQualitySpec:
             )
         TypeDistribution(spec)
 
+    def test_interior_zero_warning_points_at_the_caller(self):
+        # Not at the dataclass-generated __init__ ("<string>").
+        with pytest.warns(OutOfSupportWarning) as record:
+            QualitySpec(kind="tabulated", R=0.5, Q=0.8,
+                        knots=((0.5, 2.0), (0.6, 0.0), (0.7, 0.0), (0.8, 18.0)))
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestUniformClosedForms:
     """Uniform-quality CDFs agree with quadrature and frozen values."""

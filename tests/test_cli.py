@@ -255,10 +255,15 @@ class TestConfigHandling:
                          "knots": [[0.5, float("nan")], [0.65, 3.33], [0.8, 3.33]]}},
             {"quality": {"kind": "tabulated", "R": 0.5, "Q": 0.8,
                          "knots": [[0.5, 3.33], [float("nan"), 3.33], [0.8, 3.33]]}},
+            {"L0": "2"},
+            {"quality": {"kind": "uniform", "R": "0.5", "Q": 0.8}},
+            {"quality": {"kind": "tabulated", "R": 0.5, "Q": 0.8,
+                         "knots": [[0.5, "1"], [0.6, 4.0], [0.8, 3.5]]}},
         ],
         ids=["R-above-Q", "R-not-a-number", "L0-not-a-number", "L0-a-list", "out-not-a-path",
              "L0-a-boolean", "L_max-a-boolean", "knot-a-boolean", "knot-density-NaN",
-             "knot-position-NaN"],
+             "knot-position-NaN", "L0-a-numeric-string", "R-a-numeric-string",
+             "knot-a-numeric-string"],
     )
     def test_bad_quality_values_exit_2(self, workdir, doc):
         cfgfile = workdir / "cfg.json"

@@ -61,6 +61,20 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     assert cli.backward_induction is engine.backward_induction is solve
 
 
+def test_benchmark_setup_call_resolves_every_workload(tmp_path, monkeypatch):
+    # The benchmark child times its setup through this exact call on the
+    # first op; a break there only shows as a failed benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    from cascadefund import cli
+
+    for name in sorted(workloads.WHY):
+        work = workloads.make(name, 1)
+        workloads.write_files(work, str(tmp_path / name))
+        monkeypatch.chdir(tmp_path / name)
+        cli._load_config(cli.build_parser().parse_args(work.ops[0][1]))
+
+
 def _references(path):
     """Identifiers a source file loads, imports or reads as an attribute.
 
