@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -137,10 +138,15 @@ class QualitySpec:
             raise ConfigError(f"density integrates to {mass:.12g}, not 1")
         if np.any(ds[1:-1] == 0):
             # Zero interior density is allowed but fragments the support.
+            # Warn at the first caller past this module's frames: the
+            # generated __init__ and any classmethod building the spec.
+            level, frame = 1, sys._getframe()
+            while frame.f_globals.get("__name__") == __name__:
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 "tabulated density vanishes at an interior knot",
                 OutOfSupportWarning,
-                stacklevel=3,  # past the generated __init__, at the code building the spec
+                stacklevel=level,
             )
 
     @classmethod

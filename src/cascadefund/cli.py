@@ -199,8 +199,8 @@ def _int_cells(col: np.ndarray) -> np.ndarray:
 
     The cells are as wide as the column's widest magnitude, with a sign
     byte only if the column holds a negative.  Digits come from
-    q - 10 (q // 10): numpy divides uint64 by a constant far faster than it
-    takes a uint64 remainder.
+    q - 10 (q // 10): numpy divides by a constant far faster than it takes
+    a remainder, and in uint32, used below 2**32, faster than in uint64.
     """
     if col.dtype.kind == "b":
         return (col.astype(np.uint8) + 48)[:, None]
@@ -210,7 +210,10 @@ def _int_cells(col: np.ndarray) -> np.ndarray:
     if sign:
         # Negating in uint64 gives |v| exactly, even for the most negative int64.
         mag = np.where(neg, -mag, mag)
-    width = sign + len(str(int(mag.max())))
+    top = int(mag.max(initial=0))
+    if top < 2**32:
+        mag = mag.astype(np.uint32)
+    width = sign + len(str(top))
     cells = np.empty((col.size, width), np.uint8)
     if sign:
         cells[:, 0] = 45 * neg
@@ -228,7 +231,7 @@ def _float_cells(col: np.ndarray) -> tuple[np.ndarray, int]:
 
     Returns the cells and how many of them were formatted by Python's `%`.
     The cells are cut to the widest text of the column, and lose the sign
-    byte if no cell is negative.
+    byte if no cell has its sign bit set.
 
     A finite nonzero x with e = floor(log10|x|) in [-4, 8] prints in fixed
     notation as the 9-digit mantissa m = round(S), S = |x|·10^(8-e), with
@@ -253,8 +256,9 @@ def _float_cells(col: np.ndarray) -> tuple[np.ndarray, int]:
     groups at exponent e, then one AND and one OR mask picked by (sign, e,
     last nonzero digit).  Every other cell (NaN, inf, a value needing
     scientific notation, a near tie, a carry, or a misjudged e) is
-    formatted by `'%.9g' % v`.  Exact zeros stay on the vector path as "0"
-    and "-0".
+    formatted by `'%.9g' % |v|` into the same 16 bytes: the text of |v|,
+    at most 15 bytes ("1.23456789e+308"), from byte 1, and a '-' at byte 0
+    if v < 0.  Exact zeros stay on the vector path as "0" and "-0".
     """
     x = col.astype(np.float64)
     a = np.abs(x)
@@ -281,21 +285,25 @@ def _float_cells(col: np.ndarray) -> tuple[np.ndarray, int]:
     words |= _DIGITS.take(rows[2], axis=0)
     words &= _FLOAT_AND.take(key, axis=0)
     words |= _FLOAT_OR.take(key, axis=0)
-    cells = words.view(np.uint8)[:, 0 if neg.any() else 1 : _FLOAT_END.take(key).max()]
+    cells = words.view(np.uint8)
+    end = _FLOAT_END.take(key).max(initial=0)
     slow = np.flatnonzero(~ok)
     if slow.size:
-        strs = np.array(["%.9g" % v for v in x[slow].tolist()], dtype="S")
-        tail = np.zeros((x.size, strs.itemsize), np.uint8)
-        tail[slow] = strs.view(np.uint8).reshape(slow.size, strs.itemsize)
-        cells = np.concatenate([cells, tail], axis=1)
-    return cells, slow.size
+        strs = np.array(["%.9g" % v for v in a[slow].tolist()], dtype="S")
+        cells[slow, 1 : 1 + strs.itemsize] = strs.view(np.uint8).reshape(slow.size, -1)
+        cells[slow, 0] = 45 * (x[slow] < 0)
+        end = max(end, 1 + strs.itemsize)
+    return cells[:, 0 if neg.any() else 1 : end], slow.size
 
 
-def _block_text(cols: list[np.ndarray]) -> tuple[bytes, int]:
-    """The CSV text of one block of rows, and its count of cells formatted by `%`."""
+def _block_text(cols: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """One block's rows as a NUL-padded byte matrix, and its count of cells
+    formatted by `%`.  A 2-D uint8 column holds cells formatted already."""
     cells, slow = [], 0
     for c in cols:
-        if c.dtype.kind == "f":
+        if c.ndim == 2:
+            text = c
+        elif c.dtype.kind == "f":
             text, k = _float_cells(c)
             slow += k
         else:
@@ -308,39 +316,51 @@ def _block_text(cols: list[np.ndarray]) -> tuple[bytes, int]:
         item = f"V{text.shape[1]}"
         mat[:, end - 1 - text.shape[1] : end - 1].view(item)[...] = text.view(item)
     mat[:, -1] = 10
-    del cells  # only the matrix and its text are alive from here
-    return mat.tobytes().translate(None, b"\0"), slow
+    return mat, slow
 
 
 def _write_csv(path: str, config: dict, names: list[str], parts) -> None:
     """Write the comment header, the column names, then one row per index.
 
-    Integer and boolean columns print as %d would, float columns as %.9g
-    would, byte for byte.  Each block of at most BLOCK_RUNS rows becomes
-    one uint8 matrix: each column a field as wide as that block's widest
-    cell in it, padded with NUL bytes, with a sign byte only if the block
-    has a negative there, then a ',' or '\\n' column; dropping the NULs
-    gives the block's text.  Integers are exact in uint64, their digits
-    taken by division by 10.  Floats take the vector path of
-    `_float_cells`: 16-byte cells from digit-table words and masks, kept
-    only where the near-tie test |s - m| < 1/2 - 1e-6 and the exponent
-    checks of its docstring prove them exact, with a fall back to `%` cell
-    by cell elsewhere.  Only one block's arrays are alive at a time, so
-    memory stays flat however many rows there are.
+    A part is an array (a 2-D one gives a column per column), or a pair
+    (table, index): a list of such arrays, and per CSV row the table row
+    holding its cells.  Integer and boolean columns print as %d would,
+    float columns as %.9g would, byte for byte.  Each block of at most
+    BLOCK_RUNS rows becomes one uint8 matrix: each column a field as wide
+    as that block's widest cell in it, padded with NUL bytes, with a sign
+    byte only if the block has a negative there, then a ',' or '\\n'
+    column; dropping the NULs gives the block's text.  A table is formatted
+    once, and each block gathers its rows.  Integers are exact in uint64
+    (uint32 below 2**32), their digits taken by division by 10.  Floats
+    take the vector path of `_float_cells`: 16-byte cells from digit-table
+    words and masks, kept only where the near-tie test |s - m| < 1/2 - 1e-6
+    and the exponent checks of its docstring prove them exact, with a fall
+    back to `%` cell by cell elsewhere.  Only one block's arrays are alive
+    at a time, so memory stays flat however many rows there are.
     One DEBUG record on the "cascadefund" logger gives the rows, the cells
-    and the cells formatted by `%`.
+    (rows times columns) and the cells formatted by `%`; a table's cell
+    counts once.
     """
-    cols = _columns(parts)
+    cols, tables, slow = [], {}, 0
+    for part in parts:
+        if isinstance(part, tuple):
+            text, k = _block_text(_columns(part[0]))
+            # Gathered as one cell: each table row less its '\n'.
+            tables[len(cols)], part, slow = text[:, :-1], part[1], slow + k
+        cols.extend(_columns([part]))
     rows = len(cols[0])
-    slow = 0
     _ensure_dir(path)
     with open(path, "wb") as fh:
         fh.write(_csv_header(config, names).encode())
         for start in range(0, rows, BLOCK_RUNS):
-            text, k = _block_text([c[start : start + BLOCK_RUNS] for c in cols])
-            fh.write(text)
+            block = [c[start : start + BLOCK_RUNS] for c in cols]
+            for i, text in tables.items():
+                block[i] = text.take(block[i], axis=0)
+            mat, k = _block_text(block)
+            flat = mat.ravel()
+            fh.write(flat[flat != 0])
             slow += k
-    _debug("csv %s: %d rows, %d cells, %d formatted by %%", path, rows, rows * len(cols), slow)
+    _debug("csv %s: %d rows, %d cells, %d formatted by %%", path, rows, rows * len(names), slow)
 
 
 def _read_json(path: str, what: str):
@@ -511,14 +531,10 @@ def cmd_simulate(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
             + [f"a_{i}" for i in range(1, n + 1)]
             + [f"t_{i}" for i in range(1, n + 1)]
         )
-        parts = [
-            np.arange(len(batch)),
-            batch.world,
-            batch.completed,
-            batch.L_end,
-            batch.actions,
-            batch.types,
-        ]
+        # Row batch.cell = 2h + w holds what history h fixes, in world w.
+        table = [np.tile(np.arange(2, dtype=np.int8), len(batch.odds)),
+                 *(np.repeat(c, 2, axis=0) for c in (batch.filled, batch.odds, batch.paths))]
+        parts = [np.arange(len(batch)), (table, batch.cell), batch.types]
         _write_csv(prefix + ".csv", cfg, cols, parts)
 
     p0_grid, p1_grid = policy.pi(cfg["L0"], cfg["B"], cfg["n"])
@@ -526,7 +542,7 @@ def cmd_simulate(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
         **_head("simulate", cfg),
         "estimate": completion_from_batch(batch),
         "grid_pi": {"pi0": p0_grid, "pi1": p1_grid},
-        "completed_fraction": float(np.mean(batch.completed)),
+        "completed_fraction": int(batch.counts[batch.filled].sum()) / len(batch),
         "end_stats": end_likelihood_stats(batch, dist, cfg["L0"]),
     }
     _dump_json(prefix + ".json", summary)

@@ -17,7 +17,9 @@ public state depends only on the action history.  The whole batch is
 played once on its tree of histories: thresholds and odds factors are
 evaluated once per history node some run reached, at most
 min(runs, 2^k) of them, with the same elementwise arithmetic a per-run
-loop would do, so the results are the same bit for bit.
+loop would do, so the results are the same bit for bit.  What the final
+history fixes (the actions, the final odds, completion) is kept once per
+history, and the statistics read run counts per (history, world).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,21 +50,36 @@ BLOCK_RUNS = 4096
 
 @dataclass(frozen=True)
 class BatchRuns:
-    """Column-wise stack of simulated runs (one row per run).
+    """Column-wise stack of simulated runs, kept on their tree of histories.
 
-    world is the drawn world state, types the (runs, n) movers' types,
-    actions whether each mover invested, L_end the public odds after the
-    last mover, and completed whether the drive filled.
+    Per run: world, the drawn world state; types, the (runs, n) movers'
+    types; history, the index of the run's final public action history,
+    in an integer type that holds twice the number of histories.
+    Per history: paths, whether each mover invested; odds, the public odds
+    after the last mover; filled, whether the drive filled.  The per-run
+    actions, L_end and completed gather these by history.
     """
 
     world: np.ndarray
     types: np.ndarray
-    actions: np.ndarray
-    L_end: np.ndarray
-    completed: np.ndarray
+    history: np.ndarray
+    paths: np.ndarray
+    odds: np.ndarray
+    filled: np.ndarray
 
     def __len__(self) -> int:
         return len(self.world)
+
+    actions = property(lambda self: self.paths[self.history])
+    L_end = property(lambda self: self.odds[self.history])
+    completed = property(lambda self: self.filled[self.history])
+    # Each run's (history, world) pair as one index.
+    cell = property(lambda self: 2 * self.history + self.world)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Runs by (history, world): row h holds the world-0 and world-1 counts."""
+        return np.bincount(self.cell, minlength=2 * len(self.odds)).reshape(-1, 2)
 
 
 def _simulate_block(policy: PolicyTable, state: GameState, count: int, seed_seq):
@@ -83,14 +101,17 @@ def _play(policy: PolicyTable, state: GameState, types: np.ndarray):
     Runs with the same history share their public odds and need, so the
     policy and the odds factors are evaluated once per history node that
     some run reached, and each run carries only the index of its node.
-    Children of node i are numbered in (i, action) order.
+    Children of node i are numbered in (i, action) order.  Returns each
+    run's final node, and per final node its action path, odds and filled
+    flag; a node carries its path as one word, so no level copies paths.
     """
     dist = policy.dist
     runs, n = types.shape
     node = np.zeros(runs, dtype=np.intp)
     L = np.array([float(state.L)])
     need = np.array([state.B], dtype=np.int64)
-    actions = np.empty((runs, n), dtype=bool)
+    # Each node's actions so far as the bits of one word: n <= 50 < 63.
+    code = np.zeros(1, dtype=np.int64)
     for k in range(n):
         sigma = np.empty(len(L))
         # After k movers a node still needs between B - k and B investments.
@@ -99,10 +120,10 @@ def _play(policy: PolicyTable, state: GameState, types: np.ndarray):
             if m.any():
                 sigma[m] = policy.sigma(L[m], b, n - k)
         act = types[:, k] >= sigma[node]
-        actions[:, k] = act
-        child = 2 * node + act
+        node *= 2  # in place: node is now each run's child slot
+        node += act
         reached = np.zeros(2 * len(L), dtype=bool)
-        reached[child] = True
+        reached[node] = True
         slots = np.flatnonzero(reached)
         parent, up = slots >> 1, (slots & 1).astype(bool)
         # Each child needs only the odds factor of the action that made it.
@@ -111,8 +132,11 @@ def _play(policy: PolicyTable, state: GameState, types: np.ndarray):
         ratio[~up] = dist.lr_lower_tail(sigma[parent[~up]])
         L = L[parent] * ratio
         need = need[parent] - up
-        node = (np.cumsum(reached) - 1)[child]
-    return actions, L[node], need[node] <= 0
+        code = 2 * code[parent] + up
+        node = (np.cumsum(reached) - 1)[node]
+    paths = ((code[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
+    # The smallest index type that also holds the (history, world) cells.
+    return node.astype(np.min_scalar_type(2 * len(L))), paths, L, need <= 0
 
 
 def simulate_runs(
@@ -128,8 +152,7 @@ def simulate_runs(
     parts = [_simulate_block(policy, state, c, s) for c, s in zip(sizes, seeds)]
     world, types = [np.concatenate(cols) for cols in zip(*parts)]
     del parts
-    actions, L_end, completed = _play(policy, state, types)
-    return BatchRuns(world, types, actions, L_end, completed)
+    return BatchRuns(world, types, *_play(policy, state, types))
 
 
 @dataclass(frozen=True)
@@ -150,24 +173,16 @@ class CompletionEstimate:
 
 
 def completion_from_batch(batch: BatchRuns) -> CompletionEstimate:
-    """Completion frequencies by world over the runs of one batch."""
-    out = []
-    for w in (0, 1):
-        m = batch.world == w
-        cnt = int(np.sum(m))
-        if cnt == 0:
-            out.append((math.nan, math.nan, 0))
-            continue
-        p = float(np.mean(batch.completed[m]))
-        out.append((p, math.sqrt(p * (1.0 - p) / cnt), cnt))
-    return CompletionEstimate(
-        pi0_hat=out[0][0],
-        pi1_hat=out[1][0],
-        se0=out[0][1],
-        se1=out[1][1],
-        count0=out[0][2],
-        count1=out[1][2],
-    )
+    """Completion frequencies by world over the runs of one batch.
+
+    From the run counts per (history, world): the mean of a world's filled
+    flags is its exact integer count over the runs, as np.mean gives it.
+    """
+    cnt = batch.counts.sum(axis=0).tolist()
+    done = batch.counts[batch.filled].sum(axis=0).tolist()
+    p = [d / c if c else math.nan for d, c in zip(done, cnt)]
+    se = [math.sqrt(q * (1.0 - q) / c) if c else math.nan for q, c in zip(p, cnt)]
+    return CompletionEstimate(p[0], p[1], se[0], se[1], cnt[0], cnt[1])
 
 
 def estimate_completion(
@@ -184,8 +199,8 @@ def estimate_completion(
     return completion_from_batch(simulate_runs(policy, state, runs, seed))
 
 
-def _quantiles(a, qs):
-    """np.quantile(a, qs) of a 1-D array, bit for bit, from a sort.
+def _quantiles(s, qs):
+    """np.quantile(s, qs) of a sorted 1-D array, bit for bit.
 
     numpy's linear rule: at the virtual index v = (n-1) q, between the
     order statistics lo at i = floor(v) and hi at i + 1, with t = v - i,
@@ -193,7 +208,6 @@ def _quantiles(a, qs):
     itself calls np.unique, whose first call imports numpy.ma, which
     nothing else in a `simulate` run loads.
     """
-    s = np.sort(a)
     v = (s.size - 1) * np.asarray(qs, dtype=float)
     i = np.floor(v).astype(np.intp)
     lo, hi = s[i], s[np.minimum(i + 1, s.size - 1)]
@@ -214,18 +228,21 @@ def end_likelihood_stats(batch: BatchRuns, dist: TypeDistribution, L0: float) ->
     with no completed run the statistics are None.
     """
     bound = learning_bound(dist.Q)
-    ends = np.asarray(batch.L_end)[np.asarray(batch.completed, dtype=bool)]
+    odds = batch.odds[batch.filled]
+    order = np.argsort(odds)
+    # The completed runs' sorted final odds: each history's odds, once per run.
+    ends = np.repeat(odds[order], batch.counts[batch.filled].sum(axis=1)[order])
     if ends.size == 0:
         # No completed run can breach the cap.
         return {"n_completed": 0, "max": None, "q50": None, "q90": None, "q99": None,
                 "learning_bound": bound, "within_bound": True}
     q50, q90, q99 = _quantiles(ends, [0.5, 0.9, 0.99])
-    top = float(np.max(ends))
+    top = float(ends[-1])
     if L0 < up_cascade_bound(dist.Q):
         within = bool(top < bound)
         fault = f"terminal odds {top} reached the learning bound {bound}"
     else:
-        within = bool(np.all(ends == L0))
+        within = bool(np.all(odds == L0))
         fault = f"terminal odds moved from {L0} inside an up-cascade"
     if not within:
         warnings.warn(fault, RuntimeWarning)

@@ -125,6 +125,16 @@ class TestQualitySpec:
                         knots=((0.5, 2.0), (0.6, 0.0), (0.7, 0.0), (0.8, 18.0)))
         assert [w.filename for w in record] == [__file__]
 
+    @pytest.mark.parametrize("build", [
+        lambda knots: QualitySpec.tabulated(0.5, 0.8, knots, normalize=True),
+        lambda knots: QualitySpec.from_dict({"kind": "tabulated", "R": 0.5, "Q": 0.8,
+                                             "knots": [list(k) for k in knots]}),
+    ], ids=["tabulated", "from_dict"])
+    def test_interior_zero_warning_from_a_classmethod_points_at_its_caller(self, build):
+        with pytest.warns(OutOfSupportWarning) as record:
+            build(((0.5, 2.0), (0.6, 0.0), (0.7, 0.0), (0.8, 18.0)))
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestUniformClosedForms:
     """Uniform-quality CDFs agree with quadrature and frozen values."""

@@ -468,6 +468,45 @@ class TestCsvWriter:
         assert record.levelno == logging.DEBUG
         assert record.args[1:] == (3000, 6000, 4)
 
+    def test_uint32_digit_boundary(self, workdir):
+        # Digits are taken in uint32 where a block's largest magnitude is
+        # below 2**32: magnitudes 2**32 - 1 and 2**32 in one block, and in
+        # blocks on either side of that switch.
+        edge = np.array([2**32 - 1, -(2**32 - 1), 2**32, -(2**32), 4294967290, 0, 7])
+        rows = 3 * BLOCK_RUNS
+        below = np.resize(np.array([2**32 - 1, 5, 4294967290]), rows)
+        below[BLOCK_RUNS + 3] = 2**32
+        below[2 * BLOCK_RUNS + 9] = -(2**32 - 1)
+        above = -below
+        above[2 * BLOCK_RUNS + 2] = -(2**32)
+        cols = [np.resize(edge, rows), below, above, np.abs(below).astype(np.uint64)[::-1]]
+        assert _render("u.csv", cols) == _oracle(cols)
+
+    def test_indexed_part_matches_per_cell_rule(self, workdir, caplog):
+        # A table formatted once and gathered by index across a block
+        # boundary.  Its row 3 is never used, and its nan and 1e-300 cells
+        # go through %: each counts once, however many rows gather it.
+        fl = np.array([float("nan"), 1e-300, -0.0, 0.5, -2.5])
+        ints = np.array([3, -7, 0, 12, 99])
+        flags = np.array([True, False, True, False, True])
+        table = [ints, fl, flags, np.stack([fl[::-1], 2.0 * ints], axis=1)]
+        rows = BLOCK_RUNS + 5
+        index = np.resize([0, 2, 1, 4, 1, 0], rows)
+        run, tail = np.arange(rows), np.resize([0.25, -1.5, 3.0], rows)
+        flat = [run, ints[index], fl[index], flags[index], fl[::-1][index], 2.0 * ints[index], tail]
+        names = [f"c{i}" for i in range(len(flat))]
+        with caplog.at_level(logging.DEBUG, logger="cascadefund"):
+            cli._write_csv("x.csv", {}, names, [run, (table, index), tail])
+        assert (workdir / "x.csv").read_text().split("\n")[3:-1] == _oracle(flat)
+        (record,) = [r for r in caplog.records if r.name == "cascadefund"]
+        assert record.args[1:] == (rows, rows * len(flat), 4)
+
+    def test_indexed_part_with_zero_rows(self, workdir):
+        none = np.empty(0, dtype=np.intp)
+        for table in ([np.array([1.5, float("nan")]), np.array([-4, 2])],
+                      [np.empty(0), np.empty(0, dtype=int)]):
+            assert _render("e.csv", [none, (table, none), np.empty(0)]) == []
+
     def test_simulate_csv_stays_on_the_vector_path(self, workdir, caplog):
         # A later edit that sends a whole column through % fails here.
         with caplog.at_level(logging.DEBUG, logger="cascadefund"):

@@ -7,6 +7,7 @@ states reproduce their closed forms exactly, and the estimates land
 inside standard-error bands of the solved probabilities.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from cascadefund.simulate import (
     BatchRuns,
     CompletionEstimate,
     _quantiles,
+    completion_from_batch,
     end_likelihood_stats,
     estimate_completion,
     simulate_runs,
@@ -62,8 +64,9 @@ class TestDeterminism:
         st = GameState(L=1.0, B=2, n=2)
         big = simulate_runs(pol58, st, BLOCK_RUNS * 2 + 100, seed=3)
         small = simulate_runs(pol58, st, BLOCK_RUNS, seed=3)
-        cols = (big.world, big.types, big.actions, big.L_end, big.completed)
-        assert _batch_equal(BatchRuns(*(c[:BLOCK_RUNS] for c in cols)), small)
+        head = dataclasses.replace(big, **{name: getattr(big, name)[:BLOCK_RUNS]
+                                           for name in ("world", "types", "history")})
+        assert _batch_equal(head, small)
 
     def test_single_run_record(self, pol58):
         batch = simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 1, seed=5)
@@ -113,7 +116,9 @@ def _per_run_reference(policy, state, runs, seed):
             need -= act
             actions[:, k] = act
         parts.append((world, types, actions, L, need <= 0))
-    return BatchRuns(*(np.concatenate(cols) for cols in zip(*parts)))
+    # One history per run, so every per-run column is the loop's own array.
+    world, types, actions, L, filled = (np.concatenate(cols) for cols in zip(*parts))
+    return BatchRuns(world, types, np.arange(runs), actions, L, filled)
 
 
 ORACLE_CASES = {
@@ -137,6 +142,31 @@ class TestHistoryTree:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
+        # Every history is some run's, and no two share an action path.
+        assert np.bincount(got.history, minlength=len(got.odds)).min() >= 1
+        assert len(np.unique(got.paths, axis=0)) == len(got.paths) <= min(runs, 2**st.n)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_counts_give_the_per_run_statistics(self, solved, case):
+        # The counts per (history, world) give np.mean's completion
+        # frequencies and the quantiles of the sorted per-run final odds.
+        spec, grid, st, runs = ORACLE_CASES[case]
+        policy = solved(spec, st.B, st.n, grid_size=grid)
+        got = simulate_runs(policy, st, runs, seed=13)
+        want = _per_run_reference(policy, st, runs, seed=13)
+        est = completion_from_batch(got)
+        for w, p, count in ((0, est.pi0_hat, est.count0), (1, est.pi1_hat, est.count1)):
+            m = want.world == w
+            assert count == int(np.sum(m))
+            assert p == float(np.mean(want.completed[m])) or (count == 0 and np.isnan(p))
+        stats = end_likelihood_stats(got, policy.dist, st.L)
+        ends = want.L_end[want.completed]
+        assert stats["n_completed"] == ends.size
+        if ends.size:
+            want_q = _quantiles(np.sort(ends), [0.5, 0.9, 0.99]).tolist()
+            got_q = [stats[k] for k in ("q50", "q90", "q99")]
+            assert [v.hex() for v in got_q] == [v.hex() for v in want_q]
+            assert stats["max"].hex() == float(np.max(ends)).hex()
 
     def test_policy_and_tails_evaluated_once_per_history_node(self, solved, monkeypatch):
         # Before mover k at most 2^k histories exist, so n = 3 movers read
@@ -261,7 +291,7 @@ class TestEndOdds:
 
     def test_moved_odds_inside_up_cascade_are_flagged(self, pol58):
         batch = simulate_runs(pol58, GameState(L=4.5, B=2, n=2), 50, seed=8)
-        moved = BatchRuns(batch.world, batch.types, batch.actions, batch.L_end * 1.5, batch.completed)
+        moved = dataclasses.replace(batch, odds=batch.odds * 1.5)
         # A drive starting in an up-cascade must end at its starting odds.
         with pytest.warns(RuntimeWarning, match="moved from 4.5"):
             stats = end_likelihood_stats(moved, pol58.dist, 4.5)
@@ -277,7 +307,7 @@ class TestEndOdds:
         arrays += [np.array([3.0]), np.array([0.7, 0.2]), np.array([1.0, 1.0])]
         for a in arrays:
             for qs in ([0.5, 0.9, 0.99], [0.0, 0.25, 0.75, 1.0]):
-                got, want = _quantiles(a, qs), np.quantile(a, qs)
+                got, want = _quantiles(np.sort(a), qs), np.quantile(a, qs)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
