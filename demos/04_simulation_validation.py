@@ -13,19 +13,19 @@ import numpy as np
 from cascadefund.beliefs import QualitySpec, TypeDistribution
 from cascadefund.cascades import learning_bound
 from cascadefund.engine import GameState, backward_induction, completion_prob
-from cascadefund.simulate import end_likelihood_stats, simulate_runs
+from cascadefund.simulate import completion_from_batch, end_likelihood_stats, simulate_runs
 
 RUNS = 200_000
 SEED = 7
 
 
-def validate(policy, state: GameState) -> None:
+def validate(policy, state: GameState, batch) -> None:
+    """Compare the table's completion odds with the batch's frequencies,
+    as `cascadefund simulate` reports them (completion_from_batch)."""
     p0, p1 = completion_prob(state, policy)
-    batch = simulate_runs(policy, state, RUNS, seed=SEED)
-    for omega, truth in ((0, p0), (1, p1)):
-        m = batch.world == omega
-        cnt = int(np.count_nonzero(m))
-        phat = float(np.mean(batch.completed[m]))
+    est = completion_from_batch(batch)
+    for omega, truth, phat, cnt in ((0, p0, est.pi0_hat, est.count0),
+                                    (1, p1, est.pi1_hat, est.count1)):
         se = np.sqrt(max(truth * (1.0 - truth), 1e-300) / cnt)
         z = (phat - truth) / se if se > 0 else 0.0
         print(
@@ -47,9 +47,8 @@ def main() -> None:
         policy = backward_induction(dist, B, n)
         state = GameState(L0, B, n)
         print(f"  {B}-of-{n} drive, R = {R}, start odds {L0}:")
-        validate(policy, state)
-
         batch = simulate_runs(policy, state, RUNS, seed=SEED)
+        validate(policy, state, batch)
         stats = end_likelihood_stats(batch, dist, L0)
         print(
             f"    end-odds summary: {stats['n_completed']} completed, "

@@ -59,9 +59,9 @@ class OutOfSupportWarning(UserWarning):
     """A query fell outside the type support and was clamped."""
 
 
-def _as_float_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def _answer(out):
+    """A query's answer: a Python scalar for a 0-d result, else the array."""
+    return out.item() if out.ndim == 0 else out
 
 
 def _clamp(x, lo, hi):
@@ -248,7 +248,9 @@ class TypeDistribution:
 
     Exposes densities, CDFs, survival functions, and the tail likelihood
     ratios used in public-belief updates.  All evaluators accept scalars
-    or arrays.
+    or arrays.  The single-world ones and quality_quantile answer a scalar
+    with a Python float and an array with an array of its shape
+    (`_answer`); the pair forms and sf_error always give arrays.
     """
 
     def __init__(self, spec: QualitySpec):
@@ -278,12 +280,11 @@ class TypeDistribution:
 
     def pdf(self, omega: int, y):
         self._check_world(omega)
-        ya, scalar = _as_float_array(y)
+        ya = np.asarray(y, dtype=float)
         idx = np.clip(np.searchsorted(self._breaks, ya, side="right") - 1, 0, len(self._c0) - 1)
         g = self._c0[idx] + self._c1[idx] * ya
         out = np.where(omega == 1, ya * g, (1.0 - ya) * g)
-        out = np.where((ya < self.lo) | (ya > self.hi), 0.0, out)
-        return float(out) if scalar else out
+        return _answer(np.where((ya < self.lo) | (ya > self.hi), 0.0, out))
 
     # -- CDF / survival ----------------------------------------------------
 
@@ -328,9 +329,7 @@ class TypeDistribution:
     def cdf(self, omega: int, y):
         """F_omega(y); queries outside the support clamp to {0, 1} with a warning."""
         self._check_world(omega)
-        ya, scalar = _as_float_array(y)
-        out = self._pair(ya, False)[omega]
-        return float(out) if scalar else out
+        return _answer(self._pair(np.asarray(y, dtype=float), False)[omega])
 
     def cdf_pair(self, y):
         """(cdf(0, y), cdf(1, y)) as arrays, from one segment lookup, warning
@@ -340,9 +339,7 @@ class TypeDistribution:
     def sf(self, omega: int, y):
         """Survival 1 - F_omega(y), computed from the right for precision."""
         self._check_world(omega)
-        ya, scalar = _as_float_array(y)
-        out = self._pair(ya, True)[omega]
-        return float(out) if scalar else out
+        return _answer(self._pair(np.asarray(y, dtype=float), True)[omega])
 
     def sf_pair(self, y):
         """(sf(0, y), sf(1, y)) as arrays, from one segment lookup."""
@@ -397,7 +394,7 @@ class TypeDistribution:
         """The upper (lower) tail ratio world 1 over world 0 at x: 1 where
         the tails span the whole support, and its limit within
         BOUNDARY_BAND of the edge where they vanish."""
-        xa, scalar = _as_float_array(x)
+        xa = np.asarray(x, dtype=float)
         t0, t1 = self._tails(_clamp(xa, self.lo, self.hi), upper)
         Q = self.Q
         if upper:
@@ -405,20 +402,18 @@ class TypeDistribution:
         else:
             vanish, limit, whole = xa <= self.lo + BOUNDARY_BAND, (1.0 - Q) / Q, xa >= self.hi
         out = np.where(vanish, limit, t1 / np.where(t0 > 0.0, t0, 1.0))
-        out = np.where(whole, 1.0, out)
-        return float(out) if scalar else out
+        return _answer(np.where(whole, 1.0, out))
 
     # -- sampling support ----------------------------------------------------
 
     def quality_quantile(self, u):
         """Inverse CDF of the quality distribution, for inverse-transform sampling."""
-        ua, scalar = _as_float_array(u)
+        ua = np.asarray(u, dtype=float)
         if np.any((ua < 0) | (ua > 1)):
             raise DomainError("quantile argument must lie in [0, 1]")
         spec = self.spec
         if spec.kind == "uniform":
-            out = spec.R + ua * (spec.Q - spec.R)
-            return float(out) if scalar else out
+            return _answer(spec.R + ua * (spec.Q - spec.R))
         qs, ds, piece_mass = _knot_arrays(spec.knots)
         total = float(np.sum(piece_mass))
         cum = np.concatenate(([0.0], np.cumsum(piece_mass))) / total
@@ -436,8 +431,7 @@ class TypeDistribution:
                 (disc - da) / np.where(slope == 0.0, 1.0, slope),
                 np.where(da > 0.0, rem / np.where(da == 0.0, 1.0, da), 0.0),
             )
-        out = np.clip(qa + dy, spec.R, spec.Q)
-        return float(out) if scalar else out
+        return _answer(np.clip(qa + dy, spec.R, spec.Q))
 
     @staticmethod
     def _check_world(omega) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cascadefund.beliefs import DomainError, TypeDistribution
+from cascadefund.beliefs import DomainError, TypeDistribution, _answer
 from cascadefund.roots import bisect
 
 __all__ = [
@@ -90,8 +90,7 @@ def cascade_trigger(dist: TypeDistribution, x) -> float | np.ndarray:
     starting an up-cascade.
     """
     xa = np.asarray(x, dtype=float)
-    out = (1.0 - xa) / xa * dist.lr_upper_tail(xa)
-    return float(out) if out.ndim == 0 else out
+    return _answer((1.0 - xa) / xa * dist.lr_upper_tail(xa))
 
 
 def witness_intervals(dist: TypeDistribution) -> tuple[tuple[float, float], ...]:

@@ -1,9 +1,11 @@
 """Command line front end: solve, sweep, simulate, analyze.
 
-All subcommands read an optional JSON config file plus flag overrides.
-`main` resolves a run once: it checks the whole config (the sweep's
-B = n rule with the rest) and hands the subcommand that config, its type
-distribution and its output prefix.  Outputs are deterministic (stable
+One parser serves every command: the command is a positional argument,
+and one set of flags, the same for every command, may come before or
+after it.  Each run reads an optional JSON config file plus those flag
+overrides.  `main` resolves a run once: it checks the whole config (the
+sweep's B = n rule with the rest) and hands the command that config, its
+type distribution and its output prefix.  Outputs are deterministic (stable
 key order, 9 significant digits, no timestamps) and embed the fully
 resolved config and tool version in every file so a result can be
 traced back to its inputs.  Reruns with the same config and seed are
@@ -456,7 +458,7 @@ def _head(command: str, cfg: dict) -> dict:
     return {"command": command, "config": cfg, "version": __version__}
 
 
-# -- subcommands ---------------------------------------------------------------
+# -- commands ------------------------------------------------------------------
 
 
 def cmd_solve(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
@@ -573,27 +575,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cascadefund",
         description="Solve, sweep, simulate, and analyze sequential "
         "threshold-fundraising games.",
+        epilog="commands:\n"
+        "  solve     solve a policy table and write it out\n"
+        "  sweep     threshold profiles across a range of odds (B = n)\n"
+        "  simulate  Monte Carlo runs under the solved policy\n"
+        "  analyze   cascade bounds and delegation report",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve a policy table and write it out"),
-        ("sweep", "threshold profiles across a range of odds (B = n)"),
-        ("simulate", "Monte Carlo runs under the solved policy"),
-        ("analyze", "cascade bounds and delegation report"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--B", type=int, help="investments needed")
-        p.add_argument("--n", type=int, help="number of players")
-        p.add_argument("--L0", type=float, help="starting public odds")
-        p.add_argument("--grid-size", dest="grid_size", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--runs", type=int)
-        p.add_argument("--L-min", dest="L_min", type=float)
-        p.add_argument("--L-max", dest="L_max", type=float)
-        p.add_argument("--L-points", dest="L_points", type=int)
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--out", help="output path prefix")
+    parser.add_argument("command", choices=COMMANDS, help="what to run, one of the commands below")
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--B", type=int, help="investments needed")
+    parser.add_argument("--n", type=int, help="number of players")
+    parser.add_argument("--L0", type=float, help="starting public odds")
+    parser.add_argument("--grid-size", dest="grid_size", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--runs", type=int)
+    parser.add_argument("--L-min", dest="L_min", type=float)
+    parser.add_argument("--L-max", dest="L_max", type=float)
+    parser.add_argument("--L-points", dest="L_points", type=int)
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--out", help="output path prefix")
     return parser
 
 

@@ -53,7 +53,7 @@ from functools import partial
 import numpy as np
 
 from cascadefund import roots
-from cascadefund.beliefs import DomainError, TypeDistribution
+from cascadefund.beliefs import DomainError, TypeDistribution, _answer
 from cascadefund.cascades import down_cascade_bound, up_cascade_bound
 from cascadefund.roots import (
     KIND_INTERIOR,
@@ -176,25 +176,18 @@ class PolicyRow:
         self._logratio_lo, self._logratio_hi = roots._range_tables(self._live_logratio)
 
     def sigma_at(self, L):
-        La = np.asarray(L, dtype=float)
-        out = np.interp(np.log(La), self.logL, self.sigma)
-        return float(out) if out.ndim == 0 else out
+        return _answer(np.interp(np.log(np.asarray(L, dtype=float)), self.logL, self.sigma))
 
     def pi_at(self, L):
-        La = np.asarray(L, dtype=float)
-        logq = np.log(La)
+        logq = np.log(np.asarray(L, dtype=float))
         p0 = np.interp(logq, self.logL, self.pi0)
-        p1 = np.interp(logq, self.logL, self.pi1)
-        if p0.ndim == 0:
-            return float(p0), float(p1)
-        return p0, p1
+        return _answer(p0), _answer(np.interp(logq, self.logL, self.pi1))
 
     def ratio_at(self, L):
         """Completion-odds ratio pi0/pi1; +inf where completion is impossible."""
         La = np.asarray(L, dtype=float)
         out = np.exp(np.interp(np.log(La), self._live_logL, self._live_logratio))
-        out = np.where(La <= self.dead_frontier, np.inf, out)
-        return float(out) if out.ndim == 0 else out
+        return _answer(np.where(La <= self.dead_frontier, np.inf, out))
 
     def ratio_bounds(self, lo, hi):
         """Elementwise (rmin, rmax) of what `ratio_at` returns at live queries in [lo, hi].
@@ -222,8 +215,7 @@ class PolicyRow:
         idx = np.clip(
             np.searchsorted(self.logL, np.log(La)), 0, len(self.logL) - 1
         )
-        out = self.irregular[idx]
-        return bool(out) if out.ndim == 0 else out
+        return _answer(self.irregular[idx])
 
 
 def _trace_signatures(rows, dist, xflat, Lp_flat, n):

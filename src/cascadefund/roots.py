@@ -103,7 +103,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cascadefund.beliefs import DomainError, _clamp
+from cascadefund.beliefs import DomainError, _answer, _clamp
 
 __all__ = [
     "Choice",
@@ -335,7 +335,9 @@ class Settled:
 
     Filled (B <= 0): movers bet on private beliefs alone and completion is
     certain.  Unfillable (B > n): nobody invests and completion is
-    impossible.  Neither is ever irregular.
+    impossible.  Neither is ever irregular.  The child ratio is the
+    `completion_ratio` of `pi_at`'s completion chances, here and in every
+    subclass: 1 where filled, +inf where unfillable.
     """
 
     def __init__(self, dist, filled: bool):
@@ -345,23 +347,20 @@ class Settled:
     def sigma_at(self, L):
         La = np.asarray(L, dtype=float)
         out = pivotal_threshold(self.dist, La) if self.filled else np.full_like(La, self.dist.Q)
-        return float(out) if out.ndim == 0 else out
+        return _answer(out)
 
     def pi_at(self, L):
-        p = 1.0 if self.filled else 0.0
-        z = np.full_like(np.asarray(L, dtype=float), p)
-        return (z, z.copy()) if z.ndim else (p, p)
+        z = np.full_like(np.asarray(L, dtype=float), 1.0 if self.filled else 0.0)
+        return _answer(z), _answer(z.copy())
 
     def ratio_at(self, L):
-        out = np.full_like(np.asarray(L, dtype=float), 1.0 if self.filled else np.inf)
-        return float(out) if out.ndim == 0 else out
+        return _answer(completion_ratio(*self.pi_at(L)))
 
     def ratio_bounds(self, lo, hi):
         return self.ratio_at(lo), self.ratio_at(hi)
 
     def irregular_at(self, L):
-        out = np.zeros(np.shape(L), dtype=bool)
-        return bool(out) if out.ndim == 0 else out
+        return _answer(np.zeros(np.shape(L), dtype=bool))
 
 
 class LastMover(Settled):
@@ -370,22 +369,17 @@ class LastMover(Settled):
     Her investment fills the drive, so she cuts at the clipped 1/(1+L)
     (`pivotal_threshold`), as a mover of a filled drive does; completion
     is her own investment, pi_w = sf_w at that cut, and the child ratio is
-    sf_0/sf_1 there (+inf where the cut clips to Q, at the dead frontier
-    (1-Q)/Q or below).  It is never irregular, and nothing carries
-    interpolation error.
+    the `completion_ratio` of those chances, sf_0/sf_1 there (+inf where
+    the cut clips to Q, at the dead frontier (1-Q)/Q or below).  It is
+    never irregular, and nothing carries interpolation error.
     """
 
     def __init__(self, dist):
         super().__init__(dist, True)
 
     def pi_at(self, L):
-        La = np.asarray(L, dtype=float)
-        p0, p1 = self.dist.sf_pair(pivotal_threshold(self.dist, La))
-        return (p0, p1) if La.ndim else (float(p0), float(p1))
-
-    def ratio_at(self, L):
-        out = completion_ratio(*self.dist.sf_pair(pivotal_threshold(self.dist, L)))
-        return float(out) if out.ndim == 0 else out
+        p0, p1 = self.dist.sf_pair(pivotal_threshold(self.dist, L))
+        return _answer(p0), _answer(p1)
 
     def ratio_bounds(self, lo, hi):
         """(rmin, rmax) of the last mover's ratio over odds intervals [lo, hi].

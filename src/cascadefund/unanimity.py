@@ -46,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from cascadefund import roots
-from cascadefund.beliefs import DomainError, TypeDistribution
+from cascadefund.beliefs import DomainError, TypeDistribution, _answer
 from cascadefund.cascades import down_cascade_bound, in_down_cascade, in_up_cascade, witness_intervals
 from cascadefund.roots import (
     KIND_HERD_DECLINE,
@@ -111,8 +111,7 @@ class ThresholdProfile:
 def completion_prob_unanimity(dist: TypeDistribution, thresholds):
     """Completion probability by world: products of invest tails along the last axis."""
     T0, T1 = dist.sf_pair(thresholds)
-    pi0, pi1 = np.prod(T0, axis=-1), np.prod(T1, axis=-1)
-    return (float(pi0), float(pi1)) if pi0.ndim == 0 else (pi0, pi1)
+    return _answer(np.prod(T0, axis=-1)), _answer(np.prod(T1, axis=-1))
 
 
 def profile_utility(dist: TypeDistribution, L, thresholds):
@@ -152,14 +151,18 @@ def _member_residual(dist, L, xs, i):
 
 class _ExactChild:
     """The exact m-player must-fill state as an invest child: the ladder's
-    recursive solve at `depth`, behind a dead cut (below it the state
-    declines for every type, with certainty) at the analytic bound shrunk
-    a hair, so boundary queries still get the exact recursive answer.  It
-    has no ratio bounds, so its parent scans densely, and it is never
-    irregular: the ladder flags only its first mover's ties.
+    recursive solve at `depth`.  `pi_at` holds the dead cut, the analytic
+    bound shrunk a hair: at and below it the state declines for every type
+    and completion chances are exact zeros with no ladder solve, and
+    boundary queries above it still get the exact recursive answer.  The
+    child ratio is the `completion_ratio` of those chances
+    (`roots.Settled.ratio_at`).  It has no ratio bounds, so its parent
+    scans densely, and it is never irregular: the ladder flags only its
+    first mover's ties.
     """
 
     ratio_bounds = None
+    ratio_at = roots.Settled.ratio_at
     irregular_at = roots.Settled.irregular_at
 
     def __init__(self, dist, m, depth):
@@ -168,17 +171,12 @@ class _ExactChild:
 
     def pi_at(self, L):
         La = np.asarray(L, dtype=float)
-        _, p0, p1, _ = _ladder_solve(self.dist, La.reshape(-1), self.m, self.depth)
-        p0, p1 = p0.reshape(La.shape), p1.reshape(La.shape)
-        return (p0, p1) if La.ndim else (float(p0), float(p1))
-
-    def ratio_at(self, L):
-        La = np.asarray(L, dtype=float)
-        out = np.full(La.shape, np.inf)
-        live = La > self.dead
+        flat = La.reshape(-1)
+        p0, p1 = np.zeros((2, flat.size))
+        live = flat > self.dead
         if live.any():
-            out[live] = roots.completion_ratio(*self.pi_at(La[live]))
-        return float(out) if out.ndim == 0 else out
+            _, p0[live], p1[live], _ = _ladder_solve(self.dist, flat[live], self.m, self.depth)
+        return _answer(p0.reshape(La.shape)), _answer(p1.reshape(La.shape))
 
 
 def _ladder_solve(dist, Ls, m, depth=0):
@@ -381,8 +379,7 @@ def hazard_J(dist: TypeDistribution, x):
     of any one equilibrium profile, so J's monotone segments bound how
     many distinct thresholds can coexist."""
     xa = np.asarray(x, dtype=float)
-    out = xa / (1.0 - xa) * _psi(dist, xa)
-    return float(out) if out.ndim == 0 else out
+    return _answer(xa / (1.0 - xa) * _psi(dist, xa))
 
 
 def _hazard_scan(dist):

@@ -289,6 +289,10 @@ class TestConfigHandling:
     def test_unknown_flag_exit_2(self):
         assert cli.main(["solve", "--bogus"]) == 2
 
+    def test_unknown_command_exit_2(self, capsys):
+        assert cli.main(["solv", "--B", "2"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["solve", "analyze"])
     def test_unwritable_out_exit_2(self, workdir, command, capsys):
         # The prefix's directory is a regular file, so no output can be opened.
@@ -298,6 +302,41 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("cannot write output: ")
         assert "numeric failure" not in err
+
+
+FLAGS = ("--config", "--B", "--n", "--L0", "--grid-size", "--seed", "--runs",
+         "--L-min", "--L-max", "--L-points", "--format", "--out")
+COMMAND_HELP = {
+    "solve": "solve a policy table and write it out",
+    "sweep": "threshold profiles across a range of odds (B = n)",
+    "simulate": "Monte Carlo runs under the solved policy",
+    "analyze": "cascade bounds and delegation report",
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(COMMAND_HELP))
+    def test_command_help_lists_every_flag(self, command, capsys):
+        assert cli.main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        for flag in FLAGS:
+            assert f"{flag} " in text, flag
+
+    def test_help_names_every_command_with_its_sentence(self, capsys):
+        assert cli.main(["--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for command, sentence in COMMAND_HELP.items():
+            assert any(line.split() == [command, *sentence.split()] for line in lines), command
+
+    def test_flags_may_come_before_the_command(self, workdir, monkeypatch):
+        flags = ["--B", "2", "--n", "3", "--grid-size", "129", "--out", "t"]
+        for where, argv in (("before", [*flags, "solve"]), ("after", ["solve", *flags])):
+            (workdir / where).mkdir()
+            monkeypatch.chdir(workdir / where)
+            assert cli.main(argv) == 0
+        for name in ("t.csv", "t.json"):
+            before, after = ((workdir / d / name).read_bytes() for d in ("before", "after"))
+            assert before == after
 
 
 class TestNumericFailure:

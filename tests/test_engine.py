@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from cascadefund.engine import (
     find_roots,
     pi_ordering_scan,
 )
-from cascadefund.cascades import up_cascade_bound
+from cascadefund.cascades import cascade_trigger, up_cascade_bound
 from cascadefund.roots import CELL_MARGIN, LastMover, select
 from conftest import bimodal_spec, interior_zero_spec
 
@@ -167,6 +168,48 @@ def test_every_solve_child_answers_one_query_contract(kind):
     rmin, rmax = child.ratio_bounds(L, 1.1 * L)
     assert rmin.shape == rmax.shape == L.shape
     assert np.all(r >= rmin * (1.0 - CELL_MARGIN)) and np.all(r <= rmax * (1.0 + CELL_MARGIN))
+
+
+DISTRIBUTION_QUERIES = {
+    "pdf-0": lambda dist, y: dist.pdf(0, y),
+    "pdf-1": lambda dist, y: dist.pdf(1, y),
+    "cdf-0": lambda dist, y: dist.cdf(0, y),
+    "cdf-1": lambda dist, y: dist.cdf(1, y),
+    "sf-0": lambda dist, y: dist.sf(0, y),
+    "sf-1": lambda dist, y: dist.sf(1, y),
+    "lr_upper_tail": TypeDistribution.lr_upper_tail,
+    "lr_lower_tail": TypeDistribution.lr_lower_tail,
+    "cascade_trigger": cascade_trigger,
+    "hazard_J": unanimity.hazard_J,
+}
+
+
+@pytest.mark.parametrize("spec", [QualitySpec.uniform(0.5, 0.8), QualitySpec.uniform(0.65, 0.8),
+                                  bimodal_spec()], ids=["uniform", "gap", "tabulated"])
+def test_every_distribution_query_answers_one_query_contract(spec):
+    # The distribution-level half of the contract: a scalar query gives a
+    # Python float, and an array query, 2-D included, an array of its
+    # shape, elementwise what the scalar queries give.
+    dist = TypeDistribution(spec)
+    y = np.linspace(dist.lo, dist.hi - 1e-3, 12).reshape(3, 4)
+    u = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    queries = {name: (partial(f, dist), y) for name, f in DISTRIBUTION_QUERIES.items()}
+    queries["quality_quantile"] = dist.quality_quantile, u
+    for name, (query, q) in queries.items():
+        out = query(q)
+        assert type(out) is np.ndarray and out.shape == q.shape, name
+        for k in np.ndindex(q.shape):
+            got = query(float(q[k]))
+            assert type(got) is float and got == out[k], (name, k)
+
+    # One profile per row of members: a pair of floats for one profile,
+    # a pair of arrays of the leading shape for a stack of them.
+    profiles = np.linspace(dist.lo, dist.hi, 24).reshape(2, 4, 3)
+    pair = unanimity.completion_prob_unanimity(dist, profiles)
+    assert [p.shape for p in pair] == [(2, 4), (2, 4)]
+    for k in np.ndindex(2, 4):
+        got = unanimity.completion_prob_unanimity(dist, profiles[k])
+        assert [type(p) for p in got] == [float, float] and got == (pair[0][k], pair[1][k])
 
 
 def test_only_terminal_states_have_a_terminal_convention():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import bimodal_spec, interior_zero_spec, triangular_spec
 
-from cascadefund import roots
+from cascadefund import roots, unanimity
 from cascadefund.beliefs import DomainError, QualitySpec, TypeDistribution
 from cascadefund.unanimity import (
     DelegationReport,
@@ -30,7 +30,13 @@ from cascadefund.unanimity import (
     solve_unanimity,
     sweep_profiles,
 )
-from cascadefund.unanimity import _ladder_solve, _level_brackets, _member_residual, _profile_valid
+from cascadefund.unanimity import (
+    _ExactChild,
+    _ladder_solve,
+    _level_brackets,
+    _member_residual,
+    _profile_valid,
+)
 
 EXACT_SPECS = {
     "uniform-0.5-0.8": lambda: QualitySpec.uniform(0.5, 0.8),
@@ -216,6 +222,39 @@ class TestLadderDepth:
         x, pi0, pi1, tie = _ladder_solve(dist, np.array(PIN_LADDER_ODDS), 3)
         assert [tuple(map(float.hex, map(float, r))) for r in zip(x, pi0, pi1)] == ladder
         assert not tie.any()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize(
+        "spec",
+        [QualitySpec.uniform(0.5, 0.8), QualitySpec.uniform(0.65, 0.8),
+         QualitySpec.uniform(0.55, 0.999), triangular_spec()],
+        ids=["uniform-0.5-0.8", "uniform-0.65-0.8", "uniform-0.55-0.999", "triangular"],
+    )
+    def test_exact_child_answers_its_dead_cut_without_a_ladder_solve(self, spec, m, monkeypatch):
+        # At and below the dead cut the exact child's completion chances
+        # are exact zeros, read with no ladder solve; the ladder itself
+        # gives the same there.
+        dist = TypeDistribution(spec)
+        child = _ExactChild(dist, m, 2)
+        dead = child.dead * np.array([1.0, 1.0 - 2.0**-52, 0.5, 1e-3])
+        _, want0, want1, _ = _ladder_solve(dist, dead, m, 2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _ladder_solve(*args)
+
+        monkeypatch.setattr(unanimity, "_ladder_solve", counted)
+        for L in (dead, *dead.tolist()):
+            p0, p1 = child.pi_at(L)
+            assert np.all(p0 == 0.0) and np.all(p1 == 0.0), L
+            assert np.all(child.ratio_at(L) == np.inf), L
+        assert calls == []
+        assert np.all(want0 == 0.0) and np.all(want1 == 0.0)
+        # Just above the cut the child solves the ladder there, and only there
+        # (further calls are the recursion, at fewer players).
+        child.pi_at(np.append(dead, np.nextafter(child.dead, np.inf)))
+        assert [(len(args[1]), args[2]) for args in calls if args[2] == m] == [(1, m)]
 
     @given(L=st.floats(0.3, 3.9))
     @settings(max_examples=20, deadline=None)
