@@ -191,46 +191,24 @@ class QualitySpec:
         return doc
 
 
-def _segment_arrays(spec: QualitySpec):
+def _segment_arrays(R, Q, qs, ds, slope):
     """Piecewise-linear quality factor on the type support.
 
     Returns breakpoints b[0..S] covering [1-Q, Q] and per-segment
-    coefficients (c0, c1) with quality factor c0 + c1*y on [b_j, b_j+1].
-    The gap (1-R, R) appears as an explicit zero segment; densities are
-    rescaled to unit quality mass first.
+    coefficients (c0, c1) with quality factor c0 + c1*y on [b_j, b_j+1],
+    from the knot table of `TypeDistribution`: positions qs, densities ds
+    at unit mass and each piece's slope.  The upper half [R, Q] holds the
+    table's pieces, f_q(y) = (da - slope*qa) + slope*y.  The lower half
+    [1-Q, 1-R] is their reflection in y = 1/2, f_q(1-y) =
+    (da + slope*(1-qa)) - slope*y, pieces in reverse order.  The gap
+    (1-R, R) is an explicit zero segment, present only when R > 1/2.
     """
-    if spec.kind == "uniform":
-        knots = [(spec.R, 1.0 / (spec.Q - spec.R)), (spec.Q, 1.0 / (spec.Q - spec.R))]
-    else:
-        knots = list(spec.knots)
-    qs, ds, piece_mass = _knot_arrays(knots)
-    ds = ds / float(np.sum(piece_mass))
-
-    breaks: list[float] = []
-    c0: list[float] = []
-    c1: list[float] = []
-    # Lower piece [1-Q, 1-R]: quality factor f_q(1-y), reflected knots.
-    for i in range(len(qs) - 1, 0, -1):
-        qa, qb, da, db = qs[i - 1], qs[i], ds[i - 1], ds[i]
-        slope = (db - da) / (qb - qa)
-        # f_q(1-y) = da + slope*((1-y) - qa) = (da + slope*(1-qa)) - slope*y
-        breaks.append(1.0 - qb)
-        c0.append(da + slope * (1.0 - qa))
-        c1.append(-slope)
-    # Gap, present only when R > 1/2.
-    if spec.R > 0.5:
-        breaks.append(1.0 - spec.R)
-        c0.append(0.0)
-        c1.append(0.0)
-    # Upper piece [R, Q]: quality factor f_q(y) directly.
-    for i in range(len(qs) - 1):
-        qa, qb, da, db = qs[i], qs[i + 1], ds[i], ds[i + 1]
-        slope = (db - da) / (qb - qa)
-        breaks.append(qa)
-        c0.append(da - slope * qa)
-        c1.append(slope)
-    breaks.append(spec.Q)
-    return np.array(breaks), np.array(c0), np.array(c1)
+    qa, da, gap = qs[:-1], ds[:-1], int(R > 0.5)
+    return (
+        np.r_[1.0 - qs[:0:-1], [1.0 - R] * gap, qa, Q],
+        np.r_[(da + slope * (1.0 - qa))[::-1], [0.0] * gap, da - slope * qa],
+        np.r_[-slope[::-1], [0.0] * gap, slope],
+    )
 
 
 def _seg_int_f1(a, y, c0, c1):
@@ -259,7 +237,21 @@ class TypeDistribution:
         self.Q = spec.Q
         self.lo = 1.0 - spec.Q
         self.hi = spec.Q
-        self._breaks, self._c0, self._c1 = _segment_arrays(spec)
+        if spec.kind == "uniform":
+            knots = [(spec.R, 1.0 / (spec.Q - spec.R)), (spec.Q, 1.0 / (spec.Q - spec.R))]
+        else:
+            knots = spec.knots
+        # The knot table: positions, densities rescaled to unit quality mass,
+        # each piece's slope, and the mass below each knot (the last exactly 1).
+        qs, ds, piece_mass = _knot_arrays(knots)
+        total = float(np.sum(piece_mass))
+        self._qs, self._ds = qs, ds / total
+        self._slope = np.diff(self._ds) / np.diff(qs)
+        self._cum = np.concatenate(([0.0], np.cumsum(piece_mass))) / total
+        self._cum[-1] = 1.0
+        self._breaks, self._c0, self._c1 = _segment_arrays(
+            spec.R, spec.Q, qs, self._ds, self._slope
+        )
         b, c0, c1 = self._breaks, self._c0, self._c1
         a, y = b[:-1], b[1:]
         seg1 = _seg_int_f1(a, y, c0, c1)
@@ -407,22 +399,17 @@ class TypeDistribution:
     # -- sampling support ----------------------------------------------------
 
     def quality_quantile(self, u):
-        """Inverse CDF of the quality distribution, for inverse-transform sampling."""
+        """Inverse CDF of the quality distribution, for inverse-transform
+        sampling: R + u(Q-R) for a uniform spec, else the root of the
+        quadratic mass on the knot table's piece where u falls."""
         ua = np.asarray(u, dtype=float)
         if np.any((ua < 0) | (ua > 1)):
             raise DomainError("quantile argument must lie in [0, 1]")
-        spec = self.spec
-        if spec.kind == "uniform":
-            return _answer(spec.R + ua * (spec.Q - spec.R))
-        qs, ds, piece_mass = _knot_arrays(spec.knots)
-        total = float(np.sum(piece_mass))
-        cum = np.concatenate(([0.0], np.cumsum(piece_mass))) / total
-        cum[-1] = 1.0
-        idx = np.clip(np.searchsorted(cum, ua, side="right") - 1, 0, len(piece_mass) - 1)
-        qa, qb = qs[idx], qs[idx + 1]
-        da, db = ds[idx] / total, ds[idx + 1] / total
-        rem = ua - cum[idx]
-        slope = (db - da) / (qb - qa)
+        if self.spec.kind == "uniform":
+            return _answer(self.R + ua * (self.Q - self.R))
+        idx = np.clip(np.searchsorted(self._cum, ua, side="right") - 1, 0, self._slope.size - 1)
+        qa, da, slope = self._qs[idx], self._ds[idx], self._slope[idx]
+        rem = ua - self._cum[idx]
         # Solve da*(y-qa) + slope*(y-qa)^2/2 = rem for y - qa.
         with np.errstate(invalid="ignore", divide="ignore"):
             disc = np.sqrt(np.maximum(da * da + 2.0 * slope * rem, 0.0))
@@ -431,7 +418,7 @@ class TypeDistribution:
                 (disc - da) / np.where(slope == 0.0, 1.0, slope),
                 np.where(da > 0.0, rem / np.where(da == 0.0, 1.0, da), 0.0),
             )
-        return _answer(np.clip(qa + dy, spec.R, spec.Q))
+        return _answer(np.clip(qa + dy, self.R, self.Q))
 
     @staticmethod
     def _check_world(omega) -> None:

@@ -48,13 +48,7 @@ import numpy as np
 from cascadefund import roots
 from cascadefund.beliefs import DomainError, TypeDistribution, _answer
 from cascadefund.cascades import down_cascade_bound, in_down_cascade, in_up_cascade, witness_intervals
-from cascadefund.roots import (
-    KIND_HERD_DECLINE,
-    KIND_HERD_INVEST,
-    KIND_INTERIOR,
-    RESIDUAL_TOL,
-    ROOT_XTOL,
-)
+from cascadefund.roots import RESIDUAL_TOL, ROOT_XTOL
 
 __all__ = [
     "DelegationReport",
@@ -64,7 +58,6 @@ __all__ = [
     "delegation_analysis",
     "hazard_J",
     "J_monotone_segments",
-    "profile_discriminator",
     "profile_utility",
     "social_insurance_check",
     "solve_unanimity",
@@ -94,8 +87,12 @@ class ThresholdProfile:
 
     kinds mirrors thresholds: an interior member is indifferent at its
     threshold, a herd_invest member invests for every type, a herd_decline
-    member declines for every type.  residuals hold the indifference gap
-    of each member (signed; inequality slack for herd members).
+    member declines for every type.  kinds, residuals and discriminators
+    come from one read of the profile's tails (`_member_terms`): residuals
+    hold each member's signed indifference gap (inequality slack for herd
+    members), discriminators its tremble score, NaN for a lone member.
+    pi0, pi1 and utility are completion_prob_unanimity and profile_utility
+    of the thresholds.
     """
 
     L: float
@@ -121,29 +118,30 @@ def profile_utility(dist: TypeDistribution, L, thresholds):
     return lam * pi1 - (1.0 - lam) * pi0
 
 
-def profile_discriminator(dist: TypeDistribution, L: float, thresholds, i: int) -> float:
-    """Tie-break score of member i: best tremble payoff against a rival.
+def _member_terms(dist, L, xs):
+    """Each member's kind, signed gap and tremble score, from one read of
+    the profile's tails.
 
-    roots.discriminator with member i's continuation completing by the
-    invest tails of the other members, who are also its rivals.  The
-    product form keeps members at the support edge finite.
+    The kind is a code into roots.KINDS: herd invest within 1e-12 of 1-Q,
+    herd decline within 1e-12 of Q, interior between.  The gap is
+    L*x_i/(1-x_i) - prod_{k!=i} psi(x_k), member i's indifference gap in
+    the simultaneous system.  The score is roots.discriminator with member
+    i's continuation completing by the invest tails of the other members,
+    who are also its rivals; the product form keeps members at the support
+    edge finite.  A lone member has no rival, and its score is NaN.
     """
-    xs = np.asarray(thresholds, dtype=float)
-    if len(xs) < 2:
-        raise DomainError("discriminator needs at least two members")
-    T0, T1 = dist.sf_pair(xs)
-    others = np.arange(len(xs)) != i
-    T0o, T1o = T0[others], T1[others]
-    return float(roots.discriminator(L, np.prod(T0o), np.prod(T1o), T0o, T1o))
-
-
-def _member_residual(dist, L, xs, i):
-    """Signed indifference gap of member i in the simultaneous system."""
     xs = np.asarray(xs, dtype=float)
-    others = np.arange(len(xs)) != i
-    rhs = float(np.prod(_psi(dist, xs[others]))) if others.any() else 1.0
-    xi = float(xs[i])
-    return L * xi / (1.0 - xi) - rhs
+    T0, T1 = dist.sf_pair(xs)
+    psi = _psi(dist, xs)
+    others = [np.arange(xs.size) != i for i in range(xs.size)]
+    kind = np.select([np.abs(xs - dist.lo) <= 1e-12, np.abs(xs - dist.hi) <= 1e-12], [0, 2], 1)
+    gap = L * xs / (1.0 - xs) - np.array([np.prod(psi[o]) for o in others])
+    score = np.array([
+        roots.discriminator(L, np.prod(T0[o]), np.prod(T1[o]), T0[o], T1[o])
+        if xs.size > 1 else math.nan
+        for o in others
+    ])
+    return kind, gap, score
 
 
 # -- exact recursive ladder ---------------------------------------------------
@@ -207,52 +205,34 @@ def solve_unanimity(L: float, dist: TypeDistribution, n: int) -> ThresholdProfil
     return _finish_profile(dist, float(L), thresholds)
 
 
-def _member_kind(dist, x):
-    if abs(x - dist.lo) <= 1e-12:
-        return KIND_HERD_INVEST
-    if abs(x - dist.hi) <= 1e-12:
-        return KIND_HERD_DECLINE
-    return KIND_INTERIOR
-
-
 def _finish_profile(dist, L, thresholds, reorder=False) -> ThresholdProfile:
+    """The profile of these thresholds, reordered by descending tremble
+    score (then ascending threshold) when asked."""
     xs = list(map(float, thresholds))
-    n = len(xs)
-    if reorder and n >= 2:
-        ds = [profile_discriminator(dist, L, xs, i) for i in range(n)]
-        order = sorted(range(n), key=lambda i: (-ds[i], xs[i]))
-        xs = [xs[i] for i in order]
+    if reorder:
+        score = _member_terms(dist, L, xs)[2]
+        xs = [x for _, x in sorted(zip((-score).tolist(), xs))]
+    kind, gap, score = _member_terms(dist, L, xs)
     pi0, pi1 = completion_prob_unanimity(dist, xs)
-    kinds = tuple(_member_kind(dist, x) for x in xs)
-    residuals = tuple(_member_residual(dist, L, xs, i) for i in range(n))
-    discr = (
-        tuple(profile_discriminator(dist, L, xs, i) for i in range(n))
-        if n >= 2
-        else (math.nan,)
-    )
     return ThresholdProfile(
         L=L,
         thresholds=tuple(xs),
-        kinds=kinds,
+        kinds=tuple(roots.KINDS[k] for k in kind),
         pi0=pi0,
         pi1=pi1,
         utility=profile_utility(dist, L, xs),
-        residuals=residuals,
-        discriminators=discr,
+        residuals=tuple(gap.tolist()),
+        discriminators=tuple(score.tolist()),
     )
 
 
-def _profile_valid(dist, L, xs, kinds) -> bool:
-    tol = RESIDUAL_TOL * max(1.0, L)
-    for i, (x, kind) in enumerate(zip(xs, kinds)):
-        r = _member_residual(dist, L, xs, i)
-        if kind == KIND_INTERIOR and abs(r) > tol:
-            return False
-        if kind == KIND_HERD_INVEST and r < -tol:
-            return False
-        if kind == KIND_HERD_DECLINE and r > tol:
-            return False
-    return True
+def _profile_valid(dist, L, xs) -> bool:
+    """No member's gap is off its kind's side by more than the residual
+    tolerance: an interior member's either way, a herd invest member's
+    below zero, a herd decline member's above zero."""
+    kind, gap, _ = _member_terms(dist, L, xs)
+    off = np.choose(kind, (-gap, np.abs(gap), gap))
+    return not np.any(off > RESIDUAL_TOL * max(1.0, L))
 
 
 def asymmetric_profiles(L: float, dist: TypeDistribution, n: int) -> list[ThresholdProfile]:
@@ -283,7 +263,7 @@ def asymmetric_profiles(L: float, dist: TypeDistribution, n: int) -> list[Thresh
         for old in found:
             if max(abs(a - b) for a, b in zip(old, xs)) <= 1e-7:
                 return
-        if _profile_valid(dist, L, xs, [_member_kind(dist, x) for x in xs]):
+        if _profile_valid(dist, L, xs):
             found.append(xs)
 
     push([lo] * n)

@@ -21,7 +21,7 @@ from cascadefund.beliefs import (
     _seg_int_f1,
     _seg_int_g,
 )
-from conftest import bimodal_spec, triangular_spec
+from conftest import bimodal_spec, interior_zero_spec, triangular_spec
 
 
 @st.composite
@@ -447,3 +447,109 @@ class TestDistributionLaws:
         ys = np.linspace(dist.lo, dist.hi, 200)
         for omega in (0, 1):
             assert_allclose(dist.cdf(omega, ys) + dist.sf(omega, ys), 1.0, atol=1e-12)
+
+
+def _piecewise_tables(spec: QualitySpec):
+    """The type-support tables built piece by piece, as a reference: each
+    half of the support by its own loop over the knots (the lower half
+    reflects them), then cumulatives, tails and `_tail_abs` from the
+    segment integrals."""
+    if spec.kind == "uniform":
+        knots = [(spec.R, 1.0 / (spec.Q - spec.R)), (spec.Q, 1.0 / (spec.Q - spec.R))]
+    else:
+        knots = list(spec.knots)
+    qs = np.array([k[0] for k in knots])
+    ds = np.array([k[1] for k in knots])
+    ds = ds / float(np.sum(np.diff(qs) * (ds[:-1] + ds[1:]) / 2.0))
+    breaks, c0, c1 = [], [], []
+    for i in range(len(qs) - 1, 0, -1):
+        qa, qb, da, db = qs[i - 1], qs[i], ds[i - 1], ds[i]
+        slope = (db - da) / (qb - qa)
+        breaks.append(1.0 - qb)
+        c0.append(da + slope * (1.0 - qa))
+        c1.append(-slope)
+    if spec.R > 0.5:
+        breaks.append(1.0 - spec.R)
+        c0.append(0.0)
+        c1.append(0.0)
+    for i in range(len(qs) - 1):
+        qa, qb, da, db = qs[i], qs[i + 1], ds[i], ds[i + 1]
+        slope = (db - da) / (qb - qa)
+        breaks.append(qa)
+        c0.append(da - slope * qa)
+        c1.append(slope)
+    breaks.append(spec.Q)
+    b, c0, c1 = np.array(breaks), np.array(c0), np.array(c1)
+    a, y = b[:-1], b[1:]
+    seg1 = _seg_int_f1(a, y, c0, c1)
+    seg0 = _seg_int_g(a, y, c0, c1) - seg1
+    seg_abs = _seg_int_g(a, y, np.abs(c0), np.abs(c1))
+
+    def tail(seg):
+        return np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+
+    return {
+        "_breaks": b,
+        "_c0": c0,
+        "_c1": c1,
+        "_cum0": np.concatenate(([0.0], np.cumsum(seg0))),
+        "_cum1": np.concatenate(([0.0], np.cumsum(seg1))),
+        "_tail0": tail(seg0),
+        "_tail1": tail(seg1),
+        "_tail_abs": tail(seg_abs),
+    }
+
+
+def _piecewise_quantile(spec: QualitySpec, u):
+    """Quality quantile from the knots, normalized and sloped on each call."""
+    ua = np.asarray(u, dtype=float)
+    if spec.kind == "uniform":
+        return spec.R + ua * (spec.Q - spec.R)
+    qs = np.array([k[0] for k in spec.knots])
+    ds = np.array([k[1] for k in spec.knots])
+    piece_mass = np.diff(qs) * (ds[:-1] + ds[1:]) / 2.0
+    total = float(np.sum(piece_mass))
+    cum = np.concatenate(([0.0], np.cumsum(piece_mass))) / total
+    cum[-1] = 1.0
+    idx = np.clip(np.searchsorted(cum, ua, side="right") - 1, 0, len(piece_mass) - 1)
+    qa, qb = qs[idx], qs[idx + 1]
+    da, db = ds[idx] / total, ds[idx + 1] / total
+    rem = ua - cum[idx]
+    slope = (db - da) / (qb - qa)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        disc = np.sqrt(np.maximum(da * da + 2.0 * slope * rem, 0.0))
+        dy = np.where(
+            np.abs(slope) > 1e-14 * np.maximum(da, 1.0),
+            (disc - da) / np.where(slope == 0.0, 1.0, slope),
+            np.where(da > 0.0, rem / np.where(da == 0.0, 1.0, da), 0.0),
+        )
+    return np.clip(qa + dy, spec.R, spec.Q)
+
+
+SUPPORT_SPECS = {
+    "uniform-0.5-0.8": lambda: QualitySpec.uniform(0.5, 0.8),
+    "uniform-0.65-0.8": lambda: QualitySpec.uniform(0.65, 0.8),
+    "triangular": triangular_spec,
+    "bimodal": bimodal_spec,
+    "interior-zero": interior_zero_spec,
+    # A gap piece on a tabulated density whose end knots sit a hair inside
+    # [R, Q]: the outer breaks are 1 - (last knot) and Q.
+    "tabulated-gap": lambda: QualitySpec.tabulated(
+        0.6, 0.85, [(0.6 + 4e-13, 1.0), (0.7, 3.0), (0.85 - 4e-13, 0.5)], normalize=True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORT_SPECS))
+def test_support_tables_match_the_piecewise_build(name):
+    # The tables every tail and quantile reads, bit for bit, against a
+    # build that takes each half of the support and each quantile piece
+    # on its own.
+    spec = SUPPORT_SPECS[name]()
+    dist = TypeDistribution(spec)
+    for attr, want in _piecewise_tables(spec).items():
+        assert getattr(dist, attr).tobytes() == want.tobytes(), attr
+    u = np.r_[np.linspace(0.0, 1.0, 2001), np.random.default_rng(33).random(2000)]
+    assert dist.quality_quantile(u).tobytes() == _piecewise_quantile(spec, u).tobytes()
+    for v in (0.0, 0.5, 1.0):
+        assert float(dist.quality_quantile(v)).hex() == float(_piecewise_quantile(spec, v)).hex()

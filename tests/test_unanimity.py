@@ -6,6 +6,7 @@ both thresholds 0.4, completion probabilities 64/225 and 0.64, utility
 which is allowed to fall back to it for three or more players.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,6 @@ from cascadefund.unanimity import (
     delegation_analysis,
     hazard_J,
     J_monotone_segments,
-    profile_discriminator,
     profile_utility,
     social_insurance_check,
     solve_unanimity,
@@ -34,7 +34,7 @@ from cascadefund.unanimity import (
     _ExactChild,
     _ladder_solve,
     _level_brackets,
-    _member_residual,
+    _member_terms,
     _profile_valid,
 )
 
@@ -183,7 +183,7 @@ class TestProfileFunctions:
         # rival's tremble, so member 1's own threshold drops out.
         dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
         L = 1.3
-        got = profile_discriminator(dist, L, (x, 0.45), 1)
+        got = _member_terms(dist, L, (x, 0.45))[2][1]
         want = L * dist.sf(1, x) ** 2 - dist.sf(0, x) ** 2
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -194,7 +194,7 @@ class TestProfileFunctions:
         want = max(
             L * T1[j] * T1[1] * T1[2] - T0[j] * T0[1] * T0[2] for j in (1, 2)
         )
-        assert profile_discriminator(dist_u58, L, xs, 0) == pytest.approx(
+        assert _member_terms(dist_u58, L, xs)[2][0] == pytest.approx(
             want, rel=1e-12
         )
 
@@ -202,8 +202,8 @@ class TestProfileFunctions:
 class TestLadderDepth:
     def test_three_player_residuals(self, dist_u58):
         prof = solve_unanimity(2.0, dist_u58, 3)
-        for i in range(3):
-            assert abs(_member_residual(dist_u58, 2.0, prof.thresholds, i)) <= 1e-9
+        for r in _member_terms(dist_u58, 2.0, prof.thresholds)[1]:
+            assert abs(r) <= 1e-9
 
     def test_three_player_pi_ordering(self, dist_u58):
         prof = solve_unanimity(2.0, dist_u58, 3)
@@ -261,8 +261,7 @@ class TestLadderDepth:
     def test_two_player_system_solves(self, L):
         dist = TypeDistribution(QualitySpec.uniform(0.5, 0.8))
         prof = solve_unanimity(L, dist, 2)
-        for i, kind in enumerate(prof.kinds):
-            r = _member_residual(dist, L, prof.thresholds, i)
+        for kind, r in zip(prof.kinds, _member_terms(dist, L, prof.thresholds)[1]):
             if kind == "interior":
                 assert abs(r) <= 1e-8
             elif kind == "herd_invest":
@@ -302,8 +301,7 @@ class TestAsymmetric:
 
     def test_profiles_are_valid_equilibria(self, dist_u658):
         for prof in asymmetric_profiles(1.6, dist_u658, 2):
-            for i, kind in enumerate(prof.kinds):
-                r = _member_residual(dist_u658, 1.6, prof.thresholds, i)
+            for kind, r in zip(prof.kinds, _member_terms(dist_u658, 1.6, prof.thresholds)[1]):
                 if kind == "interior":
                     assert abs(r) <= 1e-7
                 elif kind == "herd_invest":
@@ -323,7 +321,7 @@ class TestAsymmetric:
         # two-value split cannot reach them.
         profs = asymmetric_profiles(L, dist_u658, 4)
         for prof in profs:
-            assert _profile_valid(dist_u658, L, prof.thresholds, prof.kinds)
+            assert _profile_valid(dist_u658, L, prof.thresholds)
         assert _holds(profs, want, 1e-4)
 
     def test_set_certifies_the_ladder_and_rejects_the_blend(self, dist_u658):
@@ -336,7 +334,7 @@ class TestAsymmetric:
         assert _holds(profs, [0.3494, 0.2, 0.2, 0.3511], 1e-4)
         blend = [0.230501, 0.320663, 0.2, 0.389308]
         assert not _holds(profs, blend, 1e-4)
-        assert _member_residual(dist_u658, L, blend, 0) == pytest.approx(0.0172, abs=1e-4)
+        assert _member_terms(dist_u658, L, blend)[1][0] == pytest.approx(0.0172, abs=1e-4)
 
     @pytest.mark.parametrize("S", [1, 3, 5])
     def test_pruned_brackets_equal_the_dense_scan(self, S):
@@ -514,3 +512,35 @@ class TestSweep:
         sw = sweep_profiles(dist_u658, 2, Ls)
         assert tied
         assert np.array_equal(sw["irregular"], np.isin(Ls, tied))
+
+
+# SHA-256 of every ThresholdProfile field, as float.hex and kind strings, of
+# solve_unanimity and asymmetric_profiles at n = 1..3 on PROFILE_DIGEST_ODDS:
+# herd decline, interior, asymmetric, mixed herd and interior, herd invest.
+PROFILE_DIGEST_ODDS = (0.05, 0.9, 1.6, 4.0)
+PROFILE_DIGESTS = {
+    "uniform-0.5-0.8": "1f15cdc69c77e51bf6d99cb4f93f569e8d9d4e569dc9de835e5ac8aa09dc3be1",
+    "uniform-0.65-0.8": "5ae1a4b499a8a9b7df1a26cdfe245f6233cdaf0a0bbcd567b7ccd5ca7ea6fd18",
+    "bimodal": "bb8737ad73676f8b5391099e909a96dadaabb4cf8e4487c1856c80f6ba0b80fc",
+}
+
+
+def _profile_digest(profiles):
+    h = hashlib.sha256()
+    for p in profiles:
+        h.update(repr(p.kinds).encode())
+        for v in (p.L, *p.thresholds, p.pi0, p.pi1, p.utility, *p.residuals, *p.discriminators):
+            h.update(float(v).hex().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_DIGESTS))
+def test_profiles_keep_their_bits(name):
+    dist = TypeDistribution(EXACT_SPECS[name]())
+    profiles = [
+        p
+        for n in (1, 2, 3)
+        for L in PROFILE_DIGEST_ODDS
+        for p in (solve_unanimity(L, dist, n), *asymmetric_profiles(L, dist, n))
+    ]
+    assert _profile_digest(profiles) == PROFILE_DIGESTS[name]
