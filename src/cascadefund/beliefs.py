@@ -60,7 +60,10 @@ class OutOfSupportWarning(UserWarning):
 
 
 def _answer(out):
-    """A query's answer: a Python scalar for a 0-d result, else the array."""
+    """A query's answer: a Python scalar for a 0-d result, else the array.
+    float() turns a numpy float scalar into one faster than .item()."""
+    if isinstance(out, np.floating):
+        return float(out)
     return out.item() if out.ndim == 0 else out
 
 

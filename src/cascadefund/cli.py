@@ -51,10 +51,14 @@ from cascadefund.engine import (
     pi_ordering_scan,
 )
 from cascadefund.roots import _debug
-from cascadefund.simulate import (
+# simulate_runs is not called here; the perfbench tests check that their
+# tracer wraps it in this module too.
+from cascadefund.simulate import (  # noqa: F401
     BLOCK_RUNS,
+    CHUNK_BLOCKS,
     completion_from_batch,
     end_likelihood_stats,
+    simulate_chunks,
     simulate_runs,
 )
 from cascadefund.unanimity import delegation_analysis, sweep_profiles
@@ -321,47 +325,55 @@ def _block_text(cols: list[np.ndarray]) -> tuple[np.ndarray, int]:
     return mat, slow
 
 
-def _write_csv(path: str, config: dict, names: list[str], parts) -> None:
-    """Write the comment header, the column names, then one row per index.
+def _write_csv(path: str, config: dict, names: list[str], blocks) -> None:
+    """Write the comment header, the column names, then each row block's rows.
 
-    A part is an array (a 2-D one gives a column per column), or a pair
-    (table, index): a list of such arrays, and per CSV row the table row
-    holding its cells.  Integer and boolean columns print as %d would,
-    float columns as %.9g would, byte for byte.  Each block of at most
-    BLOCK_RUNS rows becomes one uint8 matrix: each column a field as wide
-    as that block's widest cell in it, padded with NUL bytes, with a sign
-    byte only if the block has a negative there, then a ',' or '\\n'
-    column; dropping the NULs gives the block's text.  A table is formatted
-    once, and each block gathers its rows.  Integers are exact in uint64
-    (uint32 below 2**32), their digits taken by division by 10.  Floats
-    take the vector path of `_float_cells`: 16-byte cells from digit-table
-    words and masks, kept only where the near-tie test |s - m| < 1/2 - 1e-6
-    and the exponent checks of its docstring prove them exact, with a fall
-    back to `%` cell by cell elsewhere.  Only one block's arrays are alive
-    at a time, so memory stays flat however many rows there are.
-    One DEBUG record on the "cascadefund" logger gives the rows, the cells
-    (rows times columns) and the cells formatted by `%`; a table's cell
-    counts once.
+    A row block is a list of parts, each an array (a 2-D one gives a
+    column per column), or a pair (table, index): a list of such arrays,
+    and per CSV row the table row holding its cells.  A table is formatted
+    once per row block, or once for consecutive row blocks that pass the
+    same table object, and its rows are gathered by index.  Integer and
+    boolean columns print as %d would, float columns as %.9g would, byte
+    for byte.  Each piece of at most BLOCK_RUNS rows of a row block
+    becomes one uint8 matrix: each column a field as wide as that piece's
+    widest cell in it, padded with NUL bytes, with a sign byte only if the
+    piece has a negative there, then a ',' or '\\n' column; dropping the
+    NULs gives the piece's text.  Integers are exact in uint64 (uint32
+    below 2**32), their digits taken by division by 10.  Floats take the
+    vector path of `_float_cells`: 16-byte cells from digit-table words
+    and masks, kept only where the near-tie test |s - m| < 1/2 - 1e-6 and
+    the exponent checks of its docstring prove them exact, with a fall
+    back to `%` cell by cell elsewhere.  Only one piece's text is alive at
+    a time, and row blocks may be yielded one by one as they are made, so
+    memory stays flat however many rows there are.  One DEBUG record on
+    the "cascadefund" logger gives the rows, the cells (rows times
+    columns) and the cells formatted by `%`; a table's cell counts once
+    per formatting.
     """
-    cols, tables, slow = [], {}, 0
-    for part in parts:
-        if isinstance(part, tuple):
-            text, k = _block_text(_columns(part[0]))
-            # Gathered as one cell: each table row less its '\n'.
-            tables[len(cols)], part, slow = text[:, :-1], part[1], slow + k
-        cols.extend(_columns([part]))
-    rows = len(cols[0])
+    rows = slow = 0
+    last = None, None  # the table formatted last, and its rows' text
     _ensure_dir(path)
     with open(path, "wb") as fh:
         fh.write(_csv_header(config, names).encode())
-        for start in range(0, rows, BLOCK_RUNS):
-            block = [c[start : start + BLOCK_RUNS] for c in cols]
-            for i, text in tables.items():
-                block[i] = text.take(block[i], axis=0)
-            mat, k = _block_text(block)
-            flat = mat.ravel()
-            fh.write(flat[flat != 0])
-            slow += k
+        for parts in blocks:
+            cols, tables = [], {}
+            for part in parts:
+                if isinstance(part, tuple):
+                    if part[0] is not last[0]:
+                        text, k = _block_text(_columns(part[0]))
+                        # Gathered as one cell: each table row less its '\n'.
+                        last, slow = (part[0], text[:, :-1]), slow + k
+                    tables[len(cols)], part = last[1], part[1]
+                cols.extend(_columns([part]))
+            for start in range(0, len(cols[0]), BLOCK_RUNS):
+                piece = [c[start : start + BLOCK_RUNS] for c in cols]
+                for i, text in tables.items():
+                    piece[i] = text.take(piece[i], axis=0)
+                mat, k = _block_text(piece)
+                flat = mat.ravel()
+                fh.write(flat[flat != 0])
+                slow += k
+            rows += len(cols[0])
     _debug("csv %s: %d rows, %d cells, %d formatted by %%", path, rows, rows * len(names), slow)
 
 
@@ -481,7 +493,7 @@ def cmd_solve(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
     ]
 
     if cfg["format"] == "csv":
-        _write_csv(prefix + ".csv", cfg, names, cols)
+        _write_csv(prefix + ".csv", cfg, names, [cols])
 
     x0 = policy.sigma(cfg["L0"], cfg["B"], cfg["n"])
     p0, p1 = policy.pi(cfg["L0"], cfg["B"], cfg["n"])
@@ -514,7 +526,7 @@ def cmd_sweep(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
     parts = [sweep[k] for k in ("L", "x", "pi0", "pi1", "utility", "delegate", "irregular")]
 
     if cfg["format"] == "csv":
-        _write_csv(prefix + ".csv", cfg, cols, parts)
+        _write_csv(prefix + ".csv", cfg, cols, [parts])
     else:
         rows = [list(rec) for rec in _records(_columns(parts))]
         _dump_json(prefix + ".json", {**_head("sweep", cfg), "columns": cols, "rows": rows})
@@ -524,8 +536,25 @@ def cmd_sweep(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
 def cmd_simulate(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
     policy = backward_induction(dist, cfg["B"], cfg["n"], grid_size=cfg["grid_size"])
     state = GameState(cfg["L0"], cfg["B"], cfg["n"])
-    batch = simulate_runs(policy, state, cfg["runs"], cfg["seed"])
-    n = cfg["n"]
+    runs, n = cfg["runs"], cfg["n"]
+    hist = None
+
+    def blocks():
+        """Each chunk's CSV rows, made once the previous chunk's are written;
+        only its per-history summary outlives it, merged into `hist`."""
+        nonlocal hist
+        start = 0
+        for chunk, part in simulate_chunks(policy, state, runs, cfg["seed"]):
+            if hist is None or not np.array_equal(part.code, code):
+                # Row chunk.cell = 2h + w holds what history h fixes, in world
+                # w; a chunk on the last one's histories passes its table on.
+                table = [np.tile(np.arange(2, dtype=np.int8), len(chunk.odds)),
+                         *(np.repeat(c, 2, axis=0)
+                           for c in (chunk.filled, chunk.odds, chunk.paths))]
+            code = part.code
+            hist = part if hist is None else hist.merge(part)
+            yield [np.arange(start, start + len(chunk)), (table, chunk.cell), chunk.types]
+            start += len(chunk)
 
     if cfg["format"] == "csv":
         cols = (
@@ -533,19 +562,21 @@ def cmd_simulate(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
             + [f"a_{i}" for i in range(1, n + 1)]
             + [f"t_{i}" for i in range(1, n + 1)]
         )
-        # Row batch.cell = 2h + w holds what history h fixes, in world w.
-        table = [np.tile(np.arange(2, dtype=np.int8), len(batch.odds)),
-                 *(np.repeat(c, 2, axis=0) for c in (batch.filled, batch.odds, batch.paths))]
-        parts = [np.arange(len(batch)), (table, batch.cell), batch.types]
-        _write_csv(prefix + ".csv", cfg, cols, parts)
+        _write_csv(prefix + ".csv", cfg, cols, blocks())
+    else:
+        for _ in blocks():  # the summary alone
+            pass
+    chunk_runs = CHUNK_BLOCKS * BLOCK_RUNS
+    _debug("simulate: %d runs, %d chunks of up to %d runs, %d histories",
+           runs, -(-runs // chunk_runs), chunk_runs, len(hist.code))
 
     p0_grid, p1_grid = policy.pi(cfg["L0"], cfg["B"], cfg["n"])
     summary = {
         **_head("simulate", cfg),
-        "estimate": completion_from_batch(batch),
+        "estimate": completion_from_batch(hist),
         "grid_pi": {"pi0": p0_grid, "pi1": p1_grid},
-        "completed_fraction": int(batch.counts[batch.filled].sum()) / len(batch),
-        "end_stats": end_likelihood_stats(batch, dist, cfg["L0"]),
+        "completed_fraction": int(hist.counts[hist.filled].sum()) / runs,
+        "end_stats": end_likelihood_stats(hist, dist, cfg["L0"]),
     }
     _dump_json(prefix + ".json", summary)
     return 0

@@ -92,7 +92,7 @@ class ThresholdProfile:
     hold each member's signed indifference gap (inequality slack for herd
     members), discriminators its tremble score, NaN for a lone member.
     pi0, pi1 and utility are completion_prob_unanimity and profile_utility
-    of the thresholds.
+    of the thresholds, from that same read.
     """
 
     L: float
@@ -113,14 +113,31 @@ def completion_prob_unanimity(dist: TypeDistribution, thresholds):
 
 def profile_utility(dist: TypeDistribution, L, thresholds):
     """First mover's ex-ante utility, per profile along the last axis; permutation invariant."""
-    pi0, pi1 = completion_prob_unanimity(dist, thresholds)
+    return _utility(L, *completion_prob_unanimity(dist, thresholds))
+
+
+def _utility(L, pi0, pi1):
+    """Ex-ante utility at odds L of completion chances pi0, pi1 by world."""
     lam = L / (1.0 + L)
     return lam * pi1 - (1.0 - lam) * pi0
 
 
+def _profile_tails(dist, xs):
+    """One read of a profile's tails: its thresholds as an array, their
+    invest tails by world (sf_pair) and their decline-odds factors psi."""
+    xs = np.asarray(xs, dtype=float)
+    return (xs, *dist.sf_pair(xs), _psi(dist, xs))
+
+
 def _member_terms(dist, L, xs):
     """Each member's kind, signed gap and tremble score, from one read of
-    the profile's tails.
+    the profile's tails (`_terms`)."""
+    return _terms(dist, L, *_profile_tails(dist, xs))
+
+
+def _terms(dist, L, xs, T0, T1, psi):
+    """Each member's kind, signed gap and tremble score from the profile's
+    tails, as `_profile_tails` reads them.
 
     The kind is a code into roots.KINDS: herd invest within 1e-12 of 1-Q,
     herd decline within 1e-12 of Q, interior between.  The gap is
@@ -130,9 +147,6 @@ def _member_terms(dist, L, xs):
     who are also its rivals; the product form keeps members at the support
     edge finite.  A lone member has no rival, and its score is NaN.
     """
-    xs = np.asarray(xs, dtype=float)
-    T0, T1 = dist.sf_pair(xs)
-    psi = _psi(dist, xs)
     others = [np.arange(xs.size) != i for i in range(xs.size)]
     kind = np.select([np.abs(xs - dist.lo) <= 1e-12, np.abs(xs - dist.hi) <= 1e-12], [0, 2], 1)
     gap = L * xs / (1.0 - xs) - np.array([np.prod(psi[o]) for o in others])
@@ -207,20 +221,25 @@ def solve_unanimity(L: float, dist: TypeDistribution, n: int) -> ThresholdProfil
 
 def _finish_profile(dist, L, thresholds, reorder=False) -> ThresholdProfile:
     """The profile of these thresholds, reordered by descending tremble
-    score (then ascending threshold) when asked."""
-    xs = list(map(float, thresholds))
+    score (then ascending threshold) when asked.  Its tails are read once:
+    reordering permutes them, and pi0, pi1 and the utility are
+    completion_prob_unanimity's products and profile_utility's formula."""
+    tails = _profile_tails(dist, thresholds)
+    kind, gap, score = _terms(dist, L, *tails)
     if reorder:
-        score = _member_terms(dist, L, xs)[2]
-        xs = [x for _, x in sorted(zip((-score).tolist(), xs))]
-    kind, gap, score = _member_terms(dist, L, xs)
-    pi0, pi1 = completion_prob_unanimity(dist, xs)
+        keys = zip((-score).tolist(), tails[0].tolist(), range(score.size))
+        order = [i for *_, i in sorted(keys)]
+        tails = tuple(t[order] for t in tails)
+        kind, gap, score = _terms(dist, L, *tails)
+    xs, T0, T1, _ = tails
+    pi0, pi1 = float(np.prod(T0)), float(np.prod(T1))
     return ThresholdProfile(
         L=L,
-        thresholds=tuple(xs),
+        thresholds=tuple(xs.tolist()),
         kinds=tuple(roots.KINDS[k] for k in kind),
         pi0=pi0,
         pi1=pi1,
-        utility=profile_utility(dist, L, xs),
+        utility=_utility(L, pi0, pi1),
         residuals=tuple(gap.tolist()),
         discriminators=tuple(score.tolist()),
     )

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from cascadefund.beliefs import QualitySpec
 from cascadefund.engine import GameState
 from cascadefund.simulate import (
     BLOCK_RUNS,
+    CHUNK_BLOCKS,
     completion_from_batch,
     estimate_completion,
     simulate_runs,
@@ -145,6 +147,37 @@ class TestSimulate:
             "q99": None,
             "within_bound": True,
         }
+
+    def test_one_record_gives_the_chunks(self, workdir, caplog, solved):
+        # The chunked golden's runs: two whole chunks and a partial third,
+        # whose own last block is partial too.
+        runs = 37768
+        assert 2 * CHUNK_BLOCKS * BLOCK_RUNS < runs < 3 * CHUNK_BLOCKS * BLOCK_RUNS
+        assert runs % BLOCK_RUNS
+        with caplog.at_level(logging.DEBUG, logger="cascadefund"):
+            assert run(workdir, *CHUNKED_ARGV) == 0
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("simulate: ")]
+        assert record.levelno == logging.DEBUG
+        policy = solved(QualitySpec.uniform(0.5, 0.8), 2, 3, grid_size=129)
+        histories = len(simulate_runs(policy, GameState(L=1.0, B=2, n=3), runs, seed=11).odds)
+        assert record.args == (runs, 3, CHUNK_BLOCKS * BLOCK_RUNS, histories)
+
+    def test_memory_is_flat_in_the_run_count(self, workdir):
+        # One chunk of runs is alive at a time: the traced allocation peak
+        # of a simulate at 100,000 runs is within 0.5 MB of the one at
+        # 10,000, where holding every run would add about 3.7 MB.
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                assert run(workdir, "simulate", "--B", "2", "--n", "3", "--grid-size", "65",
+                           "--runs", runs, "--out", "flat") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10_000)  # what every run shares, such as the imports' caches
+        small, big = peak(10_000), peak(100_000)
+        assert big - small <= 0.5e6
 
     def test_seed_changes_draws(self, workdir):
         base = ("simulate", "--runs", "100", "--grid-size", "301")
@@ -392,7 +425,7 @@ _CARRIES = _with_neighbours([999999999.5, 999999999.6, 99999999.95, 9.9999999995
 
 def _render(path, cols) -> list[str]:
     """The body lines `_write_csv` writes for these columns."""
-    cli._write_csv(path, {}, [f"c{i}" for i in range(len(cols))], cols)
+    cli._write_csv(path, {}, [f"c{i}" for i in range(len(cols))], [cols])
     with open(path) as fh:
         return fh.read().split("\n")[3:-1]
 
@@ -415,7 +448,7 @@ class TestCsvWriter:
         fl = np.resize(np.array(floats), rows)
         grid = np.stack([fl[::-1], fl * 3.0], axis=1)
         cli._write_csv("w.csv", {"k": 1}, ["i", "s", "p", "b", "f", "g1", "g2"],
-                       [ints, small, py_bools, np_bools, fl, grid])
+                       [[ints, small, py_bools, np_bools, fl, grid]])
         lines = (workdir / "w.csv").read_text().split("\n")
         assert lines[:3] == ['# config: {"k": 1}', f"# version: {cli.__version__}",
                              "i,s,p,b,f,g1,g2"]
@@ -427,7 +460,7 @@ class TestCsvWriter:
         assert lines[3:] == want + [""]
 
     def test_zero_row_table_writes_header_and_names(self, workdir):
-        cli._write_csv("z.csv", {"k": 1}, ["a", "b"], [np.empty(0), np.empty(0, dtype=int)])
+        cli._write_csv("z.csv", {"k": 1}, ["a", "b"], [[np.empty(0), np.empty(0, dtype=int)]])
         assert (workdir / "z.csv").read_text().split("\n") == [
             '# config: {"k": 1}', f"# version: {cli.__version__}", "a,b", ""]
 
@@ -535,7 +568,7 @@ class TestCsvWriter:
         flat = [run, ints[index], fl[index], flags[index], fl[::-1][index], 2.0 * ints[index], tail]
         names = [f"c{i}" for i in range(len(flat))]
         with caplog.at_level(logging.DEBUG, logger="cascadefund"):
-            cli._write_csv("x.csv", {}, names, [run, (table, index), tail])
+            cli._write_csv("x.csv", {}, names, [[run, (table, index), tail]])
         assert (workdir / "x.csv").read_text().split("\n")[3:-1] == _oracle(flat)
         (record,) = [r for r in caplog.records if r.name == "cascadefund"]
         assert record.args[1:] == (rows, rows * len(flat), 4)
@@ -563,6 +596,12 @@ TABULATED = {
     "Q": 0.85,
     "knots": [[q, d / 0.3] for q, d in ((0.6, 1.0), (0.7, 0.0), (0.75, 2.0), (0.85, 2.0))],
 }
+
+# A simulate over three chunks of runs, the last one partial (see
+# TestSimulate.test_one_record_gives_the_chunks); its digests were recorded
+# while one simulate still played every run as one batch.
+CHUNKED_ARGV = ["simulate", "--B", "2", "--n", "3", "--grid-size", "129", "--runs", "37768",
+                "--seed", "11", "--out", "chunked"]
 
 # Output digests of small runs, recorded before the block CSV writer, the
 # fused tail kernel and the single simulation per simulate call; those
@@ -616,6 +655,10 @@ GOLDEN = [
       "--seed", "7", "--out", "simulate"], {
         "simulate.csv": "6450aefee730e0f0f5cface1a934f131ae9df9ad3b96d7519d34fa0bb64d306b",
         "simulate.json": "a165185bb714a5de288263112a512e3d304cecfa6ad667696e622ec20df4f6c9",
+    }),
+    (CHUNKED_ARGV, {
+        "chunked.csv": "7c90a256c65b9ba6a7346d876f463eba84f175bc4c2dec274683db142265b806",
+        "chunked.json": "5b237f2afd86f75f219377abe8f2deab52c382ac234fb2bc4b8f317366abcae5",
     }),
     (["analyze", "--config", "analyze.config.json", "--out", "analyze_u"], {
         "analyze_u.json": "1dfa746a80e75e91088840d8518b5c6fb2b61066d6363bc9b3e619ec7f1b038b",

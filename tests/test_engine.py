@@ -35,7 +35,7 @@ from cascadefund.engine import (
 )
 from cascadefund.cascades import cascade_trigger, up_cascade_bound
 from cascadefund.roots import CELL_MARGIN, LastMover, select
-from conftest import bimodal_spec, interior_zero_spec
+from conftest import bimodal_spec, interior_zero_spec, triangular_spec
 
 U58 = (64.0 / 225.0, 0.64)  # (pi0, pi1) at L = 1 for uniform [0.5, 0.8]
 U58_UTIL = 16.0 / 90.0
@@ -522,3 +522,43 @@ def row_digest(table):
 def test_rows_and_their_queries_keep_their_bits(name, solved):
     make, B, n, grid, digest = ROW_DIGESTS[name]
     assert row_digest(solved(make(), B, n, grid_size=grid)) == digest
+
+
+# Scalar answers of the policy table, the quantile and the cascade trigger,
+# recorded before a numpy float scalar answer became float(x) in place of
+# x.item(): as float.hex(), in the order the test below asks them.
+SCALAR_ANSWERS = {
+    "uniform-0.5-0.8": (
+        lambda: QualitySpec.uniform(0.5, 0.8),
+        ["0x1.e5d2e2cc33ed5p-2", "0x1.bd37a6f4de9bep-2", "0x1.f895b0ea51f46p-3",
+         "0x1.5682bbb3f4c7dp-1", "0x1.913da62386cacp-1", "0x1.dc79354a3010cp-1",
+         "0x1.2e147ae147ae1p-1", "0x1.0000000000000p-1", "0x1.419d0ac19d0adp+1",
+         "0x1.04bda12f684bep+1"],
+    ),
+    "triangular": (
+        triangular_spec,
+        ["0x1.ee2da1b3bd416p-2", "0x1.bd37a6f4de9bep-2", "0x1.01eccdb98a548p-2",
+         "0x1.4a8a6ab841840p-1", "0x1.c30cbc1d9b8a4p-1", "0x1.eb61fa0abacacp-1",
+         "0x1.334907ba236d7p-1", "0x1.0000000000000p-1", "0x1.28a138095c702p+1",
+         "0x1.04dfe0299e756p+1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ANSWERS))
+def test_scalar_queries_answer_python_floats_with_their_bits(name, solved):
+    make, want = SCALAR_ANSWERS[name]
+    policy = solved(make(), 2, 3, grid_size=129)
+    dist = policy.dist
+    got = [
+        policy.sigma(0.7, 2, 3),
+        policy.sigma(1.3, 1, 2),  # B = 1: the closed-form row
+        *policy.pi(0.7, 2, 3),
+        *policy.pi(2.5, 1, 1),
+        dist.quality_quantile(0.3),
+        dist.quality_quantile(0.0),
+        cascade_trigger(dist, 0.35),
+        cascade_trigger(dist, 0.45),
+    ]
+    assert [type(v) for v in got] == [float] * len(want)
+    assert [v.hex() for v in got] == want

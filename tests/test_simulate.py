@@ -20,16 +20,19 @@ from cascadefund.beliefs import DomainError, QualitySpec, TypeDistribution
 from cascadefund.engine import GameState, PolicyTable, pi_ordering_scan
 from cascadefund.simulate import (
     BLOCK_RUNS,
+    CHUNK_BLOCKS,
     BatchRuns,
     CompletionEstimate,
+    _play,
     _quantiles,
     completion_from_batch,
     end_likelihood_stats,
     estimate_completion,
+    simulate_chunks,
     simulate_runs,
 )
 
-from conftest import bimodal_spec
+from conftest import bimodal_spec, triangular_spec
 
 U58 = QualitySpec.uniform(0.5, 0.8)
 
@@ -80,15 +83,14 @@ class TestDeterminism:
             simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 0, seed=0)
 
 
-def _per_run_reference(policy, state, runs, seed):
-    """Block-by-block draws and a mover loop in which every run queries the
-    policy and the odds factors at its own public state."""
+def _block_draws(policy, state, runs, seed):
+    """Each block's worlds and types, drawn into arrays of its own: the
+    reference for the draws into a chunk's arrays."""
     dist = policy.dist
     n = state.n
     sizes = [BLOCK_RUNS] * (runs // BLOCK_RUNS)
     if runs % BLOCK_RUNS:
         sizes.append(runs % BLOCK_RUNS)
-    parts = []
     for count, seed_seq in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
         rng = np.random.Generator(np.random.Philox(seed_seq))
         lam = state.L / (1.0 + state.L)
@@ -96,8 +98,17 @@ def _per_run_reference(policy, state, runs, seed):
         q = dist.quality_quantile(rng.random((count, n)))
         match = rng.random((count, n)) < q
         s = np.where(match, world[:, None], 1 - world[:, None])
-        types = np.where(s == 1, q, 1.0 - q)
+        yield world, np.where(s == 1, q, 1.0 - q)
 
+
+def _per_run_reference(policy, state, runs, seed):
+    """Block-by-block draws and a mover loop in which every run queries the
+    policy and the odds factors at its own public state."""
+    dist = policy.dist
+    n = state.n
+    parts = []
+    for world, types in _block_draws(policy, state, runs, seed):
+        count = len(world)
         L = np.full(count, state.L)
         need = np.full(count, state.B, dtype=np.int64)
         actions = np.zeros((count, n), dtype=bool)
@@ -119,6 +130,16 @@ def _per_run_reference(policy, state, runs, seed):
     # One history per run, so every per-run column is the loop's own array.
     world, types, actions, L, filled = (np.concatenate(cols) for cols in zip(*parts))
     return BatchRuns(world, types, np.arange(runs), actions, L, filled)
+
+
+def _whole_batch_reference(policy, state, runs, seed):
+    """Every block's draws concatenated, then played once on the whole
+    batch's tree, as simulate_runs did before it merged chunks."""
+    world, types = (np.concatenate(c) for c in zip(*_block_draws(policy, state, runs, seed)))
+    empty = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
+    history, code, odds, filled = _play(policy, state, types, [empty] * (state.n + 1))
+    paths = ((code[:, None] >> np.arange(state.n - 1, -1, -1)) & 1).astype(bool)
+    return BatchRuns(world, types, history, paths, odds, filled)
 
 
 ORACLE_CASES = {
@@ -163,7 +184,7 @@ class TestHistoryTree:
         ends = want.L_end[want.completed]
         assert stats["n_completed"] == ends.size
         if ends.size:
-            want_q = _quantiles(np.sort(ends), [0.5, 0.9, 0.99]).tolist()
+            want_q = np.quantile(ends, [0.5, 0.9, 0.99]).tolist()
             got_q = [stats[k] for k in ("q50", "q90", "q99")]
             assert [v.hex() for v in got_q] == [v.hex() for v in want_q]
             assert stats["max"].hex() == float(np.max(ends)).hex()
@@ -190,6 +211,48 @@ class TestHistoryTree:
         simulate_runs(policy, GameState(L=1.0, B=2, n=3), 20000, seed=4)
         assert 3 <= elems["sigma"] <= 2**3 - 1
         assert 6 <= elems["tail"] <= 2**4 - 2
+
+
+CHUNK_RUNS = CHUNK_BLOCKS * BLOCK_RUNS
+MERGE_CASES = {
+    "one-of-one-single-run": (U58, 129, GameState(L=0.7, B=1, n=1), 1),
+    "uniform-2-3-partial-last-chunk": (U58, 129, GameState(L=1.0, B=2, n=3), 2 * CHUNK_RUNS + 17),
+    "uniform-3-8": (U58, 513, GameState(L=1.0, B=3, n=8), 3 * CHUNK_RUNS),
+    "bimodal-5-12": (bimodal_spec(), 129, GameState(L=0.8, B=5, n=12), 3 * CHUNK_RUNS + 5),
+    "up-cascade-start": (U58, 2001, GameState(L=4.5, B=2, n=2), CHUNK_RUNS + 1),
+    "triangular-2-4": (triangular_spec(), 257, GameState(L=1.2, B=2, n=4), 2 * CHUNK_RUNS + 100),
+}
+
+
+class TestChunks:
+    @pytest.mark.parametrize("case", MERGE_CASES)
+    def test_merged_chunks_equal_one_whole_batch(self, solved, case):
+        # Every field, with its dtype and bits, and the run counts per
+        # (history, world) that the statistics read.
+        spec, grid, st, runs = MERGE_CASES[case]
+        policy = solved(spec, st.B, st.n, grid_size=grid)
+        got = simulate_runs(policy, st, runs, seed=21)
+        want = _whole_batch_reference(policy, st, runs, seed=21)
+        for name in ("world", "types", "history", "paths", "odds", "filled", "counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_chunks_and_their_summaries(self, solved):
+        # Chunks of CHUNK_RUNS runs, the last one partial, each on its own
+        # histories; their merged summary is the whole batch's.
+        policy = solved(U58, 2, 3, grid_size=129)
+        st = GameState(L=1.0, B=2, n=3)
+        runs = 2 * CHUNK_RUNS + 17
+        chunks = list(simulate_chunks(policy, st, runs, seed=2))
+        assert [len(c) for c, _ in chunks] == [CHUNK_RUNS, CHUNK_RUNS, 17]
+        batch = simulate_runs(policy, st, runs, seed=2)
+        merged = chunks[0][1].merge(chunks[1][1]).merge(chunks[2][1])
+        for name in ("odds", "filled", "counts"):
+            assert getattr(merged, name).tobytes() == getattr(batch, name).tobytes(), name
+        assert completion_from_batch(merged) == completion_from_batch(batch)
+        assert end_likelihood_stats(merged, policy.dist, 1.0) == end_likelihood_stats(
+            batch, policy.dist, 1.0)
 
 
 class TestCascadeStates:
@@ -301,14 +364,19 @@ class TestEndOdds:
         assert pi_ordering_scan(pol58)["violations"] == []
 
     def test_quantiles_are_numpys_bit_for_bit(self):
+        # Of sorted values given once per run, or once per distinct value
+        # with cumulative run counts, as end_likelihood_stats reads them.
         rng = np.random.default_rng(5)
         arrays = [rng.lognormal(0.0, 2.0, k) for k in (3, 17, 200, 20_001)]
         arrays += [rng.choice([0.25, 1.5, 4.0], 301), np.full(9, 2.5)]  # ties
+        arrays += [np.repeat(rng.lognormal(0.0, 2.0, 6), rng.integers(1, 5000, 6))]
         arrays += [np.array([3.0]), np.array([0.7, 0.2]), np.array([1.0, 1.0])]
         for a in arrays:
+            values, counts = np.unique(a, return_counts=True)
             for qs in ([0.5, 0.9, 0.99], [0.0, 0.25, 0.75, 1.0]):
-                got, want = _quantiles(np.sort(a), qs), np.quantile(a, qs)
-                assert [v.hex() for v in got] == [v.hex() for v in want]
+                want = [v.hex() for v in np.quantile(a, qs)]
+                for s, cum in ((np.sort(a), np.arange(1, a.size + 1)), (values, np.cumsum(counts))):
+                    assert [v.hex() for v in _quantiles(s, cum, qs)] == want
 
 
 def test_a_cli_simulate_leaves_numpy_ma_unimported(tmp_path):
