@@ -19,11 +19,12 @@ RUNS = 200_000
 SEED = 7
 
 
-def validate(policy, state: GameState, batch) -> None:
-    """Compare the table's completion odds with the batch's frequencies,
-    as `cascadefund simulate` reports them (completion_from_batch)."""
+def validate(policy, state: GameState, hist) -> None:
+    """Compare the table's completion odds with the simulated frequencies,
+    as `cascadefund simulate` reports them from the runs' per-history
+    summary (completion_from_batch)."""
     p0, p1 = completion_prob(state, policy)
-    est = completion_from_batch(batch)
+    est = completion_from_batch(hist)
     for omega, truth, phat, cnt in ((0, p0, est.pi0_hat, est.count0),
                                     (1, p1, est.pi1_hat, est.count1)):
         se = np.sqrt(max(truth * (1.0 - truth), 1e-300) / cnt)
@@ -32,9 +33,8 @@ def validate(policy, state: GameState, batch) -> None:
             f"    world {omega}: table {truth:.5f}, simulated {phat:.5f} "
             f"({cnt} runs), z = {z:+.2f}"
         )
-    done = batch.completed.astype(bool)
-    if np.any(done):
-        print(f"    max end odds over completed runs: {np.max(batch.L_end[done]):.4f}")
+    if np.any(hist.filled):
+        print(f"    max end odds over completed runs: {np.max(hist.odds[hist.filled]):.4f}")
 
 
 def main() -> None:
@@ -47,9 +47,9 @@ def main() -> None:
         policy = backward_induction(dist, B, n)
         state = GameState(L0, B, n)
         print(f"  {B}-of-{n} drive, R = {R}, start odds {L0}:")
-        batch = simulate_runs(policy, state, RUNS, seed=SEED)
-        validate(policy, state, batch)
-        stats = end_likelihood_stats(batch, dist, L0)
+        hist = simulate_runs(policy, state, RUNS, seed=SEED)
+        validate(policy, state, hist)
+        stats = end_likelihood_stats(hist, dist, L0)
         print(
             f"    end-odds summary: {stats['n_completed']} completed, "
             f"q90 = {stats['q90']:.4f}, max = {stats['max']:.4f}, "

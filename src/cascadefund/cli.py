@@ -331,8 +331,7 @@ def _write_csv(path: str, config: dict, names: list[str], blocks) -> None:
     A row block is a list of parts, each an array (a 2-D one gives a
     column per column), or a pair (table, index): a list of such arrays,
     and per CSV row the table row holding its cells.  A table is formatted
-    once per row block, or once for consecutive row blocks that pass the
-    same table object, and its rows are gathered by index.  Integer and
+    once per row block, and its rows are gathered by index.  Integer and
     boolean columns print as %d would, float columns as %.9g would, byte
     for byte.  Each piece of at most BLOCK_RUNS rows of a row block
     becomes one uint8 matrix: each column a field as wide as that piece's
@@ -348,10 +347,9 @@ def _write_csv(path: str, config: dict, names: list[str], blocks) -> None:
     memory stays flat however many rows there are.  One DEBUG record on
     the "cascadefund" logger gives the rows, the cells (rows times
     columns) and the cells formatted by `%`; a table's cell counts once
-    per formatting.
+    per row block.
     """
     rows = slow = 0
-    last = None, None  # the table formatted last, and its rows' text
     _ensure_dir(path)
     with open(path, "wb") as fh:
         fh.write(_csv_header(config, names).encode())
@@ -359,11 +357,9 @@ def _write_csv(path: str, config: dict, names: list[str], blocks) -> None:
             cols, tables = [], {}
             for part in parts:
                 if isinstance(part, tuple):
-                    if part[0] is not last[0]:
-                        text, k = _block_text(_columns(part[0]))
-                        # Gathered as one cell: each table row less its '\n'.
-                        last, slow = (part[0], text[:, :-1]), slow + k
-                    tables[len(cols)], part = last[1], part[1]
+                    text, k = _block_text(_columns(part[0]))
+                    # Gathered as one cell: each table row less its '\n'.
+                    tables[len(cols)], part, slow = text[:, :-1], part[1], slow + k
                 cols.extend(_columns([part]))
             for start in range(0, len(cols[0]), BLOCK_RUNS):
                 piece = [c[start : start + BLOCK_RUNS] for c in cols]
@@ -544,14 +540,11 @@ def cmd_simulate(cfg: dict, dist: TypeDistribution, prefix: str) -> int:
         only its per-history summary outlives it, merged into `hist`."""
         nonlocal hist
         start = 0
-        for chunk, part in simulate_chunks(policy, state, runs, cfg["seed"]):
-            if hist is None or not np.array_equal(part.code, code):
-                # Row chunk.cell = 2h + w holds what history h fixes, in world
-                # w; a chunk on the last one's histories passes its table on.
-                table = [np.tile(np.arange(2, dtype=np.int8), len(chunk.odds)),
-                         *(np.repeat(c, 2, axis=0)
-                           for c in (chunk.filled, chunk.odds, chunk.paths))]
-            code = part.code
+        for chunk in simulate_chunks(policy, state, runs, cfg["seed"]):
+            part = chunk.histories
+            # Row chunk.cell = 2h + w holds what history h fixes, in world w.
+            table = [np.tile(np.arange(2, dtype=np.int8), len(part.code)),
+                     *(np.repeat(c, 2, axis=0) for c in (part.filled, part.odds, chunk.paths))]
             hist = part if hist is None else hist.merge(part)
             yield [np.arange(start, start + len(chunk)), (table, chunk.cell), chunk.types]
             start += len(chunk)

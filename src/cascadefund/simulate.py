@@ -25,7 +25,7 @@ history.  Across chunks only a per-history summary is kept, merged by
 action-path code (`Histories`): the statistics read nothing but its final
 odds, filled flags and run counts per (history, world), so a caller that
 writes each chunk out before drawing the next holds memory flat in the
-run count.  `simulate_runs` merges the chunks into one batch instead.
+run count.  `simulate_runs` returns the chunks' merged summary.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -70,48 +70,13 @@ CHUNK_BLOCKS = 4
 
 
 @dataclass(frozen=True)
-class BatchRuns:
-    """Column-wise stack of simulated runs, kept on their tree of histories.
-
-    Per run: world, the drawn world state; types, the (runs, n) movers'
-    types; history, the index of the run's final public action history,
-    in an integer type that holds twice the number of histories.
-    Per history: paths, whether each mover invested; odds, the public odds
-    after the last mover; filled, whether the drive filled.  The per-run
-    actions, L_end and completed gather these by history.
-    """
-
-    world: np.ndarray
-    types: np.ndarray
-    history: np.ndarray
-    paths: np.ndarray
-    odds: np.ndarray
-    filled: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.world)
-
-    actions = property(lambda self: self.paths[self.history])
-    L_end = property(lambda self: self.odds[self.history])
-    completed = property(lambda self: self.filled[self.history])
-    # Each run's (history, world) pair as one index.
-    cell = property(lambda self: 2 * self.history + self.world)
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        """Runs by (history, world): row h holds the world-0 and world-1 counts."""
-        return np.bincount(self.cell, minlength=2 * len(self.odds)).reshape(-1, 2)
-
-
-@dataclass(frozen=True)
 class Histories:
     """Per-history summary of simulated runs, in ascending action-path code.
 
     code holds each final history's actions as the bits of one word, the
     first mover's highest; odds is the public odds after the last mover,
     filled whether the drive filled, counts the runs by (history, world).
-    A BatchRuns carries the same odds, filled and counts, so either one
-    serves completion_from_batch and end_likelihood_stats.
+    completion_from_batch and end_likelihood_stats read nothing else.
     """
 
     code: np.ndarray
@@ -132,6 +97,29 @@ class Histories:
             odds[at], filled[at] = part.odds, part.filled
             counts[at] += part.counts
         return Histories(code, odds, filled, counts)
+
+
+@dataclass(frozen=True)
+class BatchRuns:
+    """One chunk of simulated runs, kept on its own tree of histories.
+
+    Per run: world, the drawn world state; types, the (runs, n) movers'
+    types; history, the index of the run's final public action history in
+    histories, the chunk's summary, in an integer type that holds twice
+    the number of histories.  paths gives each history's actions.
+    """
+
+    world: np.ndarray
+    types: np.ndarray
+    history: np.ndarray
+    histories: Histories
+
+    def __len__(self) -> int:
+        return len(self.world)
+
+    paths = property(lambda self: _paths(self.histories.code, self.types.shape[1]))
+    # Each run's (history, world) pair as one index.
+    cell = property(lambda self: 2 * self.history + self.world)
 
 
 def _paths(code: np.ndarray, n: int) -> np.ndarray:
@@ -222,8 +210,8 @@ def _chunk(policy: PolicyTable, state: GameState, seed_seqs, count: int, known: 
         rows = slice(i * BLOCK_RUNS, (i + 1) * BLOCK_RUNS)
         _simulate_block(policy, state, seed_seq, world[rows], types[rows])
     history, code, odds, filled = _play(policy, state, types, known)
-    chunk = BatchRuns(world, types, history, _paths(code, state.n), odds, filled)
-    return chunk, Histories(code, odds, filled, chunk.counts)
+    counts = np.bincount(2 * history + world, minlength=2 * code.size).reshape(-1, 2)
+    return BatchRuns(world, types, history, Histories(code, odds, filled, counts))
 
 
 def simulate_chunks(policy: PolicyTable, state: GameState, runs: int, seed: int):
@@ -233,8 +221,8 @@ def simulate_chunks(policy: PolicyTable, state: GameState, runs: int, seed: int)
     short), drawn block by block from the seed's spawned children in block
     order and played on its own tree of histories; the chunks share the
     nodes evaluated so far (`_play`).  Yields per chunk its BatchRuns,
-    whose histories are its own, and their Histories summary; nothing of a
-    chunk stays here while the next one is drawn.
+    whose histories are its own; nothing of a chunk stays here while the
+    next one is drawn.
     """
     if runs < 1:
         raise DomainError(f"need at least one run, got {runs}")
@@ -248,19 +236,16 @@ def simulate_chunks(policy: PolicyTable, state: GameState, runs: int, seed: int)
 
 def simulate_runs(
     policy: PolicyTable, state: GameState, runs: int, seed: int
-) -> BatchRuns:
+) -> Histories:
     """Simulate `runs` independent drives from `state` under the policy.
 
-    The chunks merged into one batch: its histories are those of every
-    chunk in ascending path code, which is how one play of the whole batch
-    would number them, so the batch is the same bit for bit.
+    Returns the chunks' Histories merged: every history in ascending path
+    code, which is how one play of all the runs would number them, so the
+    summary is the same bit for bit.  One chunk is alive at a time; the
+    per-run columns are the chunks' (`simulate_chunks`).
     """
-    chunks = list(simulate_chunks(policy, state, runs, seed))
-    merged = reduce(Histories.merge, (h for _, h in chunks))
-    history = np.concatenate([np.searchsorted(merged.code, h.code)[c.history] for c, h in chunks])
-    world, types = (np.concatenate([getattr(c, k) for c, _ in chunks]) for k in ("world", "types"))
-    return BatchRuns(world, types, history.astype(np.min_scalar_type(2 * len(merged.code))),
-                     _paths(merged.code, state.n), merged.odds, merged.filled)
+    chunks = simulate_chunks(policy, state, runs, seed)
+    return reduce(Histories.merge, (chunk.histories for chunk in chunks))
 
 
 @dataclass(frozen=True)
@@ -280,15 +265,14 @@ class CompletionEstimate:
     count1: int
 
 
-def completion_from_batch(batch: BatchRuns | Histories) -> CompletionEstimate:
-    """Completion frequencies by world over the runs of one batch, or of
-    its Histories summary.
+def completion_from_batch(hist: Histories) -> CompletionEstimate:
+    """Completion frequencies by world over the runs that `hist` summarises.
 
     From the run counts per (history, world): the mean of a world's filled
     flags is its exact integer count over the runs, as np.mean gives it.
     """
-    cnt = batch.counts.sum(axis=0).tolist()
-    done = batch.counts[batch.filled].sum(axis=0).tolist()
+    cnt = hist.counts.sum(axis=0).tolist()
+    done = hist.counts[hist.filled].sum(axis=0).tolist()
     p = [d / c if c else math.nan for d, c in zip(done, cnt)]
     se = [math.sqrt(q * (1.0 - q) / c) if c else math.nan for q, c in zip(p, cnt)]
     return CompletionEstimate(p[0], p[1], se[0], se[1], cnt[0], cnt[1])
@@ -297,9 +281,9 @@ def completion_from_batch(batch: BatchRuns | Histories) -> CompletionEstimate:
 def estimate_completion(
     policy: PolicyTable, state: GameState, runs: int, seed: int
 ) -> CompletionEstimate:
-    """Completion frequencies from a fresh batch of `runs` drives.
+    """Completion frequencies from `runs` fresh drives.
 
-    The one-call library form of simulate_runs plus completion_from_batch;
+    The one-call library form of completion_from_batch on simulate_runs;
     settled states give their exact values without simulating.
     """
     if state.B <= 0 or state.B > state.n:
@@ -329,12 +313,12 @@ def _quantiles(s, cum, qs):
     return np.where(t >= 0.5, hi - d * (1 - t), lo + d * t)
 
 
-def end_likelihood_stats(batch: BatchRuns | Histories, dist: TypeDistribution, L0: float) -> dict:
+def end_likelihood_stats(hist: Histories, dist: TypeDistribution, L0: float) -> dict:
     """Terminal-odds summary over completed runs, against the learning cap.
 
-    Reads a batch, or its Histories summary: the order statistics of the
-    completed runs' final odds come from the completed histories' odds,
-    sorted, and their cumulative run counts, never from a per-run array.
+    The order statistics of the completed runs' final odds come from the
+    completed histories' odds, sorted, and their cumulative run counts in
+    `hist`, never from a per-run array.
     A drive that starts below the up-cascade bound Q/(1-Q) can never
     complete with public odds at or past (Q/(1-Q))^2: an up-cascade
     freezes learning before that.  A drive that starts at or above Q/(1-Q)
@@ -345,14 +329,14 @@ def end_likelihood_stats(batch: BatchRuns | Histories, dist: TypeDistribution, L
     with no completed run the statistics are None.
     """
     bound = learning_bound(dist.Q)
-    odds = batch.odds[batch.filled]
+    odds = hist.odds[hist.filled]
     if odds.size == 0:
         # No completed run can breach the cap.
         return {"n_completed": 0, "max": None, "q50": None, "q90": None, "q99": None,
                 "learning_bound": bound, "within_bound": True}
     order = np.argsort(odds)
     ends = odds[order]
-    cum = np.cumsum(batch.counts[batch.filled].sum(axis=1)[order])
+    cum = np.cumsum(hist.counts[hist.filled].sum(axis=1)[order])
     q50, q90, q99 = _quantiles(ends, cum, [0.5, 0.9, 0.99])
     top = float(ends[-1])
     if L0 < up_cascade_bound(dist.Q):

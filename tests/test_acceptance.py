@@ -2,8 +2,8 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
 per check.  Each test carries its own tolerance and wall-clock budget and
-builds what it needs; solved tables and simulation batches are cached at
-module scope so later checks can reuse them.
+builds what it needs; solved tables and simulation summaries are cached
+at module scope so later checks can reuse them.
 """
 
 import json
@@ -33,7 +33,7 @@ from cascadefund.engine import (
     find_roots,
     pi_ordering_scan,
 )
-from cascadefund.simulate import simulate_runs
+from cascadefund.simulate import completion_from_batch, simulate_runs
 from cascadefund.unanimity import (
     delegation_analysis,
     profile_utility,
@@ -70,7 +70,8 @@ def _policy(R: float, B: int, n: int):
 
 
 def _mc_data() -> dict:
-    """10 start states per configuration, 1e5 runs each, fixed seeds."""
+    """10 start states per configuration, 1e5 runs each, fixed seeds: each
+    start state with its runs' per-history summary."""
     if _MC:
         return _MC
     rng = np.random.default_rng(SEED)
@@ -80,8 +81,7 @@ def _mc_data() -> dict:
         cells = []
         for k, L0 in enumerate(starts):
             st = GameState(float(L0), B, n)
-            batch = simulate_runs(pol, st, 100_000, seed=SEED + 100 * ci + k)
-            cells.append((st, batch))
+            cells.append((st, simulate_runs(pol, st, 100_000, seed=SEED + 100 * ci + k)))
         _MC[name] = cells
     return _MC
 
@@ -266,12 +266,11 @@ def test_07_simulation_agrees_with_solved_completion_odds():
     cells = ok = 0
     for name, R, B, n in MC_CONFIGS:
         pol = _policy(R, B, n)
-        for st, batch in data[name]:
+        for st, hist in data[name]:
             p0, p1 = completion_prob(st, pol)
-            for omega, truth in ((0, p0), (1, p1)):
-                m = batch.world == omega
-                cnt = int(np.count_nonzero(m))
-                phat = float(np.mean(batch.completed[m]))
+            # The per-world means of the runs' filled flags, bit for bit.
+            est = completion_from_batch(hist)
+            for truth, phat, cnt in ((p0, est.pi0_hat, est.count0), (p1, est.pi1_hat, est.count1)):
                 se = math.sqrt(truth * (1.0 - truth) / cnt)
                 cells += 1
                 ok += abs(phat - truth) <= 3.0 * se
@@ -281,15 +280,13 @@ def test_07_simulation_agrees_with_solved_completion_odds():
 
 
 def test_08_completed_runs_respect_learning_cap():
-    # Piggybacks on the batches from the simulation agreement check.
+    # Piggybacks on the summaries from the simulation agreement check.
     data = _mc_data()
     cap = learning_bound(0.8)
     ends = {}
     for name in ("r50_2of2", "r65_2of2"):
         ends[name] = max(
-            float(np.max(batch.L_end[batch.completed.astype(bool)]))
-            for _, batch in data[name]
-            if np.any(batch.completed)
+            float(np.max(hist.odds[hist.filled])) for _, hist in data[name] if np.any(hist.filled)
         )
         assert ends[name] < cap, (name, ends[name])
     # Matched reliability ends inside the one-step herd bound.

@@ -4,14 +4,19 @@ Runs are deterministic in the seed and block-wise (a batch's leading
 blocks do not depend on how many runs follow), the play on the tree of
 public histories equals the per-run mover loop bit for bit, cascade
 states reproduce their closed forms exactly, and the estimates land
-inside standard-error bands of the solved probabilities.
+inside standard-error bands of the solved probabilities.  Per-run columns
+are read from the chunk stream (`_runs`); the merged summary that
+simulate_runs returns must equal one play of every run at once.
 """
 
 import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import reduce
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,8 +26,8 @@ from cascadefund.engine import GameState, PolicyTable, pi_ordering_scan
 from cascadefund.simulate import (
     BLOCK_RUNS,
     CHUNK_BLOCKS,
-    BatchRuns,
     CompletionEstimate,
+    Histories,
     _play,
     _quantiles,
     completion_from_batch,
@@ -42,41 +47,52 @@ def pol58(solved):
     return solved(U58, 2, 2)
 
 
-def _batch_equal(a: BatchRuns, b: BatchRuns) -> bool:
-    return (
-        np.array_equal(a.world, b.world)
-        and np.array_equal(a.types, b.types)
-        and np.array_equal(a.actions, b.actions)
-        and np.array_equal(a.L_end, b.L_end)
-        and np.array_equal(a.completed, b.completed)
-    )
+class Runs(NamedTuple):
+    """Per-run columns, in run order."""
+
+    world: np.ndarray
+    types: np.ndarray
+    actions: np.ndarray
+    L_end: np.ndarray
+    completed: np.ndarray
+
+
+def _runs(policy, state, runs, seed) -> Runs:
+    """Every chunk's runs, each run's columns gathered from its chunk's
+    histories."""
+    cols = [(c.world, c.types, c.paths[c.history], c.histories.odds[c.history],
+             c.histories.filled[c.history]) for c in simulate_chunks(policy, state, runs, seed)]
+    return Runs(*(np.concatenate(col) for col in zip(*cols)))
+
+
+def _runs_equal(a: Runs, b: Runs) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestDeterminism:
     def test_same_seed_same_runs(self, pol58):
         st = GameState(L=1.0, B=2, n=2)
-        a = simulate_runs(pol58, st, 500, seed=11)
-        b = simulate_runs(pol58, st, 500, seed=11)
-        assert _batch_equal(a, b)
-        c = simulate_runs(pol58, st, 500, seed=12)
-        assert not _batch_equal(a, c)
+        a = _runs(pol58, st, 500, seed=11)
+        b = _runs(pol58, st, 500, seed=11)
+        assert _runs_equal(a, b)
+        c = _runs(pol58, st, 500, seed=12)
+        assert not _runs_equal(a, c)
 
     def test_block_prefix_matches_smaller_batch(self, pol58):
         # One block per 4096 runs, each with its own spawned seed, so the
         # leading blocks of a larger batch are the smaller batch itself.
         st = GameState(L=1.0, B=2, n=2)
-        big = simulate_runs(pol58, st, BLOCK_RUNS * 2 + 100, seed=3)
-        small = simulate_runs(pol58, st, BLOCK_RUNS, seed=3)
-        head = dataclasses.replace(big, **{name: getattr(big, name)[:BLOCK_RUNS]
-                                           for name in ("world", "types", "history")})
-        assert _batch_equal(head, small)
+        big = _runs(pol58, st, BLOCK_RUNS * 2 + 100, seed=3)
+        small = _runs(pol58, st, BLOCK_RUNS, seed=3)
+        assert _runs_equal(Runs(*(col[:BLOCK_RUNS] for col in big)), small)
 
     def test_single_run_record(self, pol58):
-        batch = simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 1, seed=5)
-        assert len(batch) == 1
-        assert batch.types[0].shape == (2,)
-        assert batch.actions[0].shape == (2,)
-        assert batch.L_end.shape == (1,)
+        run = _runs(pol58, GameState(L=1.0, B=2, n=2), 1, seed=5)
+        assert len(run.world) == 1
+        assert run.types[0].shape == (2,)
+        assert run.actions[0].shape == (2,)
+        assert run.L_end.shape == (1,)
+        assert simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 1, seed=5).counts.sum() == 1
 
     def test_rejects_zero_runs(self, pol58):
         with pytest.raises(DomainError):
@@ -127,19 +143,20 @@ def _per_run_reference(policy, state, runs, seed):
             need -= act
             actions[:, k] = act
         parts.append((world, types, actions, L, need <= 0))
-    # One history per run, so every per-run column is the loop's own array.
-    world, types, actions, L, filled = (np.concatenate(cols) for cols in zip(*parts))
-    return BatchRuns(world, types, np.arange(runs), actions, L, filled)
+    return Runs(*(np.concatenate(cols) for cols in zip(*parts)))
 
 
 def _whole_batch_reference(policy, state, runs, seed):
     """Every block's draws concatenated, then played once on the whole
-    batch's tree, as simulate_runs did before it merged chunks."""
+    batch's tree: its per-run columns, and its summary, the Histories that
+    simulate_runs must return."""
     world, types = (np.concatenate(c) for c in zip(*_block_draws(policy, state, runs, seed)))
     empty = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
     history, code, odds, filled = _play(policy, state, types, [empty] * (state.n + 1))
     paths = ((code[:, None] >> np.arange(state.n - 1, -1, -1)) & 1).astype(bool)
-    return BatchRuns(world, types, history, paths, odds, filled)
+    counts = np.bincount(2 * history + world, minlength=2 * code.size).reshape(-1, 2)
+    runs = Runs(world, types, paths[history], odds[history], filled[history])
+    return runs, Histories(code, odds, filled, counts)
 
 
 ORACLE_CASES = {
@@ -157,15 +174,19 @@ class TestHistoryTree:
     def test_equals_per_run_loop(self, solved, case):
         spec, grid, st, runs = ORACLE_CASES[case]
         policy = solved(spec, st.B, st.n, grid_size=grid)
-        got = simulate_runs(policy, st, runs, seed=13)
+        got = _runs(policy, st, runs, seed=13)
         want = _per_run_reference(policy, st, runs, seed=13)
-        for name in ("world", "types", "actions", "L_end", "completed"):
+        for name in Runs._fields:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
-        # Every history is some run's, and no two share an action path.
-        assert np.bincount(got.history, minlength=len(got.odds)).min() >= 1
-        assert len(np.unique(got.paths, axis=0)) == len(got.paths) <= min(runs, 2**st.n)
+        # Every history of a chunk is some run's, and no two share an
+        # action path; so too in the merged summary.
+        for chunk in simulate_chunks(policy, st, runs, seed=13):
+            assert np.bincount(chunk.history, minlength=len(chunk.histories.code)).min() >= 1
+            assert len(np.unique(chunk.paths, axis=0)) == len(chunk.paths) <= min(runs, 2**st.n)
+        hist = simulate_runs(policy, st, runs, seed=13)
+        assert hist.counts.sum(axis=1).min() >= 1 and np.all(np.diff(hist.code) > 0)
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_counts_give_the_per_run_statistics(self, solved, case):
@@ -227,72 +248,101 @@ MERGE_CASES = {
 class TestChunks:
     @pytest.mark.parametrize("case", MERGE_CASES)
     def test_merged_chunks_equal_one_whole_batch(self, solved, case):
-        # Every field, with its dtype and bits, and the run counts per
-        # (history, world) that the statistics read.
+        # Every per-run column of the chunks, and every field of the merged
+        # summary with the run counts per (history, world) that the
+        # statistics read, with its dtype and bits.
         spec, grid, st, runs = MERGE_CASES[case]
         policy = solved(spec, st.B, st.n, grid_size=grid)
+        want_runs, want = _whole_batch_reference(policy, st, runs, seed=21)
+        got_runs = _runs(policy, st, runs, seed=21)
         got = simulate_runs(policy, st, runs, seed=21)
-        want = _whole_batch_reference(policy, st, runs, seed=21)
-        for name in ("world", "types", "history", "paths", "odds", "filled", "counts"):
+        for name in Runs._fields:
+            a, b = getattr(got_runs, name), getattr(want_runs, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        for name in ("code", "odds", "filled", "counts"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tobytes() == b.tobytes(), name
 
     def test_chunks_and_their_summaries(self, solved):
         # Chunks of CHUNK_RUNS runs, the last one partial, each on its own
-        # histories; their merged summary is the whole batch's.
+        # histories, which its summary counts and its paths decode; their
+        # merged summary is what simulate_runs returns.
         policy = solved(U58, 2, 3, grid_size=129)
         st = GameState(L=1.0, B=2, n=3)
         runs = 2 * CHUNK_RUNS + 17
         chunks = list(simulate_chunks(policy, st, runs, seed=2))
-        assert [len(c) for c, _ in chunks] == [CHUNK_RUNS, CHUNK_RUNS, 17]
-        batch = simulate_runs(policy, st, runs, seed=2)
-        merged = chunks[0][1].merge(chunks[1][1]).merge(chunks[2][1])
-        for name in ("odds", "filled", "counts"):
-            assert getattr(merged, name).tobytes() == getattr(batch, name).tobytes(), name
-        assert completion_from_batch(merged) == completion_from_batch(batch)
-        assert end_likelihood_stats(merged, policy.dist, 1.0) == end_likelihood_stats(
-            batch, policy.dist, 1.0)
+        assert [len(c) for c in chunks] == [CHUNK_RUNS, CHUNK_RUNS, 17]
+        for c in chunks:
+            h = c.histories
+            assert c.history.dtype == np.min_scalar_type(2 * len(h.code))
+            assert np.array_equal(h.counts, np.bincount(c.cell, minlength=2 * len(h.code))
+                                  .reshape(-1, 2))
+            assert np.array_equal(c.paths @ (1 << np.arange(st.n - 1, -1, -1)), h.code)
+        merged = reduce(Histories.merge, (c.histories for c in chunks))
+        hist = simulate_runs(policy, st, runs, seed=2)
+        for name in ("code", "odds", "filled", "counts"):
+            assert getattr(merged, name).tobytes() == getattr(hist, name).tobytes(), name
+
+    def test_memory_is_flat_in_the_run_count(self, solved):
+        # One chunk of runs is alive at a time: the traced allocation peak
+        # of simulate_runs over 10 whole chunks is within 0.5 MB of the one
+        # over 2.
+        policy = solved(U58, 2, 3, grid_size=129)
+        st = GameState(L=1.0, B=2, n=3)
+
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                simulate_runs(policy, st, runs, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2 * CHUNK_RUNS)  # what every call shares, such as numpy's caches
+        small, big = peak(2 * CHUNK_RUNS), peak(10 * CHUNK_RUNS)
+        assert big - small <= 0.5e6
 
 
 class TestCascadeStates:
     def test_up_cascade_everyone_invests(self, pol58):
-        batch = simulate_runs(pol58, GameState(L=4.5, B=2, n=2), 300, seed=1)
-        assert np.all(batch.actions == 1)
-        assert np.all(batch.completed)
+        run = _runs(pol58, GameState(L=4.5, B=2, n=2), 300, seed=1)
+        assert np.all(run.actions == 1)
+        assert np.all(run.completed)
         # Threshold at the support bottom is uninformative: odds frozen.
-        assert np.all(batch.L_end == 4.5)
+        assert np.all(run.L_end == 4.5)
 
     def test_down_cascade_nobody_invests(self, pol58):
-        batch = simulate_runs(pol58, GameState(L=0.05, B=2, n=2), 300, seed=1)
-        assert np.all(batch.actions == 0)
-        assert not np.any(batch.completed)
-        assert np.all(batch.L_end == 0.05)
+        run = _runs(pol58, GameState(L=0.05, B=2, n=2), 300, seed=1)
+        assert np.all(run.actions == 0)
+        assert not np.any(run.completed)
+        assert np.all(run.L_end == 0.05)
 
 
 class TestPathConsistency:
     def test_paths_replay_from_actions(self, pol58):
         st = GameState(L=0.9, B=2, n=2)
-        batch = simulate_runs(pol58, st, 50, seed=7)
+        run = _runs(pol58, st, 50, seed=7)
         dist = pol58.dist
         for i in range(50):
             L, need = st.L, st.B
             for k in range(st.n):
                 x = pol58.sigma(L, need, st.n - k)
-                act = batch.types[i, k] >= x
-                assert act == bool(batch.actions[i, k])
+                act = run.types[i, k] >= x
+                assert act == bool(run.actions[i, k])
                 L *= dist.lr_upper_tail(x) if act else dist.lr_lower_tail(x)
                 need -= int(act)
-            assert batch.L_end[i] == pytest.approx(L, rel=1e-12)
-            assert batch.completed[i] == (need <= 0)
+            assert run.L_end[i] == pytest.approx(L, rel=1e-12)
+            assert run.completed[i] == (need <= 0)
 
     def test_types_match_world_frequencies(self, pol58):
         # E[t | good] = E[1 - 2q(1-q)] = 0.56 for quality uniform on
         # [0.5, 0.8], and the bad-world mean mirrors it around 1/2.
-        batch = simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 4000, seed=9)
-        good = batch.world == 1
-        assert batch.types[good].mean() == pytest.approx(0.56, abs=0.02)
-        assert batch.types[~good].mean() == pytest.approx(0.44, abs=0.02)
+        run = _runs(pol58, GameState(L=1.0, B=2, n=2), 4000, seed=9)
+        good = run.world == 1
+        assert run.types[good].mean() == pytest.approx(0.56, abs=0.02)
+        assert run.types[~good].mean() == pytest.approx(0.44, abs=0.02)
 
 
 class TestEstimates:
@@ -318,10 +368,10 @@ class TestEstimates:
 
     def test_posterior_is_martingale(self, pol58):
         st = GameState(L=1.0, B=2, n=2)
-        batch = simulate_runs(pol58, st, 40000, seed=6)
-        p_end = batch.L_end / (1.0 + batch.L_end)
+        run = _runs(pol58, st, 40000, seed=6)
+        p_end = run.L_end / (1.0 + run.L_end)
         lam0 = st.L / (1.0 + st.L)
-        z = (p_end.mean() - lam0) / (p_end.std(ddof=1) / np.sqrt(len(batch)))
+        z = (p_end.mean() - lam0) / (p_end.std(ddof=1) / np.sqrt(len(run.L_end)))
         assert abs(z) <= 3.0
 
     def test_estimate_is_a_dataclass_with_counts(self, pol58):
@@ -332,15 +382,15 @@ class TestEstimates:
 
 class TestEndOdds:
     def test_completed_runs_respect_learning_cap(self, pol58):
-        batch = simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 20000, seed=8)
-        stats = end_likelihood_stats(batch, pol58.dist, 1.0)
+        hist = simulate_runs(pol58, GameState(L=1.0, B=2, n=2), 20000, seed=8)
+        stats = end_likelihood_stats(hist, pol58.dist, 1.0)
         assert stats["within_bound"]
         assert stats["max"] < stats["learning_bound"]
         assert stats["q50"] <= stats["q90"] <= stats["q99"] <= stats["max"]
 
     def test_empty_batch_keeps_every_key(self, pol58):
-        batch = simulate_runs(pol58, GameState(L=0.05, B=2, n=2), 50, seed=8)
-        stats = end_likelihood_stats(batch, pol58.dist, 0.05)
+        hist = simulate_runs(pol58, GameState(L=0.05, B=2, n=2), 50, seed=8)
+        stats = end_likelihood_stats(hist, pol58.dist, 0.05)
         Q = pol58.dist.Q
         assert stats == {
             "n_completed": 0,
@@ -353,8 +403,8 @@ class TestEndOdds:
         }
 
     def test_moved_odds_inside_up_cascade_are_flagged(self, pol58):
-        batch = simulate_runs(pol58, GameState(L=4.5, B=2, n=2), 50, seed=8)
-        moved = dataclasses.replace(batch, odds=batch.odds * 1.5)
+        hist = simulate_runs(pol58, GameState(L=4.5, B=2, n=2), 50, seed=8)
+        moved = dataclasses.replace(hist, odds=hist.odds * 1.5)
         # A drive starting in an up-cascade must end at its starting odds.
         with pytest.warns(RuntimeWarning, match="moved from 4.5"):
             stats = end_likelihood_stats(moved, pol58.dist, 4.5)
